@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .harness import (
     ConfigError,
@@ -22,6 +21,7 @@ from .harness import (
     run_experiment,
     sweep_experiment,
     verify_experiment,
+    write_report,
 )
 
 __all__ = ["main"]
@@ -68,11 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "verify":
             summary, _ = verify_experiment(cfg)
             if args.out is not None:
-                from .harness import _write_json
-                out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
-                _write_json(out / "report.json", summary)
-                (out / "report.txt").write_text(summary.format_text(), encoding="utf-8")
+                write_report(summary, args.out)
         elif args.command == "sweep":
             summary = sweep_experiment(cfg, out_dir=args.out)
         else:

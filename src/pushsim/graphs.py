@@ -1,14 +1,16 @@
 """Time-varying directed graphs with self-arcs.
 
 A network is a finite sequence of digraphs on a fixed vertex set, one graph
-per time step.  Arcs are stored as ``(sender, receiver)`` pairs with vertices
-indexed from 0 internally; the text format is 1-indexed.  Every vertex always
-keeps a self-arc, so each agent can at least talk to itself.
+per time step.  A sequence is stored as one read-only boolean stack
+``adj[t, j, i]``, true iff arc ``j -> i`` is present at step ``t``, with
+vertices indexed from 0 internally; the text format is 1-indexed.  Every
+vertex always keeps a self-arc, so each agent can at least talk to itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,51 +29,93 @@ __all__ = [
 
 GENERATOR_KINDS = ("static-cycle", "rotating-arc", "random-walkable")
 
+# Adjacency cells per block of window unions tested at once (1 MiB as
+# float32); a failing window length usually stops in the first block.
+_BLOCK_CELLS = 1 << 18
 
-@dataclass(frozen=True)
+
+def _frozen_stack(adj: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Validated read-only boolean adjacency of the given shape; a
+    read-only input is shared, anything else is copied."""
+    a = np.asarray(adj, dtype=bool)
+    if a.shape != shape:
+        raise ValueError(f"expected adjacency of shape {shape}, got {a.shape}")
+    diagonals = a.diagonal(axis1=-2, axis2=-1).reshape(-1, shape[-1])
+    missing = np.flatnonzero(~diagonals.all(axis=0))
+    if missing.size:
+        raise ValueError(f"missing self-arc at vertices {missing.tolist()}")
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 class Digraph:
-    """Directed graph on vertices ``0..n-1``; every vertex has a self-arc."""
+    """Directed graph on vertices ``0..n-1``; every vertex has a self-arc.
 
-    n: int
-    arcs: frozenset[tuple[int, int]]
+    A view of one read-only boolean adjacency matrix; the ``arcs`` set of
+    ``(sender, receiver)`` pairs is built on first use.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one vertex, got n={self.n}")
-        for (j, i) in self.arcs:
-            if not (0 <= j < self.n and 0 <= i < self.n):
-                raise ValueError(f"arc ({j}, {i}) out of range for n={self.n}")
-        missing = [i for i in range(self.n) if (i, i) not in self.arcs]
-        if missing:
-            raise ValueError(f"missing self-arc at vertices {missing}")
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]) -> None:
+        if n < 1:
+            raise ValueError(f"need at least one vertex, got n={n}")
+        a = np.zeros((n, n), dtype=bool)
+        for (j, i) in arcs:
+            if not (0 <= j < n and 0 <= i < n):
+                raise ValueError(f"arc ({j}, {i}) out of range for n={n}")
+            a[j, i] = True
+        self._adj = _frozen_stack(a, (n, n))
+
+    @classmethod
+    def _view(cls, adj: np.ndarray) -> Digraph:
+        """Wrap an already validated read-only adjacency matrix."""
+        g = cls.__new__(cls)
+        g._adj = adj
+        return g
+
+    @property
+    def n(self) -> int:
+        return self._adj.shape[0]
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        j, i = np.nonzero(self._adj)
+        return frozenset(zip(j.tolist(), i.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self._adj, other._adj)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._adj.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Digraph(n={self.n}, arcs={self.arcs!r})"
 
     def out_neighbors(self, j: int) -> set[int]:
         """Vertices that receive from ``j`` (always includes ``j``)."""
-        return {i for (jj, i) in self.arcs if jj == j}
+        return set(np.flatnonzero(self._adj[j]).tolist())
 
     def in_neighbors(self, i: int) -> set[int]:
         """Vertices that send to ``i`` (always includes ``i``)."""
-        return {j for (j, ii) in self.arcs if ii == i}
+        return set(np.flatnonzero(self._adj[:, i]).tolist())
 
     def out_degree(self, j: int) -> int:
-        return len(self.out_neighbors(j))
+        return int(np.count_nonzero(self._adj[j]))
 
     def adjacency(self) -> np.ndarray:
         """Boolean matrix ``A[j, i]`` true iff arc ``j -> i`` is present."""
-        a = np.zeros((self.n, self.n), dtype=bool)
-        for (j, i) in self.arcs:
-            a[j, i] = True
-        return a
+        return self._adj.copy()
 
 
 def digraph(n: int, cross_arcs: Iterable[tuple[int, int]] = ()) -> Digraph:
     """Build a ``Digraph`` from the cross arcs, adding all self-arcs."""
-    arcs = set((i, i) for i in range(n))
-    arcs.update((j, i) for (j, i) in cross_arcs)
-    return Digraph(n=n, arcs=frozenset(arcs))
+    return Digraph(n, [(i, i) for i in range(n)] + list(cross_arcs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class GraphSequence:
     """One digraph per step over a finite horizon.
 
@@ -79,34 +123,64 @@ class GraphSequence:
     "custom" sequences carry seed 0).  Generated sequences are a pure
     function of (kind, n, horizon, seed) and are prefix-stable: a longer
     horizon with the same seed extends the shorter sequence unchanged.
+
+    Build one from per-step ``graphs`` or from an ``adj`` stack of shape
+    ``(horizon, n, n)``; the stack is the only stored form and ``graphs``
+    is a view of it.  ``adj`` is not an init field, so
+    ``dataclasses.replace(seq, graphs=...)`` swaps the steps.
     """
 
     n: int
     horizon: int
     kind: str
     seed: int
-    graphs: tuple[Digraph, ...] = field(repr=False)
+    adj: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
+    def __init__(
+        self,
+        n: int,
+        horizon: int,
+        kind: str,
+        seed: int,
+        graphs: Sequence[Digraph] | None = None,
+        *,
+        adj: np.ndarray | None = None,
+    ) -> None:
+        if (graphs is None) == (adj is None):
+            raise TypeError("give exactly one of graphs and adj")
+        if horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if len(self.graphs) != self.horizon:
-            raise ValueError(
-                f"expected {self.horizon} graphs, got {len(self.graphs)}"
-            )
-        for g in self.graphs:
-            if g.n != self.n:
+        if graphs is not None:
+            if len(graphs) != horizon:
+                raise ValueError(f"expected {horizon} graphs, got {len(graphs)}")
+            if any(g.n != n for g in graphs):
                 raise ValueError("all graphs must share the same vertex count")
+            adj = np.stack([g._adj for g in graphs])
+        for name, value in (("n", n), ("horizon", horizon), ("kind", kind), ("seed", seed)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "adj", _frozen_stack(adj, (horizon, n, n)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GraphSequence):
+            return NotImplemented
+        return (
+            (self.n, self.horizon, self.kind, self.seed)
+            == (other.n, other.horizon, other.kind, other.seed)
+            and np.array_equal(self.adj, other.adj)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.horizon, self.kind, self.seed))
+
+    @cached_property
+    def graphs(self) -> tuple[Digraph, ...]:
+        return tuple(Digraph._view(a) for a in self.adj)
 
     def __len__(self) -> int:
         return self.horizon
 
     def __getitem__(self, t: int) -> Digraph:
-        return self.graphs[t]
-
-
-def _cycle_arcs(n: int) -> list[tuple[int, int]]:
-    return [(j, (j + 1) % n) for j in range(n)]
+        return Digraph._view(self.adj[t])
 
 
 def generate_sequence(
@@ -139,35 +213,28 @@ def generate_sequence(
         raise ValueError("n must be positive")
     if horizon < 1:
         raise ValueError("horizon must be positive")
+    eye = np.eye(n, dtype=bool)
+    ring = np.roll(eye, 1, axis=1)  # arcs j -> (j+1) mod n
     if kind == "static-cycle":
-        g = digraph(n, _cycle_arcs(n))
-        graphs = tuple(g for _ in range(horizon))
-    elif kind == "rotating-arc":
-        graphs = tuple(
-            digraph(n, [(t % n, (t + 1) % n)]) for t in range(horizon)
-        )
-    else:  # random-walkable
-        if not (0.0 <= arc_prob <= 1.0):
-            raise ValueError("arc_prob must lie in [0, 1]")
-        if inject_every < 1:
-            raise ValueError("inject_every must be positive")
-        rng = np.random.default_rng(seed)
-        ring = _cycle_arcs(n)
-        out = []
-        for t in range(horizon):
-            # One draw block per step keeps prefixes seed-stable.
-            coins = rng.random((n, n))
-            arcs = [
-                (j, i)
-                for j in range(n)
-                for i in range(n)
-                if i != j and coins[j, i] < arc_prob
-            ]
-            if t % inject_every == 0:
-                arcs.extend(ring)
-            out.append(digraph(n, arcs))
-        graphs = tuple(out)
-    return GraphSequence(n=n, horizon=horizon, kind=kind, seed=seed, graphs=graphs)
+        adj = np.broadcast_to(eye | ring, (horizon, n, n))
+    else:
+        adj = np.zeros((horizon, n, n), dtype=bool)
+        if kind == "rotating-arc":
+            t = np.arange(horizon)
+            adj[t, t % n, (t + 1) % n] = True
+        else:  # random-walkable
+            if not (0.0 <= arc_prob <= 1.0):
+                raise ValueError("arc_prob must lie in [0, 1]")
+            if inject_every < 1:
+                raise ValueError("inject_every must be positive")
+            rng = np.random.default_rng(seed)
+            for t in range(horizon):
+                # One draw block per step keeps prefixes seed-stable.
+                np.less(rng.random((n, n)), arc_prob, out=adj[t])
+            adj[::inject_every] |= ring
+        adj |= eye
+        adj.setflags(write=False)
+    return GraphSequence(n=n, horizon=horizon, kind=kind, seed=seed, adj=adj)
 
 
 def union_graph(graphs: Sequence[Digraph]) -> Digraph:
@@ -177,35 +244,42 @@ def union_graph(graphs: Sequence[Digraph]) -> Digraph:
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("vertex counts differ")
-    arcs: set[tuple[int, int]] = set()
-    for g in graphs:
-        arcs |= g.arcs
-    return Digraph(n=n, arcs=frozenset(arcs))
+    u = np.logical_or.reduce([g._adj for g in graphs])
+    u.setflags(write=False)
+    return Digraph._view(u)
+
+
+def _reaches_all(adj: np.ndarray) -> np.ndarray:
+    """Per graph of the 0/1 stack ``adj[m, n, n]``: does vertex 0 reach
+    every vertex?
+
+    Breadth-first search on all graphs at once; self-arcs make each
+    frontier contain the previous one, so the search stops when the total
+    count of reached vertices stops growing.
+    """
+    seen = adj[:, 0, :] > 0
+    count = np.count_nonzero(seen)
+    while True:
+        seen = np.matmul(seen[:, None, :].astype(adj.dtype), adj)[:, 0, :] > 0
+        grown = np.count_nonzero(seen)
+        if grown == count:
+            return seen.all(axis=1)
+        count = grown
+
+
+def _all_strongly_connected(adj: np.ndarray) -> bool:
+    """Every graph of the boolean stack ``adj[m, n, n]`` is strongly
+    connected: vertex 0 reaches all vertices and, in the reversed graph,
+    again reaches all.  The products run in float32, which BLAS does
+    several times faster than boolean matmul; sums of 0/1 entries stay
+    exact."""
+    a = adj.astype(np.float32)
+    return bool(_reaches_all(a).all() and _reaches_all(a.transpose(0, 2, 1)).all())
 
 
 def is_strongly_connected(g: Digraph) -> bool:
     """Every vertex reaches every other along directed arcs."""
-    if g.n == 1:
-        return True
-    fwd: list[list[int]] = [[] for _ in range(g.n)]
-    rev: list[list[int]] = [[] for _ in range(g.n)]
-    for (j, i) in g.arcs:
-        fwd[j].append(i)
-        rev[i].append(j)
-
-    def reaches_all(adj: list[list[int]]) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == g.n
-
-    # Strong connectivity == vertex 0 reaches all and is reached by all.
-    return reaches_all(fwd) and reaches_all(rev)
+    return _all_strongly_connected(g._adj[None])
 
 
 def uniform_connectivity_window(seq: GraphSequence) -> int | None:
@@ -216,28 +290,64 @@ def uniform_connectivity_window(seq: GraphSequence) -> int | None:
     connected.  Returns None if even the whole horizon fails.  This is a
     finite-horizon certificate over the materialized sequence only; it
     says nothing about steps beyond the horizon.
+
+    The test "every window of length L is strongly connected" is monotone
+    in L, so L is found by doubling and then bisection.  ``level`` holds
+    the unions of all windows of length ``a`` (a power of two); a window
+    of length L in [a, 2a] is the union of two overlapping ones.  Each
+    test searches the unions in blocks, stops at the first failing block,
+    and searches each distinct union once: periodic sequences such as
+    ``static-cycle`` and ``rotating-arc`` repeat a few unions, each of
+    whose searches can take up to n rounds.  Besides the sequence, memory
+    stays at two boolean ``T*n*n`` stacks.
     """
     h = seq.horizon
-    for window in range(1, h + 1):
-        ok = True
-        for start in range(0, h - window + 1):
-            if not is_strongly_connected(
-                union_graph(seq.graphs[start : start + window])
-            ):
-                ok = False
-                break
-        if ok:
-            return window
-    return None
+    block = max(1, _BLOCK_CELLS // seq.n**2)
+
+    def every_window_connected(length: int, level: np.ndarray, a: int) -> bool:
+        starts = h - length + 1
+        connected: set[bytes] = set()  # packed unions already shown connected
+        for lo in range(0, starts, block):
+            hi = min(starts, lo + block)
+            unions = level[lo:hi] | level[lo + length - a : hi + length - a]
+            keys = [row.tobytes() for row in np.packbits(unions.reshape(hi - lo, -1), axis=1)]
+            fresh = {key: k for k, key in enumerate(keys) if key not in connected}
+            if fresh and not _all_strongly_connected(unions[list(fresh.values())]):
+                return False
+            connected.update(fresh)
+        return True
+
+    level, a = seq.adj, 1
+    if every_window_connected(1, level, a):
+        return 1
+    while 2 * a < h:
+        if every_window_connected(2 * a, level, a):
+            break
+        level = level[:-a] | level[a:]
+        a *= 2
+    else:
+        if not every_window_connected(h, level, a):
+            return None
+    # Now length a fails and length min(2a, h) passes.
+    fail, ok = a, min(2 * a, h)
+    while ok - fail > 1:
+        mid = (fail + ok) // 2
+        if every_window_connected(mid, level, a):
+            ok = mid
+        else:
+            fail = mid
+    return ok
 
 
 def format_graph_sequence(seq: GraphSequence) -> str:
     """Render the 1-indexed text form: header ``n horizon``, then one
     ``t: j>i j>i ...`` line per step with self-arcs omitted."""
+    steps, senders, receivers = np.nonzero(seq.adj & ~np.eye(seq.n, dtype=bool))
+    tokens = [f"{j + 1}>{i + 1}" for j, i in zip(senders.tolist(), receivers.tolist())]
+    bounds = np.searchsorted(steps, np.arange(seq.horizon + 1)).tolist()
     lines = [f"{seq.n} {seq.horizon}"]
-    for t, g in enumerate(seq.graphs):
-        cross = sorted((j, i) for (j, i) in g.arcs if j != i)
-        body = " ".join(f"{j + 1}>{i + 1}" for (j, i) in cross)
+    for t in range(seq.horizon):
+        body = " ".join(tokens[bounds[t] : bounds[t + 1]])
         lines.append(f"{t}: {body}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -264,7 +374,8 @@ def parse_graph_sequence(text: str) -> GraphSequence:
         raise ValueError(
             f"expected {horizon} step lines, found {len(lines) - 1}"
         )
-    graphs = []
+    adj = np.zeros((horizon, n, n), dtype=bool)
+    adj[:, np.arange(n), np.arange(n)] = True
     for t, ln in enumerate(lines[1:]):
         label, _, rest = ln.partition(":")
         try:
@@ -273,7 +384,6 @@ def parse_graph_sequence(text: str) -> GraphSequence:
             raise ValueError(f"bad step label in line {ln!r}") from exc
         if step != t:
             raise ValueError(f"step lines out of order: expected {t}, got {step}")
-        cross = []
         for tok in rest.split():
             j_txt, sep, i_txt = tok.partition(">")
             if not sep:
@@ -286,8 +396,6 @@ def parse_graph_sequence(text: str) -> GraphSequence:
                 raise ValueError(
                     f"arc {tok!r} at step {t} out of range for n={n}"
                 )
-            cross.append((j - 1, i - 1))
-        graphs.append(digraph(n, cross))
-    return GraphSequence(
-        n=n, horizon=horizon, kind="file", seed=0, graphs=tuple(graphs)
-    )
+            adj[t, j - 1, i - 1] = True
+    adj.setflags(write=False)
+    return GraphSequence(n=n, horizon=horizon, kind="file", seed=0, adj=adj)

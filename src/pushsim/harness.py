@@ -54,7 +54,7 @@ from .subgradient import (
     zero_objective,
 )
 from .svgplot import Series, line_chart
-from .weights import WeightMatrix, build_weights, parse_matrix, validate_column_stochastic
+from .weights import WeightMatrix, build_weight_stack, parse_matrix, validate_column_stochastic
 
 __all__ = [
     "ConfigError",
@@ -74,6 +74,7 @@ __all__ = [
     "export_trace",
     "import_trace",
     "render_plots",
+    "write_report",
 ]
 
 MU_EMP_CAP = 1.0 - 1e-6
@@ -334,6 +335,10 @@ def _sanity(cfg: ExperimentConfig) -> None:
         raise ConfigError("[graph] kind=file needs a file path")
     if g.n < 1 or g.horizon < 1:
         raise ConfigError("[graph] n and horizon must be positive")
+    if not 0.0 <= g.arc_prob <= 1.0:
+        raise ConfigError(f"[graph] arc_prob must be a number in [0, 1], got {g.arc_prob}")
+    if g.inject_every < 1:
+        raise ConfigError(f"[graph] inject_every must be at least 1, got {g.inject_every}")
     if cfg.weights.rule not in ("uniform-out-degree", "file"):
         raise ConfigError(f"[weights] rule: unknown value {cfg.weights.rule!r}")
     if cfg.weights.rule == "file" and not cfg.weights.file:
@@ -591,8 +596,9 @@ def _materialize_graphs(gcfg: GraphConfig) -> GraphSequence:
                 f"config wants n={gcfg.n}, horizon>={gcfg.horizon}"
             )
         if seq.horizon > gcfg.horizon:
-            seq = dataclasses.replace(
-                seq, horizon=gcfg.horizon, graphs=seq.graphs[: gcfg.horizon]
+            seq = GraphSequence(
+                n=seq.n, horizon=gcfg.horizon, kind=seq.kind, seed=seq.seed,
+                adj=seq.adj[: gcfg.horizon],
             )
         return seq
     return generate_sequence(
@@ -607,7 +613,7 @@ def _materialize_weights(
     """Per-step mixing matrices plus the realized support floor beta and
     any validation violations (nonempty only for file-supplied weights)."""
     if wcfg.rule == "uniform-out-degree":
-        ws = [build_weights(g) for g in seq.graphs]
+        ws = build_weight_stack(seq)
         return ws, min(w.beta for w in ws), []
     entries = parse_matrix(Path(wcfg.file).read_text(encoding="utf-8"))
     if entries.shape != (seq.n, seq.n):
@@ -626,7 +632,8 @@ def _materialize_weights(
         if np.isfinite(rep.min_positive):
             min_pos = min(min_pos, rep.min_positive)
     beta = min_pos if math.isfinite(min_pos) else float("nan")
-    ws = [WeightMatrix(n=seq.n, entries=entries, beta=beta) for _ in seq.graphs]
+    entries.setflags(write=False)  # every step shares the one matrix
+    ws = [WeightMatrix(n=seq.n, entries=entries, beta=beta) for _ in range(seq.horizon)]
     return ws, beta, violations
 
 
@@ -1074,8 +1081,7 @@ def sweep_experiment(
         rows = ["T,gap"]
         rows += [f"{T},{g:.17g}" for (T, g) in points]
         (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-        _write_json(out / "report.json", summary)
-        (out / "report.txt").write_text(summary.format_text(), encoding="utf-8")
+        write_report(summary, out)
         pos = [(T, g) for (T, g) in points if g > 0]
         if pos:
             line_chart(
@@ -1204,9 +1210,16 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, summary: SummaryReport) -> None:
+def write_report(summary: SummaryReport, out_dir: str | Path) -> None:
+    """Write ``report.json`` (sorted keys, deterministic bytes) and
+    ``report.txt`` for a summary, creating ``out_dir`` if needed."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     payload = _jsonable(summary.as_dict())
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out / "report.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    (out / "report.txt").write_text(summary.format_text(), encoding="utf-8")
 
 
 def _find_report(reports: list[BoundReport], label: str) -> BoundReport | None:
@@ -1221,8 +1234,7 @@ def _persist(result: ExperimentResult, out: Path) -> None:
     emp = _find_report(result.gap_reports, "gap-decaying-network-empirical")
     wc = _find_report(result.gap_reports, "gap-decaying-network-worst-case")
     export_trace(result.trace, out / "trace.csv", bound_emp=emp, bound_wc=wc)
-    _write_json(out / "report.json", result.summary)
-    (out / "report.txt").write_text(result.summary.format_text(), encoding="utf-8")
+    write_report(result.summary, out)
     render_plots(result, out)
 
 

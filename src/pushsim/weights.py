@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Digraph
+from .graphs import Digraph, GraphSequence
 
 __all__ = [
     "WeightMatrix",
     "WeightValidation",
     "build_weights",
+    "build_weight_stack",
     "validate_column_stochastic",
     "format_matrix",
     "parse_matrix",
@@ -39,10 +40,14 @@ class WeightMatrix:
     beta: float
 
     def __post_init__(self) -> None:
-        e = np.array(self.entries, dtype=float)
+        e = np.asarray(self.entries, dtype=float)
         if e.shape != (self.n, self.n):
             raise ValueError(f"expected shape ({self.n}, {self.n}), got {e.shape}")
-        e.setflags(write=False)
+        # A read-only array is shared; anything the caller could still
+        # change is copied first.
+        if e.flags.writeable:
+            e = np.array(e)
+            e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
 
@@ -60,20 +65,36 @@ class WeightValidation:
 
 
 def build_weights(g: Digraph, rule: str = "uniform-out-degree") -> WeightMatrix:
-    """Mixing matrix for one step on graph ``g``.
-
-    The only built-in rule splits each sender's mass equally over its
-    out-neighbors: ``W[i, j] = 1 / outdeg(j)`` for every arc ``j -> i``.
-    Externally supplied matrices go through
-    :func:`validate_column_stochastic` instead.
-    """
+    """Mixing matrix for one step on graph ``g``; see :func:`build_weight_stack`."""
     if rule != "uniform-out-degree":
         raise ValueError(f"unknown weight rule {rule!r}")
-    w = np.zeros((g.n, g.n))
-    degs = np.array([g.out_degree(j) for j in range(g.n)], dtype=float)
-    for (j, i) in g.arcs:
-        w[i, j] = 1.0 / degs[j]
-    return WeightMatrix(n=g.n, entries=w, beta=float(1.0 / degs.max()))
+    return _uniform_out_degree(g.adjacency()[None])[0]
+
+
+def build_weight_stack(seq: GraphSequence) -> list[WeightMatrix]:
+    """Mixing matrices for every step of ``seq``.
+
+    Each sender splits its mass equally over its out-neighbors:
+    ``W[t, i, j] = 1 / outdeg_t(j)`` for every arc ``j -> i`` at step ``t``.
+    All steps are computed in one expression into one C-ordered stack,
+    which is made read-only; step ``t`` gets a view of ``W[t]``, not a
+    copy.  Externally supplied matrices go through
+    :func:`validate_column_stochastic` instead.
+    """
+    return _uniform_out_degree(seq.adj)
+
+
+def _uniform_out_degree(adj: np.ndarray) -> list[WeightMatrix]:
+    """The uniform rule on a validated adjacency stack ``adj[t, j, i]``
+    (arc ``j -> i`` at step ``t``, every self-arc present)."""
+    horizon, n, _ = adj.shape
+    deg = np.count_nonzero(adj, axis=2)
+    # Write into a C-ordered stack: a transposed layout holds the same
+    # values but sends W @ x down another BLAS path.
+    w = np.divide(adj.transpose(0, 2, 1), deg[:, None, :], out=np.empty((horizon, n, n)))
+    w.setflags(write=False)
+    betas = (1.0 / deg.max(axis=1)).tolist()
+    return [WeightMatrix(n=n, entries=w[t], beta=betas[t]) for t in range(horizon)]
 
 
 def validate_column_stochastic(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pushsim.graphs import (
     Digraph,
+    GraphSequence,
     digraph,
     format_graph_sequence,
     generate_sequence,
@@ -164,3 +165,127 @@ def test_parse_rejects_malformed_text(text, msg):
 def test_parse_tolerates_explicit_self_arcs():
     seq = parse_graph_sequence("2 1\n0: 1>1 1>2\n")
     assert seq.graphs[0].arcs == frozenset({(0, 0), (1, 1), (0, 1)})
+
+
+# --------------------------------------------------------------------------
+# reference implementations: per-arc generator and brute-force window
+# --------------------------------------------------------------------------
+
+def reference_arcs(kind, n, horizon, seed, arc_prob=0.25, inject_every=5):
+    """Per-step arc sets, drawn one arc at a time (self-arcs included)."""
+    selfs = {(i, i) for i in range(n)}
+    ring = [(j, (j + 1) % n) for j in range(n)]
+    if kind == "static-cycle":
+        return [frozenset(selfs | set(ring)) for _ in range(horizon)]
+    if kind == "rotating-arc":
+        return [frozenset(selfs | {(t % n, (t + 1) % n)}) for t in range(horizon)]
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(horizon):
+        coins = rng.random((n, n))
+        arcs = set(selfs)
+        arcs.update((j, i) for j in range(n) for i in range(n)
+                    if i != j and coins[j, i] < arc_prob)
+        if t % inject_every == 0:
+            arcs.update(ring)
+        out.append(frozenset(arcs))
+    return out
+
+
+def reference_strongly_connected(n, arcs):
+    fwd = {v: [] for v in range(n)}
+    rev = {v: [] for v in range(n)}
+    for (j, i) in arcs:
+        fwd[j].append(i)
+        rev[i].append(j)
+
+    def reaches_all(adj):
+        seen, stack = {0}, [0]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == n
+
+    return reaches_all(fwd) and reaches_all(rev)
+
+
+def reference_window(n, steps):
+    """Smallest L whose every full window union is strongly connected."""
+    h = len(steps)
+    for window in range(1, h + 1):
+        if all(
+            reference_strongly_connected(n, frozenset().union(*steps[s:s + window]))
+            for s in range(h - window + 1)
+        ):
+            return window
+    return None
+
+
+def stack_of(n, steps):
+    adj = np.zeros((len(steps), n, n), dtype=bool)
+    for t, arcs in enumerate(steps):
+        for (j, i) in arcs:
+            adj[t, j, i] = True
+    return adj
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["static-cycle", "rotating-arc", "random-walkable"]),
+    n=st.integers(1, 7),
+    horizon=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    arc_prob=st.floats(0.0, 1.0),
+    inject_every=st.integers(1, 9),
+)
+def test_generator_and_window_match_reference(kind, n, horizon, seed, arc_prob, inject_every):
+    seq = generate_sequence(kind, n, horizon, seed, arc_prob=arc_prob, inject_every=inject_every)
+    steps = reference_arcs(kind, n, horizon, seed, arc_prob, inject_every)
+    assert np.array_equal(seq.adj, stack_of(n, steps))
+    assert [g.arcs for g in seq.graphs] == steps
+    assert uniform_connectivity_window(seq) == reference_window(n, steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), horizon=st.integers(1, 14), data=st.data())
+def test_window_matches_reference_on_hand_built_stacks(n, horizon, data):
+    pairs = [(j, i) for j in range(n) for i in range(n) if i != j]
+    selfs = {(i, i) for i in range(n)}
+    cross = st.sets(st.sampled_from(pairs), max_size=3) if pairs else st.just(frozenset())
+    steps = [frozenset(selfs | data.draw(cross)) for _ in range(horizon)]
+    seq = GraphSequence(n=n, horizon=horizon, kind="custom", seed=0, adj=stack_of(n, steps))
+    assert uniform_connectivity_window(seq) == reference_window(n, steps)
+
+
+@pytest.mark.parametrize(
+    "n, steps, expected",
+    [
+        (1, [frozenset({(0, 0)})] * 4, 1),
+        (3, [frozenset({(0, 0), (1, 1), (2, 2)})] * 6, None),
+        (4, reference_arcs("rotating-arc", 4, 16, 0), 4),
+        (4, reference_arcs("rotating-arc", 4, 4, 0), 4),
+        (4, reference_arcs("rotating-arc", 4, 3, 0), None),
+    ],
+)
+def test_window_edge_cases_match_reference(n, steps, expected):
+    seq = GraphSequence(n=n, horizon=len(steps), kind="custom", seed=0, adj=stack_of(n, steps))
+    assert reference_window(n, steps) == expected
+    assert uniform_connectivity_window(seq) == expected
+
+
+def test_sequence_stack_is_read_only_and_validated():
+    seq = generate_sequence("random-walkable", 4, 10, seed=1)
+    assert seq.adj.shape == (10, 4, 4) and seq.adj.dtype == bool
+    with pytest.raises(ValueError):
+        seq.adj[0, 0, 1] = True
+    adj = np.array(seq.adj)
+    copy = GraphSequence(n=4, horizon=10, kind="custom", seed=0, adj=adj)
+    adj[0, 0, 1] = not adj[0, 0, 1]  # the sequence kept its own copy
+    assert np.array_equal(copy.adj, seq.adj)
+    adj[3, 2, 2] = False
+    with pytest.raises(ValueError, match="self-arc"):
+        GraphSequence(n=4, horizon=10, kind="custom", seed=0, adj=adj)
+    with pytest.raises(ValueError, match="shape"):
+        GraphSequence(n=4, horizon=9, kind="custom", seed=0, adj=seq.adj)

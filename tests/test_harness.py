@@ -121,6 +121,14 @@ def test_unknown_section_and_key_are_hard_errors():
         (base_config(init=InitConfig(mode="explicit", values=((1.0,),))),
          r"\[init\] values"),
         (base_config(graph=GraphConfig(kind="moebius")), "unknown value"),
+        (base_config(graph=GraphConfig(kind="random-walkable", n=4,
+                                       arc_prob=float("nan"))), "arc_prob"),
+        (base_config(graph=GraphConfig(kind="random-walkable", n=4, arc_prob=1.5)),
+         "arc_prob"),
+        (base_config(graph=GraphConfig(kind="random-walkable", n=4, arc_prob=-0.1)),
+         "arc_prob"),
+        (base_config(graph=GraphConfig(kind="random-walkable", n=4, inject_every=0)),
+         "inject_every"),
     ],
 )
 def test_cross_field_sanity_errors(cfg, msg):
@@ -389,6 +397,10 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path / "o")]) == 2
+    # an unusable [graph] number is a config error, not a crash in the generator
+    nan_prob = tmp_path / "nan_prob.ini"
+    nan_prob.write_text(render_config(base_config()).replace("arc_prob = 0.25", "arc_prob = nan"))
+    assert main(["simulate", "--config", str(nan_prob), "--out", str(tmp_path / "o")]) == 2
     # a config whose run fails validation exits 1
     cfg = base_config(
         objective=ObjectiveConfig(kind="l1", d=1,

@@ -3,6 +3,8 @@ import pytest
 
 from pushsim.graphs import digraph, generate_sequence
 from pushsim.weights import (
+    WeightMatrix,
+    build_weight_stack,
     build_weights,
     format_matrix,
     parse_matrix,
@@ -95,3 +97,34 @@ def test_parse_matrix_errors():
         parse_matrix("1 0\n0.5")
     with pytest.raises(ValueError, match="bad matrix entry"):
         parse_matrix("1 x\n0 1")
+
+
+@pytest.mark.parametrize("kind", ["static-cycle", "rotating-arc", "random-walkable"])
+def test_weight_stack_steps_are_read_only_views_equal_to_per_graph_builds(kind):
+    seq = generate_sequence(kind, 6, 40, seed=4, arc_prob=0.3)
+    ws = build_weight_stack(seq)
+    stack = ws[0].entries.base
+    assert len(ws) == seq.horizon
+    assert stack.shape == (seq.horizon, 6, 6) and stack.flags.c_contiguous
+    assert not stack.flags.writeable
+    x = np.linspace(-1.0, 2.0, 6 * 3).reshape(6, 3)
+    for t, g in enumerate(seq.graphs):
+        w, ref = ws[t], build_weights(g)
+        assert w.entries.base is stack  # a view, not a copy
+        assert w.entries.flags.c_contiguous and not w.entries.flags.writeable
+        assert np.array_equal(w.entries, ref.entries) and w.beta == ref.beta
+        # same layout, so the same BLAS path and bit-identical products
+        assert np.array_equal(w.entries @ x, ref.entries @ x)
+        # the per-arc rule, written out
+        expected = np.zeros((6, 6))
+        for (j, i) in g.arcs:
+            expected[i, j] = 1.0 / g.out_degree(j)
+        assert np.array_equal(w.entries, expected)
+
+
+def test_writable_entries_are_copied_read_only_ones_shared():
+    e = np.full((2, 2), 0.5)
+    w = WeightMatrix(n=2, entries=e, beta=0.5)
+    assert not np.shares_memory(w.entries, e)
+    e.setflags(write=False)
+    assert WeightMatrix(n=2, entries=e, beta=0.5).entries is e
