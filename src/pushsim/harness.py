@@ -20,7 +20,7 @@ import math
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -169,160 +169,103 @@ class ExperimentConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "graph": ("kind", "n", "horizon", "seed", "arc_prob", "inject_every", "file"),
-    "weights": ("rule", "file"),
-    "objective": ("kind", "d", "targets", "normals", "labels", "g_bound", "box_lo", "box_hi"),
-    "schedule": ("kind", "a", "p", "t_fixed"),
-    "init": ("mode", "seed", "lo", "hi", "values"),
-    "bounds": ("evaluate", "agents", "envelope"),
-    "sweep": ("horizons",),
-}
+def _number(raw: str) -> float:
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {raw!r}")
+    return x
 
 
-def _f(x: float) -> str:
+def _numbers(raw: str) -> tuple[float, ...]:
+    return tuple(_number(v) for v in raw.split())
+
+
+def _rows(raw: str) -> tuple[tuple[float, ...], ...]:
+    rows = tuple(_numbers(part) for part in raw.split(";"))
+    if not all(rows):
+        raise ValueError("empty row")
+    return rows
+
+
+def _boolean(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _float_text(x: float) -> str:
     return repr(float(x))
 
 
-def _rows_to_text(rows: tuple[tuple[float, ...], ...] | None) -> str:
-    if rows is None:
-        return ""
-    return " ; ".join(" ".join(_f(v) for v in row) for row in rows)
+# Config text codecs keyed by the field annotation text (annotations are
+# strings under ``from __future__ import annotations``), with any "| None"
+# stripped: (what the error message expects, decode, encode).  Floats
+# round-trip through repr; every config number passes through here, so
+# this is where non-finite values are rejected.
+_CODECS: dict[str, tuple[str, Callable[[str], object], Callable[..., str]]] = {
+    "str": ("text", str, str),
+    "int": ("integer", int, str),
+    "float": ("finite number", _number, _float_text),
+    "bool": ("boolean", _boolean, lambda b: str(b).lower()),
+    "tuple[int, ...]": (
+        "integers", lambda raw: tuple(int(v) for v in raw.split()),
+        lambda v: " ".join(str(t) for t in v),
+    ),
+    "tuple[float, ...]": (
+        "finite numbers", _numbers, lambda v: " ".join(_float_text(x) for x in v),
+    ),
+    "tuple[tuple[float, ...], ...]": (
+        "rows of finite numbers", _rows,
+        lambda rows: " ; ".join(" ".join(_float_text(x) for x in r) for r in rows),
+    ),
+}
 
 
-def _text_to_rows(text: str, what: str) -> tuple[tuple[float, ...], ...] | None:
-    text = text.strip()
-    if not text:
-        return None
-    rows = []
-    for part in text.split(";"):
-        toks = part.split()
-        if not toks:
-            raise ConfigError(f"{what}: empty row in {text!r}")
-        try:
-            rows.append(tuple(float(v) for v in toks))
-        except ValueError as exc:
-            raise ConfigError(f"{what}: bad number in {part!r}") from exc
-    return tuple(rows)
+def _sections() -> dict[str, type]:
+    """Section name -> section dataclass, in config order."""
+    return {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _vec_to_text(vec: tuple[float, ...] | None) -> str:
-    if vec is None:
-        return ""
-    return " ".join(_f(v) for v in vec)
-
-
-def _text_to_vec(text: str, what: str) -> tuple[float, ...] | None:
-    text = text.strip()
-    if not text:
-        return None
-    try:
-        return tuple(float(v) for v in text.split())
-    except ValueError as exc:
-        raise ConfigError(f"{what}: bad number in {text!r}") from exc
-
-
-def _get(cp: ConfigParser, sec: str, key: str, default: str = "") -> str:
-    if cp.has_option(sec, key):
-        return cp.get(sec, key).strip()
-    return default
-
-
-def _get_int(cp: ConfigParser, sec: str, key: str, default: int | None) -> int | None:
-    raw = _get(cp, sec, key)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec}] {key}: expected integer, got {raw!r}") from exc
-
-
-def _get_float(cp: ConfigParser, sec: str, key: str, default: float | None) -> float | None:
-    raw = _get(cp, sec, key)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec}] {key}: expected number, got {raw!r}") from exc
-
-
-def _get_bool(cp: ConfigParser, sec: str, key: str, default: bool) -> bool:
-    raw = _get(cp, sec, key).lower()
-    if not raw:
-        return default
-    if raw in ("true", "1", "yes", "on"):
-        return True
-    if raw in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"[{sec}] {key}: expected boolean, got {raw!r}")
+def _codec(f: dataclasses.Field) -> tuple[str, Callable[[str], object], Callable[..., str]]:
+    return _CODECS[f.type.removesuffix(" | None")]
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse an INI config; unknown sections or keys are hard errors."""
+    """Parse an INI config; unknown sections or keys are hard errors and
+    an empty or missing value means the field's default."""
     cp = ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except Exception as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
+    sections = _sections()
     for sec in cp.sections():
-        if sec not in _SCHEMA:
+        if sec not in sections:
             raise ConfigError(f"unknown section [{sec}]")
+        keys = {f.name for f in dataclasses.fields(sections[sec])}
         for key in cp.options(sec):
-            if key not in _SCHEMA[sec]:
+            if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{sec}]")
     if cp.defaults():
         raise ConfigError(f"unexpected keys outside any section: {sorted(cp.defaults())}")
 
-    g = GraphConfig(
-        kind=_get(cp, "graph", "kind", "static-cycle"),
-        n=_get_int(cp, "graph", "n", 3),
-        horizon=_get_int(cp, "graph", "horizon", 100),
-        seed=_get_int(cp, "graph", "seed", 0),
-        arc_prob=_get_float(cp, "graph", "arc_prob", 0.25),
-        inject_every=_get_int(cp, "graph", "inject_every", 5),
-        file=_get(cp, "graph", "file") or None,
-    )
-    w = WeightConfig(
-        rule=_get(cp, "weights", "rule", "uniform-out-degree"),
-        file=_get(cp, "weights", "file") or None,
-    )
-    o = ObjectiveConfig(
-        kind=_get(cp, "objective", "kind", "quadratic"),
-        d=_get_int(cp, "objective", "d", 1),
-        targets=_text_to_rows(_get(cp, "objective", "targets"), "[objective] targets"),
-        normals=_text_to_rows(_get(cp, "objective", "normals"), "[objective] normals"),
-        labels=_text_to_vec(_get(cp, "objective", "labels"), "[objective] labels"),
-        g_bound=_get_float(cp, "objective", "g_bound", None),
-        box_lo=_text_to_vec(_get(cp, "objective", "box_lo"), "[objective] box_lo"),
-        box_hi=_text_to_vec(_get(cp, "objective", "box_hi"), "[objective] box_hi"),
-    )
-    s = ScheduleConfig(
-        kind=_get(cp, "schedule", "kind", "harmonic"),
-        a=_get_float(cp, "schedule", "a", 1.0),
-        p=_get_float(cp, "schedule", "p", 1.0),
-        t_fixed=_get_int(cp, "schedule", "t_fixed", None),
-    )
-    init = InitConfig(
-        mode=_get(cp, "init", "mode", "random"),
-        seed=_get_int(cp, "init", "seed", 1),
-        lo=_get_float(cp, "init", "lo", -5.0),
-        hi=_get_float(cp, "init", "hi", 5.0),
-        values=_text_to_rows(_get(cp, "init", "values"), "[init] values"),
-    )
-    b = BoundsConfig(
-        evaluate=_get_bool(cp, "bounds", "evaluate", True),
-        agents=_get_bool(cp, "bounds", "agents", True),
-        envelope=_get_bool(cp, "bounds", "envelope", True),
-    )
-    horizons_txt = _get(cp, "sweep", "horizons")
-    try:
-        horizons = tuple(int(v) for v in horizons_txt.split()) if horizons_txt else ()
-    except ValueError as exc:
-        raise ConfigError(f"[sweep] horizons: bad integer in {horizons_txt!r}") from exc
-    cfg = ExperimentConfig(graph=g, weights=w, objective=o, schedule=s, init=init, bounds=b,
-                           sweep=SweepConfig(horizons=horizons))
+    parts = {}
+    for sec, cls in sections.items():
+        values = {}
+        for f in dataclasses.fields(cls):
+            raw = cp.get(sec, f.name, fallback="").strip()
+            if not raw:
+                continue
+            what, decode, _ = _codec(f)
+            try:
+                values[f.name] = decode(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{sec}] {f.name}: expected {what}, got {raw!r}") from exc
+        parts[sec] = cls(**values)
+    cfg = ExperimentConfig(**parts)
     _sanity(cfg)
     return cfg
 
@@ -393,54 +336,16 @@ def _sanity(cfg: ExperimentConfig) -> None:
 def render_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parsing it back yields an equal config and
     re-rendering yields identical bytes."""
-    g, w, o, s, init, b = (cfg.graph, cfg.weights, cfg.objective,
-                           cfg.schedule, cfg.init, cfg.bounds)
-    lines = [
-        "[graph]",
-        f"kind = {g.kind}",
-        f"n = {g.n}",
-        f"horizon = {g.horizon}",
-        f"seed = {g.seed}",
-        f"arc_prob = {_f(g.arc_prob)}",
-        f"inject_every = {g.inject_every}",
-        f"file = {g.file or ''}",
-        "",
-        "[weights]",
-        f"rule = {w.rule}",
-        f"file = {w.file or ''}",
-        "",
-        "[objective]",
-        f"kind = {o.kind}",
-        f"d = {o.d}",
-        f"targets = {_rows_to_text(o.targets)}",
-        f"normals = {_rows_to_text(o.normals)}",
-        f"labels = {_vec_to_text(o.labels)}",
-        f"g_bound = {'' if o.g_bound is None else _f(o.g_bound)}",
-        f"box_lo = {_vec_to_text(o.box_lo)}",
-        f"box_hi = {_vec_to_text(o.box_hi)}",
-        "",
-        "[schedule]",
-        f"kind = {s.kind}",
-        f"a = {_f(s.a)}",
-        f"p = {_f(s.p)}",
-        f"t_fixed = {'' if s.t_fixed is None else s.t_fixed}",
-        "",
-        "[init]",
-        f"mode = {init.mode}",
-        f"seed = {init.seed}",
-        f"lo = {_f(init.lo)}",
-        f"hi = {_f(init.hi)}",
-        f"values = {_rows_to_text(init.values)}",
-        "",
-        "[bounds]",
-        f"evaluate = {str(b.evaluate).lower()}",
-        f"agents = {str(b.agents).lower()}",
-        f"envelope = {str(b.envelope).lower()}",
-        "",
-        "[sweep]",
-        f"horizons = {' '.join(str(t) for t in cfg.sweep.horizons)}",
-    ]
-    return "\n".join(line.rstrip() for line in lines) + "\n"
+    lines = []
+    for sec in _sections():
+        part = getattr(cfg, sec)
+        lines.append(f"[{sec}]")
+        for f in dataclasses.fields(part):
+            value = getattr(part, f.name)
+            text = "" if value is None else _codec(f)[2](value)
+            lines.append(f"{f.name} = {text}".rstrip())
+        lines.append("")
+    return "\n".join(lines[:-1]) + "\n"
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -580,7 +485,6 @@ class ExperimentResult:
     summary: SummaryReport
     gap_reports: list[BoundReport] = field(default_factory=list)
     envelope_reports: list[BoundReport] = field(default_factory=list)
-    fixed_values: list[BoundValue] = field(default_factory=list)
 
 
 # --------------------------------------------------------------------------
@@ -637,19 +541,34 @@ def _materialize_weights(
     return ws, beta, violations
 
 
-def _materialize_objective(ocfg: ObjectiveConfig, n: int) -> ObjectiveSpec:
+def _materialize_spec(cfg: ExperimentConfig) -> tuple[StepsizeSchedule, ObjectiveSpec]:
+    """The configured stepsize schedule and objective.  Their constructors
+    hold the range rules (a > 0, p >= 0, g_bound >= 0, box_lo < box_hi,
+    ...); a config that breaks one is a config error."""
+    s, o = cfg.schedule, cfg.objective
     box = None
-    if ocfg.box_lo is not None and ocfg.box_hi is not None:
-        box = (np.array(ocfg.box_lo), np.array(ocfg.box_hi))
-    if ocfg.kind == "quadratic":
-        return quadratic_objective(np.array(ocfg.targets), box=box, g_bound=ocfg.g_bound)
-    if ocfg.kind == "l1":
-        return l1_objective(np.array(ocfg.targets), box=box, g_bound=ocfg.g_bound)
-    if ocfg.kind == "hinge":
-        return hinge_objective(
-            np.array(ocfg.normals), ocfg.labels, box=box, g_bound=ocfg.g_bound
-        )
-    return zero_objective(n, ocfg.d)
+    if o.box_lo is not None and o.box_hi is not None:
+        box = (np.array(o.box_lo), np.array(o.box_hi))
+    section = "schedule"
+    try:
+        if s.kind == "harmonic":
+            schedule = StepsizeSchedule.harmonic(s.a)
+        elif s.kind == "polynomial":
+            schedule = StepsizeSchedule.polynomial(s.a, s.p)
+        else:
+            schedule = StepsizeSchedule.fixed_horizon(s.t_fixed)
+        section = "objective"
+        if o.kind == "quadratic":
+            objective = quadratic_objective(np.array(o.targets), box=box, g_bound=o.g_bound)
+        elif o.kind == "l1":
+            objective = l1_objective(np.array(o.targets), box=box, g_bound=o.g_bound)
+        elif o.kind == "hinge":
+            objective = hinge_objective(np.array(o.normals), o.labels, box=box, g_bound=o.g_bound)
+        else:
+            objective = zero_objective(cfg.graph.n, o.d)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+    return schedule, objective
 
 
 def _materialize_init(icfg: InitConfig, n: int, d: int) -> np.ndarray:
@@ -657,14 +576,6 @@ def _materialize_init(icfg: InitConfig, n: int, d: int) -> np.ndarray:
         return np.array(icfg.values, dtype=float).reshape(n, d)
     rng = np.random.default_rng(icfg.seed)
     return rng.uniform(icfg.lo, icfg.hi, size=(n, d))
-
-
-def _schedule_from(scfg: ScheduleConfig) -> StepsizeSchedule:
-    if scfg.kind == "harmonic":
-        return StepsizeSchedule.harmonic(scfg.a)
-    if scfg.kind == "polynomial":
-        return StepsizeSchedule.polynomial(scfg.a, scfg.p)
-    return StepsizeSchedule.fixed_horizon(scfg.t_fixed)
 
 
 # --------------------------------------------------------------------------
@@ -698,7 +609,7 @@ def _empirical_constants(trace: RunTrace) -> tuple[float, float | None, float | 
 
 
 def _bound_inputs(
-    trace: RunTrace,
+    trace: RunTrace | LoadedTrace,
     objective: ObjectiveSpec,
     schedule: StepsizeSchedule,
     window: int,
@@ -707,11 +618,14 @@ def _bound_inputs(
     log_mu: float | None,
     label: str,
 ) -> BoundInputs:
+    """Certificate inputs for a run or for its persisted trace.  y(0) = 1
+    makes the initial ratios equal the initial values x(0), and g(0) is
+    the subgradient at them, so both are rebuilt from ``zs[0]``."""
     return BoundInputs(
         n=trace.n, L=window, d=trace.d, G=objective.g_bound,
         eta=eta, mu=mu, log_mu=log_mu,
         z_bar0=trace.zbar[0], z0=trace.zs[0], z_star=objective.z_star,
-        x0=trace.xs[0], g0=trace.gs[0],
+        x0=trace.zs[0], g0=objective.agent_subgradients(trace.zs[0]),
         alphas=trace.alphas, schedule=schedule, constants_from=label,
     )
 
@@ -745,6 +659,7 @@ def run_experiment(
     negative, residuals above tolerance) become failed checks in the
     summary instead.
     """
+    schedule, objective = _materialize_spec(cfg)
     seq = _materialize_graphs(cfg.graph)
     window = uniform_connectivity_window(seq)
     if window is None:
@@ -758,9 +673,7 @@ def run_experiment(
             "weight matrix fails column-stochastic/support validation: "
             + "; ".join(weight_violations[:5])
         )
-    schedule = _schedule_from(cfg.schedule)
     sched_report = validate_schedule(schedule)
-    objective = _materialize_objective(cfg.objective, seq.n)
     x0 = _materialize_init(cfg.init, seq.n, objective.d)
     for i in range(seq.n):
         if not objective.contains(x0[i]):
@@ -881,60 +794,34 @@ def _evaluate_bounds(
         )))
 
     t_last = trace.steps - 1
+    form = "fixed" if schedule.kind == "fixed" else "decaying"
+    # (who, agent index, realized gap series); each agent's series is
+    # computed once and shared by both constant sets
+    targets = [("network", None, trace.running_gap)]
+    if cfg.bounds.agents and pairs:
+        targets += [(f"agent{k + 1}", k, _agent_gap_series(trace, objective, k))
+                    for k in range(trace.n)]
     for label, inp in pairs:
-        if schedule.kind == "fixed":
-            value = bound_fixed(inp, schedule.T)
-            lhs = float(trace.running_gap[t_last])
-            rep = _series_to_report(
-                f"gap-fixed-network-{label}", label, [value], np.array([lhs]),
-            )
-            result.gap_reports.append(rep)
-            result.fixed_values.append(value)
-            _record_margin(summary, checks, rep)
-            if cfg.bounds.agents:
-                for k in range(trace.n):
-                    vk = bound_fixed(inp, schedule.T, agent=k)
-                    lk = _agent_gap_series(trace, objective, k)[t_last]
-                    repk = _series_to_report(
-                        f"gap-fixed-agent{k + 1}-{label}", label, [vk], np.array([lk]),
-                    )
-                    result.gap_reports.append(repk)
-                    _record_margin(summary, checks, repk)
-        else:
-            values = timevarying_series(inp, t_last)
-            rep = _series_to_report(
-                f"gap-decaying-network-{label}", label, values, trace.running_gap,
-            )
+        for who, agent, gaps in targets:
+            if form == "fixed":
+                values, lhs = [bound_fixed(inp, schedule.T, agent=agent)], gaps[t_last:]
+            else:
+                values, lhs = timevarying_series(inp, t_last, agent=agent), gaps
+            rep = _series_to_report(f"gap-{form}-{who}-{label}", label, values, lhs)
             result.gap_reports.append(rep)
             _record_margin(summary, checks, rep)
-            if cfg.bounds.agents:
-                for k in range(trace.n):
-                    vk = timevarying_series(inp, t_last, agent=k)
-                    repk = _series_to_report(
-                        f"gap-decaying-agent{k + 1}-{label}", label, vk,
-                        _agent_gap_series(trace, objective, k),
-                    )
-                    result.gap_reports.append(repk)
-                    _record_margin(summary, checks, repk)
         if cfg.bounds.envelope:
             env = contraction_series(inp, t_last)
-            geo = BoundReport(
-                label=f"envelope-geometric-{label}", constants_from=label,
-                ts=np.arange(trace.steps, dtype=float),
-                lhs=trace.deviation, rhs=env.geometric,
-                terms=np.zeros((trace.steps, 4)),
-            )
-            result.envelope_reports.append(geo)
-            _record_margin(summary, checks, geo)
-            if env.refined is not None:
-                ref = BoundReport(
-                    label=f"envelope-refined-{label}", constants_from=label,
+            for kind, rhs in (("geometric", env.geometric), ("refined", env.refined)):
+                if rhs is None:
+                    continue
+                rep = BoundReport(
+                    label=f"envelope-{kind}-{label}", constants_from=label,
                     ts=np.arange(trace.steps, dtype=float),
-                    lhs=trace.deviation, rhs=env.refined,
-                    terms=np.zeros((trace.steps, 4)),
+                    lhs=trace.deviation, rhs=rhs, terms=np.zeros((trace.steps, 4)),
                 )
-                result.envelope_reports.append(ref)
-                _record_margin(summary, checks, ref)
+                result.envelope_reports.append(rep)
+                _record_margin(summary, checks, rep)
 
 
 def _record_margin(summary: SummaryReport, checks: list[CheckResult], rep: BoundReport) -> None:
@@ -956,6 +843,7 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     checked in isolation.  If the weight matrices fail validation, the
     downstream checks are skipped rather than reported against garbage.
     """
+    schedule, _ = _materialize_spec(cfg)  # the objective only has to be valid
     horizon = min(cfg.graph.horizon, VERIFY_HORIZON)
     gcfg = dataclasses.replace(cfg.graph, horizon=horizon)
     seq = _materialize_graphs(gcfg)
@@ -969,10 +857,7 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
         graph_kind=seq.kind, schedule_kind=cfg.schedule.kind,
         connectivity_window=window,
     )
-    try:
-        ws, beta, violations = _materialize_weights(seq, cfg.weights)
-    except ConfigError:
-        raise
+    ws, beta, violations = _materialize_weights(seq, cfg.weights)
     if violations:
         checks.append(CheckResult(
             "weight-validation", False,
@@ -993,7 +878,6 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
 
     objective = zero_objective(seq.n, cfg.objective.d)
     x0 = _materialize_init(cfg.init, seq.n, cfg.objective.d)
-    schedule = _schedule_from(cfg.schedule)
     trace = run_push_subgradient(ws, x0, objective, schedule, record_products=True)
     tc = theory_constants(seq.n, window)
     _invariant_checks(trace, tc, checks)
@@ -1059,11 +943,7 @@ def sweep_experiment(
         )
         res = run_experiment(sub, out_dir=None, record_products=False)
         points.append((T, float(res.trace.running_gap[-1])))
-        for c in res.summary.checks:
-            all_checks.append(CheckResult(
-                f"T={T}:{c.name}", c.passed, value=c.value,
-                threshold=c.threshold, note=c.note,
-            ))
+        all_checks += [dataclasses.replace(c, name=f"T={T}:{c.name}") for c in res.summary.checks]
     fit = fit_rate(points)
     summary = SummaryReport(
         kind="sweep", n=cfg.graph.n, d=cfg.objective.d, steps=max(hs),
@@ -1276,10 +1156,9 @@ def render_plots(result: ExperimentResult, out_dir: str | Path) -> None:
         bnd.append(Series(ts, list(emp.rhs), "bound, empirical constants"))
     if wc is not None:
         bnd.append(Series(ts, list(wc.rhs), "bound, worst-case constants"))
-    if emp is None and result.fixed_values:
-        for v in result.fixed_values:
-            if v.agent is None:
-                bnd.append(Series([trace.steps - 1], [v.total], "bound at horizon"))
+    for rep in result.gap_reports:
+        if rep.label.startswith("gap-fixed-network-"):
+            bnd.append(Series([trace.steps - 1], [rep.rhs[0]], "bound at horizon"))
     bnd_positive = any(any(y > 0 for y in s.ys) for s in bnd)
     line_chart(
         out / "bounds.svg", bnd,
@@ -1303,93 +1182,44 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     present) the certificate series from the recorded constants, and
     checks everything against the stored columns at 1e-12.  Quantities
     that need the raw weight history (the empirical constants themselves)
-    are treated as recorded inputs, not re-derived.  Also refreshes the
-    gap/consensus/bounds charts from the loaded columns.
+    are treated as recorded inputs, not re-derived.  The charts are left
+    as ``simulate`` drew them: they hold series (the one-step deviation,
+    the contraction envelope) that the trace does not persist.
     """
+    schedule, objective = _materialize_spec(cfg)
     out = Path(out_dir)
     loaded = import_trace(out / "trace.csv")
     stored = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    objective = _materialize_objective(cfg.objective, loaded.n)
-    checks: list[CheckResult] = []
-
-    zbar_err = float(np.abs(loaded.zs.mean(axis=1) - loaded.zbar).max())
-    checks.append(CheckResult(
-        "recompute-zbar", zbar_err <= RECOMPUTE_TOL, value=zbar_err,
-        threshold=RECOMPUTE_TOL,
-    ))
+    # check name -> largest deviation between recomputed and stored values
+    errors: dict[str, float] = {}
+    errors["recompute-zbar"] = float(np.abs(loaded.zs.mean(axis=1) - loaded.zbar).max())
     cons = np.array([
         float(np.sqrt(((z - z.mean(axis=0)) ** 2).sum(axis=1)).max())
         for z in loaded.zs
     ])
-    cons_err = float(np.abs(cons - loaded.consensus).max())
-    checks.append(CheckResult(
-        "recompute-consensus", cons_err <= RECOMPUTE_TOL, value=cons_err,
-        threshold=RECOMPUTE_TOL,
-    ))
+    errors["recompute-consensus"] = float(np.abs(cons - loaded.consensus).max())
     w = loaded.alphas[:, None]
     avgs = np.cumsum(w * loaded.zbar, axis=0) / np.cumsum(loaded.alphas)[:, None]
     gaps = np.maximum(objective.value_batch(avgs) - objective.f_star, 0.0)
-    gap_err = float(np.abs(gaps - loaded.running_gap).max())
-    checks.append(CheckResult(
-        "recompute-gap", gap_err <= RECOMPUTE_TOL, value=gap_err,
-        threshold=RECOMPUTE_TOL,
-    ))
-    final_gap_err = abs(float(loaded.running_gap[-1]) - float(stored["final_gap"]))
-    checks.append(CheckResult(
-        "recompute-final-gap", final_gap_err <= RECOMPUTE_TOL,
-        value=final_gap_err, threshold=RECOMPUTE_TOL,
-    ))
+    errors["recompute-gap"] = float(np.abs(gaps - loaded.running_gap).max())
+    errors["recompute-final-gap"] = abs(float(loaded.running_gap[-1]) - float(stored["final_gap"]))
 
     if loaded.bound_lhs is not None and stored.get("mu_emp") is not None:
-        schedule = _schedule_from(cfg.schedule)
-        inp = BoundInputs(
-            n=loaded.n, L=int(stored["connectivity_window"]), d=loaded.d,
-            G=objective.g_bound, eta=float(stored["eta_emp"]),
-            mu=float(stored["mu_emp"]),
-            z_bar0=loaded.zbar[0], z0=loaded.zs[0], z_star=objective.z_star,
-            x0=loaded.zs[0],  # y(0) = 1 makes initial ratios equal initial values
-            g0=objective.agent_subgradients(loaded.zs[0]),
-            alphas=loaded.alphas, schedule=schedule, constants_from="empirical",
+        inp = _bound_inputs(
+            loaded, objective, schedule, int(stored["connectivity_window"]),
+            float(stored["eta_emp"]), float(stored["mu_emp"]), None, "empirical",
         )
         values = timevarying_series(inp, loaded.steps - 1)
         rhs = np.array([v.total for v in values])
-        rhs_err = float(np.abs(rhs - loaded.bound_rhs_emp).max())
-        checks.append(CheckResult(
-            "recompute-bound-rhs", rhs_err <= RECOMPUTE_TOL,
-            value=rhs_err, threshold=RECOMPUTE_TOL,
-        ))
-        term_sum_err = float(np.abs(loaded.bound_terms.sum(axis=1) - loaded.bound_rhs_emp).max())
-        checks.append(CheckResult(
-            "bound-terms-sum", term_sum_err <= RECOMPUTE_TOL,
-            value=term_sum_err, threshold=RECOMPUTE_TOL,
-        ))
-
-    ts = list(loaded.ts)
-    if bool((loaded.running_gap > 0).any()):
-        line_chart(
-            out / "gap.svg",
-            [Series(ts, list(loaded.running_gap), "running-average gap")],
-            title="optimality gap of the weighted running average",
-            xlabel="t", ylabel="f - f*", logy=True,
+        errors["recompute-bound-rhs"] = float(np.abs(rhs - loaded.bound_rhs_emp).max())
+        errors["bound-terms-sum"] = float(
+            np.abs(loaded.bound_terms.sum(axis=1) - loaded.bound_rhs_emp).max()
         )
-    series = [Series(ts, list(loaded.consensus), "consensus error")]
-    line_chart(
-        out / "consensus.svg", series,
-        title="agent disagreement", xlabel="t", ylabel="max deviation",
-        logy=bool((loaded.consensus > 0).any()),
-    )
-    bnd = [Series(ts, list(loaded.running_gap), "gap (lhs)")]
-    if loaded.bound_rhs_emp is not None:
-        bnd.append(Series(ts, list(loaded.bound_rhs_emp), "bound, empirical constants"))
-    if loaded.bound_rhs_wc is not None and np.isfinite(loaded.bound_rhs_wc).all():
-        bnd.append(Series(ts, list(loaded.bound_rhs_wc), "bound, worst-case constants"))
-    line_chart(
-        out / "bounds.svg", bnd,
-        title="finite-time certificate vs realized gap",
-        xlabel="t", ylabel="value",
-        logy=any(any(y > 0 for y in s.ys) for s in bnd),
-    )
 
+    checks = [
+        CheckResult(name, err <= RECOMPUTE_TOL, value=err, threshold=RECOMPUTE_TOL)
+        for name, err in errors.items()
+    ]
     summary = SummaryReport(
         kind="report", n=loaded.n, d=loaded.d, steps=loaded.steps,
         graph_kind=str(stored.get("graph_kind", "")),

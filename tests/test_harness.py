@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from pushsim.cli import main
 from pushsim.graphs import digraph, format_graph_sequence, generate_sequence
 from pushsim.harness import (
+    BoundsConfig,
     ConfigError,
     ExperimentConfig,
     GraphConfig,
@@ -92,6 +94,142 @@ def test_render_round_trip_covers_every_field():
         sweep=SweepConfig(horizons=(50, 100, 200)),
     )
     assert parse_config(render_config(cfg)) == cfg
+
+
+# Every field differs from its default; one non-default config pins key
+# order, number format, matrix layout and how empty values are written.
+EVERY_FIELD = ExperimentConfig(
+    graph=GraphConfig(kind="file", n=2, horizon=30, seed=4, arc_prob=0.5,
+                      inject_every=2, file="graphs/seq.txt"),
+    weights=WeightConfig(rule="file", file="weights/w.txt"),
+    objective=ObjectiveConfig(
+        kind="hinge", d=2, targets=((1.5, -2.0), (0.25, 3.0)),
+        normals=((1.0, -0.5), (-1e-300, 2.0)), labels=(1.0, -1.0), g_bound=2.5,
+        box_lo=(-3.0, -4.0), box_hi=(3.0, 4.0),
+    ),
+    schedule=ScheduleConfig(kind="fixed", a=0.5, p=0.75, t_fixed=30),
+    init=InitConfig(mode="explicit", seed=9, lo=-1.0, hi=2.0,
+                    values=((0.1, -1e-300), (2.0, 0.5))),
+    bounds=BoundsConfig(evaluate=False, agents=False, envelope=False),
+    sweep=SweepConfig(horizons=(10, 20, 30)),
+)
+
+EVERY_FIELD_TEXT = """\
+[graph]
+kind = file
+n = 2
+horizon = 30
+seed = 4
+arc_prob = 0.5
+inject_every = 2
+file = graphs/seq.txt
+
+[weights]
+rule = file
+file = weights/w.txt
+
+[objective]
+kind = hinge
+d = 2
+targets = 1.5 -2.0 ; 0.25 3.0
+normals = 1.0 -0.5 ; -1e-300 2.0
+labels = 1.0 -1.0
+g_bound = 2.5
+box_lo = -3.0 -4.0
+box_hi = 3.0 4.0
+
+[schedule]
+kind = fixed
+a = 0.5
+p = 0.75
+t_fixed = 30
+
+[init]
+mode = explicit
+seed = 9
+lo = -1.0
+hi = 2.0
+values = 0.1 -1e-300 ; 2.0 0.5
+
+[bounds]
+evaluate = false
+agents = false
+envelope = false
+
+[sweep]
+horizons = 10 20 30
+"""
+
+DEFAULT_TEXT = """\
+[graph]
+kind = static-cycle
+n = 3
+horizon = 100
+seed = 0
+arc_prob = 0.25
+inject_every = 5
+file =
+
+[weights]
+rule = uniform-out-degree
+file =
+
+[objective]
+kind = quadratic
+d = 1
+targets =
+normals =
+labels =
+g_bound =
+box_lo =
+box_hi =
+
+[schedule]
+kind = harmonic
+a = 1.0
+p = 1.0
+t_fixed =
+
+[init]
+mode = random
+seed = 1
+lo = -5.0
+hi = 5.0
+values =
+
+[bounds]
+evaluate = true
+agents = true
+envelope = true
+
+[sweep]
+horizons =
+"""
+
+
+def test_render_config_golden_bytes():
+    assert render_config(EVERY_FIELD) == EVERY_FIELD_TEXT
+    assert parse_config(EVERY_FIELD_TEXT) == EVERY_FIELD
+    assert render_config(ExperimentConfig()) == DEFAULT_TEXT
+
+
+_FLOAT_KEYS = {
+    "arc_prob": "graph", "a": "schedule", "p": "schedule", "lo": "init",
+    "hi": "init", "g_bound": "objective", "targets": "objective",
+    "normals": "objective", "labels": "objective", "box_lo": "objective",
+    "box_hi": "objective", "values": "init",
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+def test_non_finite_numbers_are_config_errors(key, bad):
+    lines = EVERY_FIELD_TEXT.splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key} = "))
+    value = lines[k].split(" = ", 1)[1]
+    lines[k] = f"{key} = {bad} {value.partition(' ')[2]}"  # replace the first number
+    with pytest.raises(ConfigError, match=re.escape(f"[{_FLOAT_KEYS[key]}] {key}")):
+        parse_config("\n".join(lines) + "\n")
 
 
 def test_unknown_section_and_key_are_hard_errors():
@@ -225,6 +363,17 @@ def test_report_from_dir_recomputes_and_passes(finished):
             "recompute-final-gap", "recompute-bound-rhs"} <= set(recompute)
     for c in recompute.values():
         assert c.passed and c.value <= 1e-12
+
+
+@pytest.mark.parametrize("schedule", [ScheduleConfig(), ScheduleConfig(kind="fixed", t_fixed=150)])
+def test_report_from_dir_leaves_the_charts_alone(tmp_path, schedule):
+    cfg = base_config(schedule=schedule)
+    run_experiment(cfg, out_dir=tmp_path)
+    charts = ("gap.svg", "consensus.svg", "bounds.svg")
+    before = [hashlib.sha256((tmp_path / c).read_bytes()).hexdigest() for c in charts]
+    assert report_from_dir(cfg, tmp_path).passed
+    after = [hashlib.sha256((tmp_path / c).read_bytes()).hexdigest() for c in charts]
+    assert after == before
 
 
 def test_report_from_dir_detects_tampering(tmp_path, finished):
@@ -401,6 +550,24 @@ def test_cli_error_exit_codes(tmp_path):
     nan_prob = tmp_path / "nan_prob.ini"
     nan_prob.write_text(render_config(base_config()).replace("arc_prob = 0.25", "arc_prob = nan"))
     assert main(["simulate", "--config", str(nan_prob), "--out", str(tmp_path / "o")]) == 2
+    g_nan = tmp_path / "g_nan.ini"
+    g_nan.write_text(render_config(base_config()).replace("g_bound =", "g_bound = nan"))
+    assert main(["simulate", "--config", str(g_nan), "--out", str(tmp_path / "o")]) == 2
+    # out-of-range schedule and objective numbers are config errors too
+    good = str(tmp_path / "good")
+    assert main(["simulate", "--config", write_cfg(tmp_path, base_config()), "--out", good]) == 0
+    targets = ((0.0,), (1.0,), (2.0,), (5.0,))
+    for bad in (
+        base_config(schedule=ScheduleConfig(a=0.0)),
+        base_config(schedule=ScheduleConfig(kind="polynomial", p=-1.0)),
+        base_config(objective=ObjectiveConfig(kind="l1", d=1, targets=targets, g_bound=-1.0)),
+        base_config(objective=ObjectiveConfig(kind="l1", d=1, targets=targets,
+                                              box_lo=(6.0,), box_hi=(-1.0,))),
+    ):
+        badp = write_cfg(tmp_path, bad)
+        for cmd, out in (("simulate", tmp_path / "o"), ("verify", None), ("report", good)):
+            argv = [cmd, "--config", badp] + ([] if out is None else ["--out", str(out)])
+            assert main(argv) == 2, (cmd, bad)
     # a config whose run fails validation exits 1
     cfg = base_config(
         objective=ObjectiveConfig(kind="l1", d=1,
