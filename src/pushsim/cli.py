@@ -3,8 +3,9 @@
 Subcommands: ``simulate`` (run + artifacts), ``verify`` (invariant suite
 on a short prefix), ``sweep`` (rate fit over several horizons),
 ``report`` (recompute a summary from persisted artifacts).  Exit code 0
-means all checks passed, 1 means a check or certification failed, 2 means
-the invocation or config was unusable.
+means all checks passed, 1 means a check or certification failed or a run
+stopped at a failed in-run check (then ``--out`` gets a report naming it),
+2 means the invocation or config was unusable.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .harness import (
     ConfigError,
     ValidationFailure,
     apply_overrides,
+    failure_summary,
     load_config,
     report_from_dir,
     run_experiment,
@@ -23,6 +25,7 @@ from .harness import (
     verify_experiment,
     write_report,
 )
+from .pushsum import RunFailure
 
 __all__ = ["main"]
 
@@ -81,6 +84,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValidationFailure as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
+        return 1
+    except RunFailure as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        if args.out is not None:
+            write_report(failure_summary(cfg, args.command, exc), args.out)
         return 1
     sys.stdout.write(summary.format_text())
     return 0 if summary.passed else 1

@@ -40,7 +40,7 @@ from .graphs import (
     parse_graph_sequence,
     uniform_connectivity_window,
 )
-from .pushsum import AbsProbSeq, theory_constants, verify_product_identity
+from .pushsum import AbsProbSeq, RunFailure, product_identity_residuals, theory_constants
 from .subgradient import (
     GAP_NOISE_TOL,
     ObjectiveSpec,
@@ -71,6 +71,7 @@ __all__ = [
     "verify_experiment",
     "sweep_experiment",
     "report_from_dir",
+    "failure_summary",
     "export_trace",
     "import_trace",
     "render_plots",
@@ -475,6 +476,18 @@ class SummaryReport:
         return "\n".join(lines) + "\n"
 
 
+def failure_summary(cfg: ExperimentConfig, kind: str, failure: RunFailure) -> SummaryReport:
+    """Summary of a run stopped by a failed in-run check: one failed
+    check that names the check, the agent and the step."""
+    where = f"t={failure.t}" if failure.agent is None else f"agent {failure.agent}, t={failure.t}"
+    return SummaryReport(
+        kind=kind, n=cfg.graph.n, d=cfg.objective.d, steps=cfg.graph.horizon,
+        graph_kind=cfg.graph.kind, schedule_kind=cfg.schedule.kind,
+        checks=[CheckResult(failure.check, False, note=f"{where}: {failure}")],
+        passed=False,
+    )
+
+
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
@@ -675,11 +688,11 @@ def run_experiment(
         )
     sched_report = validate_schedule(schedule)
     x0 = _materialize_init(cfg.init, seq.n, objective.d)
-    for i in range(seq.n):
-        if not objective.contains(x0[i]):
-            raise ValidationFailure(
-                f"initial value of agent {i + 1} lies outside the objective box"
-            )
+    outside = np.flatnonzero(~objective.in_box(x0))
+    if outside.size:
+        raise ValidationFailure(
+            f"initial value of agent {outside[0] + 1} lies outside the objective box"
+        )
 
     meta = {
         "graph_kind": seq.kind, "graph_seed": seq.seed, "n": seq.n,
@@ -888,9 +901,7 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     worst = 0.0
     for tau in range(trace.steps):
         hi = min(trace.steps, tau + PRODUCT_SPAN)
-        for t in range(tau + 1, hi + 1):
-            r = verify_product_identity(ws, trace.smatrices, ys_all, tau, t)
-            worst = max(worst, r)
+        worst = max(worst, *product_identity_residuals(ws, trace.smatrices, ys_all, tau, hi).tolist())
     checks.append(CheckResult(
         "product-identity", worst <= PRODUCT_IDENTITY_TOL,
         value=worst, threshold=PRODUCT_IDENTITY_TOL,
@@ -941,7 +952,10 @@ def sweep_experiment(
             ),
             bounds=BoundsConfig(evaluate=False, agents=False, envelope=False),
         )
-        res = run_experiment(sub, out_dir=None, record_products=False)
+        try:
+            res = run_experiment(sub, out_dir=None, record_products=False)
+        except RunFailure as exc:
+            raise RunFailure(f"T={T}:{exc.check}", exc.agent, exc.t, f"T={T}: {exc}") from exc
         points.append((T, float(res.trace.running_gap[-1])))
         all_checks += [dataclasses.replace(c, name=f"T={T}:{c.name}") for c in res.summary.checks]
     fit = fit_rate(points)
@@ -1179,12 +1193,13 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
 
     Loads ``trace.csv`` and ``report.json`` from ``out_dir``, re-derives
     the agent mean, consensus errors, running-average gaps and (when
-    present) the certificate series from the recorded constants, and
-    checks everything against the stored columns at 1e-12.  Quantities
-    that need the raw weight history (the empirical constants themselves)
-    are treated as recorded inputs, not re-derived.  The charts are left
-    as ``simulate`` drew them: they hold series (the one-step deviation,
-    the contraction envelope) that the trace does not persist.
+    present) the certificate series and fixed-horizon margins from the
+    recorded constants, and checks everything against the stored columns
+    and margins at 1e-12.  Quantities that need the raw weight history
+    (the empirical constants themselves) are treated as recorded inputs,
+    not re-derived.  The charts are left as ``simulate`` drew them: they
+    hold series (the one-step deviation, the contraction envelope) that
+    the trace does not persist.
     """
     schedule, objective = _materialize_spec(cfg)
     out = Path(out_dir)
@@ -1204,17 +1219,39 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     errors["recompute-gap"] = float(np.abs(gaps - loaded.running_gap).max())
     errors["recompute-final-gap"] = abs(float(loaded.running_gap[-1]) - float(stored["final_gap"]))
 
-    if loaded.bound_lhs is not None and stored.get("mu_emp") is not None:
-        inp = _bound_inputs(
+    # The certificates are rebuilt from the trace and the constants the
+    # report recorded, for each constant set the run evaluated.
+    constants = {
+        "empirical": (stored.get("eta_emp"), stored.get("mu_emp"), None),
+        "worst-case": (stored.get("eta_theory"), stored.get("mu_theory"), stored.get("log_mu_theory")),
+    }
+
+    def inputs(label: str) -> BoundInputs:
+        eta, mu, log_mu = constants[label]
+        return _bound_inputs(
             loaded, objective, schedule, int(stored["connectivity_window"]),
-            float(stored["eta_emp"]), float(stored["mu_emp"]), None, "empirical",
+            float(eta), float(mu), log_mu, label,
         )
-        values = timevarying_series(inp, loaded.steps - 1)
-        rhs = np.array([v.total for v in values])
+
+    if loaded.bound_lhs is not None and stored.get("mu_emp") is not None:
+        rhs = np.array([v.total for v in timevarying_series(inputs("empirical"), loaded.steps - 1)])
         errors["recompute-bound-rhs"] = float(np.abs(rhs - loaded.bound_rhs_emp).max())
         errors["bound-terms-sum"] = float(
             np.abs(loaded.bound_terms.sum(axis=1) - loaded.bound_rhs_emp).max()
         )
+    # A NaN column means no worst-case series was evaluated; an infinite
+    # one overflowed and has nothing to compare.
+    if loaded.bound_rhs_wc is not None and np.isfinite(loaded.bound_rhs_wc).all():
+        rhs = np.array([v.total for v in timevarying_series(inputs("worst-case"), loaded.steps - 1)])
+        errors["recompute-bound-rhs-wc"] = float(np.abs(rhs - loaded.bound_rhs_wc).max())
+    if schedule.kind == "fixed":
+        for label, name in (("empirical", "recompute-bound-fixed"),
+                            ("worst-case", "recompute-bound-fixed-wc")):
+            margin = stored["bound_margins"].get(f"gap-fixed-network-{label}")
+            if margin is None or not math.isfinite(margin):
+                continue
+            recomputed = bound_fixed(inputs(label), schedule.T).total - float(loaded.running_gap[-1])
+            errors[name] = abs(recomputed - margin)
 
     checks = [
         CheckResult(name, err <= RECOMPUTE_TOL, value=err, threshold=RECOMPUTE_TOL)

@@ -31,16 +31,19 @@ from .weights import WeightMatrix
 
 __all__ = [
     "NetworkState",
+    "RunFailure",
     "SMatrix",
     "AbsProbSeq",
     "TheoryConstants",
     "initial_state",
     "pushsum_step",
     "ratio_state",
+    "check_weight_floor",
     "build_s_matrix",
     "transition_product_w",
     "transition_product_s",
     "verify_product_identity",
+    "product_identity_residuals",
     "absolute_probability",
     "theory_constants",
     "consensus_error",
@@ -96,19 +99,43 @@ def pushsum_step(state: NetworkState, w: WeightMatrix) -> NetworkState:
     )
 
 
-def ratio_state(state: NetworkState) -> np.ndarray:
-    """Per-agent ratio estimates z_i = x_i / y_i, shape (n, d).
+class RunFailure(RuntimeError):
+    """A check inside a run failed.
 
-    Raises if any weight has collapsed numerically; on connected runs the
-    weights stay bounded away from zero, so a hit here points at a broken
-    weight matrix upstream rather than at normal dynamics.
+    ``check`` names the check, ``agent`` is the 1-based agent it names
+    (None when it concerns the network as a whole) and ``t`` the step;
+    the message is the human-readable account.
     """
-    if (state.y <= Y_FLOOR).any():
-        bad = [i + 1 for i in range(state.n) if state.y[i] <= Y_FLOOR]
-        raise RuntimeError(
-            f"push-sum weight underflow at t={state.t} for agents {bad}: "
-            f"min y = {state.y.min():.3e}"
+
+    def __init__(self, check: str, agent: int | None, t: int, message: str) -> None:
+        super().__init__(message)
+        self.check = check
+        self.agent = agent
+        self.t = t
+
+
+def check_weight_floor(t: int, y: np.ndarray) -> None:
+    """Raise RunFailure if any weight of y, the weights at step t, has
+    collapsed numerically.
+
+    On connected runs the weights stay bounded away from zero, so a hit
+    here points at a broken weight matrix upstream rather than at normal
+    dynamics.
+    """
+    low = y <= Y_FLOOR
+    if low.any():
+        bad = [int(i) + 1 for i in np.flatnonzero(low)]
+        raise RunFailure(
+            "weight-underflow", bad[0], t,
+            f"push-sum weight underflow at t={t} for agents {bad}: "
+            f"min y = {y.min():.3e}",
         )
+
+
+def ratio_state(state: NetworkState) -> np.ndarray:
+    """Per-agent ratio estimates z_i = x_i / y_i, shape (n, d); raises
+    RunFailure if a weight has collapsed (see check_weight_floor)."""
+    check_weight_floor(state.t, state.y)
     return state.x / state.y[:, None]
 
 
@@ -184,16 +211,42 @@ def verify_product_identity(
     For the products P_S = S(t-1)...S(tau) and P_W = W(t-1)...W(tau) the
     exchange relation  P_S[i, j] * y_i(t) = P_W[i, j] * y_j(tau)  holds in
     exact arithmetic; the returned residual is the largest absolute
-    mismatch over all (i, j).  ``ys[k]`` must be the weight vector at step
-    k, with ``ys`` covering indices tau..t inclusive.
+    mismatch over all (i, j), and 0 when t == tau.  ``ys[k]`` must be the
+    weight vector at step k, with ``ys`` covering indices tau..t inclusive.
     """
-    ps = transition_product_s(ss, tau, t)
-    pw = transition_product_w(ws, tau, t)
-    y_t = np.asarray(ys[t], dtype=float)
+    residuals = product_identity_residuals(ws, ss, ys, tau, t)
+    return float(residuals[-1]) if residuals.size else 0.0
+
+
+def product_identity_residuals(
+    ws: Sequence[WeightMatrix],
+    ss: Sequence[SMatrix],
+    ys: Sequence[np.ndarray],
+    tau: int,
+    t_max: int,
+) -> np.ndarray:
+    """Exchange-identity residuals (see verify_product_identity) for every
+    t = tau+1..t_max, in that order.
+
+    Both products grow by one left multiplication per t, so the whole
+    range costs 2 (t_max - tau - 1) matrix products, each the same one a
+    from-scratch product would have taken.
+    """
+    for mats in (ss, ws):
+        if not 0 <= tau <= t_max <= len(mats):
+            raise ValueError(
+                f"need 0 <= tau <= t <= {len(mats)}, got tau={tau}, t={t_max}"
+            )
     y_tau = np.asarray(ys[tau], dtype=float)
-    lhs = ps * y_t[:, None]
-    rhs = pw * y_tau[None, :]
-    return float(np.abs(lhs - rhs).max())
+    out = np.empty(t_max - tau)
+    ps = pw = None
+    for k in range(tau, t_max):
+        s_k, w_k = ss[k].entries, ws[k].entries
+        ps = s_k if ps is None else s_k @ ps
+        pw = w_k if pw is None else w_k @ pw
+        y_t = np.asarray(ys[k + 1], dtype=float)
+        out[k - tau] = np.abs(ps * y_t[:, None] - pw * y_tau[None, :]).max()
+    return out
 
 
 def absolute_probability(y: np.ndarray) -> np.ndarray:

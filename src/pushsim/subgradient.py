@@ -12,22 +12,30 @@ track the running network average of the descent iterates, so with a
 divergent-but-square-summable stepsize every agent's weighted running
 average approaches an optimum of f.
 
-Objectives are built from three term families (squared distance, absolute
-deviation, hinge) plus an all-zero placeholder; each declares a certified
-optimum and a subgradient-norm ceiling on a bounding box, and the run loop
-aborts loudly if a trajectory ever leaves the box or a subgradient beats
-the declared ceiling.
+Objectives come from three term families (squared distance, absolute
+deviation, hinge) plus an all-zero placeholder; each holds its per-agent
+parameters as arrays and declares a certified optimum and a
+subgradient-norm ceiling on a bounding box.  The run loop raises
+RunFailure if a trajectory ever leaves the box, a subgradient beats the
+declared ceiling, a weight underflows or the certified optimum is beaten.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .pushsum import NetworkState, SMatrix, build_s_matrix, consensus_error, initial_state, ratio_state
+from .pushsum import (
+    NetworkState,
+    RunFailure,
+    SMatrix,
+    build_s_matrix,
+    check_weight_floor,
+    ratio_state,
+)
 from .weights import WeightMatrix
 
 __all__ = [
@@ -183,48 +191,110 @@ def subgradient(term: ObjectiveTerm, point: np.ndarray) -> np.ndarray:
 # network objective
 # --------------------------------------------------------------------------
 
+# The per-agent parameter arrays each objective family holds.
+_PARAMETERS = {"quadratic": ("targets",), "l1": ("targets",), "hinge": ("normals", "labels"), "zero": ()}
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """The network objective f = (1/n) sum_i f_i with its certified optimum.
 
-    ``terms[i]`` belongs to agent i.  ``g_bound`` upper-bounds every
-    agent's subgradient norm on the box [box_lo, box_hi]; ``z_star`` and
-    ``f_star`` are a certified minimizer and minimum value, with
-    ``optimum_provenance`` recording how they were obtained
-    ("analytic-mean", "analytic-median", "grid", or "zero").
+    Every agent's term comes from the one family ``kind``: "quadratic"
+    and "l1" hold agent i's target in row i of ``targets`` (n, d),
+    "hinge" holds its normal in row i of ``normals`` (n, d) and its
+    label (+1 or -1) in ``labels`` (n,), and "zero" holds neither.
+    Values, subgradients and the box test are one array expression over
+    all agents; ``terms`` gives the same terms as per-agent objects.
+    ``g_bound`` upper-bounds every agent's subgradient norm on the box
+    [box_lo, box_hi]; ``z_star`` and ``f_star`` are a certified minimizer
+    and minimum value, with ``optimum_provenance`` recording how they
+    were obtained ("analytic-mean", "analytic-median", "grid", or "zero").
     """
 
+    kind: str
+    n: int
     d: int
-    terms: tuple[ObjectiveTerm, ...]
     g_bound: float
     box_lo: np.ndarray
     box_hi: np.ndarray
     z_star: np.ndarray
     f_star: float
     optimum_provenance: str
+    targets: np.ndarray | None = None
+    normals: np.ndarray | None = None
+    labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.kind not in _PARAMETERS:
+            raise ValueError(f"unknown objective kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError("objective needs at least one term")
         for name in ("box_lo", "box_hi", "z_star"):
             v = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if v.shape != (self.d,):
                 raise ValueError(f"{name} must have shape ({self.d},)")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        if not self.terms:
-            raise ValueError("objective needs at least one term")
+        for name in _PARAMETERS[self.kind]:
+            shape = (self.n,) if name == "labels" else (self.n, self.d)
+            v = np.array(getattr(self, name), dtype=float)
+            if v.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+        if self.kind == "hinge":
+            bad = self.labels[(self.labels != 1.0) & (self.labels != -1.0)]
+            if bad.size:
+                raise ValueError(f"label must be -1 or +1, got {bad[0]}")
 
     @property
-    def n(self) -> int:
-        return len(self.terms)
+    def terms(self) -> tuple[ObjectiveTerm, ...]:
+        """Per-agent views: ``terms[i]`` is f_i as a standalone term."""
+        if self.kind == "quadratic":
+            return tuple(QuadraticTerm(a) for a in self.targets)
+        if self.kind == "l1":
+            return tuple(AbsoluteTerm(a) for a in self.targets)
+        if self.kind == "hinge":
+            return tuple(HingeTerm(w, float(b)) for w, b in zip(self.normals, self.labels))
+        return tuple(ZeroTerm(self.d) for _ in range(self.n))
+
+    def _margins(self, zs: np.ndarray) -> np.ndarray:
+        """Hinge margins 1 - label_i * normal_i . zs[i]; zs has shape (n, d)
+        or (1, d).
+
+        The stacked product takes one dot product per agent, which rounds
+        exactly like ``normal_i @ zs[i]`` (``normals @ z`` would not).
+        """
+        dots = (self.normals[:, None, :] @ zs[:, :, None])[:, 0, 0]
+        return 1.0 - self.labels * dots
+
+    def _agent_values(self, zs: np.ndarray) -> np.ndarray:
+        """f_i at zs[..., i, :] for every agent i; zs broadcasts against (n, d)."""
+        if self.kind == "quadratic":
+            return ((zs - self.targets) ** 2).sum(axis=-1)
+        if self.kind == "l1":
+            return np.abs(zs - self.targets).sum(axis=-1)
+        if self.kind == "hinge":
+            return np.maximum(0.0, self._margins(zs))
+        return np.zeros(zs.shape[:-1])
 
     def value(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        return sum(term.value(z) for term in self.terms) / self.n
+        rows = self._agent_values(np.asarray(z, dtype=float)[None, :])
+        # Python's sum adds the agents in order; ndarray.sum would pair them up.
+        return sum(rows.tolist()) / self.n
 
     def value_batch(self, zs: np.ndarray) -> np.ndarray:
+        """f at each row of zs, shape (m, d) -> (m,)."""
+        zs = np.asarray(zs, dtype=float)
+        if self.kind == "hinge":
+            # zs @ normal is a matrix-vector product; no stacked form
+            # rounds like it, so the hinge rows are taken one agent at a time.
+            rows = [np.maximum(0.0, 1.0 - b * (zs @ w)) for w, b in zip(self.normals, self.labels)]
+        else:
+            rows = self._agent_values(zs[:, None, :]).T
         total = np.zeros(zs.shape[0])
-        for term in self.terms:
-            total += term.value_batch(zs)
+        for r in rows:
+            total += r
         return total / self.n
 
     def agent_subgradients(self, zs: np.ndarray) -> np.ndarray:
@@ -232,11 +302,23 @@ class ObjectiveSpec:
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         if zs.shape != (self.n, self.d):
             raise ValueError(f"expected ratios of shape ({self.n}, {self.d})")
-        return np.stack([t.subgrad(zs[i]) for i, t in enumerate(self.terms)])
+        if self.kind == "quadratic":
+            return 2.0 * (zs - self.targets)
+        if self.kind == "l1":
+            # np.sign maps a kink to 0, a valid subgradient.
+            return np.sign(zs - self.targets)
+        if self.kind == "hinge":
+            active = self._margins(zs) > 0.0
+            return np.where(active[:, None], -self.labels[:, None] * self.normals, 0.0)
+        return np.zeros((self.n, self.d))
+
+    def in_box(self, zs: np.ndarray, slack: float = 1e-9) -> np.ndarray:
+        """Per-row box membership of zs, shape (m, d) -> bool (m,)."""
+        zs = np.asarray(zs, dtype=float)
+        return ((zs >= self.box_lo - slack) & (zs <= self.box_hi + slack)).all(axis=1)
 
     def contains(self, z: np.ndarray, slack: float = 1e-9) -> bool:
-        z = np.asarray(z, dtype=float)
-        return bool((z >= self.box_lo - slack).all() and (z <= self.box_hi + slack).all())
+        return bool(self.in_box(np.atleast_2d(z), slack)[0])
 
 
 def _default_box(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,27 +328,37 @@ def _default_box(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo - pad, hi + pad
 
 
-def _finish_spec(
-    terms: tuple[ObjectiveTerm, ...],
+def _uncertified(
+    kind: str,
+    n: int,
     d: int,
     box: tuple[np.ndarray, np.ndarray],
     g_bound: float | None,
-    z_star: np.ndarray,
-    f_star: float,
-    provenance: str,
+    **arrays: np.ndarray,
 ) -> ObjectiveSpec:
+    """The objective on its box with its ceiling, before its optimum is known."""
     lo, hi = (np.asarray(b, dtype=float) * np.ones(d) for b in box)
     if not (lo < hi).all():
         raise ValueError("bounding box must have box_lo < box_hi")
-    auto_g = max(t.grad_norm_bound(lo, hi) for t in terms)
-    g = auto_g if g_bound is None else float(g_bound)
+    spec = ObjectiveSpec(
+        kind=kind, n=n, d=d, g_bound=0.0, box_lo=lo, box_hi=hi,
+        z_star=np.full(d, np.nan), f_star=math.nan, optimum_provenance="", **arrays,
+    )
+    if g_bound is not None:
+        g = float(g_bound)
+    elif kind == "quadratic":
+        # Each gradient norm is largest at a box corner.
+        reach = np.maximum(np.abs(lo - spec.targets), np.abs(hi - spec.targets))
+        g = float(2.0 * np.sqrt((reach ** 2).sum(axis=1)).max())
+    elif kind == "l1":
+        g = float(math.sqrt(d))
+    elif kind == "hinge":
+        g = float(np.sqrt((spec.normals ** 2).sum(axis=1)).max())
+    else:
+        g = 0.0
     if g < 0:
         raise ValueError("g_bound must be nonnegative")
-    return ObjectiveSpec(
-        d=d, terms=terms, g_bound=g, box_lo=lo, box_hi=hi,
-        z_star=np.asarray(z_star, dtype=float), f_star=float(f_star),
-        optimum_provenance=provenance,
-    )
+    return replace(spec, g_bound=g)
 
 
 def quadratic_objective(
@@ -276,13 +368,10 @@ def quadratic_objective(
 ) -> ObjectiveSpec:
     """Each agent pulls toward its own target; the optimum is their mean."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    d = targets.shape[1]
-    if box is None:
-        box = _default_box(targets)
-    terms = tuple(QuadraticTerm(a) for a in targets)
+    n, d = targets.shape
+    spec = _uncertified("quadratic", n, d, box or _default_box(targets), g_bound, targets=targets)
     z_star = targets.mean(axis=0)
-    f_star = sum(t.value(z_star) for t in terms) / len(terms)
-    return _finish_spec(terms, d, box, g_bound, z_star, f_star, "analytic-mean")
+    return replace(spec, z_star=z_star, f_star=spec.value(z_star), optimum_provenance="analytic-mean")
 
 
 def l1_objective(
@@ -293,13 +382,10 @@ def l1_objective(
     """Absolute deviations from per-agent targets; optimum is the
     coordinatewise median (midpoint convention for even counts)."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    d = targets.shape[1]
-    if box is None:
-        box = _default_box(targets)
-    terms = tuple(AbsoluteTerm(a) for a in targets)
+    n, d = targets.shape
+    spec = _uncertified("l1", n, d, box or _default_box(targets), g_bound, targets=targets)
     z_star = np.median(targets, axis=0)
-    f_star = sum(t.value(z_star) for t in terms) / len(terms)
-    return _finish_spec(terms, d, box, g_bound, z_star, f_star, "analytic-median")
+    return replace(spec, z_star=z_star, f_star=spec.value(z_star), optimum_provenance="analytic-median")
 
 
 def hinge_objective(
@@ -311,32 +397,19 @@ def hinge_objective(
     """Per-agent hinge losses; the optimum is certified by a grid search
     over the (mandatory) box, so only d <= 2 is supported."""
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    d = normals.shape[1]
-    labels = [float(b) for b in labels]
-    if len(labels) != normals.shape[0]:
+    n, d = normals.shape
+    labels = np.array([float(b) for b in labels])
+    if labels.shape != (n,):
         raise ValueError("need one label per normal")
-    terms = tuple(HingeTerm(w, b) for w, b in zip(normals, labels))
-
-    lo, hi = (np.asarray(b, dtype=float) * np.ones(d) for b in box)
-
-    def batch(zs: np.ndarray) -> np.ndarray:
-        total = np.zeros(zs.shape[0])
-        for t in terms:
-            total += t.value_batch(zs)
-        return total / len(terms)
-
-    z_star, f_star = grid_minimize(batch, lo, hi)
-    return _finish_spec(terms, d, box, g_bound, z_star, f_star, "grid")
+    spec = _uncertified("hinge", n, d, box, g_bound, normals=normals, labels=labels)
+    z_star, f_star = grid_minimize(spec.value_batch, spec.box_lo, spec.box_hi)
+    return replace(spec, z_star=z_star, f_star=f_star, optimum_provenance="grid")
 
 
 def zero_objective(n: int, d: int) -> ObjectiveSpec:
     """All terms identically zero: pure consensus with a trivial optimum."""
-    terms = tuple(ZeroTerm(d) for _ in range(n))
-    inf = np.full(d, np.inf)
-    return ObjectiveSpec(
-        d=d, terms=terms, g_bound=0.0, box_lo=-inf, box_hi=inf,
-        z_star=np.zeros(d), f_star=0.0, optimum_provenance="zero",
-    )
+    spec = _uncertified("zero", n, d, (np.full(d, -np.inf), np.full(d, np.inf)), None)
+    return replace(spec, z_star=np.zeros(d), f_star=0.0, optimum_provenance="zero")
 
 
 def grid_minimize(
@@ -387,11 +460,15 @@ def optimality_gap(objective: ObjectiveSpec, point: np.ndarray) -> float:
     """
     gap = objective.value(point) - objective.f_star
     if gap < -GAP_NOISE_TOL:
-        raise ValueError(
-            f"point beats the declared optimum by {-gap:.3e}; "
-            f"certified f* (provenance {objective.optimum_provenance!r}) is invalid"
-        )
+        raise ValueError(_beaten_message(objective, gap))
     return max(gap, 0.0)
+
+
+def _beaten_message(objective: ObjectiveSpec, gap: float) -> str:
+    return (
+        f"point beats the declared optimum by {-gap:.3e}; "
+        f"certified f* (provenance {objective.optimum_provenance!r}) is invalid"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -611,20 +688,26 @@ def run_push_subgradient(
         Also accumulate companion matrices and their running product gap
         (needed for the contraction diagnostics; skip on long sweeps).
 
-    The loop enforces the declared subgradient ceiling and box containment
-    at every step and raises RuntimeError with the offending agent and
-    step if either fails.
+    Every step enforces the declared subgradient ceiling, box containment,
+    the weight floor and the certified optimum; a failure raises
+    RunFailure naming the check, the agent and the step.  The state lives
+    in two plain arrays; sums over agents keep agent order, so every
+    number equals the one the per-agent step :func:`pushsub_step` gives.
     """
     steps = len(ws)
     if steps == 0:
         raise ValueError("need at least one mixing step")
-    state = initial_state(x0)
-    n, d = state.n, state.d
+    x = np.atleast_2d(np.asarray(x0, dtype=float))
+    n, d = x.shape
+    y = np.ones(n)
     if objective.n != n or objective.d != d:
         raise ValueError(
             f"objective is for (n, d)=({objective.n}, {objective.d}), "
             f"initial values have ({n}, {d})"
         )
+    for w in ws:
+        if w.n != n:
+            raise ValueError(f"weight matrix is {w.n}x{w.n} but state has n={n}")
     alphas = stepsize_array(schedule, steps)
 
     xs = np.empty((steps, n, d))
@@ -642,10 +725,10 @@ def run_push_subgradient(
     g_ceiling = objective.g_bound + 1e-9
     avg_num = np.zeros(d)
     avg_den = 0.0
-    min_y = float(state.y.min())
+    min_y = 1.0
     prod = np.eye(n) if record_products else None
     limit = np.full((n, n), 1.0 / n) if record_products else None
-    z = ratio_state(state)
+    z = x / y[:, None]
 
     for t in range(steps):
         alpha = alphas[t]
@@ -653,50 +736,59 @@ def run_push_subgradient(
         norms = np.sqrt((g ** 2).sum(axis=1))
         if (norms > g_ceiling).any():
             k = int(norms.argmax())
-            raise RuntimeError(
+            raise RunFailure(
+                "subgradient-ceiling", k + 1, t,
                 f"agent {k + 1} produced a subgradient of norm {norms[k]:.6g} "
-                f"above the declared ceiling {objective.g_bound:.6g} at t={t}"
+                f"above the declared ceiling {objective.g_bound:.6g} at t={t}",
             )
-        for i in range(n):
-            if not objective.contains(z[i]):
-                raise RuntimeError(
-                    f"agent {i + 1} left the declared box at t={t}: z={z[i]!r}"
-                )
+        inside = objective.in_box(z)
+        if not inside.all():
+            i = int(inside.argmin())
+            raise RunFailure(
+                "box-containment", i + 1, t,
+                f"agent {i + 1} left the declared box at t={t}: z={z[i]!r}",
+            )
 
-        xs[t] = state.x
-        ys[t] = state.y
+        xs[t] = x
+        ys[t] = y
         zs[t] = z
         gs[t] = g
-        zbar[t] = z.mean(axis=0)
-        pi = state.y / n
-        zlyap[t] = pi @ z
-        consensus[t] = consensus_error(z)
+        # sum / n is exactly what mean() computes, without its call overhead.
+        zbar[t] = z.sum(axis=0) / n
+        zlyap[t] = (y / n) @ z
+        consensus[t] = float(np.sqrt(((z - zbar[t]) ** 2).sum(axis=1)).max())
         avg_num += alpha * zbar[t]
         avg_den += alpha
-        running_gap[t] = optimality_gap(objective, avg_num / avg_den)
+        gap = objective.value(avg_num / avg_den) - objective.f_star
+        if gap < -GAP_NOISE_TOL:
+            raise RunFailure("certified-optimum", None, t, _beaten_message(objective, gap))
+        running_gap[t] = max(gap, 0.0)
 
+        w = ws[t].entries
         if record_products:
-            s = build_s_matrix(ws[t], state.y)
+            s = build_s_matrix(ws[t], y)
             smatrices.append(s)
             prod = s.entries @ prod
             s_product_gap[t] = float(np.abs(prod - limit).max())
 
-        h_mean = (state.x - alpha * g).mean(axis=0)
-        state = pushsub_step(state, ws[t], float(alpha), objective)
-        min_y = min(min_y, float(state.y.min()))
-        z = ratio_state(state)
+        h = x - alpha * g
+        h_mean = h.sum(axis=0) / n
+        # alpha == 0 is exactly a pure mixing step (see pushsub_step).
+        x = w @ (x if alpha == 0.0 else h)
+        y = w @ y
+        min_y = min(min_y, float(y.min()))
+        check_weight_floor(t + 1, y)
+        z = x / y[:, None]
         deviation[t] = float(np.sqrt(((z - h_mean) ** 2).sum(axis=1)).max())
 
-    final_pi = state.y / n
-    trace = RunTrace(
+    return RunTrace(
         n=n, d=d, steps=steps, alphas=alphas,
         xs=xs, ys=ys, zs=zs, gs=gs, zbar=zbar, zlyap=zlyap,
         consensus=consensus, running_gap=running_gap, deviation=deviation,
-        final_state=state, final_zlyap=final_pi @ z, min_y=min_y,
-        s_product_gap=s_product_gap, smatrices=smatrices,
+        final_state=NetworkState(t=steps, x=x, y=y), final_zlyap=(y / n) @ z,
+        min_y=min_y, s_product_gap=s_product_gap, smatrices=smatrices,
         meta=dict(meta or {}),
     )
-    return trace
 
 
 def weighted_running_average(

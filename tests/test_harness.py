@@ -359,8 +359,10 @@ def test_report_from_dir_recomputes_and_passes(finished):
     assert summary.kind == "report"
     assert summary.passed
     recompute = {c.name: c for c in summary.checks if c.name.startswith("recompute")}
+    # n=4 keeps the worst-case constants above underflow, so that column is checked too
     assert {"recompute-zbar", "recompute-consensus", "recompute-gap",
-            "recompute-final-gap", "recompute-bound-rhs"} <= set(recompute)
+            "recompute-final-gap", "recompute-bound-rhs",
+            "recompute-bound-rhs-wc"} <= set(recompute)
     for c in recompute.values():
         assert c.passed and c.value <= 1e-12
 
@@ -392,6 +394,46 @@ def test_report_from_dir_detects_tampering(tmp_path, finished):
     assert not summary.passed
     bad = {c.name for c in summary.checks if not c.passed}
     assert "recompute-gap" in bad or "recompute-bound-rhs" in bad
+
+
+def copy_run(src, dst):
+    dst.mkdir()
+    for name in ("trace.csv", "report.json", "report.txt"):
+        (dst / name).write_bytes((src / name).read_bytes())
+
+
+def test_report_from_dir_checks_the_worst_case_column(tmp_path, finished):
+    cfg, _, out = finished
+    broken = tmp_path / "broken"
+    copy_run(out, broken)
+    rows = (broken / "trace.csv").read_text().splitlines()
+    col = rows[0].split(",").index("bound_rhs_wc")
+    cells = rows[40].split(",")
+    cells[col] = repr(float(cells[col]) * (1 + 1e-9))
+    rows[40] = ",".join(cells)
+    (broken / "trace.csv").write_text("\n".join(rows) + "\n")
+    bad = {c.name for c in report_from_dir(cfg, broken).checks if not c.passed}
+    assert bad == {"recompute-bound-rhs-wc"}
+
+
+def test_report_from_dir_checks_fixed_horizon_margins(tmp_path):
+    cfg = base_config(
+        graph=GraphConfig(kind="random-walkable", n=5, horizon=400, seed=7),
+        objective=ObjectiveConfig(kind="l1", d=1, targets=((-2.0,), (0.0,), (1.0,), (3.0,), (6.0,))),
+        schedule=ScheduleConfig(kind="fixed", t_fixed=400),
+    )
+    out = tmp_path / "run"
+    run_experiment(cfg, out_dir=out)
+    checks = {c.name: c for c in report_from_dir(cfg, out).checks}
+    for name in ("recompute-bound-fixed", "recompute-bound-fixed-wc"):
+        assert checks[name].passed and checks[name].value <= 1e-12, name
+    broken = tmp_path / "broken"
+    copy_run(out, broken)
+    stored = json.loads((broken / "report.json").read_text())
+    stored["bound_margins"]["gap-fixed-network-empirical"] += 1e-9
+    (broken / "report.json").write_text(json.dumps(stored))
+    bad = {c.name for c in report_from_dir(cfg, broken).checks if not c.passed}
+    assert bad == {"recompute-bound-fixed"}
 
 
 def test_init_outside_declared_box_fails_loud(tmp_path):
@@ -589,6 +631,33 @@ def test_cli_sweep(tmp_path):
     out = str(tmp_path / "sw")
     assert main(["sweep", "--config", cfgp, "--out", out]) == 0
     assert (Path(out) / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command,check", [
+    ("simulate", "subgradient-ceiling"),
+    ("sweep", "T=100:subgradient-ceiling"),
+])
+def test_cli_run_failure_exits_1_with_a_report(tmp_path, capsys, command, check):
+    # the README demo graph with a quadratic objective whose declared
+    # ceiling the first subgradients already beat
+    cfg = base_config(
+        graph=GraphConfig(kind="random-walkable", n=5, horizon=400, seed=7),
+        objective=ObjectiveConfig(kind="quadratic", d=1, g_bound=0.5,
+                                  targets=((-2.0,), (0.0,), (1.0,), (3.0,), (6.0,))),
+        init=InitConfig(mode="random", seed=42, lo=-8.0, hi=8.0),
+        sweep=SweepConfig(horizons=(100, 200, 400)),
+    )
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and "Traceback" not in err
+    assert "agent 5 produced a subgradient of norm 24.9863 above the declared ceiling 0.5 at t=0" in err
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["passed"] is False and payload["kind"] == command
+    [failed] = payload["checks"]
+    assert failed["name"] == check and not failed["passed"]
+    assert failed["note"].startswith("agent 5, t=0: ")
+    assert "FAIL" in (out / "report.txt").read_text()
 
 
 def test_load_config_reads_files(tmp_path):

@@ -9,10 +9,12 @@ from numpy.testing import assert_allclose
 from pushsim.graphs import digraph, generate_sequence
 from pushsim.pushsum import (
     AbsProbSeq,
+    RunFailure,
     absolute_probability,
     build_s_matrix,
     consensus_error,
     initial_state,
+    product_identity_residuals,
     pushsum_step,
     ratio_state,
     theory_constants,
@@ -76,8 +78,9 @@ def test_ratio_underflow_raises_with_agent_number():
     object.__setattr__(bad, "t", 3)
     object.__setattr__(bad, "x", st_.x)
     object.__setattr__(bad, "y", np.array([1.0, 0.0]))
-    with pytest.raises(RuntimeError, match="agents \\[2\\]"):
+    with pytest.raises(RunFailure, match="agents \\[2\\]") as info:
         ratio_state(bad)
+    assert (info.value.check, info.value.agent, info.value.t) == ("weight-underflow", 2, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,6 +152,29 @@ def test_product_identity_long_products():
         for t in range(tau + 1, min(tau + 41, 46))
     )
     assert worst <= 1e-9
+
+
+def scratch_identity_residual(ws, ss, ys, tau, t):
+    """The exchange-identity residual with both products rebuilt from scratch."""
+    ps = transition_product_s(ss, tau, t)
+    pw = transition_product_w(ws, tau, t)
+    return float(np.abs(ps * ys[t][:, None] - pw * ys[tau][None, :]).max())
+
+
+def test_incremental_identity_residuals_match_scratch_products():
+    ws, ss, ys, _ = run_history("random-walkable", 6, 30, seed=5, x0=np.zeros((6, 1)))
+    for tau in range(31):
+        res = product_identity_residuals(ws, ss, ys, tau, 30)
+        assert res.shape == (30 - tau,)
+        for t in range(tau, 31):
+            want = scratch_identity_residual(ws, ss, ys, tau, t)
+            assert verify_product_identity(ws, ss, ys, tau, t) == want, (tau, t)
+            if t > tau:
+                assert res[t - tau - 1] == want, (tau, t)
+    with pytest.raises(ValueError, match="tau <= t"):
+        product_identity_residuals(ws, ss, ys, 5, 31)
+    with pytest.raises(ValueError, match="tau <= t"):
+        product_identity_residuals(ws, ss, ys, 6, 5)
 
 
 def test_w_product_columns_approach_common_vector_within_envelope():

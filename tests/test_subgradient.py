@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pushsim.graphs import digraph, generate_sequence
-from pushsim.pushsum import initial_state, pushsum_step, ratio_state
+from pushsim.pushsum import (
+    NetworkState,
+    RunFailure,
+    build_s_matrix,
+    consensus_error,
+    initial_state,
+    pushsum_step,
+    ratio_state,
+)
 from pushsim.subgradient import (
     AbsoluteTerm,
     HingeTerm,
@@ -27,7 +37,7 @@ from pushsim.subgradient import (
     weighted_running_average,
     zero_objective,
 )
-from pushsim.weights import build_weights
+from pushsim.weights import build_weight_stack, build_weights
 
 CYCLE3 = [build_weights(g) for g in generate_sequence("static-cycle", 3, 1).graphs]
 
@@ -323,9 +333,11 @@ def test_run_enforces_declared_gradient_ceiling():
         g_bound=1e-3,  # dishonest: the true subgradients are far larger
     )
     w = build_weights(digraph(2, [(0, 1), (1, 0)]))
-    with pytest.raises(RuntimeError, match="above the declared ceiling"):
+    with pytest.raises(RunFailure, match="above the declared ceiling") as info:
         run_push_subgradient([w] * 5, np.array([[10.0], [-10.0]]), obj,
                              StepsizeSchedule.harmonic())
+    # the largest subgradient is named: 2 |-10 - 2| = 24
+    assert (info.value.check, info.value.agent, info.value.t) == ("subgradient-ceiling", 2, 0)
 
 
 def test_run_enforces_box_membership():
@@ -333,9 +345,10 @@ def test_run_enforces_box_membership():
         np.array([[0.0], [2.0]]), box=(np.array([-1.0]), np.array([1.0]))
     )
     w = build_weights(digraph(2, [(0, 1), (1, 0)]))
-    with pytest.raises(RuntimeError, match="left the declared box"):
+    with pytest.raises(RunFailure, match="left the declared box") as info:
         run_push_subgradient([w] * 5, np.array([[0.9], [0.9]]), obj,
                              StepsizeSchedule.harmonic(a=10.0))
+    assert (info.value.check, info.value.agent, info.value.t) == ("box-containment", 1, 1)
 
 
 def test_run_rejects_empty_and_mismatched_input():
@@ -344,3 +357,193 @@ def test_run_rejects_empty_and_mismatched_input():
         run_push_subgradient([], np.zeros((3, 1)), obj, StepsizeSchedule.harmonic())
     with pytest.raises(ValueError):
         run_push_subgradient(CYCLE3, np.zeros((3, 2)), obj, StepsizeSchedule.harmonic())
+
+
+# --------------------------------------------------------------------------
+# the array loop against the per-agent loop it replaced
+# --------------------------------------------------------------------------
+
+def reference_run(ws, x0, objective, schedule, record_products):
+    """The per-agent run loop: each agent's term is called on its own
+    through the ``terms`` views, and every step builds a fresh state."""
+    terms = objective.terms
+
+    def subgrads(z):
+        return np.stack([subgradient(term, z[i]) for i, term in enumerate(terms)])
+
+    def value(p):
+        return sum(term.value(p) for term in terms) / len(terms)
+
+    def contains(p, slack=1e-9):
+        return bool((p >= objective.box_lo - slack).all() and (p <= objective.box_hi + slack).all())
+
+    steps = len(ws)
+    state = initial_state(x0)
+    n, d = state.n, state.d
+    alphas = stepsize_array(schedule, steps)
+    out = {name: np.empty((steps,) + shape) for name, shape in (
+        ("xs", (n, d)), ("ys", (n,)), ("zs", (n, d)), ("gs", (n, d)), ("zbar", (d,)),
+        ("zlyap", (d,)), ("consensus", ()), ("running_gap", ()), ("deviation", ()),
+    )}
+    out["alphas"] = alphas
+    out["s_product_gap"] = np.empty(steps) if record_products else None
+    smatrices = [] if record_products else None
+    avg_num, avg_den = np.zeros(d), 0.0
+    min_y = float(state.y.min())
+    prod = np.eye(n)
+    z = ratio_state(state)
+    for t in range(steps):
+        alpha = alphas[t]
+        g = subgrads(z)
+        norms = np.sqrt((g ** 2).sum(axis=1))
+        if (norms > objective.g_bound + 1e-9).any():
+            k = int(norms.argmax())
+            raise RuntimeError(
+                f"agent {k + 1} produced a subgradient of norm {norms[k]:.6g} "
+                f"above the declared ceiling {objective.g_bound:.6g} at t={t}"
+            )
+        for i in range(n):
+            if not contains(z[i]):
+                raise RuntimeError(f"agent {i + 1} left the declared box at t={t}: z={z[i]!r}")
+        out["xs"][t], out["ys"][t], out["zs"][t], out["gs"][t] = state.x, state.y, z, g
+        out["zbar"][t] = z.mean(axis=0)
+        out["zlyap"][t] = (state.y / n) @ z
+        out["consensus"][t] = consensus_error(z)
+        avg_num += alpha * out["zbar"][t]
+        avg_den += alpha
+        gap = value(avg_num / avg_den) - objective.f_star
+        if gap < -1e-12:
+            raise ValueError(
+                f"point beats the declared optimum by {-gap:.3e}; certified f* "
+                f"(provenance {objective.optimum_provenance!r}) is invalid"
+            )
+        out["running_gap"][t] = max(gap, 0.0)
+        if record_products:
+            s = build_s_matrix(ws[t], state.y)
+            smatrices.append(s)
+            prod = s.entries @ prod
+            out["s_product_gap"][t] = float(np.abs(prod - 1.0 / n).max())
+        h_mean = (state.x - alpha * g).mean(axis=0)
+        inner = state.x if alpha == 0.0 else state.x - float(alpha) * subgrads(ratio_state(state))
+        w = ws[t].entries
+        state = NetworkState(t=state.t + 1, x=w @ inner, y=w @ state.y)
+        min_y = min(min_y, float(state.y.min()))
+        z = ratio_state(state)
+        out["deviation"][t] = float(np.sqrt(((z - h_mean) ** 2).sum(axis=1)).max())
+    out["final_zlyap"] = (state.y / n) @ z
+    return out, state, min_y, smatrices
+
+
+def assert_same_bits(a, b, what=""):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape, what
+    assert a.tobytes() == b.tobytes(), what
+
+
+def random_objective(kind, n, d, rng, squeeze):
+    """An objective of the given family; ``squeeze`` shrinks its ceiling
+    or its box so that runs fail part way."""
+    x0 = rng.uniform(-4, 4, (n, d))
+    box = None
+    if squeeze == "box":
+        box = (x0.min(axis=0) - 0.05, x0.max(axis=0) + 0.05)
+    g_bound = float(rng.uniform(0.0, 3.0)) if squeeze == "ceiling" else None
+    if kind == "quadratic":
+        return quadratic_objective(rng.uniform(-5, 5, (n, d)), box=box, g_bound=g_bound), x0
+    if kind == "l1":
+        return l1_objective(rng.uniform(-5, 5, (n, d)), box=box, g_bound=g_bound), x0
+    if kind == "hinge":
+        labels = rng.choice([-1.0, 1.0], n)
+        box = box or (np.full(d, -6.0), np.full(d, 6.0))
+        return hinge_objective(rng.uniform(-2, 2, (n, d)), labels, box, g_bound=g_bound), x0
+    return zero_objective(n, d), x0
+
+
+def outcome(run):
+    try:
+        return run(), None
+    except (RuntimeError, ValueError) as exc:
+        return None, exc
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "l1", "hinge", "zero"]),
+    n=st.integers(1, 12),
+    d=st.integers(1, 2),
+    sched=st.sampled_from(["harmonic", "polynomial", "fixed"]),
+    record=st.booleans(),
+    steps=st.integers(1, 40),
+    seed=st.integers(0, 2 ** 16),
+    squeeze=st.sampled_from([None, None, "ceiling", "box"]),
+)
+def test_array_loop_matches_per_agent_reference(kind, n, d, sched, record, steps, seed, squeeze):
+    rng = np.random.default_rng(seed)
+    objective, x0 = random_objective(kind, n, d, rng, squeeze)
+    schedule = {
+        "harmonic": StepsizeSchedule.harmonic(float(rng.uniform(0.2, 3.0))),
+        "polynomial": StepsizeSchedule.polynomial(float(rng.uniform(0.2, 3.0)), 0.75),
+        "fixed": StepsizeSchedule.fixed_horizon(steps),
+    }[sched]
+    ws = build_weight_stack(generate_sequence("random-walkable", n, steps, seed, arc_prob=0.3))
+
+    got, got_exc = outcome(lambda: run_push_subgradient(ws, x0, objective, schedule, record_products=record))
+    want, want_exc = outcome(lambda: reference_run(ws, x0, objective, schedule, record))
+    if want_exc is not None:
+        assert isinstance(got_exc, RunFailure), repr(got_exc)
+        assert str(got_exc) == str(want_exc)
+        where = re.match(r"agent (\d+) .* at t=(\d+)", str(want_exc))
+        if where:  # ceiling and box failures name the agent and the step
+            assert (got_exc.agent, got_exc.t) == (int(where[1]), int(where[2]))
+        return
+    assert got_exc is None, repr(got_exc)
+    arrays, state, min_y, smatrices = want
+    for name, value in arrays.items():
+        if value is None:
+            assert getattr(got, name) is None, name
+        else:
+            assert_same_bits(getattr(got, name), value, name)
+    assert got.final_state.t == state.t == steps
+    assert_same_bits(got.final_state.x, state.x, "final x")
+    assert_same_bits(got.final_state.y, state.y, "final y")
+    assert got.min_y == min_y
+    if record:
+        assert len(got.smatrices) == len(smatrices)
+        for a, b in zip(got.smatrices, smatrices):
+            assert_same_bits(a.entries, b.entries, "companion")
+            assert a.gamma == b.gamma
+    else:
+        assert got.smatrices is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "l1", "hinge", "zero"]),
+    n=st.integers(1, 12),
+    d=st.integers(1, 3),
+    m=st.integers(1, 30),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_array_objective_matches_its_term_views(kind, n, d, m, seed):
+    if kind == "hinge":
+        d = min(d, 2)  # the grid certificate covers d <= 2
+    rng = np.random.default_rng(seed)
+    objective, _ = random_objective(kind, n, d, rng, None)
+    terms = objective.terms
+    assert len(terms) == objective.n == n
+    zs = rng.uniform(-8, 8, (m, d))
+    per_agent = np.zeros(m)
+    for term in terms:
+        per_agent += term.value_batch(zs)
+    assert_same_bits(objective.value_batch(zs), per_agent / n, "value_batch")
+    for z in zs[:3]:
+        assert objective.value(z) == sum(term.value(z) for term in terms) / n
+    at = rng.uniform(-8, 8, (n, d))
+    want = np.stack([subgradient(term, at[i]) for i, term in enumerate(terms)])
+    assert_same_bits(objective.agent_subgradients(at), want, "subgradients")
+    if kind != "zero":
+        lo, hi = objective.box_lo, objective.box_hi
+        assert objective.g_bound == max(term.grad_norm_bound(lo, hi) for term in terms)
+    inside = [objective.contains(z) for z in zs]
+    assert objective.in_box(zs).tolist() == inside
+
