@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "BoundInputs",
     "BoundValue",
     "BoundReport",
+    "BoundSeries",
     "ContractionSeries",
     "RateFit",
     "GeometricFit",
@@ -175,59 +176,105 @@ def _check_timevarying(inp: BoundInputs, t: int) -> None:
         raise ValueError(f"t must lie in [0, {inp.alphas.size - 1}], got {t}")
 
 
+@dataclass(frozen=True)
+class BoundSeries:
+    """Certificates for a run of steps, held as read-only arrays.
+
+    ``ts`` (float), ``terms`` of shape (len(ts), 4) and ``total`` line up
+    row by row.  Indexing or iterating yields one ``BoundValue`` per row.
+    """
+
+    ts: np.ndarray
+    terms: np.ndarray
+    total: np.ndarray
+    form: str                 # "time-varying" | "fixed-horizon"
+    agent: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("ts", "terms", "total"):
+            getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def single(cls, value: BoundValue) -> "BoundSeries":
+        """The one-row series holding ``value``."""
+        return cls(
+            ts=np.array([float(value.t)]), terms=np.array([value.terms]),
+            total=np.array([value.total]), form=value.form, agent=value.agent,
+        )
+
+    def __len__(self) -> int:
+        return self.ts.size
+
+    def __getitem__(self, k: int) -> BoundValue:
+        return BoundValue(
+            t=int(self.ts[k]), terms=tuple(self.terms[k]), total=self.total[k],
+            form=self.form, agent=self.agent,
+        )
+
+    def __iter__(self) -> Iterator[BoundValue]:
+        return (self[k] for k in range(len(self)))
+
+
+def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
+    """[0, x0, x0 + x1, ...]: the sums over steps strictly before each t."""
+    out = np.zeros(x.size + 1)
+    np.cumsum(x, out=out[1:])
+    return out
+
+
 def timevarying_series(
     inp: BoundInputs, t_max: int, agent: int | None = None
-) -> list[BoundValue]:
+) -> BoundSeries:
     """Certificates for every t in 0..t_max under a decaying stepsize.
 
-    The stepsize prefix sums are accumulated term by term alongside t
-    rather than via closed forms, so the reported numbers are exactly the
-    finite sums they claim to be.
+    The stepsize prefix sums are sequential cumulative sums, so the
+    reported numbers are exactly the finite sums they claim to be, added
+    in step order.  Each term keeps the left-to-right operation order of
+    its formula, so every entry rounds as the one-step evaluation would.
+    With tiny worst-case constants the memory terms may overflow to inf:
+    such a certificate is valid but vacuous.
     """
     _check_timevarying(inp, t_max)
     if agent is not None and not 0 <= agent < inp.n:
         raise ValueError(f"agent index out of range: {agent}")
-    a = inp.alphas
+    a = inp.alphas[: t_max + 1]
     dist0_sq = float(((inp.z_bar0 - inp.z_star) ** 2).sum())
     ref = inp.z_bar0 if agent is None else inp.z0[agent]
     spread = inp.spread_sum(ref)
     mass_norm = float(np.sqrt((inp.initial_mass ** 2).sum()))
-    single = inp.n == 1
 
     ts = np.arange(t_max + 1, dtype=float)
-    pow_t = _mu_powers(inp.log_mu, ts)
-    pow_half = _mu_powers(inp.log_mu, ts / 2.0)
-
-    out: list[BoundValue] = []
-    sum_a = 0.0
-    sum_a2 = 0.0
-    mass_acc = 0.0   # sum_{tau=0}^{t-1} alpha(tau) mu^tau
-    tail_acc = 0.0   # sum_{tau=0}^{t-1} alpha(tau) (alpha(0) mu^(tau/2) + alpha(ceil(tau/2)))
-    for t in range(t_max + 1):
-        sum_a += a[t]
-        sum_a2 += a[t] * a[t]
-        t1 = (dist0_sq + inp.G ** 2 * sum_a2) / (2.0 * sum_a)
-        t2 = inp.G * a[0] * spread / (inp.n * sum_a)
-        if single:
-            t3 = 0.0
-            t4 = 0.0
-        else:
+    sum_a = np.cumsum(a)
+    sum_a2 = np.cumsum(a * a)
+    t1 = (dist0_sq + inp.G ** 2 * sum_a2) / (2.0 * sum_a)
+    t2 = inp.G * a[0] * spread / (inp.n * sum_a)
+    t3 = t4 = np.zeros(t_max + 1)
+    if inp.n > 1:
+        # sum_{tau<t} alpha(tau) mu^tau and
+        # sum_{tau<t} alpha(tau) (alpha(0) mu^(tau/2) + alpha(ceil(tau/2)))
+        head = a[:t_max]
+        pow_t = _mu_powers(inp.log_mu, ts)[:t_max]
+        pow_half = _mu_powers(inp.log_mu, ts / 2.0)[:t_max]
+        halves = a[0] * pow_half + a[(np.arange(t_max) + 1) // 2]  # alpha(ceil(tau/2))
+        mass_acc = _exclusive_cumsum(head * pow_t)
+        tail_acc = _exclusive_cumsum(head * halves)
+        with np.errstate(over="ignore"):
             t3 = 32.0 * inp.G * mass_norm * mass_acc / (inp.eta * sum_a)
             t4 = (
                 32.0 * inp.n * inp.G ** 2 * tail_acc
                 / (inp.eta * inp.one_minus_mu * sum_a)
             )
-        terms = (t1, t2, t3, t4)
-        out.append(
-            BoundValue(t=t, terms=terms, total=sum(terms), form="time-varying", agent=agent)
-        )
-        mass_acc += a[t] * pow_t[t]
-        tail_acc += a[t] * (a[0] * pow_half[t] + a[math.ceil(t / 2)])
-    return out
+    with np.errstate(over="ignore"):
+        total = t1 + t2 + t3 + t4
+    return BoundSeries(
+        ts=ts, terms=np.stack([t1, t2, t3, t4], axis=1), total=total,
+        form="time-varying", agent=agent,
+    )
 
 
 def bound_timevarying(inp: BoundInputs, t: int, agent: int | None = None) -> BoundValue:
-    """The decaying-stepsize certificate at a single step t."""
+    """The decaying-stepsize certificate at a single step t (one row of
+    the series up to t)."""
     _check_timevarying(inp, t)
     return timevarying_series(inp, t, agent=agent)[t]
 

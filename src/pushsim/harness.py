@@ -27,7 +27,7 @@ import numpy as np
 from .bounds import (
     BoundInputs,
     BoundReport,
-    BoundValue,
+    BoundSeries,
     bound_fixed,
     contraction_series,
     fit_geometric_rate,
@@ -643,18 +643,6 @@ def _bound_inputs(
     )
 
 
-def _series_to_report(
-    label: str, constants_from: str, values: list[BoundValue], lhs: np.ndarray
-) -> BoundReport:
-    ts = np.array([v.t for v in values], dtype=float)
-    rhs = np.array([v.total for v in values])
-    terms = np.array([v.terms for v in values])
-    return BoundReport(
-        label=label, constants_from=constants_from,
-        ts=ts, lhs=np.asarray(lhs, dtype=float), rhs=rhs, terms=terms,
-    )
-
-
 # --------------------------------------------------------------------------
 # the main drivers
 # --------------------------------------------------------------------------
@@ -817,10 +805,14 @@ def _evaluate_bounds(
     for label, inp in pairs:
         for who, agent, gaps in targets:
             if form == "fixed":
-                values, lhs = [bound_fixed(inp, schedule.T, agent=agent)], gaps[t_last:]
+                series = BoundSeries.single(bound_fixed(inp, schedule.T, agent=agent))
+                lhs = gaps[t_last:]
             else:
-                values, lhs = timevarying_series(inp, t_last, agent=agent), gaps
-            rep = _series_to_report(f"gap-{form}-{who}-{label}", label, values, lhs)
+                series, lhs = timevarying_series(inp, t_last, agent=agent), gaps
+            rep = BoundReport(
+                label=f"gap-{form}-{who}-{label}", constants_from=label,
+                ts=series.ts, lhs=lhs, rhs=series.total, terms=series.terms,
+            )
             result.gap_reports.append(rep)
             _record_margin(summary, checks, rep)
         if cfg.bounds.envelope:
@@ -1234,7 +1226,7 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         )
 
     if loaded.bound_lhs is not None and stored.get("mu_emp") is not None:
-        rhs = np.array([v.total for v in timevarying_series(inputs("empirical"), loaded.steps - 1)])
+        rhs = timevarying_series(inputs("empirical"), loaded.steps - 1).total
         errors["recompute-bound-rhs"] = float(np.abs(rhs - loaded.bound_rhs_emp).max())
         errors["bound-terms-sum"] = float(
             np.abs(loaded.bound_terms.sum(axis=1) - loaded.bound_rhs_emp).max()
@@ -1242,7 +1234,7 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     # A NaN column means no worst-case series was evaluated; an infinite
     # one overflowed and has nothing to compare.
     if loaded.bound_rhs_wc is not None and np.isfinite(loaded.bound_rhs_wc).all():
-        rhs = np.array([v.total for v in timevarying_series(inputs("worst-case"), loaded.steps - 1)])
+        rhs = timevarying_series(inputs("worst-case"), loaded.steps - 1).total
         errors["recompute-bound-rhs-wc"] = float(np.abs(rhs - loaded.bound_rhs_wc).max())
     if schedule.kind == "fixed":
         for label, name in (("empirical", "recompute-bound-fixed"),

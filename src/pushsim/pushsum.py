@@ -50,7 +50,9 @@ __all__ = [
 ]
 
 Y_FLOOR = 1e-300
-MASS_TOL = 1e-6
+# How far sum(y) may stray from n before absolute_probability refuses the
+# weights; the harness's weight-mass check has its own, tighter tolerance.
+APS_MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,7 @@ def absolute_probability(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     mass = float(y.sum())
-    if abs(mass - n) > MASS_TOL:
+    if abs(mass - n) > APS_MASS_TOL:
         raise RuntimeError(
             f"weight mass {mass!r} strayed from n={n}; mixing matrices "
             "upstream are not column-stochastic"

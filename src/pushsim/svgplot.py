@@ -43,6 +43,11 @@ def _ticks(lo: float, hi: float, want: int = 6) -> list[float]:
     return out or [lo, hi]
 
 
+def _drawable(y: float, logy: bool) -> bool:
+    """Whether a value can be placed on the y axis."""
+    return math.isfinite(y) and not (logy and y <= LOG_FLOOR)
+
+
 def _fmt(v: float) -> str:
     if v == 0:
         return "0"
@@ -63,8 +68,9 @@ def line_chart(
 ) -> None:
     """Write a line chart of the given series to ``path`` as SVG.
 
-    With ``logy`` the y axis is log10 and nonpositive values are dropped
-    from the drawing (a fully nonpositive series is skipped).
+    Non-finite values are dropped from the drawing, and with ``logy`` (a
+    log10 y axis) so are nonpositive ones; a series with no drawable
+    value is skipped.
     """
     series = [s for s in series if len(s.xs) > 0]
     if not series:
@@ -75,11 +81,11 @@ def line_chart(
     pts = []
     for s in series:
         for x, y in zip(s.xs, s.ys):
-            if logy and y <= LOG_FLOOR:
+            if not _drawable(y, logy):
                 continue
             pts.append((float(x), math.log10(y) if logy else float(y)))
     if not pts:
-        raise ValueError("no drawable points (log axis with nonpositive data?)")
+        raise ValueError("no drawable points (non-finite, or nonpositive on a log axis)")
     x_lo = min(p[0] for p in pts)
     x_hi = max(p[0] for p in pts)
     y_lo = min(p[1] for p in pts)
@@ -142,7 +148,7 @@ def line_chart(
         chunk: list[str] = []
         chunks: list[list[str]] = [chunk]
         for x, y in zip(s.xs, s.ys):
-            if logy and y <= LOG_FLOOR:
+            if not _drawable(y, logy):
                 if chunk:
                     chunk = []
                     chunks.append(chunk)

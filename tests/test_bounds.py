@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pushsim.bounds import (
     BoundInputs,
+    BoundSeries,
+    BoundValue,
+    _mu_powers,
     bound_fixed,
     bound_timevarying,
     consensus_contraction_bound,
@@ -314,3 +319,132 @@ def test_fit_geometric_rate_masks_noise_floor():
 def test_fit_geometric_rate_exact_path():
     fit = fit_geometric_rate(np.zeros(50))
     assert fit.exact and fit.rho == 0.0 and fit.r2 == 1.0
+
+
+# --------------------------------------------------------------------------
+# the array series against the per-step loop it replaced
+# --------------------------------------------------------------------------
+
+def reference_series(inp, t_max, agent=None):
+    """The certificate series as a per-step loop with running sums: the
+    definition the array form of ``timevarying_series`` must reproduce
+    bit for bit."""
+    a = inp.alphas
+    dist0_sq = float(((inp.z_bar0 - inp.z_star) ** 2).sum())
+    ref = inp.z_bar0 if agent is None else inp.z0[agent]
+    spread = inp.spread_sum(ref)
+    mass_norm = float(np.sqrt((inp.initial_mass ** 2).sum()))
+    single = inp.n == 1
+
+    ts = np.arange(t_max + 1, dtype=float)
+    pow_t = _mu_powers(inp.log_mu, ts)
+    pow_half = _mu_powers(inp.log_mu, ts / 2.0)
+
+    out = []
+    sum_a = 0.0
+    sum_a2 = 0.0
+    mass_acc = 0.0   # sum_{tau=0}^{t-1} alpha(tau) mu^tau
+    tail_acc = 0.0   # sum_{tau=0}^{t-1} alpha(tau) (alpha(0) mu^(tau/2) + alpha(ceil(tau/2)))
+    with np.errstate(over="ignore"):
+        for t in range(t_max + 1):
+            sum_a += a[t]
+            sum_a2 += a[t] * a[t]
+            t1 = (dist0_sq + inp.G ** 2 * sum_a2) / (2.0 * sum_a)
+            t2 = inp.G * a[0] * spread / (inp.n * sum_a)
+            if single:
+                t3 = 0.0
+                t4 = 0.0
+            else:
+                t3 = 32.0 * inp.G * mass_norm * mass_acc / (inp.eta * sum_a)
+                t4 = (
+                    32.0 * inp.n * inp.G ** 2 * tail_acc
+                    / (inp.eta * inp.one_minus_mu * sum_a)
+                )
+            terms = (t1, t2, t3, t4)
+            out.append(BoundValue(t=t, terms=terms, total=sum(terms),
+                                  form="time-varying", agent=agent))
+            mass_acc += a[t] * pow_t[t]
+            tail_acc += a[t] * (a[0] * pow_half[t] + a[math.ceil(t / 2)])
+    return out
+
+
+def assert_bitwise(got, want):
+    """Equal bit patterns, with NaN (of any payload) in the same places."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@st.composite
+def series_inputs(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        sched = StepsizeSchedule.harmonic(draw(st.floats(0.05, 5.0)))
+    else:
+        sched = StepsizeSchedule.polynomial(draw(st.floats(0.05, 5.0)),
+                                            draw(st.floats(0.51, 1.0)))
+    steps = draw(st.integers(1, 300))
+    coords = st.floats(-10.0, 10.0)
+    z0 = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d))).reshape(n, d)
+    x0 = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d))).reshape(n, d)
+    g0 = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d))).reshape(n, d)
+    z_star = np.array(draw(st.lists(coords, min_size=d, max_size=d)))
+    if n == 1:
+        mu, log_mu = 0.0, None
+    elif draw(st.booleans()):
+        mu, log_mu = draw(st.floats(0.0, 1.0, exclude_max=True)), None
+    else:  # worst-case constants: mu rounds to 1.0, the log stays exact
+        mu, log_mu = 1.0, -draw(st.floats(1e-18, 1e-3))
+    eta = draw(st.one_of(st.floats(1e-3, float(n)), st.just(1e-300)))
+    inp = BoundInputs(
+        n=n, L=1, d=d, G=draw(st.floats(0.01, 10.0)), eta=eta, mu=mu, log_mu=log_mu,
+        z_bar0=z0.mean(axis=0), z0=z0, z_star=z_star, x0=x0, g0=g0,
+        alphas=stepsize_array(sched, steps), schedule=sched,
+    )
+    t_max = draw(st.integers(0, steps - 1))
+    agent = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    t = draw(st.integers(0, t_max))
+    return inp, t_max, agent, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_inputs())
+def test_series_is_bitwise_the_per_step_loop(case):
+    inp, t_max, agent, t = case
+    ref = reference_series(inp, t_max, agent)
+    got = timevarying_series(inp, t_max, agent)
+    assert isinstance(got, BoundSeries) and len(got) == t_max + 1
+    assert_bitwise(got.ts, np.arange(t_max + 1))
+    assert_bitwise(got.terms, [v.terms for v in ref])
+    assert_bitwise(got.total, [v.total for v in ref])
+    assert [v.t for v in got] == list(range(t_max + 1))
+    one = bound_timevarying(inp, t, agent=agent)
+    assert (one.t, one.form, one.agent) == (t, "time-varying", agent)
+    assert_bitwise(one.terms, got.terms[t])
+    assert_bitwise(one.total, got.total[t])
+
+
+def test_tiny_eta_overflows_to_an_inf_certificate_silently():
+    # with filterwarnings = error a numpy overflow warning would fail here
+    inp = make_inputs(n=4, eta=1e-300, mu=1.0, log_mu=-1e-18, steps=50)
+    series = timevarying_series(inp, 49)
+    assert series.terms[0, 3] == 0.0 and np.isinf(series.terms[1:, 3]).all()
+    assert np.isinf(series.total[1:]).all() and np.isfinite(series.total[0])
+
+
+def test_series_arrays_are_read_only():
+    series = timevarying_series(make_inputs(steps=8), 7)
+    for arr in (series.ts, series.terms, series.total):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_single_row_series_holds_the_fixed_certificate():
+    inp = make_inputs(schedule=StepsizeSchedule.fixed_horizon(64), steps=64)
+    value = bound_fixed(inp, 64, agent=1)
+    series = BoundSeries.single(value)
+    assert len(series) == 1 and series.ts.tolist() == [64.0]
+    assert series[0] == value

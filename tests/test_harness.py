@@ -31,6 +31,7 @@ from pushsim.harness import (
     sweep_experiment,
     verify_experiment,
 )
+from pushsim.svgplot import Series, line_chart
 from pushsim.weights import build_weights, format_matrix
 
 
@@ -328,6 +329,22 @@ def test_svg_artifacts_are_well_formed(finished):
         assert len(list(root.iter())) > 10
 
 
+def test_line_chart_skips_non_finite_points(tmp_path):
+    xs = [0, 1, 2, 3, 4]
+    inf, nan = float("inf"), float("nan")
+    for logy in (False, True):
+        path = tmp_path / f"chart-{logy}.svg"
+        line_chart(path, [Series(xs, [1.0, 2.0, inf, 4.0, nan], "a"),
+                          Series(xs, [inf] * 5, "b")], logy=logy)
+        text = path.read_text()
+        ET.fromstring(text)
+        assert "inf" not in text and "nan" not in text
+        # the gap at x=2 splits "a" into a polyline and a lone point
+        assert text.count("<polyline") == 1 and text.count("<circle") == 1
+    with pytest.raises(ValueError, match="no drawable points"):
+        line_chart(tmp_path / "none.svg", [Series(xs, [nan] * 5, "c")])
+
+
 def test_trace_round_trip_is_bitwise(finished):
     _, result, out = finished
     loaded = import_trace(out / "trace.csv")
@@ -570,6 +587,26 @@ def test_cli_simulate_and_report(tmp_path, capsys):
     assert "PASS" in shown
     assert main(["report", "--config", cfgp, "--out", out]) == 0
     assert main(["verify", "--config", cfgp]) == 0
+
+
+def test_cli_infinite_worst_case_bound_still_charts(tmp_path):
+    # eta = 12^(-12 L) is tiny but positive, so the worst-case memory
+    # terms overflow to inf: a valid, vacuous certificate
+    cfg = ExperimentConfig(
+        graph=GraphConfig(kind="rotating-arc", n=12, horizon=400),
+        objective=ObjectiveConfig(
+            kind="l1", d=1, targets=tuple((float(k),) for k in range(12)),
+        ),
+        schedule=ScheduleConfig(kind="harmonic"),
+        init=InitConfig(mode="random", seed=2),
+    )
+    cfgp = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+    assert main(["report", "--config", cfgp, "--out", str(out)]) == 0
+    wc = import_trace(out / "trace.csv").bound_rhs_wc
+    assert np.isfinite(wc[0]) and np.isinf(wc[1:]).all()
+    ET.parse(out / "bounds.svg")
 
 
 def test_cli_seed_override_changes_the_run(tmp_path):
