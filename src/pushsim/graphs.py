@@ -182,6 +182,16 @@ class GraphSequence:
     def __getitem__(self, t: int) -> Digraph:
         return Digraph._view(self.adj[t])
 
+    def prefix(self, horizon: int) -> GraphSequence:
+        """The first ``horizon`` steps, a view of this sequence's stack."""
+        if not 1 <= horizon <= self.horizon:
+            raise ValueError(f"prefix horizon must lie in [1, {self.horizon}], got {horizon}")
+        if horizon == self.horizon:
+            return self
+        return GraphSequence(
+            n=self.n, horizon=horizon, kind=self.kind, seed=self.seed, adj=self.adj[:horizon],
+        )
+
 
 def generate_sequence(
     kind: str,

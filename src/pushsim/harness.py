@@ -505,45 +505,50 @@ class ExperimentResult:
 # --------------------------------------------------------------------------
 
 def _materialize_graphs(gcfg: GraphConfig) -> GraphSequence:
+    return _horizon_prefix(_graph_source(gcfg), gcfg)
+
+
+def _graph_source(gcfg: GraphConfig) -> GraphSequence:
+    """The configured graph sequence before its horizon is checked: a
+    file's whole sequence, or ``gcfg.horizon`` generated steps."""
     if gcfg.kind == "file":
-        seq = parse_graph_sequence(Path(gcfg.file).read_text(encoding="utf-8"))
-        if seq.n != gcfg.n or seq.horizon < gcfg.horizon:
-            raise ConfigError(
-                f"graph file has n={seq.n}, horizon={seq.horizon}; "
-                f"config wants n={gcfg.n}, horizon>={gcfg.horizon}"
-            )
-        if seq.horizon > gcfg.horizon:
-            seq = GraphSequence(
-                n=seq.n, horizon=gcfg.horizon, kind=seq.kind, seed=seq.seed,
-                adj=seq.adj[: gcfg.horizon],
-            )
-        return seq
+        return parse_graph_sequence(Path(gcfg.file).read_text(encoding="utf-8"))
     return generate_sequence(
         gcfg.kind, gcfg.n, gcfg.horizon, gcfg.seed,
         arc_prob=gcfg.arc_prob, inject_every=gcfg.inject_every,
     )
 
 
+def _horizon_prefix(seq: GraphSequence, gcfg: GraphConfig) -> GraphSequence:
+    """The first ``gcfg.horizon`` steps of ``seq``; a graph file with
+    another n or too few steps is a config error."""
+    if seq.n != gcfg.n or seq.horizon < gcfg.horizon:
+        raise ConfigError(
+            f"graph file has n={seq.n}, horizon={seq.horizon}; "
+            f"config wants n={gcfg.n}, horizon>={gcfg.horizon}"
+        )
+    return seq.prefix(gcfg.horizon)
+
+
 def _materialize_weights(
     seq: GraphSequence, wcfg: WeightConfig
-) -> tuple[list[WeightMatrix], float, list[str]]:
-    """Per-step mixing matrices plus the realized support floor beta and
-    any validation violations (nonempty only for file-supplied weights)."""
+) -> tuple[list[WeightMatrix], list[tuple[int, str]]]:
+    """Per-step mixing matrices and, for file-supplied weights, the
+    validation violations as (step, problem) pairs in step order."""
     if wcfg.rule == "uniform-out-degree":
-        ws = build_weight_stack(seq)
-        return ws, min(w.beta for w in ws), []
+        return build_weight_stack(seq), []
     entries = parse_matrix(Path(wcfg.file).read_text(encoding="utf-8"))
     if entries.shape != (seq.n, seq.n):
         raise ConfigError(
             f"weights file is {entries.shape[0]}x{entries.shape[1]}, "
             f"but the graph has n={seq.n}"
         )
-    violations: list[str] = []
+    violations: list[tuple[int, str]] = []
     min_pos = float("inf")
     for t, g in enumerate(seq.graphs):
         rep = validate_column_stochastic(entries, g, tol=FILE_WEIGHT_TOL)
         if not rep.ok:
-            violations.extend(f"step {t}: {v}" for v in rep.violations)
+            violations.extend((t, v) for v in rep.violations)
             if len(violations) > 20:
                 break
         if np.isfinite(rep.min_positive):
@@ -551,7 +556,12 @@ def _materialize_weights(
     beta = min_pos if math.isfinite(min_pos) else float("nan")
     entries.setflags(write=False)  # every step shares the one matrix
     ws = [WeightMatrix(n=seq.n, entries=entries, beta=beta) for _ in range(seq.horizon)]
-    return ws, beta, violations
+    return ws, violations
+
+
+def _violation_texts(violations: list[tuple[int, str]], horizon: int) -> list[str]:
+    """The weight violations of the steps before ``horizon``."""
+    return [f"step {t}: {v}" for t, v in violations if t < horizon]
 
 
 def _materialize_spec(cfg: ExperimentConfig) -> tuple[StepsizeSchedule, ObjectiveSpec]:
@@ -643,6 +653,43 @@ def _bound_inputs(
     )
 
 
+def _certified_window(seq: GraphSequence) -> int:
+    window = uniform_connectivity_window(seq)
+    if window is None:
+        raise ValidationFailure(
+            "no window length certifies joint strong connectivity over "
+            f"the {seq.horizon}-step horizon"
+        )
+    return window
+
+
+def _check_weights(violations: list[tuple[int, str]], horizon: int) -> None:
+    texts = _violation_texts(violations, horizon)
+    if texts:
+        raise ValidationFailure(
+            "weight matrix fails column-stochastic/support validation: "
+            + "; ".join(texts[:5])
+        )
+
+
+def _check_init(objective: ObjectiveSpec, x0: np.ndarray) -> None:
+    outside = np.flatnonzero(~objective.in_box(x0))
+    if outside.size:
+        raise ValidationFailure(
+            f"initial value of agent {outside[0] + 1} lies outside the objective box"
+        )
+
+
+def _run_checks(trace: RunTrace, window: int, beta: float, tc) -> list[CheckResult]:
+    """The certification checks of a finished run, before any bound."""
+    checks = [
+        CheckResult("connectivity-window", True, value=window),
+        CheckResult("weight-validation", True, value=beta),
+    ]
+    _invariant_checks(trace, tc, checks)
+    return checks
+
+
 # --------------------------------------------------------------------------
 # the main drivers
 # --------------------------------------------------------------------------
@@ -662,25 +709,13 @@ def run_experiment(
     """
     schedule, objective = _materialize_spec(cfg)
     seq = _materialize_graphs(cfg.graph)
-    window = uniform_connectivity_window(seq)
-    if window is None:
-        raise ValidationFailure(
-            "no window length certifies joint strong connectivity over "
-            f"the {seq.horizon}-step horizon"
-        )
-    ws, beta, weight_violations = _materialize_weights(seq, cfg.weights)
-    if weight_violations:
-        raise ValidationFailure(
-            "weight matrix fails column-stochastic/support validation: "
-            + "; ".join(weight_violations[:5])
-        )
+    window = _certified_window(seq)
+    ws, violations = _materialize_weights(seq, cfg.weights)
+    _check_weights(violations, seq.horizon)
+    beta = min(w.beta for w in ws)
     sched_report = validate_schedule(schedule)
     x0 = _materialize_init(cfg.init, seq.n, objective.d)
-    outside = np.flatnonzero(~objective.in_box(x0))
-    if outside.size:
-        raise ValidationFailure(
-            f"initial value of agent {outside[0] + 1} lies outside the objective box"
-        )
+    _check_init(objective, x0)
 
     meta = {
         "graph_kind": seq.kind, "graph_seed": seq.seed, "n": seq.n,
@@ -714,11 +749,7 @@ def run_experiment(
         trace=trace, summary=summary,
     )
 
-    checks: list[CheckResult] = [
-        CheckResult("connectivity-window", True, value=window),
-        CheckResult("weight-validation", True, value=beta),
-    ]
-    _invariant_checks(trace, tc, checks)
+    checks = _run_checks(trace, window, beta, tc)
     if cfg.bounds.evaluate and objective.g_bound > 0:
         if sched_report.assumption == "violated":
             checks.append(CheckResult(
@@ -862,11 +893,12 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
         graph_kind=seq.kind, schedule_kind=cfg.schedule.kind,
         connectivity_window=window,
     )
-    ws, beta, violations = _materialize_weights(seq, cfg.weights)
+    ws, violations = _materialize_weights(seq, cfg.weights)
     if violations:
+        texts = _violation_texts(violations, seq.horizon)
         checks.append(CheckResult(
             "weight-validation", False,
-            note="; ".join(violations[:5]) + ("; ..." if len(violations) > 5 else ""),
+            note="; ".join(texts[:5]) + ("; ..." if len(texts) > 5 else ""),
         ))
         checks.append(CheckResult(
             "downstream", True, note="skipped: weight validation failed",
@@ -874,6 +906,7 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
         summary.checks = checks
         summary.passed = False
         return summary, None
+    beta = min(w.beta for w in ws)
     checks.append(CheckResult("weight-validation", True, value=beta))
     summary.beta = beta
     if window is None:
@@ -920,36 +953,75 @@ def sweep_experiment(
     out_dir: str | Path | None = None,
     horizons: Sequence[int] | None = None,
 ) -> SummaryReport:
-    """Rerun the config over several horizons and fit the gap decay rate.
+    """Run the config over several horizons and fit the gap decay rate.
 
-    Every sub-run reuses the configured seeds, so the graph sequences of
-    the longer horizons extend those of the shorter ones.  Nonpositive
+    One run at the longest horizon serves every horizon: shorter horizons
+    are its prefixes.  The graph sequence and the weights are built once,
+    at the longest horizon (generated sequences are prefix-stable and the
+    weights are per step), and a decaying stepsize does not depend on the
+    horizon, so horizon T's final gap and checks are read from the first
+    T steps of that run (``RunTrace.prefix``).  The fixed stepsize
+    1/sqrt(T) does depend on it, so a fixed schedule runs once per
+    horizon on the shared inputs.
+
+    Failures are those a run per horizon in ascending order would raise:
+    the first failing horizon's, with a run failure at step t raised for
+    the smallest horizon past t as ``T=<horizon>:<check>``.  Nonpositive
     final gaps are excluded from the log-log fit; if nothing positive
     remains the report flags exact convergence instead of fitting.
     """
-    hs = tuple(horizons) if horizons is not None else cfg.sweep.horizons
+    hs = list(horizons if horizons is not None else cfg.sweep.horizons)
     if len(hs) < 3:
-        raise ConfigError(f"sweep needs at least 3 horizons, got {list(hs)}")
+        raise ConfigError(f"sweep needs at least 3 horizons, got {hs}")
     if any(h < 1 for h in hs):
         raise ConfigError("sweep horizons must be positive")
-    points: list[tuple[int, float]] = []
-    all_checks: list[CheckResult] = []
-    for T in sorted(hs):
-        sub = dataclasses.replace(
+    hs.sort()
+
+    def at_horizon(T: int) -> ExperimentConfig:
+        return dataclasses.replace(
             cfg,
             graph=dataclasses.replace(cfg.graph, horizon=T),
             schedule=(
                 dataclasses.replace(cfg.schedule, t_fixed=T)
                 if cfg.schedule.kind == "fixed" else cfg.schedule
             ),
-            bounds=BoundsConfig(evaluate=False, agents=False, envelope=False),
         )
-        try:
-            res = run_experiment(sub, out_dir=None, record_products=False)
-        except RunFailure as exc:
-            raise RunFailure(f"T={T}:{exc.check}", exc.agent, exc.t, f"T={T}: {exc}") from exc
-        points.append((T, float(res.trace.running_gap[-1])))
-        all_checks += [dataclasses.replace(c, name=f"T={T}:{c.name}") for c in res.summary.checks]
+
+    schedule, objective = _materialize_spec(at_horizon(hs[0]))
+    source = _graph_source(at_horizon(hs[-1]).graph)
+    x0 = _materialize_init(cfg.init, cfg.graph.n, objective.d)
+    ws: list[WeightMatrix] | None = None
+    certified: list[tuple[int, int, float]] = []  # (T, window, beta)
+    deferred: Exception | None = None  # the first certification failure
+    try:
+        for T in hs:
+            window = _certified_window(_horizon_prefix(source, at_horizon(T).graph))
+            if ws is None:
+                ws, violations = _materialize_weights(
+                    source.prefix(min(hs[-1], source.horizon)), cfg.weights,
+                )
+            _check_weights(violations, T)
+            _check_init(objective, x0)
+            certified.append((T, window, min(w.beta for w in ws[:T])))
+    except (ValueError, ValidationFailure, OSError) as exc:
+        # raised once the horizons before this one have run
+        deferred = exc
+
+    points: list[tuple[int, float]] = []
+    all_checks: list[CheckResult] = []
+    decaying = schedule.kind != "fixed"
+    if certified and decaying:
+        longest = _sweep_run(ws, x0, objective, schedule, [T for T, _, _ in certified])
+    for T, window, beta in certified:
+        if decaying:
+            trace = longest.prefix(T)
+        else:
+            trace = _sweep_run(ws, x0, objective, dataclasses.replace(schedule, T=T), [T])
+        checks = _run_checks(trace, window, beta, theory_constants(source.n, window))
+        points.append((T, float(trace.running_gap[-1])))
+        all_checks += [dataclasses.replace(c, name=f"T={T}:{c.name}") for c in checks]
+    if deferred is not None:
+        raise deferred
     fit = fit_rate(points)
     summary = SummaryReport(
         kind="sweep", n=cfg.graph.n, d=cfg.objective.d, steps=max(hs),
@@ -977,6 +1049,24 @@ def sweep_experiment(
                 xlabel="T", ylabel="gap", logy=True,
             )
     return summary
+
+
+def _sweep_run(
+    ws: list[WeightMatrix],
+    x0: np.ndarray,
+    objective: ObjectiveSpec,
+    schedule: StepsizeSchedule,
+    horizons: list[int],
+) -> RunTrace:
+    """The run over the first ``horizons[-1]`` steps of ``ws``; a run
+    failure is renamed for the smallest horizon whose run reaches it."""
+    try:
+        return run_push_subgradient(ws[: horizons[-1]], x0, objective, schedule, record_products=False)
+    except RunFailure as exc:
+        # check_weight_floor names the weights at t, found by step t - 1.
+        step = exc.t - 1 if exc.check == "weight-underflow" else exc.t
+        T = next(T for T in horizons if T > step)
+        raise RunFailure(f"T={T}:{exc.check}", exc.agent, exc.t, f"T={T}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -1180,6 +1270,20 @@ def render_plots(result: ExperimentResult, out_dir: str | Path) -> None:
 RECOMPUTE_TOL = 1e-12
 
 
+def _column_error(recomputed: np.ndarray, stored: np.ndarray) -> float:
+    """Largest deviation of a recomputed certificate column from the
+    stored one over their finite entries; inf unless the non-finite
+    entries (an overflowed certificate) sit at the same steps with the
+    same values."""
+    finite = np.isfinite(stored)
+    if not (
+        np.array_equal(finite, np.isfinite(recomputed))
+        and np.array_equal(recomputed[~finite], stored[~finite], equal_nan=True)
+    ):
+        return math.inf
+    return float(np.abs(recomputed[finite] - stored[finite]).max(initial=0.0))
+
+
 def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport:
     """Recompute a run's derived numbers from its persisted trace.
 
@@ -1227,15 +1331,14 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
 
     if loaded.bound_lhs is not None and stored.get("mu_emp") is not None:
         rhs = timevarying_series(inputs("empirical"), loaded.steps - 1).total
-        errors["recompute-bound-rhs"] = float(np.abs(rhs - loaded.bound_rhs_emp).max())
+        errors["recompute-bound-rhs"] = _column_error(rhs, loaded.bound_rhs_emp)
         errors["bound-terms-sum"] = float(
             np.abs(loaded.bound_terms.sum(axis=1) - loaded.bound_rhs_emp).max()
         )
-    # A NaN column means no worst-case series was evaluated; an infinite
-    # one overflowed and has nothing to compare.
-    if loaded.bound_rhs_wc is not None and np.isfinite(loaded.bound_rhs_wc).all():
+    # An all-NaN column means no worst-case series was evaluated.
+    if loaded.bound_rhs_wc is not None and not np.isnan(loaded.bound_rhs_wc).all():
         rhs = timevarying_series(inputs("worst-case"), loaded.steps - 1).total
-        errors["recompute-bound-rhs-wc"] = float(np.abs(rhs - loaded.bound_rhs_wc).max())
+        errors["recompute-bound-rhs-wc"] = _column_error(rhs, loaded.bound_rhs_wc)
     if schedule.kind == "fixed":
         for label, name in (("empirical", "recompute-bound-fixed"),
                             ("worst-case", "recompute-bound-fixed-wc")):
@@ -1253,6 +1356,8 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         kind="report", n=loaded.n, d=loaded.d, steps=loaded.steps,
         graph_kind=str(stored.get("graph_kind", "")),
         schedule_kind=str(stored.get("schedule_kind", "")),
+        connectivity_window=stored.get("connectivity_window"),
+        beta=stored.get("beta"),
         final_gap=float(loaded.running_gap[-1]),
         final_consensus=float(loaded.consensus[-1]),
         checks=checks,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "l1_objective",
     "hinge_objective",
     "zero_objective",
-    "grid_minimize",
     "stepsize",
     "stepsize_array",
     "validate_schedule",
@@ -208,7 +207,8 @@ class ObjectiveSpec:
     ``g_bound`` upper-bounds every agent's subgradient norm on the box
     [box_lo, box_hi]; ``z_star`` and ``f_star`` are a certified minimizer
     and minimum value, with ``optimum_provenance`` recording how they
-    were obtained ("analytic-mean", "analytic-median", "grid", or "zero").
+    were obtained ("analytic-mean", "analytic-median", "exact-vertex", or
+    "zero").
     """
 
     kind: str
@@ -259,13 +259,14 @@ class ObjectiveSpec:
         return tuple(ZeroTerm(self.d) for _ in range(self.n))
 
     def _margins(self, zs: np.ndarray) -> np.ndarray:
-        """Hinge margins 1 - label_i * normal_i . zs[i]; zs has shape (n, d)
-        or (1, d).
+        """Hinge margins 1 - label_i * normal_i . z_i for every agent i; zs
+        has shape (..., n, d) or (..., 1, d).
 
-        The stacked product takes one dot product per agent, which rounds
-        exactly like ``normal_i @ zs[i]`` (``normals @ z`` would not).
+        The stacked product takes one dot product per agent and point,
+        which rounds exactly like ``normal_i @ z`` (``normals @ z`` would
+        not).
         """
-        dots = (self.normals[:, None, :] @ zs[:, :, None])[:, 0, 0]
+        dots = (self.normals[:, None, :] @ zs[..., :, None])[..., 0, 0]
         return 1.0 - self.labels * dots
 
     def _agent_values(self, zs: np.ndarray) -> np.ndarray:
@@ -278,24 +279,33 @@ class ObjectiveSpec:
             return np.maximum(0.0, self._margins(zs))
         return np.zeros(zs.shape[:-1])
 
+    def _mean_over_agents(self, rows: np.ndarray) -> np.ndarray:
+        """Row means of per-agent values (m, n) -> (m,), adding the agents
+        in order (ndarray.sum would pair them up)."""
+        total = np.zeros(rows.shape[0])
+        for r in rows.T:
+            total += r
+        return total / self.n
+
+    def _point_values(self, zs: np.ndarray) -> np.ndarray:
+        """f at each row of zs, shape (m, d) -> (m,); row k is bitwise
+        ``value(zs[k])``."""
+        return self._mean_over_agents(self._agent_values(zs[:, None, :]))
+
     def value(self, z: np.ndarray) -> float:
-        rows = self._agent_values(np.asarray(z, dtype=float)[None, :])
-        # Python's sum adds the agents in order; ndarray.sum would pair them up.
-        return sum(rows.tolist()) / self.n
+        return float(self._point_values(np.asarray(z, dtype=float)[None, :])[0])
 
     def value_batch(self, zs: np.ndarray) -> np.ndarray:
         """f at each row of zs, shape (m, d) -> (m,)."""
         zs = np.asarray(zs, dtype=float)
-        if self.kind == "hinge":
-            # zs @ normal is a matrix-vector product; no stacked form
-            # rounds like it, so the hinge rows are taken one agent at a time.
-            rows = [np.maximum(0.0, 1.0 - b * (zs @ w)) for w, b in zip(self.normals, self.labels)]
-        else:
-            rows = self._agent_values(zs[:, None, :]).T
-        total = np.zeros(zs.shape[0])
-        for r in rows:
-            total += r
-        return total / self.n
+        if self.kind != "hinge":
+            return self._point_values(zs)
+        # zs @ normal is a matrix-vector product; no stacked form rounds
+        # like it, so the hinge columns are taken one agent at a time.
+        return self._mean_over_agents(np.stack(
+            [np.maximum(0.0, 1.0 - b * (zs @ w)) for w, b in zip(self.normals, self.labels)],
+            axis=1,
+        ))
 
     def agent_subgradients(self, zs: np.ndarray) -> np.ndarray:
         """Stack g_i = subgradient of f_i at z_i; zs has shape (n, d)."""
@@ -394,62 +404,72 @@ def hinge_objective(
     box: tuple[np.ndarray, np.ndarray],
     g_bound: float | None = None,
 ) -> ObjectiveSpec:
-    """Per-agent hinge losses; the optimum is certified by a grid search
-    over the (mandatory) box, so only d <= 2 is supported."""
+    """Per-agent hinge losses on a (mandatory) box, for d <= 2.
+
+    The objective is convex and piecewise linear: linear on every cell of
+    the arrangement of the kink lines label_i * normal_i . z = 1 and the
+    box faces.  Its minimum over the box is therefore attained at a vertex
+    of that arrangement, and the certified optimum is the best vertex, the
+    lexicographically smallest one among equal values.
+    """
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     n, d = normals.shape
     labels = np.array([float(b) for b in labels])
     if labels.shape != (n,):
         raise ValueError("need one label per normal")
+    if d > 2:
+        raise ValueError(f"the exact hinge optimum covers d <= 2, got d={d}")
     spec = _uncertified("hinge", n, d, box, g_bound, normals=normals, labels=labels)
-    z_star, f_star = grid_minimize(spec.value_batch, spec.box_lo, spec.box_hi)
-    return replace(spec, z_star=z_star, f_star=f_star, optimum_provenance="grid")
+    vertices = _hinge_vertices(normals, labels, spec.box_lo, spec.box_hi)
+    # Rounded like ``value``: the hinge ``value_batch`` is a matrix-vector
+    # product whose last bit depends on the number of rows.
+    values = spec._point_values(vertices)
+    best = np.flatnonzero(values == values.min())
+    k = best[np.lexsort(vertices[best].T[::-1])[0]]
+    return replace(spec, z_star=vertices[k], f_star=float(values[k]), optimum_provenance="exact-vertex")
+
+
+def _hinge_vertices(
+    normals: np.ndarray, labels: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Every vertex inside [lo, hi] of the arrangement of the box faces
+    and the hinge kinks normal_i . z = label_i (where label_i normal_i . z
+    = 1, as labels are +-1), shape (m, d) with d <= 2.
+
+    A vertex on a box face takes that face's coordinate exactly; only the
+    other coordinate is solved for, so no rounding moves it off the box.
+    """
+
+    def inside(zs: np.ndarray) -> np.ndarray:
+        return zs[((zs >= lo) & (zs <= hi)).all(axis=1)]
+
+    if normals.shape[1] == 1:
+        w = normals[:, 0]
+        kinks = labels[w != 0.0] / w[w != 0.0]
+        return inside(np.concatenate([lo, hi, kinks])[:, None])
+    p, q = normals[:, 0], normals[:, 1]
+    corners = np.array([[x, y] for x in (lo[0], hi[0]) for y in (lo[1], hi[1])])
+    on_faces = [corners]
+    for v in (lo[0], hi[0]):  # vertical faces z_1 = v
+        k = q != 0.0
+        on_faces.append(np.column_stack([np.full(k.sum(), v), (labels[k] - p[k] * v) / q[k]]))
+    for v in (lo[1], hi[1]):  # horizontal faces z_2 = v
+        k = p != 0.0
+        on_faces.append(np.column_stack([(labels[k] - q[k] * v) / p[k], np.full(k.sum(), v)]))
+    i, j = np.triu_indices(normals.shape[0], k=1)
+    det = p[i] * q[j] - q[i] * p[j]
+    i, j, det = i[det != 0.0], j[det != 0.0], det[det != 0.0]
+    crossings = np.column_stack([
+        (labels[i] * q[j] - labels[j] * q[i]) / det,
+        (p[i] * labels[j] - p[j] * labels[i]) / det,
+    ])
+    return inside(np.concatenate(on_faces + [crossings]))
 
 
 def zero_objective(n: int, d: int) -> ObjectiveSpec:
     """All terms identically zero: pure consensus with a trivial optimum."""
     spec = _uncertified("zero", n, d, (np.full(d, -np.inf), np.full(d, np.inf)), None)
     return replace(spec, z_star=np.zeros(d), f_star=0.0, optimum_provenance="zero")
-
-
-def grid_minimize(
-    fun_batch: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    points: int = 81,
-    refinements: int = 24,
-) -> tuple[np.ndarray, float]:
-    """Dense-grid minimization with repeated zoom, for d <= 2.
-
-    Each round evaluates a ``points``-per-axis grid on the current box and
-    shrinks the box to one cell around the best point; since the objective
-    families used here are Lipschitz, the value converges geometrically in
-    the number of rounds.  Returns (argmin, min value).
-    """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float)).copy()
-    hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
-    d = lo.shape[0]
-    if d > 2:
-        raise ValueError("grid oracle only supports d <= 2")
-    outer_lo, outer_hi = lo.copy(), hi.copy()
-    best_z = (lo + hi) / 2.0
-    best_f = float(fun_batch(best_z[None, :])[0])
-    for _ in range(refinements):
-        axes = [np.linspace(lo[c], hi[c], points) for c in range(d)]
-        if d == 1:
-            grid = axes[0][:, None]
-        else:
-            ga, gb = np.meshgrid(axes[0], axes[1], indexing="ij")
-            grid = np.column_stack([ga.ravel(), gb.ravel()])
-        vals = fun_batch(grid)
-        k = int(np.argmin(vals))
-        if vals[k] < best_f:
-            best_f = float(vals[k])
-            best_z = grid[k].copy()
-        cell = (hi - lo) / (points - 1)
-        lo = np.maximum(outer_lo, grid[k] - cell)
-        hi = np.minimum(outer_hi, grid[k] + cell)
-    return best_z, best_f
 
 
 def optimality_gap(objective: ObjectiveSpec, point: np.ndarray) -> float:
@@ -665,6 +685,33 @@ class RunTrace:
     smatrices: list[SMatrix] | None = None
     meta: dict = field(default_factory=dict)
 
+    def prefix(self, steps: int) -> RunTrace:
+        """The trace of this run's first ``steps`` steps, as views of its rows.
+
+        A run of that length on the same weights, start and stepsizes
+        records exactly these numbers, so this stands in for the shorter
+        run whenever alpha(t) does not depend on the run length (every
+        schedule but ``fixed``).  The state after the last step is row
+        ``steps`` of the longer run.
+        """
+        if not 1 <= steps <= self.steps:
+            raise ValueError(f"prefix length must lie in [1, {self.steps}], got {steps}")
+        if steps == self.steps:
+            return self
+        cut = slice(steps)
+        return RunTrace(
+            n=self.n, d=self.d, steps=steps, alphas=self.alphas[cut],
+            xs=self.xs[cut], ys=self.ys[cut], zs=self.zs[cut], gs=self.gs[cut],
+            zbar=self.zbar[cut], zlyap=self.zlyap[cut], consensus=self.consensus[cut],
+            running_gap=self.running_gap[cut], deviation=self.deviation[cut],
+            final_state=NetworkState(t=steps, x=self.xs[steps], y=self.ys[steps]),
+            final_zlyap=self.zlyap[steps],
+            min_y=min(1.0, *self.ys[1 : steps + 1].min(axis=1).tolist()),
+            s_product_gap=None if self.s_product_gap is None else self.s_product_gap[cut],
+            smatrices=None if self.smatrices is None else self.smatrices[cut],
+            meta=dict(self.meta),
+        )
+
 
 def run_push_subgradient(
     ws: Sequence[WeightMatrix],
@@ -690,9 +737,14 @@ def run_push_subgradient(
 
     Every step enforces the declared subgradient ceiling, box containment,
     the weight floor and the certified optimum; a failure raises
-    RunFailure naming the check, the agent and the step.  The state lives
-    in two plain arrays; sums over agents keep agent order, so every
-    number equals the one the per-agent step :func:`pushsub_step` gives.
+    RunFailure naming the check, the agent and the step, and the earliest
+    failing step is the one reported.  Only x, y and the ratios and
+    subgradients they give are sequential, so the loop computes just
+    those, the in-step checks and the companion products.  The network
+    mean, the Lyapunov average, the consensus error, the running-average
+    gap and the one-step deviation are each one expression over the
+    stored rows after the loop; each equals, bitwise, what the per-agent
+    step :func:`pushsub_step` and a per-step evaluation give.
     """
     steps = len(ws)
     if steps == 0:
@@ -714,81 +766,91 @@ def run_push_subgradient(
     ys = np.empty((steps, n))
     zs = np.empty((steps, n, d))
     gs = np.empty((steps, n, d))
-    zbar = np.empty((steps, d))
-    zlyap = np.empty((steps, d))
-    consensus = np.empty(steps)
-    running_gap = np.empty(steps)
-    deviation = np.empty(steps)
     s_product_gap = np.empty(steps) if record_products else None
     smatrices: list[SMatrix] | None = [] if record_products else None
 
     g_ceiling = objective.g_bound + 1e-9
-    avg_num = np.zeros(d)
-    avg_den = 0.0
-    min_y = 1.0
     prod = np.eye(n) if record_products else None
     limit = np.full((n, n), 1.0 / n) if record_products else None
     z = x / y[:, None]
+    recorded = 0
+    try:
+        for t in range(steps):
+            alpha = alphas[t]
+            g = objective.agent_subgradients(z)
+            norms = np.sqrt((g ** 2).sum(axis=1))
+            if (norms > g_ceiling).any():
+                k = int(norms.argmax())
+                raise RunFailure(
+                    "subgradient-ceiling", k + 1, t,
+                    f"agent {k + 1} produced a subgradient of norm {norms[k]:.6g} "
+                    f"above the declared ceiling {objective.g_bound:.6g} at t={t}",
+                )
+            inside = objective.in_box(z)
+            if not inside.all():
+                i = int(inside.argmin())
+                raise RunFailure(
+                    "box-containment", i + 1, t,
+                    f"agent {i + 1} left the declared box at t={t}: z={z[i]!r}",
+                )
+            xs[t] = x
+            ys[t] = y
+            zs[t] = z
+            gs[t] = g
+            recorded = t + 1
 
-    for t in range(steps):
-        alpha = alphas[t]
-        g = objective.agent_subgradients(z)
-        norms = np.sqrt((g ** 2).sum(axis=1))
-        if (norms > g_ceiling).any():
-            k = int(norms.argmax())
-            raise RunFailure(
-                "subgradient-ceiling", k + 1, t,
-                f"agent {k + 1} produced a subgradient of norm {norms[k]:.6g} "
-                f"above the declared ceiling {objective.g_bound:.6g} at t={t}",
-            )
-        inside = objective.in_box(z)
-        if not inside.all():
-            i = int(inside.argmin())
-            raise RunFailure(
-                "box-containment", i + 1, t,
-                f"agent {i + 1} left the declared box at t={t}: z={z[i]!r}",
-            )
+            if record_products:
+                s = build_s_matrix(ws[t], y)
+                smatrices.append(s)
+                prod = s.entries @ prod
+                s_product_gap[t] = float(np.abs(prod - limit).max())
 
-        xs[t] = x
-        ys[t] = y
-        zs[t] = z
-        gs[t] = g
-        # sum / n is exactly what mean() computes, without its call overhead.
-        zbar[t] = z.sum(axis=0) / n
-        zlyap[t] = (y / n) @ z
-        consensus[t] = float(np.sqrt(((z - zbar[t]) ** 2).sum(axis=1)).max())
-        avg_num += alpha * zbar[t]
-        avg_den += alpha
-        gap = objective.value(avg_num / avg_den) - objective.f_star
-        if gap < -GAP_NOISE_TOL:
-            raise RunFailure("certified-optimum", None, t, _beaten_message(objective, gap))
-        running_gap[t] = max(gap, 0.0)
+            w = ws[t].entries
+            # alpha == 0 is exactly a pure mixing step (see pushsub_step).
+            x = w @ (x if alpha == 0.0 else x - alpha * g)
+            y = w @ y
+            check_weight_floor(t + 1, y)
+            z = x / y[:, None]
+    except (RunFailure, ValueError):  # ValueError: build_s_matrix on underflowed weights
+        # The gap of every recorded step came before the failure.
+        _running_gap(objective, alphas[:recorded], zs[:recorded].sum(axis=1) / n)
+        raise
 
-        w = ws[t].entries
-        if record_products:
-            s = build_s_matrix(ws[t], y)
-            smatrices.append(s)
-            prod = s.entries @ prod
-            s_product_gap[t] = float(np.abs(prod - limit).max())
-
-        h = x - alpha * g
-        h_mean = h.sum(axis=0) / n
-        # alpha == 0 is exactly a pure mixing step (see pushsub_step).
-        x = w @ (x if alpha == 0.0 else h)
-        y = w @ y
-        min_y = min(min_y, float(y.min()))
-        check_weight_floor(t + 1, y)
-        z = x / y[:, None]
-        deviation[t] = float(np.sqrt(((z - h_mean) ** 2).sum(axis=1)).max())
+    # sum / n is exactly what mean() computes; each row reduces like the
+    # one-step expression it replaces.
+    zbar = zs.sum(axis=1) / n
+    running_gap = _running_gap(objective, alphas, zbar)
+    zlyap = ((ys / n)[:, None, :] @ zs)[:, 0, :]
+    consensus = np.sqrt(((zs - zbar[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
+    h_mean = (xs - alphas[:, None, None] * gs).sum(axis=1) / n
+    z_next = np.concatenate([zs[1:], z[None]])
+    deviation = np.sqrt(((z_next - h_mean[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
 
     return RunTrace(
         n=n, d=d, steps=steps, alphas=alphas,
         xs=xs, ys=ys, zs=zs, gs=gs, zbar=zbar, zlyap=zlyap,
         consensus=consensus, running_gap=running_gap, deviation=deviation,
         final_state=NetworkState(t=steps, x=x, y=y), final_zlyap=(y / n) @ z,
-        min_y=min_y, s_product_gap=s_product_gap, smatrices=smatrices,
+        min_y=min(1.0, *ys[1:].min(axis=1).tolist(), float(y.min())),
+        s_product_gap=s_product_gap, smatrices=smatrices,
         meta=dict(meta or {}),
     )
+
+
+def _running_gap(objective: ObjectiveSpec, alphas: np.ndarray, zbar: np.ndarray) -> np.ndarray:
+    """f(running average of zbar up to t) - f* for every t, clipped at 0
+    like optimality_gap; a gap below -1e-12 raises RunFailure at the
+    first such t.
+
+    The sequential cumulative sums round like a running ``+=``.
+    """
+    avgs = np.cumsum(alphas[:, None] * zbar, axis=0) / np.cumsum(alphas)[:, None]
+    gaps = objective._point_values(avgs) - objective.f_star
+    beaten = np.flatnonzero(gaps < -GAP_NOISE_TOL)
+    if beaten.size:
+        t = int(beaten[0])
+        raise RunFailure("certified-optimum", None, t, _beaten_message(objective, gaps[t]))
+    return np.maximum(gaps, 0.0)
 
 
 def weighted_running_average(

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pushsim.harness
+from pushsim.bounds import fit_rate
 from pushsim.cli import main
-from pushsim.graphs import digraph, format_graph_sequence, generate_sequence
+from pushsim.graphs import GraphSequence, digraph, format_graph_sequence, generate_sequence
 from pushsim.harness import (
     BoundsConfig,
     ConfigError,
@@ -18,6 +20,7 @@ from pushsim.harness import (
     InitConfig,
     ObjectiveConfig,
     ScheduleConfig,
+    SummaryReport,
     SweepConfig,
     ValidationFailure,
     WeightConfig,
@@ -30,7 +33,9 @@ from pushsim.harness import (
     run_experiment,
     sweep_experiment,
     verify_experiment,
+    write_report,
 )
+from pushsim.pushsum import RunFailure
 from pushsim.svgplot import Series, line_chart
 from pushsim.weights import build_weights, format_matrix
 
@@ -570,6 +575,170 @@ def test_sweep_needs_three_horizons():
 
 
 # --------------------------------------------------------------------------
+# the one-run sweep against the per-horizon loop it replaced
+# --------------------------------------------------------------------------
+
+def reference_sweep(cfg, out):
+    """One full ``run_experiment`` per horizon, in ascending order."""
+    points, all_checks = [], []
+    for T in sorted(cfg.sweep.horizons):
+        sub = dataclasses.replace(
+            cfg,
+            graph=dataclasses.replace(cfg.graph, horizon=T),
+            schedule=(
+                dataclasses.replace(cfg.schedule, t_fixed=T)
+                if cfg.schedule.kind == "fixed" else cfg.schedule
+            ),
+            bounds=BoundsConfig(evaluate=False, agents=False, envelope=False),
+        )
+        try:
+            res = run_experiment(sub, out_dir=None, record_products=False)
+        except RunFailure as exc:
+            raise RunFailure(f"T={T}:{exc.check}", exc.agent, exc.t, f"T={T}: {exc}") from exc
+        points.append((T, float(res.trace.running_gap[-1])))
+        all_checks += [dataclasses.replace(c, name=f"T={T}:{c.name}") for c in res.summary.checks]
+    fit = fit_rate(points)
+    summary = SummaryReport(
+        kind="sweep", n=cfg.graph.n, d=cfg.objective.d, steps=max(cfg.sweep.horizons),
+        graph_kind=cfg.graph.kind, schedule_kind=cfg.schedule.kind,
+        sweep_points=points,
+        sweep_slope=None if fit.exact else fit.slope,
+        sweep_r2=None if fit.exact else fit.r2,
+        sweep_exact=fit.exact,
+        checks=all_checks,
+        passed=all(c.passed for c in all_checks),
+    )
+    out.mkdir(parents=True)
+    rows = ["T,gap"] + [f"{T},{g:.17g}" for (T, g) in points]
+    (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_report(summary, out)
+
+
+def graph_file(tmp_path, graphs):
+    seq = GraphSequence(n=graphs[0].n, horizon=len(graphs), kind="file", seed=0, graphs=graphs)
+    path = tmp_path / "graphs.txt"
+    path.write_text(format_graph_sequence(seq))
+    return str(path)
+
+
+RING3 = [(0, 1), (1, 2), (2, 0)]
+HORIZONS = SweepConfig(horizons=(40, 100, 250))
+
+
+def ring3_with_weights(tmp_path, schedule, extra_arc_from=None):
+    """A 3-ring from a graph file with the ring's weights from a weights
+    file; from step ``extra_arc_from`` on an arc 1>3 the weights do not
+    carry; a quadratic pull toward 10 that leaves the box [-8, 8] at a
+    step set by the stepsize scale."""
+    graphs = [digraph(3, RING3)] * 300
+    if extra_arc_from is not None:
+        graphs[extra_arc_from:] = [digraph(3, RING3 + [(0, 2)])] * (300 - extra_arc_from)
+    wfile = tmp_path / "weights.txt"
+    wfile.write_text(format_matrix(build_weights(digraph(3, RING3)).entries))
+    return base_config(
+        graph=GraphConfig(kind="file", n=3, horizon=300, file=graph_file(tmp_path, graphs)),
+        weights=WeightConfig(rule="file", file=str(wfile)),
+        objective=ObjectiveConfig(kind="quadratic", d=1, targets=((9.0,), (10.0,), (11.0,)),
+                                  box_lo=(-8.0,), box_hi=(8.0,), g_bound=40.0),
+        schedule=schedule, sweep=HORIZONS,
+    )
+
+
+QUAD2D = ObjectiveConfig(kind="quadratic", d=2,
+                         targets=((0.0, 1.0), (1.0, -2.0), (2.0, 0.5), (5.0, 3.0)))
+# (config factory, expected outcome: None for a passing sweep, else the
+# exception type and a piece of its message)
+SWEEP_CASES = {
+    "harmonic": (lambda tmp: base_config(sweep=HORIZONS), None),
+    "polynomial-2d": (lambda tmp: base_config(
+        objective=QUAD2D, schedule=ScheduleConfig(kind="polynomial", a=0.5, p=0.75),
+        sweep=HORIZONS), None),
+    "fixed": (lambda tmp: base_config(
+        schedule=ScheduleConfig(kind="fixed", t_fixed=150), sweep=HORIZONS), None),
+    "unsorted-duplicates": (lambda tmp: base_config(
+        sweep=SweepConfig(horizons=(100, 40, 100, 250))), None),
+    "file-graph": (lambda tmp: base_config(
+        graph=GraphConfig(kind="file", n=4, horizon=300, file=graph_file(
+            tmp, generate_sequence("random-walkable", 4, 300, 5, arc_prob=0.3).graphs)),
+        sweep=HORIZONS), None),
+    "file-weights": (lambda tmp: ring3_with_weights(
+        tmp, ScheduleConfig(kind="polynomial", a=0.05, p=0.75)), None),
+    "file-too-short": (lambda tmp: base_config(
+        graph=GraphConfig(kind="file", n=4, horizon=200, file=graph_file(
+            tmp, generate_sequence("random-walkable", 4, 200, 5, arc_prob=0.3).graphs)),
+        sweep=HORIZONS), (ConfigError, "horizon>=250")),
+    "no-window-in-prefix": (lambda tmp: base_config(
+        graph=GraphConfig(kind="file", n=3, horizon=300, file=graph_file(
+            tmp, [digraph(3)] * 60 + [digraph(3, RING3)] * 240)),
+        objective=ObjectiveConfig(kind="l1", d=1, targets=((0.0,), (1.0,), (2.0,))),
+        sweep=HORIZONS), (ValidationFailure, "40-step horizon")),
+    "run-failure-mid-horizon": (lambda tmp: base_config(
+        objective=ObjectiveConfig(kind="quadratic", d=1,
+                                  targets=((9.0,), (10.0,), (11.0,), (10.0,)),
+                                  box_lo=(-8.0,), box_hi=(8.0,), g_bound=40.0),
+        schedule=ScheduleConfig(kind="polynomial", a=0.1, p=0.75),
+        graph=GraphConfig(kind="random-walkable", n=4, horizon=300, seed=7),
+        sweep=HORIZONS), (RunFailure, "T=100: agent 2 left the declared box at t=63")),
+    # the run leaves the box at t=28, before the weights break at step 70
+    "run-failure-before-weight-violation": (lambda tmp: ring3_with_weights(
+        tmp, ScheduleConfig(kind="polynomial", a=0.14, p=0.75), extra_arc_from=70),
+        (RunFailure, "T=40: agent")),
+    # the run would leave the box at t=57, but horizon 100 fails
+    # certification first
+    "weight-violation-before-run-failure": (lambda tmp: ring3_with_weights(
+        tmp, ScheduleConfig(kind="polynomial", a=0.11, p=0.75), extra_arc_from=70),
+        (ValidationFailure, "step 70: arc 1>3 carries no weight")),
+}
+
+
+def sweep_outcome(sweep, cfg, out):
+    try:
+        sweep(cfg, out)
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        return exc
+    return {name: (out / name).read_bytes() for name in ("sweep.csv", "report.json", "report.txt")}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_sweep_matches_the_per_horizon_loop(tmp_path, case):
+    make, expected = SWEEP_CASES[case]
+    cfg = make(tmp_path)
+    got = sweep_outcome(lambda c, out: sweep_experiment(c, out_dir=out), cfg, tmp_path / "got")
+    want = sweep_outcome(reference_sweep, cfg, tmp_path / "want")
+    if expected is None:
+        assert isinstance(want, dict), repr(want)
+        assert got == want
+        return
+    kind, text = expected
+    assert type(want) is kind and text in str(want), repr(want)
+    assert type(got) is kind and str(got) == str(want)
+    if kind is RunFailure:
+        assert (got.check, got.agent, got.t) == (want.check, want.agent, want.t)
+
+
+@pytest.mark.parametrize("schedule,runs", [
+    (ScheduleConfig(kind="harmonic"), [250]),
+    (ScheduleConfig(kind="fixed", t_fixed=150), [40, 100, 250]),
+])
+def test_sweep_generates_once_and_runs_once_per_distinct_stepsize(monkeypatch, schedule, runs):
+    calls = {"generate": [], "run": []}
+    generate, run = pushsim.harness.generate_sequence, pushsim.harness.run_push_subgradient
+
+    def counted_generate(kind, n, horizon, *args, **kwargs):
+        calls["generate"].append(horizon)
+        return generate(kind, n, horizon, *args, **kwargs)
+
+    def counted_run(ws, *args, **kwargs):
+        calls["run"].append(len(ws))
+        return run(ws, *args, **kwargs)
+
+    monkeypatch.setattr(pushsim.harness, "generate_sequence", counted_generate)
+    monkeypatch.setattr(pushsim.harness, "run_push_subgradient", counted_run)
+    sweep_experiment(base_config(schedule=schedule, sweep=HORIZONS))
+    assert calls == {"generate": [250], "run": runs}
+
+
+# --------------------------------------------------------------------------
 # command line
 # --------------------------------------------------------------------------
 
@@ -589,24 +758,66 @@ def test_cli_simulate_and_report(tmp_path, capsys):
     assert main(["verify", "--config", cfgp]) == 0
 
 
-def test_cli_infinite_worst_case_bound_still_charts(tmp_path):
-    # eta = 12^(-12 L) is tiny but positive, so the worst-case memory
-    # terms overflow to inf: a valid, vacuous certificate
-    cfg = ExperimentConfig(
-        graph=GraphConfig(kind="rotating-arc", n=12, horizon=400),
-        objective=ObjectiveConfig(
-            kind="l1", d=1, targets=tuple((float(k),) for k in range(12)),
-        ),
-        schedule=ScheduleConfig(kind="harmonic"),
-        init=InitConfig(mode="random", seed=2),
-    )
-    cfgp = write_cfg(tmp_path, cfg)
+# eta = 12^(-12 L) is tiny but positive, so the worst-case memory terms
+# overflow to inf: a valid, vacuous certificate
+ROTATING_ARC_L1 = ExperimentConfig(
+    graph=GraphConfig(kind="rotating-arc", n=12, horizon=400),
+    objective=ObjectiveConfig(
+        kind="l1", d=1, targets=tuple((float(k),) for k in range(12)),
+    ),
+    schedule=ScheduleConfig(kind="harmonic"),
+    init=InitConfig(mode="random", seed=2),
+)
+
+
+def test_cli_infinite_worst_case_bound_still_charts(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, ROTATING_ARC_L1)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+    capsys.readouterr()
     assert main(["report", "--config", cfgp, "--out", str(out)]) == 0
+    shown = capsys.readouterr().out
+    assert "check recompute-bound-rhs-wc: PASS" in shown
     wc = import_trace(out / "trace.csv").bound_rhs_wc
     assert np.isfinite(wc[0]) and np.isinf(wc[1:]).all()
     ET.parse(out / "bounds.svg")
+
+
+@pytest.mark.parametrize("row,edit", [
+    (1, lambda v: v * (1 + 1e-9)),  # the one finite entry
+    (6, lambda v: 1e300),  # an overflowed entry made finite
+])
+def test_report_from_dir_compares_an_overflowing_worst_case_column(tmp_path, row, edit):
+    out = tmp_path / "run"
+    run_experiment(ROTATING_ARC_L1, out_dir=out)
+    checks = {c.name: c for c in report_from_dir(ROTATING_ARC_L1, out).checks}
+    assert checks["recompute-bound-rhs-wc"].passed
+    assert checks["recompute-bound-rhs-wc"].value <= 1e-12
+    broken = tmp_path / "broken"
+    copy_run(out, broken)
+    rows = (broken / "trace.csv").read_text().splitlines()
+    col = rows[0].split(",").index("bound_rhs_wc")
+    cells = rows[row].split(",")
+    cells[col] = repr(edit(float(cells[col])))
+    rows[row] = ",".join(cells)
+    (broken / "trace.csv").write_text("\n".join(rows) + "\n")
+    bad = {c.name for c in report_from_dir(ROTATING_ARC_L1, broken).checks if not c.passed}
+    assert bad == {"recompute-bound-rhs-wc"}
+
+
+def test_cli_report_header_names_the_window_and_beta(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+    stored = json.loads((out / "report.json").read_text())
+    capsys.readouterr()
+    assert main(["report", "--config", cfgp, "--out", str(out)]) == 0
+    header = capsys.readouterr().out.splitlines()[1]
+    assert header == (
+        f"graph=random-walkable schedule=harmonic "
+        f"window={stored['connectivity_window']} beta={stored['beta']}"
+    )
+    assert stored["connectivity_window"] is not None and stored["beta"] is not None
 
 
 def test_cli_seed_override_changes_the_run(tmp_path):

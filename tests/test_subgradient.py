@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -22,7 +23,6 @@ from pushsim.subgradient import (
     QuadraticTerm,
     StepsizeSchedule,
     ZeroTerm,
-    grid_minimize,
     hinge_objective,
     l1_objective,
     optimality_gap,
@@ -149,33 +149,76 @@ class ObjectiveSpecBeaten:
         return self._inner.value(z)
 
 
-def test_grid_oracle_agrees_with_analytic_mean():
-    targets = np.array([[0.3, -1.0], [2.0, 0.5], [-0.5, 2.5]])
-    obj = quadratic_objective(targets)
-
-    def batch(zs):
-        return obj.value_batch(zs)
-
-    z_hat, f_hat = grid_minimize(batch, obj.box_lo, obj.box_hi)
-    assert np.abs(z_hat - targets.mean(axis=0)).max() <= 1e-6
-    assert abs(f_hat - obj.f_star) <= 1e-9
-
-
-def test_grid_oracle_rejects_high_dimension():
-    with pytest.raises(ValueError, match="d <= 2"):
-        grid_minimize(lambda zs: zs.sum(axis=1), np.zeros(3), np.ones(3))
-
-
-def test_hinge_objective_grid_certificate():
+def test_hinge_objective_exact_certificate():
     # one agent wants z1 >= 1, the other wants z2 <= -1: both satisfiable
     obj = hinge_objective(
         np.array([[1.0, 0.0], [0.0, 1.0]]), [1.0, -1.0],
         (np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
     )
-    assert obj.f_star <= 1e-9
+    assert obj.f_star == 0.0
+    # the minimizers fill [1, 3] x [-3, -1]; the certificate names the
+    # lexicographically smallest vertex
+    assert obj.z_star.tolist() == [1.0, -3.0]
     assert obj.value(np.array([2.0, -2.0])) == 0.0
-    assert obj.optimum_provenance == "grid"
+    assert obj.optimum_provenance == "exact-vertex"
     assert obj.g_bound == pytest.approx(1.0)  # max row norm
+
+
+def test_hinge_optimum_on_an_elongated_valley():
+    # A grid search that zooms around its best point reported 0.7779059829
+    # at (0.33256, -0.66628) here; the minimum is 7/9 at (1/3, -2/3).
+    obj = hinge_objective(
+        np.array([[1.0, 2.0], [0.0, 2.0], [-1.0, 1.0]]), [-1.0, 1.0, -1.0],
+        (np.full(2, -4.0), np.full(2, 4.0)),
+    )
+    assert abs(obj.f_star - 7.0 / 9.0) <= 1e-15
+    assert np.abs(obj.z_star - [1.0 / 3.0, -2.0 / 3.0]).max() <= 1e-15
+
+
+def test_hinge_optimum_ties_take_the_lexicographically_smallest_vertex():
+    # f* = 0 on the triangle (2,-1), (4,-1), (4,-3)
+    obj = hinge_objective(
+        np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), [1.0, -1.0, 1.0],
+        (np.full(2, -4.0), np.full(2, 4.0)),
+    )
+    assert obj.f_star == 0.0 and obj.z_star.tolist() == [2.0, -1.0]
+
+
+def test_hinge_optimum_in_one_dimension():
+    # breakpoints at 1, -1/2 and -2; f(-1/2) = (1.5 + 0 + 0.75) / 3
+    obj = hinge_objective(np.array([[1.0], [-2.0], [0.5]]), [1.0, 1.0, -1.0],
+                          (np.array([-4.0]), np.array([4.0])))
+    assert obj.z_star.tolist() == [-0.5] and obj.f_star == 0.75
+
+
+def test_hinge_objective_rejects_high_dimension():
+    with pytest.raises(ValueError, match="d <= 2"):
+        hinge_objective(np.ones((2, 3)), [1.0, -1.0], (-np.ones(3), np.ones(3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    d=st.integers(1, 2),
+    integral=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_exact_hinge_optimum_is_never_beaten(n, d, integral, seed):
+    # integral normals make parallel kinks and exact ties likely
+    rng = np.random.default_rng(seed)
+    if integral:
+        normals = rng.integers(-2, 3, (n, d)).astype(float)
+    else:
+        normals = rng.uniform(-2, 2, (n, d))
+    labels = rng.choice([-1.0, 1.0], n)
+    lo, hi = rng.uniform(-5, -0.5, d), rng.uniform(0.5, 5, d)
+    obj = hinge_objective(normals, labels, (lo, hi))
+    assert obj.contains(obj.z_star, slack=0.0)
+    assert obj.f_star == obj.value(obj.z_star)
+    axes = [np.linspace(lo[c], hi[c], 201 if d == 2 else 4001) for c in range(d)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    sample = np.vstack([grid, rng.uniform(lo, hi, (4000, d))])
+    assert obj.value_batch(sample).min() >= obj.f_star - 1e-12
 
 
 def test_zero_objective_is_free():
@@ -363,6 +406,14 @@ def test_run_rejects_empty_and_mismatched_input():
 # the array loop against the per-agent loop it replaced
 # --------------------------------------------------------------------------
 
+def in_order_sum(values):
+    """Left-to-right float sum (Python 3.12's sum() compensates)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_run(ws, x0, objective, schedule, record_products):
     """The per-agent run loop: each agent's term is called on its own
     through the ``terms`` views, and every step builds a fresh state."""
@@ -372,7 +423,7 @@ def reference_run(ws, x0, objective, schedule, record_products):
         return np.stack([subgradient(term, z[i]) for i, term in enumerate(terms)])
 
     def value(p):
-        return sum(term.value(p) for term in terms) / len(terms)
+        return in_order_sum(term.value(p) for term in terms) / len(terms)
 
     def contains(p, slack=1e-9):
         return bool((p >= objective.box_lo - slack).all() and (p <= objective.box_hi + slack).all())
@@ -486,7 +537,12 @@ def test_array_loop_matches_per_agent_reference(kind, n, d, sched, record, steps
         "fixed": StepsizeSchedule.fixed_horizon(steps),
     }[sched]
     ws = build_weight_stack(generate_sequence("random-walkable", n, steps, seed, arc_prob=0.3))
+    assert_matches_reference(ws, x0, objective, schedule, record)
 
+
+def assert_matches_reference(ws, x0, objective, schedule, record):
+    """Run the array loop and the per-agent loop; they must record the
+    same bits or stop with the same failure, which is returned."""
     got, got_exc = outcome(lambda: run_push_subgradient(ws, x0, objective, schedule, record_products=record))
     want, want_exc = outcome(lambda: reference_run(ws, x0, objective, schedule, record))
     if want_exc is not None:
@@ -495,7 +551,7 @@ def test_array_loop_matches_per_agent_reference(kind, n, d, sched, record, steps
         where = re.match(r"agent (\d+) .* at t=(\d+)", str(want_exc))
         if where:  # ceiling and box failures name the agent and the step
             assert (got_exc.agent, got_exc.t) == (int(where[1]), int(where[2]))
-        return
+        return got_exc
     assert got_exc is None, repr(got_exc)
     arrays, state, min_y, smatrices = want
     for name, value in arrays.items():
@@ -503,7 +559,7 @@ def test_array_loop_matches_per_agent_reference(kind, n, d, sched, record, steps
             assert getattr(got, name) is None, name
         else:
             assert_same_bits(getattr(got, name), value, name)
-    assert got.final_state.t == state.t == steps
+    assert got.final_state.t == state.t == len(ws)
     assert_same_bits(got.final_state.x, state.x, "final x")
     assert_same_bits(got.final_state.y, state.y, "final y")
     assert got.min_y == min_y
@@ -514,6 +570,59 @@ def test_array_loop_matches_per_agent_reference(kind, n, d, sched, record, steps
             assert a.gamma == b.gamma
     else:
         assert got.smatrices is None
+    return None
+
+
+# Six agents in the plane, 120 steps; the quadratic pull toward (10, 10)
+# crosses z = 8 at t=54 and the running-average gap falls all the way.
+PIN_WS = build_weight_stack(generate_sequence("random-walkable", 6, 120, 4, arc_prob=0.3))
+PIN_X0 = np.random.default_rng(11).uniform(-3, 3, (6, 2))
+PIN_SCHEDULE = StepsizeSchedule.polynomial(0.1, 0.75)
+
+
+def pin_objective(kind):
+    rng = np.random.default_rng(12)
+    if kind == "hinge":
+        return hinge_objective(rng.uniform(-2, 2, (6, 2)), rng.choice([-1.0, 1.0], 6),
+                               (np.full(2, -6.0), np.full(2, 6.0)))
+    return quadratic_objective(rng.uniform(9, 11, (6, 2)),
+                               box=(np.full(2, -20.0), np.full(2, 20.0)), g_bound=80.0)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("kind", ["quadratic", "hinge"])
+def test_thin_step_matches_the_per_step_loop_in_two_dimensions(kind, record):
+    assert assert_matches_reference(PIN_WS, PIN_X0, pin_objective(kind), PIN_SCHEDULE, record) is None
+
+
+@pytest.mark.parametrize("case,check,t", [
+    ("optimum", "certified-optimum", None),
+    ("box", "box-containment", 54),
+    ("ceiling", "subgradient-ceiling", 0),
+    ("optimum-before-box", "certified-optimum", None),
+    ("box-before-optimum", "box-containment", 54),
+])
+@pytest.mark.parametrize("record", [False, True])
+def test_thin_step_stops_at_the_first_failing_step(case, check, t, record):
+    objective = pin_objective("quadratic")
+    gaps = run_push_subgradient(PIN_WS, PIN_X0, objective, PIN_SCHEDULE, record_products=False).running_gap
+    changes = {}
+    if case.startswith("optimum"):  # an f* that the average beats mid-run
+        changes["f_star"] = objective.f_star + gaps[20]
+    if "box" in case:
+        changes["box_hi"] = np.full(2, 8.0)
+    if case == "box-before-optimum":  # the average would beat this f* only after t=80
+        changes["f_star"] = objective.f_star + gaps[80]
+    if case == "ceiling":
+        changes["g_bound"] = 10.0
+    failure = assert_matches_reference(
+        PIN_WS, PIN_X0, dataclasses.replace(objective, **changes), PIN_SCHEDULE, record,
+    )
+    assert failure is not None and failure.check == check
+    if t is None:
+        assert failure.agent is None and 0 < failure.t < 54
+    else:
+        assert failure.t == t
 
 
 @settings(max_examples=80, deadline=None)
@@ -526,7 +635,7 @@ def test_array_loop_matches_per_agent_reference(kind, n, d, sched, record, steps
 )
 def test_array_objective_matches_its_term_views(kind, n, d, m, seed):
     if kind == "hinge":
-        d = min(d, 2)  # the grid certificate covers d <= 2
+        d = min(d, 2)  # the exact certificate covers d <= 2
     rng = np.random.default_rng(seed)
     objective, _ = random_objective(kind, n, d, rng, None)
     terms = objective.terms
@@ -537,7 +646,7 @@ def test_array_objective_matches_its_term_views(kind, n, d, m, seed):
         per_agent += term.value_batch(zs)
     assert_same_bits(objective.value_batch(zs), per_agent / n, "value_batch")
     for z in zs[:3]:
-        assert objective.value(z) == sum(term.value(z) for term in terms) / n
+        assert objective.value(z) == in_order_sum(term.value(z) for term in terms) / n
     at = rng.uniform(-8, 8, (n, d))
     want = np.stack([subgradient(term, at[i]) for i, term in enumerate(terms)])
     assert_same_bits(objective.agent_subgradients(at), want, "subgradients")
