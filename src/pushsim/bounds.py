@@ -89,7 +89,6 @@ class BoundInputs:
     g0: np.ndarray
     alphas: np.ndarray
     schedule: StepsizeSchedule | None = None
-    constants_from: str = "empirical"
     log_mu: float = field(default=None)  # type: ignore[assignment]
     one_minus_mu: float = field(default=None)  # type: ignore[assignment]
     decay_ok: bool = field(default=None)  # type: ignore[assignment]
@@ -359,7 +358,6 @@ class BoundReport:
     """A certificate series lined up against what the run actually did."""
 
     label: str
-    constants_from: str
     ts: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray

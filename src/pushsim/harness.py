@@ -20,7 +20,7 @@ import math
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -42,14 +42,16 @@ from .graphs import (
 )
 from .pushsum import AbsProbSeq, RunFailure, product_identity_residuals, theory_constants
 from .subgradient import (
-    GAP_NOISE_TOL,
     ObjectiveSpec,
     RunTrace,
     StepsizeSchedule,
+    certified_gaps,
     hinge_objective,
     l1_objective,
+    mean_and_consensus,
     quadratic_objective,
     run_push_subgradient,
+    running_average_gaps,
     validate_schedule,
     zero_objective,
 )
@@ -385,6 +387,11 @@ class CheckResult:
     note: str = ""
 
 
+def _residual_check(name: str, value: float, tol: float) -> CheckResult:
+    """The check that a residual stays within its tolerance."""
+    return CheckResult(name, value <= tol, value=value, threshold=tol)
+
+
 @dataclass
 class SummaryReport:
     """Condensed outcome of a run, verification or sweep.
@@ -491,28 +498,31 @@ def failure_summary(cfg: ExperimentConfig, kind: str, failure: RunFailure) -> Su
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    sequence: GraphSequence
-    ws: list[WeightMatrix]
     objective: ObjectiveSpec | None
     trace: RunTrace | None
     summary: SummaryReport
     gap_reports: list[BoundReport] = field(default_factory=list)
     envelope_reports: list[BoundReport] = field(default_factory=list)
 
+    @property
+    def reports(self) -> dict[str, BoundReport]:
+        """Every bound report of the run by its label."""
+        return {r.label: r for r in self.gap_reports + self.envelope_reports}
+
 
 # --------------------------------------------------------------------------
 # materialization helpers
 # --------------------------------------------------------------------------
 
-def _materialize_graphs(gcfg: GraphConfig) -> GraphSequence:
-    return _horizon_prefix(_graph_source(gcfg), gcfg)
-
-
 def _graph_source(gcfg: GraphConfig) -> GraphSequence:
     """The configured graph sequence before its horizon is checked: a
-    file's whole sequence, or ``gcfg.horizon`` generated steps."""
+    file's whole sequence, or ``gcfg.horizon`` generated steps.  A graph
+    file that does not parse is a config error."""
     if gcfg.kind == "file":
-        return parse_graph_sequence(Path(gcfg.file).read_text(encoding="utf-8"))
+        try:
+            return parse_graph_sequence(Path(gcfg.file).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"[graph] file {gcfg.file}: {exc}") from exc
     return generate_sequence(
         gcfg.kind, gcfg.n, gcfg.horizon, gcfg.seed,
         arc_prob=gcfg.arc_prob, inject_every=gcfg.inject_every,
@@ -534,28 +544,27 @@ def _materialize_weights(
     seq: GraphSequence, wcfg: WeightConfig
 ) -> tuple[list[WeightMatrix], list[tuple[int, str]]]:
     """Per-step mixing matrices and, for file-supplied weights, the
-    validation violations as (step, problem) pairs in step order."""
+    validation violations as (step, problem) pairs in step order.  A
+    weights file that does not parse is a config error."""
     if wcfg.rule == "uniform-out-degree":
         return build_weight_stack(seq), []
-    entries = parse_matrix(Path(wcfg.file).read_text(encoding="utf-8"))
+    try:
+        entries = parse_matrix(Path(wcfg.file).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"[weights] file {wcfg.file}: {exc}") from exc
     if entries.shape != (seq.n, seq.n):
         raise ConfigError(
             f"weights file is {entries.shape[0]}x{entries.shape[1]}, "
             f"but the graph has n={seq.n}"
         )
     violations: list[tuple[int, str]] = []
-    min_pos = float("inf")
     for t, g in enumerate(seq.graphs):
         rep = validate_column_stochastic(entries, g, tol=FILE_WEIGHT_TOL)
-        if not rep.ok:
-            violations.extend((t, v) for v in rep.violations)
-            if len(violations) > 20:
-                break
-        if np.isfinite(rep.min_positive):
-            min_pos = min(min_pos, rep.min_positive)
-    beta = min_pos if math.isfinite(min_pos) else float("nan")
-    entries.setflags(write=False)  # every step shares the one matrix
-    ws = [WeightMatrix(n=seq.n, entries=entries, beta=beta) for _ in range(seq.horizon)]
+        violations.extend((t, v) for v in rep.violations)
+        if len(violations) > 20:
+            break
+    entries.setflags(write=False)  # every step shares the one matrix, and so its beta
+    ws = [WeightMatrix(n=seq.n, entries=entries, beta=rep.min_positive) for _ in range(seq.horizon)]
     return ws, violations
 
 
@@ -605,21 +614,6 @@ def _materialize_init(icfg: InitConfig, n: int, d: int) -> np.ndarray:
 # derived series
 # --------------------------------------------------------------------------
 
-def _agent_gap_series(trace: RunTrace, objective: ObjectiveSpec, agent: int) -> np.ndarray:
-    """f(agent running average at t) - f* for every t, clipped like
-    optimality_gap."""
-    w = trace.alphas[:, None]
-    avgs = np.cumsum(w * trace.zs[:, agent, :], axis=0) / np.cumsum(trace.alphas)[:, None]
-    gaps = objective.value_batch(avgs) - objective.f_star
-    worst = float(gaps.min())
-    if worst < -GAP_NOISE_TOL:
-        raise ValueError(
-            f"agent {agent + 1} running average beats the declared optimum "
-            f"by {-worst:.3e}; certified f* is invalid"
-        )
-    return np.maximum(gaps, 0.0)
-
-
 def _empirical_constants(trace: RunTrace) -> tuple[float, float | None, float | None]:
     """(eta_emp, mu_emp, fit r2); mu is None without recorded products."""
     eta_emp = trace.min_y
@@ -639,7 +633,6 @@ def _bound_inputs(
     eta: float,
     mu: float,
     log_mu: float | None,
-    label: str,
 ) -> BoundInputs:
     """Certificate inputs for a run or for its persisted trace.  y(0) = 1
     makes the initial ratios equal the initial values x(0), and g(0) is
@@ -649,7 +642,7 @@ def _bound_inputs(
         eta=eta, mu=mu, log_mu=log_mu,
         z_bar0=trace.zbar[0], z0=trace.zs[0], z_star=objective.z_star,
         x0=trace.zs[0], g0=objective.agent_subgradients(trace.zs[0]),
-        alphas=trace.alphas, schedule=schedule, constants_from=label,
+        alphas=trace.alphas, schedule=schedule,
     )
 
 
@@ -708,7 +701,7 @@ def run_experiment(
     summary instead.
     """
     schedule, objective = _materialize_spec(cfg)
-    seq = _materialize_graphs(cfg.graph)
+    seq = _horizon_prefix(_graph_source(cfg.graph), cfg.graph)
     window = _certified_window(seq)
     ws, violations = _materialize_weights(seq, cfg.weights)
     _check_weights(violations, seq.horizon)
@@ -717,15 +710,7 @@ def run_experiment(
     x0 = _materialize_init(cfg.init, seq.n, objective.d)
     _check_init(objective, x0)
 
-    meta = {
-        "graph_kind": seq.kind, "graph_seed": seq.seed, "n": seq.n,
-        "horizon": seq.horizon, "schedule": cfg.schedule.kind,
-        "objective": cfg.objective.kind, "window": window,
-    }
-    trace = run_push_subgradient(
-        ws, x0, objective, schedule,
-        record_products=record_products, meta=meta,
-    )
+    trace = run_push_subgradient(ws, x0, objective, schedule, record_products=record_products)
 
     tc = theory_constants(seq.n, window)
     eta_emp, mu_emp, mu_r2 = _empirical_constants(trace)
@@ -744,10 +729,7 @@ def run_experiment(
         min_y=trace.min_y, f_star=objective.f_star,
         optimum_provenance=objective.optimum_provenance,
     )
-    result = ExperimentResult(
-        config=cfg, sequence=seq, ws=ws, objective=objective,
-        trace=trace, summary=summary,
-    )
+    result = ExperimentResult(config=cfg, objective=objective, trace=trace, summary=summary)
 
     checks = _run_checks(trace, window, beta, tc)
     if cfg.bounds.evaluate and objective.g_bound > 0:
@@ -771,9 +753,7 @@ def _invariant_checks(trace: RunTrace, tc, checks: list[CheckResult]) -> None:
     n = trace.n
     y_all = np.vstack([trace.ys, trace.final_state.y[None, :]])
     mass_resid = float(np.abs(y_all.sum(axis=1) - n).max())
-    checks.append(CheckResult(
-        "weight-mass", mass_resid <= MASS_TOL, value=mass_resid, threshold=MASS_TOL,
-    ))
+    checks.append(_residual_check("weight-mass", mass_resid, MASS_TOL))
     floor_ok = trace.min_y >= tc.eta
     note = "worst-case floor rounds to 0" if tc.eta == 0.0 else ""
     checks.append(CheckResult(
@@ -785,23 +765,14 @@ def _invariant_checks(trace: RunTrace, tc, checks: list[CheckResult]) -> None:
     gsum = trace.gs.sum(axis=1)
     predicted = zl[:-1] - (trace.alphas[:, None] / n) * gsum
     lyap_resid = float(np.abs(zl[1:] - predicted).max())
-    checks.append(CheckResult(
-        "lyapunov-recursion", lyap_resid <= LYAPUNOV_TOL,
-        value=lyap_resid, threshold=LYAPUNOV_TOL,
-    ))
+    checks.append(_residual_check("lyapunov-recursion", lyap_resid, LYAPUNOV_TOL))
 
     if trace.smatrices is not None:
         aps = AbsProbSeq.from_weight_history(list(y_all))
         rec = float(aps.recursion_residual(trace.smatrices).max())
         sto = aps.stochasticity_residual()
-        checks.append(CheckResult(
-            "abs-prob-recursion", rec <= APS_RECURSION_TOL,
-            value=rec, threshold=APS_RECURSION_TOL,
-        ))
-        checks.append(CheckResult(
-            "abs-prob-stochastic", sto <= APS_STOCH_TOL,
-            value=sto, threshold=APS_STOCH_TOL,
-        ))
+        checks.append(_residual_check("abs-prob-recursion", rec, APS_RECURSION_TOL))
+        checks.append(_residual_check("abs-prob-stochastic", sto, APS_STOCH_TOL))
 
 
 def _evaluate_bounds(
@@ -818,11 +789,11 @@ def _evaluate_bounds(
     pairs: list[tuple[str, BoundInputs]] = []
     if mu_emp is not None:
         pairs.append(("empirical", _bound_inputs(
-            trace, objective, schedule, window, eta_emp, mu_emp, None, "empirical",
+            trace, objective, schedule, window, eta_emp, mu_emp, None,
         )))
     if tc.eta > 0.0:
         pairs.append(("worst-case", _bound_inputs(
-            trace, objective, schedule, window, tc.eta, tc.mu, tc.log_mu, "worst-case",
+            trace, objective, schedule, window, tc.eta, tc.mu, tc.log_mu,
         )))
 
     t_last = trace.steps - 1
@@ -831,8 +802,10 @@ def _evaluate_bounds(
     # computed once and shared by both constant sets
     targets = [("network", None, trace.running_gap)]
     if cfg.bounds.agents and pairs:
-        targets += [(f"agent{k + 1}", k, _agent_gap_series(trace, objective, k))
-                    for k in range(trace.n)]
+        targets += [
+            (f"agent{k + 1}", k, certified_gaps(objective, trace.alphas, trace.zs[:, k], k + 1))
+            for k in range(trace.n)
+        ]
     for label, inp in pairs:
         for who, agent, gaps in targets:
             if form == "fixed":
@@ -841,7 +814,7 @@ def _evaluate_bounds(
             else:
                 series, lhs = timevarying_series(inp, t_last, agent=agent), gaps
             rep = BoundReport(
-                label=f"gap-{form}-{who}-{label}", constants_from=label,
+                label=f"gap-{form}-{who}-{label}",
                 ts=series.ts, lhs=lhs, rhs=series.total, terms=series.terms,
             )
             result.gap_reports.append(rep)
@@ -852,8 +825,7 @@ def _evaluate_bounds(
                 if rhs is None:
                     continue
                 rep = BoundReport(
-                    label=f"envelope-{kind}-{label}", constants_from=label,
-                    ts=np.arange(trace.steps, dtype=float),
+                    label=f"envelope-{kind}-{label}", ts=np.arange(trace.steps, dtype=float),
                     lhs=trace.deviation, rhs=rhs, terms=np.zeros((trace.steps, 4)),
                 )
                 result.envelope_reports.append(rep)
@@ -882,7 +854,7 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     schedule, _ = _materialize_spec(cfg)  # the objective only has to be valid
     horizon = min(cfg.graph.horizon, VERIFY_HORIZON)
     gcfg = dataclasses.replace(cfg.graph, horizon=horizon)
-    seq = _materialize_graphs(gcfg)
+    seq = _horizon_prefix(_graph_source(gcfg), gcfg)
     window = uniform_connectivity_window(seq)
     checks: list[CheckResult] = [CheckResult(
         "connectivity-window", window is not None, value=window,
@@ -927,20 +899,14 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     for tau in range(trace.steps):
         hi = min(trace.steps, tau + PRODUCT_SPAN)
         worst = max(worst, *product_identity_residuals(ws, trace.smatrices, ys_all, tau, hi).tolist())
-    checks.append(CheckResult(
-        "product-identity", worst <= PRODUCT_IDENTITY_TOL,
-        value=worst, threshold=PRODUCT_IDENTITY_TOL,
-    ))
+    checks.append(_residual_check("product-identity", worst, PRODUCT_IDENTITY_TOL))
 
     summary.eta_emp = trace.min_y
     summary.min_y = trace.min_y
     summary.final_consensus = float(trace.consensus[-1])
     summary.checks = checks
     summary.passed = all(c.passed for c in checks)
-    result = ExperimentResult(
-        config=cfg, sequence=seq, ws=ws, objective=objective,
-        trace=trace, summary=summary,
-    )
+    result = ExperimentResult(config=cfg, objective=objective, trace=trace, summary=summary)
     return summary, result
 
 
@@ -948,11 +914,7 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
 # sweep driver
 # --------------------------------------------------------------------------
 
-def sweep_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    horizons: Sequence[int] | None = None,
-) -> SummaryReport:
+def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> SummaryReport:
     """Run the config over several horizons and fit the gap decay rate.
 
     One run at the longest horizon serves every horizon: shorter horizons
@@ -970,7 +932,7 @@ def sweep_experiment(
     final gaps are excluded from the log-log fit; if nothing positive
     remains the report flags exact convergence instead of fitting.
     """
-    hs = list(horizons if horizons is not None else cfg.sweep.horizons)
+    hs = list(cfg.sweep.horizons)
     if len(hs) < 3:
         raise ConfigError(f"sweep needs at least 3 horizons, got {hs}")
     if any(h < 1 for h in hs):
@@ -1073,19 +1035,30 @@ def _sweep_run(
 # artifacts
 # --------------------------------------------------------------------------
 
-def _trace_header(n: int, d: int, with_bounds: bool) -> list[str]:
-    cols = ["t", "alpha"]
-    for i in range(n):
-        cols += [f"z{i + 1}_{c + 1}" for c in range(d)]
-    cols += [f"zbar_{c + 1}" for c in range(d)]
-    cols += [f"zlyap_{c + 1}" for c in range(d)]
-    cols += ["consensus", "gap"]
+def _trace_layout(
+    n: int, d: int, with_bounds: bool
+) -> list[tuple[str, tuple[int, ...], list[str]]]:
+    """The columns of ``trace.csv`` in order, as (``LoadedTrace`` field,
+    per-step shape, column names).  The certificate block is present only
+    for decaying-stepsize runs."""
+    dims = [f"_{c + 1}" for c in range(d)]
+    layout = [
+        ("ts", (), ["t"]),
+        ("alphas", (), ["alpha"]),
+        ("zs", (n, d), [f"z{i + 1}{c}" for i in range(n) for c in dims]),
+        ("zbar", (d,), ["zbar" + c for c in dims]),
+        ("zlyap", (d,), ["zlyap" + c for c in dims]),
+        ("consensus", (), ["consensus"]),
+        ("running_gap", (), ["gap"]),
+    ]
     if with_bounds:
-        cols += [
-            "bound_lhs", "bound_rhs_emp", "bound_rhs_wc",
-            "bound_term1", "bound_term2", "bound_term3", "bound_term4",
+        layout += [
+            ("bound_lhs", (), ["bound_lhs"]),
+            ("bound_rhs_emp", (), ["bound_rhs_emp"]),
+            ("bound_rhs_wc", (), ["bound_rhs_wc"]),
+            ("bound_terms", (4,), [f"bound_term{k}" for k in range(1, 5)]),
         ]
-    return cols
+    return layout
 
 
 def export_trace(
@@ -1100,23 +1073,25 @@ def export_trace(
     seven extra columns carry the lhs, both rhs variants, and the four
     empirical-constant summands.
     """
-    with_bounds = bound_emp is not None
-    cols = _trace_header(trace.n, trace.d, with_bounds)
-    lines = [",".join(cols)]
-    for t in range(trace.steps):
-        vals: list[float] = [trace.alphas[t]]
-        vals += list(trace.zs[t].reshape(-1))
-        vals += list(trace.zbar[t])
-        vals += list(trace.zlyap[t])
-        vals += [trace.consensus[t], trace.running_gap[t]]
-        if with_bounds:
-            vals += [
-                bound_emp.lhs[t], bound_emp.rhs[t],
-                bound_wc.rhs[t] if bound_wc is not None else float("nan"),
-            ]
-            vals += list(bound_emp.terms[t])
-        lines.append(str(t) + "," + ",".join(f"{v:.17g}" for v in vals))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    steps = trace.steps
+    columns = {
+        "ts": np.arange(steps), "alphas": trace.alphas, "zs": trace.zs, "zbar": trace.zbar,
+        "zlyap": trace.zlyap, "consensus": trace.consensus, "running_gap": trace.running_gap,
+    }
+    if bound_emp is not None:
+        columns.update(
+            bound_lhs=bound_emp.lhs, bound_rhs_emp=bound_emp.rhs,
+            bound_rhs_wc=np.full(steps, np.nan) if bound_wc is None else bound_wc.rhs,
+            bound_terms=bound_emp.terms,
+        )
+    layout = _trace_layout(trace.n, trace.d, bound_emp is not None)
+    data = np.column_stack([np.reshape(columns[name], (steps, -1)) for name, _, _ in layout])
+    header = ",".join(col for _, _, cols in layout for col in cols)
+    # A whole-number float formats under .17g as the integer itself, so t
+    # needs no column of its own type.
+    row = ",".join(["{:.17g}"] * data.shape[1]) + "\n"
+    text = header + "\n" + (row * steps).format(*data.ravel().tolist())
+    Path(path).write_text(text, encoding="utf-8")
 
 
 @dataclass
@@ -1148,32 +1123,14 @@ def import_trace(path: str | Path) -> LoadedTrace:
     z_cols = [c for c in header if c.startswith("z") and "_" in c and c[1].isdigit()]
     n = max(int(c[1 : c.index("_")]) for c in z_cols)
     d = max(int(c.split("_")[1]) for c in z_cols)
-    with_bounds = "bound_lhs" in header
-    expected = _trace_header(n, d, with_bounds)
-    if header != expected:
+    layout = _trace_layout(n, d, "bound_lhs" in header)
+    if header != [col for _, _, cols in layout for col in cols]:
         raise ValueError(f"unexpected trace header in {path}")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     steps = data.shape[0]
-    k = 2
-    zs = data[:, k : k + n * d].reshape(steps, n, d)
-    k += n * d
-    zbar = data[:, k : k + d]
-    k += d
-    zlyap = data[:, k : k + d]
-    k += d
-    consensus = data[:, k]
-    gap = data[:, k + 1]
-    k += 2
-    out = LoadedTrace(
-        n=n, d=d, steps=steps, ts=data[:, 0], alphas=data[:, 1],
-        zs=zs, zbar=zbar, zlyap=zlyap, consensus=consensus, running_gap=gap,
-    )
-    if with_bounds:
-        out.bound_lhs = data[:, k]
-        out.bound_rhs_emp = data[:, k + 1]
-        out.bound_rhs_wc = data[:, k + 2]
-        out.bound_terms = data[:, k + 3 : k + 7]
-    return out
+    blocks = np.split(data, np.cumsum([len(cols) for _, _, cols in layout])[:-1], axis=1)
+    fields = {name: b.reshape(steps, *shape) for (name, shape, _), b in zip(layout, blocks)}
+    return LoadedTrace(n=n, d=d, steps=steps, **fields)
 
 
 def _jsonable(obj):
@@ -1198,18 +1155,14 @@ def write_report(summary: SummaryReport, out_dir: str | Path) -> None:
     (out / "report.txt").write_text(summary.format_text(), encoding="utf-8")
 
 
-def _find_report(reports: list[BoundReport], label: str) -> BoundReport | None:
-    for r in reports:
-        if r.label == label:
-            return r
-    return None
-
-
 def _persist(result: ExperimentResult, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    emp = _find_report(result.gap_reports, "gap-decaying-network-empirical")
-    wc = _find_report(result.gap_reports, "gap-decaying-network-worst-case")
-    export_trace(result.trace, out / "trace.csv", bound_emp=emp, bound_wc=wc)
+    reports = result.reports
+    export_trace(
+        result.trace, out / "trace.csv",
+        bound_emp=reports.get("gap-decaying-network-empirical"),
+        bound_wc=reports.get("gap-decaying-network-worst-case"),
+    )
     write_report(result.summary, out)
     render_plots(result, out)
 
@@ -1222,6 +1175,7 @@ def render_plots(result: ExperimentResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ts = list(range(trace.steps))
+    reports = result.reports
 
     gap_positive = bool((trace.running_gap > 0).any())
     line_chart(
@@ -1233,9 +1187,7 @@ def render_plots(result: ExperimentResult, out_dir: str | Path) -> None:
 
     cons = [Series(ts, list(trace.consensus), "consensus error")]
     cons.append(Series(ts, list(trace.deviation), "one-step deviation"))
-    env = _find_report(result.envelope_reports, "envelope-refined-empirical")
-    if env is None:
-        env = _find_report(result.envelope_reports, "envelope-geometric-empirical")
+    env = reports.get("envelope-refined-empirical", reports.get("envelope-geometric-empirical"))
     if env is not None:
         cons.append(Series(ts, list(env.rhs), "contraction envelope"))
     cons_positive = any(any(v > 0 for v in s.ys) for s in cons)
@@ -1246,8 +1198,8 @@ def render_plots(result: ExperimentResult, out_dir: str | Path) -> None:
     )
 
     bnd = [Series(ts, list(trace.running_gap), "gap (lhs)")]
-    emp = _find_report(result.gap_reports, "gap-decaying-network-empirical")
-    wc = _find_report(result.gap_reports, "gap-decaying-network-worst-case")
+    emp = reports.get("gap-decaying-network-empirical")
+    wc = reports.get("gap-decaying-network-worst-case")
     if emp is not None:
         bnd.append(Series(ts, list(emp.rhs), "bound, empirical constants"))
     if wc is not None:
@@ -1303,15 +1255,12 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     stored = json.loads((out / "report.json").read_text(encoding="utf-8"))
     # check name -> largest deviation between recomputed and stored values
     errors: dict[str, float] = {}
-    errors["recompute-zbar"] = float(np.abs(loaded.zs.mean(axis=1) - loaded.zbar).max())
-    cons = np.array([
-        float(np.sqrt(((z - z.mean(axis=0)) ** 2).sum(axis=1)).max())
-        for z in loaded.zs
-    ])
+    zbar, cons = mean_and_consensus(loaded.zs)
+    errors["recompute-zbar"] = float(np.abs(zbar - loaded.zbar).max())
     errors["recompute-consensus"] = float(np.abs(cons - loaded.consensus).max())
-    w = loaded.alphas[:, None]
-    avgs = np.cumsum(w * loaded.zbar, axis=0) / np.cumsum(loaded.alphas)[:, None]
-    gaps = np.maximum(objective.value_batch(avgs) - objective.f_star, 0.0)
+    # Clipped, never raised: a beaten optimum shows as a failed check here,
+    # and the report.json of the run stays as it is.
+    gaps = np.maximum(running_average_gaps(objective, loaded.alphas, loaded.zbar), 0.0)
     errors["recompute-gap"] = float(np.abs(gaps - loaded.running_gap).max())
     errors["recompute-final-gap"] = abs(float(loaded.running_gap[-1]) - float(stored["final_gap"]))
 
@@ -1326,7 +1275,7 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         eta, mu, log_mu = constants[label]
         return _bound_inputs(
             loaded, objective, schedule, int(stored["connectivity_window"]),
-            float(eta), float(mu), log_mu, label,
+            float(eta), float(mu), log_mu,
         )
 
     if loaded.bound_lhs is not None and stored.get("mu_emp") is not None:
@@ -1348,11 +1297,8 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
             recomputed = bound_fixed(inputs(label), schedule.T).total - float(loaded.running_gap[-1])
             errors[name] = abs(recomputed - margin)
 
-    checks = [
-        CheckResult(name, err <= RECOMPUTE_TOL, value=err, threshold=RECOMPUTE_TOL)
-        for name, err in errors.items()
-    ]
-    summary = SummaryReport(
+    checks = [_residual_check(name, err, RECOMPUTE_TOL) for name, err in errors.items()]
+    return SummaryReport(
         kind="report", n=loaded.n, d=loaded.d, steps=loaded.steps,
         graph_kind=str(stored.get("graph_kind", "")),
         schedule_kind=str(stored.get("schedule_kind", "")),
@@ -1363,4 +1309,3 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         checks=checks,
         passed=all(c.passed for c in checks),
     )
-    return summary

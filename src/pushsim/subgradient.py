@@ -23,7 +23,7 @@ declared ceiling, a weight underflows or the certified optimum is beaten.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -60,6 +60,9 @@ __all__ = [
     "pushsub_step_ratio",
     "run_push_subgradient",
     "weighted_running_average",
+    "mean_and_consensus",
+    "running_average_gaps",
+    "certified_gaps",
     "optimality_gap",
 ]
 
@@ -279,33 +282,18 @@ class ObjectiveSpec:
             return np.maximum(0.0, self._margins(zs))
         return np.zeros(zs.shape[:-1])
 
-    def _mean_over_agents(self, rows: np.ndarray) -> np.ndarray:
-        """Row means of per-agent values (m, n) -> (m,), adding the agents
-        in order (ndarray.sum would pair them up)."""
+    def value(self, z: np.ndarray) -> float:
+        return float(self.value_batch(np.asarray(z, dtype=float)[None, :])[0])
+
+    def value_batch(self, zs: np.ndarray) -> np.ndarray:
+        """f at each row of zs, shape (m, d) -> (m,); row k is bitwise
+        ``value(zs[k])``.  The agents are added in order (ndarray.sum
+        would pair them up)."""
+        rows = self._agent_values(np.asarray(zs, dtype=float)[:, None, :])
         total = np.zeros(rows.shape[0])
         for r in rows.T:
             total += r
         return total / self.n
-
-    def _point_values(self, zs: np.ndarray) -> np.ndarray:
-        """f at each row of zs, shape (m, d) -> (m,); row k is bitwise
-        ``value(zs[k])``."""
-        return self._mean_over_agents(self._agent_values(zs[:, None, :]))
-
-    def value(self, z: np.ndarray) -> float:
-        return float(self._point_values(np.asarray(z, dtype=float)[None, :])[0])
-
-    def value_batch(self, zs: np.ndarray) -> np.ndarray:
-        """f at each row of zs, shape (m, d) -> (m,)."""
-        zs = np.asarray(zs, dtype=float)
-        if self.kind != "hinge":
-            return self._point_values(zs)
-        # zs @ normal is a matrix-vector product; no stacked form rounds
-        # like it, so the hinge columns are taken one agent at a time.
-        return self._mean_over_agents(np.stack(
-            [np.maximum(0.0, 1.0 - b * (zs @ w)) for w, b in zip(self.normals, self.labels)],
-            axis=1,
-        ))
 
     def agent_subgradients(self, zs: np.ndarray) -> np.ndarray:
         """Stack g_i = subgradient of f_i at z_i; zs has shape (n, d)."""
@@ -421,9 +409,7 @@ def hinge_objective(
         raise ValueError(f"the exact hinge optimum covers d <= 2, got d={d}")
     spec = _uncertified("hinge", n, d, box, g_bound, normals=normals, labels=labels)
     vertices = _hinge_vertices(normals, labels, spec.box_lo, spec.box_hi)
-    # Rounded like ``value``: the hinge ``value_batch`` is a matrix-vector
-    # product whose last bit depends on the number of rows.
-    values = spec._point_values(vertices)
+    values = spec.value_batch(vertices)
     best = np.flatnonzero(values == values.min())
     k = best[np.lexsort(vertices[best].T[::-1])[0]]
     return replace(spec, z_star=vertices[k], f_star=float(values[k]), optimum_provenance="exact-vertex")
@@ -555,47 +541,28 @@ def stepsize_array(schedule: StepsizeSchedule, steps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScheduleReport:
-    """Divergence/decay classification of a schedule."""
+    """Whether a schedule meets the decay conditions."""
 
-    kind: str
     assumption: str          # "satisfied" | "violated" | "not-applicable"
-    sum_alpha: str           # "divergent" | "convergent"
-    sum_alpha_sq: str
-    nonincreasing_ok: bool
     note: str
 
 
-def validate_schedule(schedule: StepsizeSchedule, spot_check_steps: int = 10_000) -> ScheduleReport:
+def validate_schedule(schedule: StepsizeSchedule) -> ScheduleReport:
     """Classify whether the decay conditions for a time-varying stepsize hold.
 
     The classification (sum alpha divergent, sum alpha^2 finite) is made
-    symbolically from the schedule family; monotone nonincrease is also
-    spot-checked over the first ``spot_check_steps`` values.  Fixed
+    symbolically from the schedule family; positivity and monotone
+    nonincrease are also spot-checked over the first 10,000 values.  Fixed
     schedules are a different regime and report "not-applicable".
     """
-    vals = stepsize_array(schedule, min(spot_check_steps, schedule.T or spot_check_steps))
-    noninc = bool((np.diff(vals) <= 0).all()) and bool((vals > 0).all())
     if schedule.kind == "fixed":
-        return ScheduleReport(
-            kind="fixed", assumption="not-applicable",
-            sum_alpha="divergent", sum_alpha_sq="divergent",
-            nonincreasing_ok=noninc,
-            note="constant 1/sqrt(T) over a declared horizon",
-        )
-    if schedule.kind == "harmonic":
-        p = 1.0
-    else:
-        p = schedule.p
-    sum_a = "divergent" if p <= 1.0 else "convergent"
-    sum_sq = "convergent" if p > 0.5 else "divergent"
-    ok = sum_a == "divergent" and sum_sq == "convergent" and noninc
+        return ScheduleReport("not-applicable", "constant 1/sqrt(T) over a declared horizon")
+    vals = stepsize_array(schedule, 10_000)
+    noninc = bool((np.diff(vals) <= 0).all()) and bool((vals > 0).all())
+    p = 1.0 if schedule.kind == "harmonic" else schedule.p
+    ok = 0.5 < p <= 1.0 and noninc
     note = "" if ok else f"p={p} breaks the decay window (need 1/2 < p <= 1)"
-    return ScheduleReport(
-        kind=schedule.kind,
-        assumption="satisfied" if ok else "violated",
-        sum_alpha=sum_a, sum_alpha_sq=sum_sq,
-        nonincreasing_ok=noninc, note=note,
-    )
+    return ScheduleReport("satisfied" if ok else "violated", note)
 
 
 # --------------------------------------------------------------------------
@@ -683,7 +650,6 @@ class RunTrace:
     min_y: float
     s_product_gap: np.ndarray | None = None
     smatrices: list[SMatrix] | None = None
-    meta: dict = field(default_factory=dict)
 
     def prefix(self, steps: int) -> RunTrace:
         """The trace of this run's first ``steps`` steps, as views of its rows.
@@ -709,7 +675,6 @@ class RunTrace:
             min_y=min(1.0, *self.ys[1 : steps + 1].min(axis=1).tolist()),
             s_product_gap=None if self.s_product_gap is None else self.s_product_gap[cut],
             smatrices=None if self.smatrices is None else self.smatrices[cut],
-            meta=dict(self.meta),
         )
 
 
@@ -719,7 +684,6 @@ def run_push_subgradient(
     objective: ObjectiveSpec,
     schedule: StepsizeSchedule,
     record_products: bool = True,
-    meta: dict | None = None,
 ) -> RunTrace:
     """Run the full method for len(ws) steps from x(0) = x0, y(0) = 1.
 
@@ -813,15 +777,12 @@ def run_push_subgradient(
             z = x / y[:, None]
     except (RunFailure, ValueError):  # ValueError: build_s_matrix on underflowed weights
         # The gap of every recorded step came before the failure.
-        _running_gap(objective, alphas[:recorded], zs[:recorded].sum(axis=1) / n)
+        certified_gaps(objective, alphas[:recorded], mean_and_consensus(zs[:recorded])[0])
         raise
 
-    # sum / n is exactly what mean() computes; each row reduces like the
-    # one-step expression it replaces.
-    zbar = zs.sum(axis=1) / n
-    running_gap = _running_gap(objective, alphas, zbar)
+    zbar, consensus = mean_and_consensus(zs)
+    running_gap = certified_gaps(objective, alphas, zbar)
     zlyap = ((ys / n)[:, None, :] @ zs)[:, 0, :]
-    consensus = np.sqrt(((zs - zbar[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
     h_mean = (xs - alphas[:, None, None] * gs).sum(axis=1) / n
     z_next = np.concatenate([zs[1:], z[None]])
     deviation = np.sqrt(((z_next - h_mean[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
@@ -833,23 +794,41 @@ def run_push_subgradient(
         final_state=NetworkState(t=steps, x=x, y=y), final_zlyap=(y / n) @ z,
         min_y=min(1.0, *ys[1:].min(axis=1).tolist(), float(y.min())),
         s_product_gap=s_product_gap, smatrices=smatrices,
-        meta=dict(meta or {}),
     )
 
 
-def _running_gap(objective: ObjectiveSpec, alphas: np.ndarray, zbar: np.ndarray) -> np.ndarray:
-    """f(running average of zbar up to t) - f* for every t, clipped at 0
-    like optimality_gap; a gap below -1e-12 raises RunFailure at the
-    first such t.
+def mean_and_consensus(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The network mean zbar(t) and the consensus error max_i ||z_i(t) -
+    zbar(t)|| of every row of zs, shape (steps, n, d); each row reduces
+    like the same expression on that row alone (sum / n is mean())."""
+    zbar = zs.sum(axis=1) / zs.shape[1]
+    return zbar, np.sqrt(((zs - zbar[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
+
+
+def running_average_gaps(
+    objective: ObjectiveSpec, alphas: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """f(alpha-weighted running average of rows up to t) - f* for every t,
+    unclipped; rows has shape (steps, d).
 
     The sequential cumulative sums round like a running ``+=``.
     """
-    avgs = np.cumsum(alphas[:, None] * zbar, axis=0) / np.cumsum(alphas)[:, None]
-    gaps = objective._point_values(avgs) - objective.f_star
+    avgs = np.cumsum(alphas[:, None] * rows, axis=0) / np.cumsum(alphas)[:, None]
+    return objective.value_batch(avgs) - objective.f_star
+
+
+def certified_gaps(
+    objective: ObjectiveSpec, alphas: np.ndarray, rows: np.ndarray, agent: int | None = None
+) -> np.ndarray:
+    """:func:`running_average_gaps` clipped at 0 like optimality_gap; a
+    gap below -1e-12 beats the declared optimum and raises RunFailure
+    "certified-optimum" at the first such t, naming ``agent`` (1-based,
+    None for the network mean)."""
+    gaps = running_average_gaps(objective, alphas, rows)
     beaten = np.flatnonzero(gaps < -GAP_NOISE_TOL)
     if beaten.size:
         t = int(beaten[0])
-        raise RunFailure("certified-optimum", None, t, _beaten_message(objective, gaps[t]))
+        raise RunFailure("certified-optimum", agent, t, _beaten_message(objective, gaps[t]))
     return np.maximum(gaps, 0.0)
 
 

@@ -127,14 +127,13 @@ def validate_column_stochastic(
         )
     if (w < 0).any():
         problems.append("negative entries present")
-    adj = g.adjacency()
-    for i in range(n):
-        for j in range(n):
-            has_arc = adj[j, i]
-            if w[i, j] > 0 and not has_arc:
-                problems.append(f"positive weight w[{i + 1},{j + 1}] without arc {j + 1}>{i + 1}")
-            if has_arc and w[i, j] <= 0:
-                problems.append(f"arc {j + 1}>{i + 1} carries no weight")
+    # Entry (i, j) breaks the support rule where its sign disagrees with
+    # the arc j -> i; argwhere lists them in row-major (i, j) order.
+    for i, j in np.argwhere((w > 0) != g.adjacency().T).tolist():
+        if w[i, j] > 0:
+            problems.append(f"positive weight w[{i + 1},{j + 1}] without arc {j + 1}>{i + 1}")
+        else:
+            problems.append(f"arc {j + 1}>{i + 1} carries no weight")
     positives = w[w > 0]
     min_pos = float(positives.min()) if positives.size else float("nan")
     if positives.size and beta_min > 0 and min_pos < beta_min:
@@ -158,7 +157,7 @@ def format_matrix(entries: np.ndarray) -> str:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse a dense whitespace-separated square matrix."""
+    """Parse a dense whitespace-separated square matrix of finite numbers."""
     rows = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not rows:
         raise ValueError("empty matrix file")
@@ -168,6 +167,11 @@ def parse_matrix(text: str) -> np.ndarray:
             f"matrix is not square: {n} rows, row lengths {sorted({len(r) for r in rows})}"
         )
     try:
-        return np.array([[float(v) for v in row] for row in rows])
+        entries = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
         raise ValueError(f"bad matrix entry: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(entries))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"non-finite matrix entry {rows[i][j]!r} at row {i + 1}, column {j + 1}")
+    return entries

@@ -25,6 +25,7 @@ from pushsim.harness import (
     ValidationFailure,
     WeightConfig,
     apply_overrides,
+    export_trace,
     import_trace,
     load_config,
     parse_config,
@@ -36,6 +37,7 @@ from pushsim.harness import (
     write_report,
 )
 from pushsim.pushsum import RunFailure
+from pushsim.subgradient import running_average_gaps
 from pushsim.svgplot import Series, line_chart
 from pushsim.weights import build_weights, format_matrix
 
@@ -363,6 +365,69 @@ def test_trace_round_trip_is_bitwise(finished):
     assert np.array_equal(loaded.running_gap, tr.running_gap)
     assert loaded.bound_lhs is not None
     assert np.array_equal(loaded.bound_terms.sum(axis=1) > 0, np.ones(tr.steps, bool))
+
+
+def reference_export_trace(trace, path, bound_emp=None, bound_wc=None):
+    """The per-row writer export_trace replaced, kept as its reference."""
+    cols = ["t", "alpha"]
+    for i in range(trace.n):
+        cols += [f"z{i + 1}_{c + 1}" for c in range(trace.d)]
+    cols += [f"zbar_{c + 1}" for c in range(trace.d)]
+    cols += [f"zlyap_{c + 1}" for c in range(trace.d)]
+    cols += ["consensus", "gap"]
+    if bound_emp is not None:
+        cols += ["bound_lhs", "bound_rhs_emp", "bound_rhs_wc",
+                 "bound_term1", "bound_term2", "bound_term3", "bound_term4"]
+    lines = [",".join(cols)]
+    for t in range(trace.steps):
+        vals = [trace.alphas[t]]
+        vals += list(trace.zs[t].reshape(-1))
+        vals += list(trace.zbar[t])
+        vals += list(trace.zlyap[t])
+        vals += [trace.consensus[t], trace.running_gap[t]]
+        if bound_emp is not None:
+            vals += [bound_emp.lhs[t], bound_emp.rhs[t],
+                     bound_wc.rhs[t] if bound_wc is not None else float("nan")]
+            vals += list(bound_emp.terms[t])
+        lines.append(str(t) + "," + ",".join(f"{v:.17g}" for v in vals))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+QUADRATIC_2D = ObjectiveConfig(
+    kind="quadratic", d=2, targets=((0.0, 1.0), (1.0, -2.0), (2.0, 0.5), (5.0, 3.0)),
+)
+
+
+@pytest.mark.parametrize("objective", [None, QUADRATIC_2D], ids=["d1", "d2"])
+@pytest.mark.parametrize("bounds", ["none", "empirical", "both", "infinite-worst-case"])
+def test_export_trace_matches_the_row_writer(tmp_path, objective, bounds):
+    result = run_experiment(base_config() if objective is None else base_config(objective=objective))
+    trace, reports = result.trace, result.reports
+    emp = None if bounds == "none" else reports["gap-decaying-network-empirical"]
+    wc = reports["gap-decaying-network-worst-case"] if bounds != "empirical" and emp else None
+    if bounds == "infinite-worst-case":
+        wc = dataclasses.replace(wc, rhs=np.where(np.arange(trace.steps) % 3 == 1, np.inf, wc.rhs))
+    export_trace(trace, tmp_path / "got.csv", emp, wc)
+    reference_export_trace(trace, tmp_path / "want.csv", emp, wc)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    loaded = import_trace(tmp_path / "got.csv")
+    assert np.array_equal(loaded.zs, trace.zs) and np.array_equal(loaded.zbar, trace.zbar)
+    assert np.array_equal(loaded.ts, np.arange(trace.steps))
+    if emp is None:
+        assert loaded.bound_lhs is None and loaded.bound_terms is None
+    else:
+        assert np.array_equal(loaded.bound_terms, emp.terms)
+        want_wc = np.full(trace.steps, np.nan) if wc is None else wc.rhs
+        assert np.array_equal(loaded.bound_rhs_wc, want_wc, equal_nan=True)
+
+
+def test_import_trace_checks_the_header(tmp_path, finished):
+    _, _, out = finished
+    rows = (out / "trace.csv").read_text().splitlines()
+    rows[0] = rows[0].replace("zlyap_1", "zlyap_x")
+    (tmp_path / "trace.csv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="unexpected trace header"):
+        import_trace(tmp_path / "trace.csv")
 
 
 def test_two_runs_are_byte_identical(tmp_path, finished):
@@ -830,7 +895,7 @@ def test_cli_seed_override_changes_the_run(tmp_path):
     assert ta == tb and ta != tc
 
 
-def test_cli_error_exit_codes(tmp_path):
+def test_cli_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[graph]\nn = -3\n")
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
@@ -868,6 +933,23 @@ def test_cli_error_exit_codes(tmp_path):
     )
     cfgp = write_cfg(tmp_path, cfg)
     assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    # a graph or weights file that does not parse is a config error, not a traceback
+    broken = {
+        ("--graph-file", "[graph] file"): ["2\n"],
+        ("--weights-file", "[weights] file"): [
+            "1 0\n0.5\n", "1 abc\n0 1\n", "nan 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+        ],
+    }
+    cfgp = write_cfg(tmp_path, base_config(sweep=SweepConfig(horizons=(40, 80, 150))))
+    for (flag, section), texts in broken.items():
+        for text in texts:
+            f = tmp_path / "broken.txt"
+            f.write_text(text)
+            for cmd in ("simulate", "verify", "sweep"):
+                argv = [cmd, "--config", cfgp, "--out", str(tmp_path / "o"), flag, str(f)]
+                capsys.readouterr()
+                assert main(argv) == 2, (cmd, text)
+                assert capsys.readouterr().err.startswith(f"config error: {section} {f}: "), (cmd, text)
     with pytest.raises(SystemExit):
         main(["simulate"])  # --config is required
     with pytest.raises(SystemExit):
@@ -911,3 +993,39 @@ def test_cli_run_failure_exits_1_with_a_report(tmp_path, capsys, command, check)
 def test_load_config_reads_files(tmp_path):
     cfgp = write_cfg(tmp_path, base_config())
     assert load_config(cfgp) == base_config()
+
+
+def test_an_agent_beating_the_optimum_exits_1_with_a_report(tmp_path, monkeypatch, capsys):
+    # f* raised by the best gap of the network's running average: the
+    # network never beats it, but agent 4's own running average does.
+    cfg = base_config(objective=ObjectiveConfig(
+        kind="quadratic", d=1, targets=((0.0,), (1.0,), (2.0,), (5.0,)),
+    ))
+    schedule, objective = pushsim.harness._materialize_spec(cfg)
+    trace = run_experiment(cfg).trace
+    best = float(running_average_gaps(objective, trace.alphas, trace.zbar).min())
+    shifted = dataclasses.replace(objective, f_star=objective.f_star + best)
+    monkeypatch.setattr(pushsim.harness, "_materialize_spec", lambda _: (schedule, shifted))
+    t = int(np.flatnonzero(running_average_gaps(shifted, trace.alphas, trace.zs[:, 3]) < -1e-12)[0])
+    with pytest.raises(RunFailure) as info:
+        run_experiment(cfg)
+    assert (info.value.check, info.value.agent, info.value.t) == ("certified-optimum", 4, t)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("run failed: point beats the declared optimum")
+    [failed] = json.loads((out / "report.json").read_text())["checks"]
+    assert failed["name"] == "certified-optimum" and failed["note"].startswith(f"agent 4, t={t}: ")
+
+
+def test_readme_quick_start_output(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config = re.search(r"```ini\n# demo\.ini\n(.*?)```", readme, re.S).group(1)
+    shown = re.search(
+        r"```text\n\$ pushsim simulate --config demo\.ini --out out/\n(.*?)```", readme, re.S,
+    ).group(1)
+    (tmp_path / "demo.ini").write_text(config, encoding="utf-8")
+    assert main(["simulate", "--config", str(tmp_path / "demo.ini"), "--out", str(tmp_path / "out")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    expected = [line for line in shown.splitlines() if line != "..."]
+    assert len(expected) > 5
+    assert [line for line in expected if line not in printed] == []

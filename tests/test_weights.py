@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushsim.graphs import digraph, generate_sequence
 from pushsim.weights import (
@@ -97,6 +99,38 @@ def test_parse_matrix_errors():
         parse_matrix("1 0\n0.5")
     with pytest.raises(ValueError, match="bad matrix entry"):
         parse_matrix("1 x\n0 1")
+    # NaN compares false everywhere, so it would slip past every check
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f"non-finite matrix entry '{bad}' at row 2, column 1"):
+            parse_matrix(f"1 0\n{bad} 1")
+
+
+def reference_support_violations(w, g):
+    """The per-entry loop validate_column_stochastic replaced, kept as
+    the reference for its support messages and their order."""
+    adj = g.adjacency()
+    problems = []
+    for i in range(g.n):
+        for j in range(g.n):
+            has_arc = adj[j, i]
+            if w[i, j] > 0 and not has_arc:
+                problems.append(f"positive weight w[{i + 1},{j + 1}] without arc {j + 1}>{i + 1}")
+            if has_arc and w[i, j] <= 0:
+                problems.append(f"arc {j + 1}>{i + 1} carries no weight")
+    return problems
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
+def test_support_violations_match_the_entry_loop(n, density, seed):
+    rng = np.random.default_rng(seed)
+    g = digraph(n, [(j, i) for j in range(n) for i in range(n) if i != j and rng.random() < density])
+    # Entries on and off the support, some zero and some negative.
+    w = np.where(rng.random((n, n)) < 0.5, rng.uniform(-0.3, 1.0, (n, n)), 0.0)
+    if rng.random() < 0.3:  # and sometimes the graph's own valid weights
+        w = build_weights(g).entries
+    support = [v for v in validate_column_stochastic(w, g).violations if "arc" in v]
+    assert support == reference_support_violations(w, g)
 
 
 @pytest.mark.parametrize("kind", ["static-cycle", "rotating-arc", "random-walkable"])
