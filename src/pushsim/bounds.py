@@ -51,19 +51,10 @@ __all__ = [
     "bound_timevarying",
     "timevarying_series",
     "bound_fixed",
-    "consensus_contraction_bound",
     "contraction_series",
     "fit_rate",
     "fit_geometric_rate",
-    "mu_power",
 ]
-
-
-def mu_power(log_mu: float, k: float) -> float:
-    """mu**k computed from log(mu), with mu**0 == 1 even when mu == 0."""
-    if k == 0:
-        return 1.0
-    return math.exp(k * log_mu)
 
 
 @dataclass(frozen=True)
@@ -344,13 +335,6 @@ def contraction_series(inp: BoundInputs, t_max: int) -> ContractionSeries:
             8.0 * inp.n * inp.G / (inp.eta * inp.one_minus_mu)
         ) * halves
     return ContractionSeries(geometric=geometric, refined=refined)
-
-
-def consensus_contraction_bound(inp: BoundInputs, t: int) -> tuple[float, float | None]:
-    """(geometric, refined) envelope values at one step."""
-    series = contraction_series(inp, t)
-    refined = None if series.refined is None else float(series.refined[t])
-    return float(series.geometric[t]), refined
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ __all__ = [
     "GraphSequence",
     "digraph",
     "generate_sequence",
-    "union_graph",
     "is_strongly_connected",
     "uniform_connectivity_window",
     "format_graph_sequence",
@@ -245,18 +244,6 @@ def generate_sequence(
         adj |= eye
         adj.setflags(write=False)
     return GraphSequence(n=n, horizon=horizon, kind=kind, seed=seed, adj=adj)
-
-
-def union_graph(graphs: Sequence[Digraph]) -> Digraph:
-    """Arc union of the given graphs (all on the same vertex set)."""
-    if not graphs:
-        raise ValueError("union of an empty collection is undefined")
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise ValueError("vertex counts differ")
-    u = np.logical_or.reduce([g._adj for g in graphs])
-    u.setflags(write=False)
-    return Digraph._view(u)
 
 
 def _reaches_all(adj: np.ndarray) -> np.ndarray:

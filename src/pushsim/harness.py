@@ -768,7 +768,9 @@ def _invariant_checks(trace: RunTrace, tc, checks: list[CheckResult]) -> None:
     checks.append(_residual_check("lyapunov-recursion", lyap_resid, LYAPUNOV_TOL))
 
     if trace.smatrices is not None:
-        aps = AbsProbSeq.from_weight_history(list(y_all))
+        # Built directly, not through absolute_probability's mass guard:
+        # mass drift is the weight-mass check's to report.
+        aps = AbsProbSeq(vectors=y_all / n)
         rec = float(aps.recursion_residual(trace.smatrices).max())
         sto = aps.stochasticity_residual()
         checks.append(_residual_check("abs-prob-recursion", rec, APS_RECURSION_TOL))

@@ -40,18 +40,16 @@ __all__ = [
     "ratio_state",
     "check_weight_floor",
     "build_s_matrix",
-    "transition_product_w",
-    "transition_product_s",
     "verify_product_identity",
     "product_identity_residuals",
     "absolute_probability",
     "theory_constants",
-    "consensus_error",
 ]
 
 Y_FLOOR = 1e-300
 # How far sum(y) may stray from n before absolute_probability refuses the
-# weights; the harness's weight-mass check has its own, tighter tolerance.
+# weights; the harness builds its rows directly and reports the drift
+# through its own, tighter weight-mass check instead.
 APS_MASS_TOL = 1e-6
 
 
@@ -145,15 +143,14 @@ def ratio_state(state: NetworkState) -> np.ndarray:
 class SMatrix:
     """Row-stochastic companion of one push-sum step.
 
-    ``gamma`` is the smallest supported (positive) entry.  It is bounded
-    below by beta * min_i y_i / n on any step whose weight matrix honors
-    the beta floor, so the companion chain inherits uniformly positive
-    diagonals from the original weights.
+    Its smallest positive entry is bounded below by beta * min_i y_i / n
+    on any step whose weight matrix honors the beta floor, so the
+    companion chain inherits uniformly positive diagonals from the
+    original weights.
     """
 
     n: int
     entries: np.ndarray = field(repr=False)
-    gamma: float
 
     def __post_init__(self) -> None:
         e = np.array(self.entries, dtype=float)
@@ -172,33 +169,7 @@ def build_s_matrix(w: WeightMatrix, y: np.ndarray) -> SMatrix:
     if (denom <= 0).any():
         raise ValueError("W y has a nonpositive entry; weight support is broken")
     s = w.entries * y[None, :] / denom[:, None]
-    positives = s[s > 0]
-    return SMatrix(n=w.n, entries=s, gamma=float(positives.min()))
-
-
-def transition_product_w(ws: Sequence[WeightMatrix], tau: int, t: int) -> np.ndarray:
-    """Product W(t-1) ... W(tau) of the raw mixing steps (left-applied).
-
-    Returns the identity when t == tau.
-    """
-    return _product([w.entries for w in ws], tau, t)
-
-
-def transition_product_s(ss: Sequence[SMatrix], tau: int, t: int) -> np.ndarray:
-    """Product S(t-1) ... S(tau) of the companion chain (left-applied)."""
-    return _product([s.entries for s in ss], tau, t)
-
-
-def _product(mats: Sequence[np.ndarray], tau: int, t: int) -> np.ndarray:
-    if not 0 <= tau <= t <= len(mats):
-        raise ValueError(f"need 0 <= tau <= t <= {len(mats)}, got tau={tau}, t={t}")
-    n = mats[0].shape[0] if mats else 1
-    if t == tau:
-        return np.eye(n)
-    p = mats[tau].copy()
-    for k in range(tau + 1, t):
-        p = mats[k] @ p
-    return p
+    return SMatrix(n=w.n, entries=s)
 
 
 def verify_product_identity(
@@ -281,10 +252,6 @@ class AbsProbSeq:
     def from_weight_history(cls, ys: Sequence[np.ndarray]) -> "AbsProbSeq":
         return cls(vectors=np.stack([absolute_probability(y) for y in ys]))
 
-    @property
-    def pi_min(self) -> float:
-        return float(self.vectors.min())
-
     def stochasticity_residual(self) -> float:
         """Max deviation of any row from being a probability vector."""
         v = self.vectors
@@ -350,12 +317,3 @@ def theory_constants(n: int, L: int) -> TheoryConstants:
         n=n, L=L, eta=eta, mu=mu, c=4.0,
         log_eta=log_eta, log_mu=log_mu, vacuous=vacuous,
     )
-
-
-def consensus_error(z: np.ndarray) -> float:
-    """Largest Euclidean distance of any agent's ratio from the network mean."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    if z.size == 0:
-        raise ValueError("consensus error of an empty state is undefined")
-    dev = z - z.mean(axis=0, keepdims=True)
-    return float(np.sqrt((dev ** 2).sum(axis=1)).max())

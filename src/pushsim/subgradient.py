@@ -34,7 +34,6 @@ from .pushsum import (
     SMatrix,
     build_s_matrix,
     check_weight_floor,
-    ratio_state,
 )
 from .weights import WeightMatrix
 
@@ -56,14 +55,10 @@ __all__ = [
     "stepsize",
     "stepsize_array",
     "validate_schedule",
-    "pushsub_step",
-    "pushsub_step_ratio",
     "run_push_subgradient",
-    "weighted_running_average",
     "mean_and_consensus",
     "running_average_gaps",
     "certified_gaps",
-    "optimality_gap",
 ]
 
 GAP_NOISE_TOL = 1e-12
@@ -458,18 +453,6 @@ def zero_objective(n: int, d: int) -> ObjectiveSpec:
     return replace(spec, z_star=np.zeros(d), f_star=0.0, optimum_provenance="zero")
 
 
-def optimality_gap(objective: ObjectiveSpec, point: np.ndarray) -> float:
-    """f(point) - f*; tiny negative rounding noise is clipped to zero.
-
-    A gap below -1e-12 means the declared optimum is beaten and therefore
-    wrong, which raises instead of being masked.
-    """
-    gap = objective.value(point) - objective.f_star
-    if gap < -GAP_NOISE_TOL:
-        raise ValueError(_beaten_message(objective, gap))
-    return max(gap, 0.0)
-
-
 def _beaten_message(objective: ObjectiveSpec, gap: float) -> str:
     return (
         f"point beats the declared optimum by {-gap:.3e}; "
@@ -525,7 +508,11 @@ def stepsize(schedule: StepsizeSchedule, t: int) -> float:
     if schedule.kind == "harmonic":
         return schedule.a / (t + 1)
     if schedule.kind == "polynomial":
-        return schedule.a / (t + 1) ** schedule.p
+        try:
+            return schedule.a / (t + 1) ** schedule.p
+        except OverflowError:
+            # (t+1)**p exceeds the float range, so the quotient underflows.
+            return 0.0
     assert schedule.T is not None
     if t >= schedule.T:
         raise ValueError(
@@ -566,57 +553,8 @@ def validate_schedule(schedule: StepsizeSchedule) -> ScheduleReport:
 
 
 # --------------------------------------------------------------------------
-# the optimization step and run loop
+# the run loop
 # --------------------------------------------------------------------------
-
-def pushsub_step(
-    state: NetworkState,
-    w: WeightMatrix,
-    alpha: float,
-    objective: ObjectiveSpec,
-) -> NetworkState:
-    """One descent-then-mix step; with alpha == 0 it is exactly a pure
-    mixing step (bitwise, since the subtraction is skipped)."""
-    if alpha < 0:
-        raise ValueError(f"stepsize must be nonnegative, got {alpha}")
-    if w.n != state.n:
-        raise ValueError(f"weight matrix is {w.n}x{w.n} but state has n={state.n}")
-    if objective.n != state.n or objective.d != state.d:
-        raise ValueError(
-            f"objective is for (n, d)=({objective.n}, {objective.d}), "
-            f"state has ({state.n}, {state.d})"
-        )
-    if alpha == 0.0:
-        inner = state.x
-    else:
-        z = ratio_state(state)
-        inner = state.x - alpha * objective.agent_subgradients(z)
-    return NetworkState(t=state.t + 1, x=w.entries @ inner, y=w.entries @ state.y)
-
-
-def pushsub_step_ratio(
-    z: np.ndarray,
-    y: np.ndarray,
-    w: WeightMatrix,
-    alpha: float,
-    objective: ObjectiveSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The same step written on the ratios:  z' = S (z - alpha g / y).
-
-    Algebraically identical to running :func:`pushsub_step` on x = z * y,
-    up to floating-point reassociation; useful as a cross-check that the
-    companion chain really does govern the ratio dynamics.
-    """
-    if alpha < 0:
-        raise ValueError(f"stepsize must be nonnegative, got {alpha}")
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    y = np.asarray(y, dtype=float)
-    s = build_s_matrix(w, y)
-    g = objective.agent_subgradients(z)
-    z_next = s.entries @ (z - alpha * g / y[:, None])
-    y_next = w.entries @ y
-    return z_next, y_next
-
 
 @dataclass
 class RunTrace:
@@ -707,8 +645,8 @@ def run_push_subgradient(
     those, the in-step checks and the companion products.  The network
     mean, the Lyapunov average, the consensus error, the running-average
     gap and the one-step deviation are each one expression over the
-    stored rows after the loop; each equals, bitwise, what the per-agent
-    step :func:`pushsub_step` and a per-step evaluation give.
+    stored rows after the loop; each equals, bitwise, what a per-step
+    evaluation gives.
     """
     steps = len(ws)
     if steps == 0:
@@ -770,7 +708,7 @@ def run_push_subgradient(
                 s_product_gap[t] = float(np.abs(prod - limit).max())
 
             w = ws[t].entries
-            # alpha == 0 is exactly a pure mixing step (see pushsub_step).
+            # alpha == 0 is exactly a pure mixing step: the subtraction is skipped.
             x = w @ (x if alpha == 0.0 else x - alpha * g)
             y = w @ y
             check_weight_floor(t + 1, y)
@@ -820,7 +758,7 @@ def running_average_gaps(
 def certified_gaps(
     objective: ObjectiveSpec, alphas: np.ndarray, rows: np.ndarray, agent: int | None = None
 ) -> np.ndarray:
-    """:func:`running_average_gaps` clipped at 0 like optimality_gap; a
+    """:func:`running_average_gaps` with rounding noise clipped at 0; a
     gap below -1e-12 beats the declared optimum and raises RunFailure
     "certified-optimum" at the first such t, naming ``agent`` (1-based,
     None for the network mean)."""
@@ -830,20 +768,3 @@ def certified_gaps(
         t = int(beaten[0])
         raise RunFailure("certified-optimum", agent, t, _beaten_message(objective, gaps[t]))
     return np.maximum(gaps, 0.0)
-
-
-def weighted_running_average(
-    trace: RunTrace, upto: int, agent: int | None = None
-) -> np.ndarray:
-    """Stepsize-weighted average of ratio means (or of one agent's ratios)
-    over steps 0..upto inclusive."""
-    if not 0 <= upto < trace.steps:
-        raise ValueError(f"upto must lie in [0, {trace.steps - 1}], got {upto}")
-    w = trace.alphas[: upto + 1]
-    if agent is None:
-        src = trace.zbar[: upto + 1]
-    else:
-        if not 0 <= agent < trace.n:
-            raise ValueError(f"agent index out of range: {agent}")
-        src = trace.zs[: upto + 1, agent]
-    return (w[:, None] * src).sum(axis=0) / w.sum()

@@ -20,7 +20,6 @@ __all__ = [
     "build_weights",
     "build_weight_stack",
     "validate_column_stochastic",
-    "format_matrix",
     "parse_matrix",
 ]
 
@@ -105,10 +104,10 @@ def validate_column_stochastic(
 ) -> WeightValidation:
     """Check a candidate matrix against the support and stochasticity rules.
 
-    Violations reported: column sums off by more than ``tol``; a positive
-    entry without the matching arc; an arc without a positive entry; a
-    positive entry below ``beta_min``; a nonpositive diagonal entry.
-    Entries must be nonnegative.
+    Violations reported: a non-finite entry; column sums off by more than
+    ``tol``; a positive entry without the matching arc; an arc without a
+    positive entry; a positive entry below ``beta_min``; a nonpositive
+    diagonal entry.  Entries must be nonnegative.
     """
     w = np.asarray(entries, dtype=float)
     n = g.n
@@ -119,6 +118,9 @@ def validate_column_stochastic(
             column_sum_error=float("nan"),
             min_positive=float("nan"),
         )
+    # NaN fails every comparison below, so it is reported on its own.
+    for i, j in np.argwhere(~np.isfinite(w)).tolist():
+        problems.append(f"non-finite weight w[{i + 1},{j + 1}] = {w[i, j]}")
     col_err = float(np.abs(w.sum(axis=0) - 1.0).max())
     if col_err > tol:
         bad = [j for j in range(n) if abs(w[:, j].sum() - 1.0) > tol]
@@ -148,12 +150,6 @@ def validate_column_stochastic(
         column_sum_error=col_err,
         min_positive=min_pos,
     )
-
-
-def format_matrix(entries: np.ndarray) -> str:
-    """Dense row-major text form, one row per line, 17 significant digits."""
-    w = np.asarray(entries, dtype=float)
-    return "\n".join(" ".join(f"{v:.17g}" for v in row) for row in w) + "\n"
 
 
 def parse_matrix(text: str) -> np.ndarray:

@@ -13,11 +13,9 @@ from pushsim.bounds import (
     _mu_powers,
     bound_fixed,
     bound_timevarying,
-    consensus_contraction_bound,
     contraction_series,
     fit_geometric_rate,
     fit_rate,
-    mu_power,
     timevarying_series,
 )
 from pushsim.subgradient import StepsizeSchedule, stepsize_array
@@ -43,9 +41,9 @@ def make_inputs(n=3, d=1, G=2.0, eta=0.5, mu=0.8, steps=64, schedule=None,
 # --------------------------------------------------------------------------
 
 def test_mu_power_conventions():
-    assert mu_power(float("-inf"), 0) == 1.0   # mu^0 == 1 even for mu == 0
-    assert mu_power(float("-inf"), 3) == 0.0
-    assert mu_power(math.log(0.5), 2) == pytest.approx(0.25)
+    # mu^0 == 1 even for mu == 0
+    assert _mu_powers(float("-inf"), np.array([0.0, 3.0])).tolist() == [1.0, 0.0]
+    assert _mu_powers(math.log(0.5), np.array([2.0]))[0] == pytest.approx(0.25)
 
 
 def test_inputs_validation():
@@ -235,7 +233,8 @@ def test_fixed_horizon_schedule_must_match():
 def test_envelope_t0_by_hand():
     z0 = np.array([[1.0], [2.0], [3.0]])
     inp = make_inputs(z0=z0, x0=z0, g0=np.ones((3, 1)), G=2.0, eta=0.5, mu=0.8)
-    geo, refined = consensus_contraction_bound(inp, 0)
+    series = contraction_series(inp, 0)
+    geo, refined = series.geometric[0], series.refined[0]
     mass = 6.0 + 3.0  # alpha(0) = 1
     assert geo == pytest.approx((8.0 / 0.5) * mass + (8.0 * 3 * 2.0 / 0.5) * 1.0)
     assert refined == pytest.approx(

@@ -12,7 +12,6 @@ from pushsim.graphs import (
     is_strongly_connected,
     parse_graph_sequence,
     uniform_connectivity_window,
-    union_graph,
 )
 
 
@@ -63,17 +62,6 @@ def test_strong_connectivity_matches_networkx(n, data):
     h.add_nodes_from(range(n))
     h.add_edges_from(g.arcs)
     assert is_strongly_connected(g) == nx.is_strongly_connected(h)
-
-
-def test_union_graph():
-    a = digraph(3, [(0, 1)])
-    b = digraph(3, [(1, 2)])
-    u = union_graph([a, b])
-    assert (0, 1) in u.arcs and (1, 2) in u.arcs
-    with pytest.raises(ValueError):
-        union_graph([])
-    with pytest.raises(ValueError):
-        union_graph([a, digraph(2)])
 
 
 def test_generators_are_deterministic():

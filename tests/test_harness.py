@@ -39,7 +39,8 @@ from pushsim.harness import (
 from pushsim.pushsum import RunFailure
 from pushsim.subgradient import running_average_gaps
 from pushsim.svgplot import Series, line_chart
-from pushsim.weights import build_weights, format_matrix
+from pushsim.weights import build_weights
+from reference import format_matrix
 
 
 def base_config(**over) -> ExperimentConfig:
@@ -961,6 +962,41 @@ def test_cli_sweep(tmp_path):
     out = str(tmp_path / "sw")
     assert main(["sweep", "--config", cfgp, "--out", out]) == 0
     assert (Path(out) / "sweep.csv").exists()
+
+
+def test_cli_weight_mass_drift_is_a_failed_check(tmp_path, capsys):
+    # every column sums to 1 + 9e-10, inside the file tolerance, and over
+    # 2000 steps the mass drifts by 5.4e-6
+    ring = build_weights(digraph(3, RING3)).entries
+    wfile = tmp_path / "weights.txt"
+    wfile.write_text(format_matrix(np.where(ring > 0, 0.50000000045, 0.0)))
+    cfg = base_config(
+        graph=GraphConfig(kind="static-cycle", n=3, horizon=2000),
+        weights=WeightConfig(rule="file", file=str(wfile)),
+        objective=ObjectiveConfig(kind="l1", d=1, targets=((0.0,), (1.0,), (2.0,))),
+    )
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert not checks["weight-mass"]["passed"]
+    assert checks["weight-mass"]["value"] == pytest.approx(5.4e-6, rel=1e-3)
+
+
+def test_cli_overflowing_polynomial_exponent_fails_the_decay_check(tmp_path, capsys):
+    # (t+1)^80 leaves the float range within validate_schedule's spot
+    # check; alpha(t) then underflows to 0 instead of raising
+    cfg = base_config(
+        graph=GraphConfig(kind="static-cycle", n=3, horizon=50),
+        objective=ObjectiveConfig(kind="l1", d=1, targets=((0.0,), (1.0,), (2.0,))),
+        schedule=ScheduleConfig(kind="polynomial", p=80.0),
+    )
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert not checks["stepsize-decay"]["passed"]
+    assert [name for name, c in checks.items() if not c["passed"]] == ["stepsize-decay"]
 
 
 @pytest.mark.parametrize("command,check", [

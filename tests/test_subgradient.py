@@ -12,7 +12,6 @@ from pushsim.pushsum import (
     NetworkState,
     RunFailure,
     build_s_matrix,
-    consensus_error,
     initial_state,
     pushsum_step,
     ratio_state,
@@ -23,18 +22,16 @@ from pushsim.subgradient import (
     QuadraticTerm,
     StepsizeSchedule,
     ZeroTerm,
+    certified_gaps,
     hinge_objective,
     l1_objective,
-    optimality_gap,
-    pushsub_step,
-    pushsub_step_ratio,
     quadratic_objective,
     run_push_subgradient,
+    running_average_gaps,
     stepsize,
     stepsize_array,
     subgradient,
     validate_schedule,
-    weighted_running_average,
     zero_objective,
 )
 from pushsim.weights import build_weight_stack, build_weights
@@ -111,9 +108,9 @@ def test_quadratic_objective_mean_optimum():
     assert_allclose(obj.z_star, [2.0])
     assert_allclose(obj.f_star, (4.0 + 0.0 + 4.0) / 3.0)
     assert obj.optimum_provenance == "analytic-mean"
-    assert optimality_gap(obj, np.array([2.0])) == 0.0
+    assert obj.value(np.array([2.0])) - obj.f_star == 0.0
     # gap is mean squared distance shifted by f*:  f(z) - f* = (z - mean)^2
-    assert optimality_gap(obj, np.array([5.0])) == pytest.approx(9.0)
+    assert obj.value(np.array([5.0])) - obj.f_star == pytest.approx(9.0)
 
 
 def test_l1_objective_median_optimum_even_count():
@@ -121,20 +118,21 @@ def test_l1_objective_median_optimum_even_count():
     assert_allclose(obj.z_star, [2.0])  # midpoint convention
     assert obj.optimum_provenance == "analytic-median"
     # any point between 1 and 3 attains the same optimal value
-    assert optimality_gap(obj, np.array([1.5])) == 0.0
+    assert obj.value(np.array([1.5])) - obj.f_star == 0.0
 
 
 def test_l1_gap_example():
     obj = l1_objective(np.array([[0.0], [1.0], [2.0]]))
     assert obj.f_star == pytest.approx(2.0 / 3.0)
-    assert optimality_gap(obj, np.array([0.0])) == pytest.approx(1.0 / 3.0)
+    assert obj.value(np.array([0.0])) - obj.f_star == pytest.approx(1.0 / 3.0)
 
 
 def test_declared_optimum_must_not_be_beatable():
     obj = quadratic_objective(np.array([[0.0], [2.0]]))
     cheat = ObjectiveSpecBeaten(obj)
-    with pytest.raises(ValueError, match="beats the declared optimum"):
-        optimality_gap(cheat, np.array([1.0]))
+    with pytest.raises(RunFailure, match="beats the declared optimum") as info:
+        certified_gaps(cheat, np.ones(1), np.array([[1.0]]))
+    assert (info.value.check, info.value.agent, info.value.t) == ("certified-optimum", None, 0)
 
 
 class ObjectiveSpecBeaten:
@@ -145,8 +143,8 @@ class ObjectiveSpecBeaten:
         self.f_star = inner.f_star + 1.0
         self.optimum_provenance = "broken"
 
-    def value(self, z):
-        return self._inner.value(z)
+    def value_batch(self, zs):
+        return self._inner.value_batch(zs)
 
 
 def test_hinge_objective_exact_certificate():
@@ -244,6 +242,8 @@ def test_schedule_values():
     assert stepsize(h, 3) == 0.5
     p = StepsizeSchedule.polynomial(1.0, 0.75)
     assert stepsize(p, 15) == pytest.approx(16.0 ** -0.75)
+    # 10000^80 overflows the float range; the quotient underflows to 0
+    assert stepsize(StepsizeSchedule.polynomial(1.0, 80.0), 9_999) == 0.0
     f = StepsizeSchedule.fixed_horizon(400)
     assert stepsize(f, 0) == pytest.approx(0.05)
     assert stepsize(f, 399) == pytest.approx(0.05)
@@ -284,34 +284,31 @@ def test_schedule_classification(sched, expected):
 # --------------------------------------------------------------------------
 
 def test_step_with_zero_alpha_reduces_to_pure_mixing():
-    obj = l1_objective(np.array([[0.0], [1.0], [2.0]]))
-    st_ = initial_state(np.array([[5.0], [-1.0], [3.0]]))
-    a = pushsub_step(st_, CYCLE3[0], 0.0, obj)
-    b = pushsum_step(st_, CYCLE3[0])
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-
-
-def test_step_rejects_negative_alpha_and_bad_shapes():
-    obj = l1_objective(np.array([[0.0], [1.0], [2.0]]))
-    st_ = initial_state(np.zeros((3, 1)))
-    with pytest.raises(ValueError, match="nonnegative"):
-        pushsub_step(st_, CYCLE3[0], -0.1, obj)
-    bad = l1_objective(np.array([[0.0], [1.0]]))
-    with pytest.raises(ValueError):
-        pushsub_step(st_, CYCLE3[0], 0.1, bad)
+    # A zero objective has zero subgradients, and p = 2000 overflows every
+    # alpha(t) after the first to 0; either way a run step is pure mixing.
+    x0 = np.array([[5.0], [-1.0], [3.0]])
+    ws = [CYCLE3[0]] * 12
+    zero = run_push_subgradient(ws, x0, zero_objective(3, 1), StepsizeSchedule.harmonic())
+    l1 = l1_objective(np.array([[0.0], [1.0], [2.0]]))
+    steep = run_push_subgradient(ws, x0, l1, StepsizeSchedule.polynomial(1.0, 2000.0))
+    assert steep.alphas[0] == 1.0 and not steep.alphas[1:].any()
+    for trace, first in ((zero, 0), (steep, 1)):
+        xs = np.concatenate([trace.xs, trace.final_state.x[None]])
+        ys = np.concatenate([trace.ys, trace.final_state.y[None]])
+        state = NetworkState(t=first, x=xs[first], y=ys[first])
+        for t in range(first + 1, 13):
+            state = pushsum_step(state, CYCLE3[0])
+            assert np.array_equal(state.x, xs[t]) and np.array_equal(state.y, ys[t])
 
 
 def test_ratio_form_step_matches_mass_form():
+    # the companion chain governs the ratios: z(t+1) = S(t) (z(t) - alpha(t) g(t) / y(t))
     obj = quadratic_objective(np.array([[0.0, 1.0], [2.0, -1.0], [4.0, 0.0]]))
-    rng = np.random.default_rng(5)
-    st_ = initial_state(rng.uniform(-2, 2, (3, 2)))
-    z, y = ratio_state(st_), st_.y
+    x0 = np.random.default_rng(5).uniform(-2, 2, (3, 2))
+    trace = run_push_subgradient([CYCLE3[0]] * 26, x0, obj, StepsizeSchedule.harmonic())
     for t in range(25):
-        alpha = stepsize(StepsizeSchedule.harmonic(), t)
-        st_ = pushsub_step(st_, CYCLE3[0], alpha, obj)
-        z, y = pushsub_step_ratio(z, y, CYCLE3[0], alpha, obj)
-        assert np.abs(z - ratio_state(st_)).max() <= 1e-12
-        assert np.abs(y - st_.y).max() <= 1e-12
+        inner = trace.zs[t] - trace.alphas[t] * trace.gs[t] / trace.ys[t][:, None]
+        assert np.abs(trace.zs[t + 1] - trace.smatrices[t].entries @ inner).max() <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -345,21 +342,18 @@ def test_run_records_prestep_rows():
 def test_running_average_is_the_reported_iterate():
     trace, obj = small_run(steps=50)
     for t in (0, 7, 49):
-        avg = weighted_running_average(trace, t)
-        assert optimality_gap(obj, avg) == pytest.approx(trace.running_gap[t], abs=1e-12)
-    direct = (trace.alphas[:8, None] * trace.zbar[:8]).sum(axis=0) / trace.alphas[:8].sum()
-    assert_allclose(weighted_running_average(trace, 7), direct)
+        w = trace.alphas[: t + 1]
+        avg = (w[:, None] * trace.zbar[: t + 1]).sum(axis=0) / w.sum()
+        assert obj.value(avg) - obj.f_star == pytest.approx(trace.running_gap[t], abs=1e-12)
 
 
-def test_running_average_agent_variant_and_range_checks():
-    trace, _ = small_run(steps=10)
-    one = weighted_running_average(trace, 9, agent=1)
+def test_running_average_agent_variant():
+    # the per-agent certificates' gap: agent 2's own stepsize-weighted average
+    trace, obj = small_run(steps=10)
+    gaps = running_average_gaps(obj, trace.alphas, trace.zs[:, 1])
     direct = (trace.alphas[:, None] * trace.zs[:, 1]).sum(axis=0) / trace.alphas.sum()
-    assert_allclose(one, direct)
-    with pytest.raises(ValueError, match="upto"):
-        weighted_running_average(trace, 10)
-    with pytest.raises(ValueError, match="agent"):
-        weighted_running_average(trace, 9, agent=3)
+    assert gaps.shape == (10,)
+    assert gaps[-1] == pytest.approx(obj.value(direct) - obj.f_star, abs=1e-12)
 
 
 def test_run_tracks_companion_products_when_asked():
@@ -459,7 +453,7 @@ def reference_run(ws, x0, objective, schedule, record_products):
         out["xs"][t], out["ys"][t], out["zs"][t], out["gs"][t] = state.x, state.y, z, g
         out["zbar"][t] = z.mean(axis=0)
         out["zlyap"][t] = (state.y / n) @ z
-        out["consensus"][t] = consensus_error(z)
+        out["consensus"][t] = np.sqrt(((z - z.mean(axis=0)) ** 2).sum(axis=1)).max()
         avg_num += alpha * out["zbar"][t]
         avg_den += alpha
         gap = value(avg_num / avg_den) - objective.f_star
@@ -567,7 +561,6 @@ def assert_matches_reference(ws, x0, objective, schedule, record):
         assert len(got.smatrices) == len(smatrices)
         for a, b in zip(got.smatrices, smatrices):
             assert_same_bits(a.entries, b.entries, "companion")
-            assert a.gamma == b.gamma
     else:
         assert got.smatrices is None
     return None

