@@ -64,7 +64,8 @@ class BoundInputs:
     ``alphas`` must hold the stepsizes actually applied, covering every
     step the bound will be asked about.  ``mu`` may round to 1.0 for
     worst-case constants; ``log_mu`` (strictly negative) is authoritative
-    and ``one_minus_mu`` is derived from it without cancellation.
+    and ``one_minus_mu`` is derived from it without cancellation;
+    ``decay_ok`` says whether ``schedule`` meets the decay conditions.
     """
 
     n: int
@@ -81,8 +82,8 @@ class BoundInputs:
     alphas: np.ndarray
     schedule: StepsizeSchedule | None = None
     log_mu: float = field(default=None)  # type: ignore[assignment]
-    one_minus_mu: float = field(default=None)  # type: ignore[assignment]
-    decay_ok: bool = field(default=None)  # type: ignore[assignment]
+    one_minus_mu: float = field(init=False)
+    decay_ok: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.L < 1 or self.d < 1:
@@ -99,10 +100,8 @@ class BoundInputs:
         if not log_mu < 0:
             raise ValueError("log(mu) must be negative: the chain must contract")
         object.__setattr__(self, "log_mu", float(log_mu))
-        if self.one_minus_mu is None:
-            object.__setattr__(self, "one_minus_mu", -math.expm1(log_mu))
-        if self.one_minus_mu <= 0:
-            raise ValueError("1 - mu must be positive")
+        # positive for every log_mu < 0, -inf included
+        object.__setattr__(self, "one_minus_mu", -math.expm1(log_mu))
         for name, shape in (
             ("z_bar0", (self.d,)), ("z0", (self.n, self.d)),
             ("z_star", (self.d,)), ("x0", (self.n, self.d)),
@@ -116,12 +115,10 @@ class BoundInputs:
             raise ValueError("alphas must be a nonempty vector")
         a.setflags(write=False)
         object.__setattr__(self, "alphas", a)
-        if self.decay_ok is None:
-            ok = (
-                self.schedule is not None
-                and validate_schedule(self.schedule).assumption == "satisfied"
-            )
-            object.__setattr__(self, "decay_ok", ok)
+        object.__setattr__(self, "decay_ok", (
+            self.schedule is not None
+            and validate_schedule(self.schedule).assumption == "satisfied"
+        ))
 
     @property
     def initial_mass(self) -> np.ndarray:
@@ -424,25 +421,26 @@ class GeometricFit:
     exact: bool
 
 
-def fit_geometric_rate(
-    values: np.ndarray,
-    floor: float = 1e-13,
-    min_points: int = 4,
-) -> GeometricFit:
+GEOMETRIC_FLOOR = 1e-13
+GEOMETRIC_MIN_POINTS = 4
+
+
+def fit_geometric_rate(values: np.ndarray) -> GeometricFit:
     """Fit a geometric decay rate to a nonnegative series.
 
-    Entries at or below ``floor`` are treated as converged-to-noise and
-    ignored.  The fit uses the second half of the above-floor range so the
-    transient does not bias the asymptotic rate; if that leaves too few
-    points the whole above-floor range is used.  A series with fewer than
-    two usable points reports exact convergence with rate 0.
+    Entries at or below ``GEOMETRIC_FLOOR`` are treated as
+    converged-to-noise and ignored.  The fit uses the second half of the
+    above-floor range so the transient does not bias the asymptotic rate;
+    if that leaves fewer than ``GEOMETRIC_MIN_POINTS`` points the whole
+    above-floor range is used.  A series with fewer than two usable points
+    reports exact convergence with rate 0.
     """
     v = np.asarray(values, dtype=float)
-    above = np.flatnonzero(v > floor)
+    above = np.flatnonzero(v > GEOMETRIC_FLOOR)
     if above.size < 2:
         return GeometricFit(rho=0.0, log_coeff=float("-inf"), r2=1.0, n_used=0, exact=True)
     window = above[above.size // 2 :]
-    if window.size < min_points:
+    if window.size < GEOMETRIC_MIN_POINTS:
         window = above
     slope, intercept, r2 = _linear_fit(window.astype(float), np.log(v[window]))
     return GeometricFit(

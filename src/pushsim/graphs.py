@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def digraph(n: int, cross_arcs: Iterable[tuple[int, int]] = ()) -> Digraph:
     return Digraph(n, [(i, i) for i in range(n)] + list(cross_arcs))
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class GraphSequence:
     """One digraph per step over a finite horizon.
 
@@ -123,41 +123,20 @@ class GraphSequence:
     function of (kind, n, horizon, seed) and are prefix-stable: a longer
     horizon with the same seed extends the shorter sequence unchanged.
 
-    Build one from per-step ``graphs`` or from an ``adj`` stack of shape
-    ``(horizon, n, n)``; the stack is the only stored form and ``graphs``
-    is a view of it.  ``adj`` is not an init field, so
-    ``dataclasses.replace(seq, graphs=...)`` swaps the steps.
+    ``adj`` is the adjacency stack of shape ``(horizon, n, n)``, kept
+    read-only; ``graphs`` and indexing give per-step views of it.
     """
 
     n: int
     horizon: int
     kind: str
     seed: int
-    adj: np.ndarray = field(init=False, repr=False)
+    adj: np.ndarray = field(repr=False)
 
-    def __init__(
-        self,
-        n: int,
-        horizon: int,
-        kind: str,
-        seed: int,
-        graphs: Sequence[Digraph] | None = None,
-        *,
-        adj: np.ndarray | None = None,
-    ) -> None:
-        if (graphs is None) == (adj is None):
-            raise TypeError("give exactly one of graphs and adj")
-        if horizon < 1:
+    def __post_init__(self) -> None:
+        if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if graphs is not None:
-            if len(graphs) != horizon:
-                raise ValueError(f"expected {horizon} graphs, got {len(graphs)}")
-            if any(g.n != n for g in graphs):
-                raise ValueError("all graphs must share the same vertex count")
-            adj = np.stack([g._adj for g in graphs])
-        for name, value in (("n", n), ("horizon", horizon), ("kind", kind), ("seed", seed)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "adj", _frozen_stack(adj, (horizon, n, n)))
+        object.__setattr__(self, "adj", _frozen_stack(self.adj, (self.horizon, self.n, self.n)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphSequence):

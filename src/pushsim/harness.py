@@ -44,6 +44,7 @@ from .pushsum import AbsProbSeq, RunFailure, product_identity_residuals, theory_
 from .subgradient import (
     ObjectiveSpec,
     RunTrace,
+    ScheduleReport,
     StepsizeSchedule,
     certified_gaps,
     hinge_objective,
@@ -568,11 +569,6 @@ def _materialize_weights(
     return ws, violations
 
 
-def _violation_texts(violations: list[tuple[int, str]], horizon: int) -> list[str]:
-    """The weight violations of the steps before ``horizon``."""
-    return [f"step {t}: {v}" for t, v in violations if t < horizon]
-
-
 def _materialize_spec(cfg: ExperimentConfig) -> tuple[StepsizeSchedule, ObjectiveSpec]:
     """The configured stepsize schedule and objective.  Their constructors
     hold the range rules (a > 0, p >= 0, g_bound >= 0, box_lo < box_hi,
@@ -646,23 +642,41 @@ def _bound_inputs(
     )
 
 
-def _certified_window(seq: GraphSequence) -> int:
+# --------------------------------------------------------------------------
+# certification
+# --------------------------------------------------------------------------
+
+def _window_check(seq: GraphSequence) -> CheckResult:
+    """The connectivity-window check over the whole of ``seq``."""
     window = uniform_connectivity_window(seq)
     if window is None:
-        raise ValidationFailure(
+        return CheckResult("connectivity-window", False, note=(
             "no window length certifies joint strong connectivity over "
             f"the {seq.horizon}-step horizon"
-        )
-    return window
+        ))
+    return CheckResult("connectivity-window", True, value=window)
 
 
-def _check_weights(violations: list[tuple[int, str]], horizon: int) -> None:
-    texts = _violation_texts(violations, horizon)
+def _weights_check(
+    ws: list[WeightMatrix], violations: list[tuple[int, str]], horizon: int
+) -> CheckResult:
+    """The weight-validation check of the first ``horizon`` steps, given
+    the violations ``_materialize_weights`` found; a passing check holds
+    the smallest positive weight beta."""
+    texts = [f"step {t}: {v}" for t, v in violations if t < horizon]
     if texts:
-        raise ValidationFailure(
+        return CheckResult("weight-validation", False, note=(
             "weight matrix fails column-stochastic/support validation: "
             + "; ".join(texts[:5])
-        )
+        ))
+    return CheckResult("weight-validation", True, value=min(w.beta for w in ws[:horizon]))
+
+
+def _certified(check: CheckResult) -> CheckResult:
+    """``check`` if it passed; a failed one raises ValidationFailure with its note."""
+    if not check.passed:
+        raise ValidationFailure(check.note)
+    return check
 
 
 def _check_init(objective: ObjectiveSpec, x0: np.ndarray) -> None:
@@ -673,25 +687,11 @@ def _check_init(objective: ObjectiveSpec, x0: np.ndarray) -> None:
         )
 
 
-def _run_checks(trace: RunTrace, window: int, beta: float, tc) -> list[CheckResult]:
-    """The certification checks of a finished run, before any bound."""
-    checks = [
-        CheckResult("connectivity-window", True, value=window),
-        CheckResult("weight-validation", True, value=beta),
-    ]
-    _invariant_checks(trace, tc, checks)
-    return checks
-
-
 # --------------------------------------------------------------------------
 # the main drivers
 # --------------------------------------------------------------------------
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    record_products: bool = True,
-) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     """Execute one configured run with certification and bound evaluation.
 
     Raises ValidationFailure when a standing hypothesis fails outright
@@ -702,15 +702,15 @@ def run_experiment(
     """
     schedule, objective = _materialize_spec(cfg)
     seq = _horizon_prefix(_graph_source(cfg.graph), cfg.graph)
-    window = _certified_window(seq)
+    hypotheses = [_certified(_window_check(seq))]
     ws, violations = _materialize_weights(seq, cfg.weights)
-    _check_weights(violations, seq.horizon)
-    beta = min(w.beta for w in ws)
+    hypotheses.append(_certified(_weights_check(ws, violations, seq.horizon)))
+    window, beta = (c.value for c in hypotheses)
     sched_report = validate_schedule(schedule)
     x0 = _materialize_init(cfg.init, seq.n, objective.d)
     _check_init(objective, x0)
 
-    trace = run_push_subgradient(ws, x0, objective, schedule, record_products=record_products)
+    trace = run_push_subgradient(ws, x0, objective, schedule)
 
     tc = theory_constants(seq.n, window)
     eta_emp, mu_emp, mu_r2 = _empirical_constants(trace)
@@ -731,16 +731,9 @@ def run_experiment(
     )
     result = ExperimentResult(config=cfg, objective=objective, trace=trace, summary=summary)
 
-    checks = _run_checks(trace, window, beta, tc)
-    if cfg.bounds.evaluate and objective.g_bound > 0:
-        if sched_report.assumption == "violated":
-            checks.append(CheckResult(
-                "stepsize-decay", False,
-                note=sched_report.note or "decay conditions violated",
-            ))
-        else:
-            checks.append(CheckResult("stepsize-decay", True, note=sched_report.assumption))
-            _evaluate_bounds(result, schedule, window, eta_emp, mu_emp, tc, checks)
+    checks = hypotheses + _invariant_checks(trace, tc, objective, sched_report)
+    if cfg.bounds.evaluate and any(c.name == "stepsize-decay" and c.passed for c in checks):
+        _evaluate_bounds(result, schedule, window, eta_emp, mu_emp, tc, checks)
     summary.checks = checks
     summary.passed = all(c.passed for c in checks)
 
@@ -749,32 +742,41 @@ def run_experiment(
     return result
 
 
-def _invariant_checks(trace: RunTrace, tc, checks: list[CheckResult]) -> None:
+def _invariant_checks(
+    trace: RunTrace, tc, objective: ObjectiveSpec, sched_report: ScheduleReport
+) -> list[CheckResult]:
+    """The checks of a finished run, before any bound: its residuals, its
+    weight floor and, when the objective has a subgradient, the stepsize
+    decay conditions the rate needs."""
     n = trace.n
     y_all = np.vstack([trace.ys, trace.final_state.y[None, :]])
-    mass_resid = float(np.abs(y_all.sum(axis=1) - n).max())
-    checks.append(_residual_check("weight-mass", mass_resid, MASS_TOL))
-    floor_ok = trace.min_y >= tc.eta
-    note = "worst-case floor rounds to 0" if tc.eta == 0.0 else ""
-    checks.append(CheckResult(
-        "weight-floor", bool(floor_ok or tc.eta == 0.0),
-        value=trace.min_y, threshold=tc.eta, note=note,
-    ))
-
     zl = np.vstack([trace.zlyap, trace.final_zlyap[None, :]])
-    gsum = trace.gs.sum(axis=1)
-    predicted = zl[:-1] - (trace.alphas[:, None] / n) * gsum
-    lyap_resid = float(np.abs(zl[1:] - predicted).max())
-    checks.append(_residual_check("lyapunov-recursion", lyap_resid, LYAPUNOV_TOL))
-
+    predicted = zl[:-1] - (trace.alphas[:, None] / n) * trace.gs.sum(axis=1)
+    checks = [
+        _residual_check("weight-mass", float(np.abs(y_all.sum(axis=1) - n).max()), MASS_TOL),
+        CheckResult(
+            "weight-floor", bool(trace.min_y >= tc.eta or tc.eta == 0.0),
+            value=trace.min_y, threshold=tc.eta,
+            note="worst-case floor rounds to 0" if tc.eta == 0.0 else "",
+        ),
+        _residual_check("lyapunov-recursion", float(np.abs(zl[1:] - predicted).max()), LYAPUNOV_TOL),
+    ]
     if trace.smatrices is not None:
         # Built directly, not through absolute_probability's mass guard:
         # mass drift is the weight-mass check's to report.
         aps = AbsProbSeq(vectors=y_all / n)
         rec = float(aps.recursion_residual(trace.smatrices).max())
-        sto = aps.stochasticity_residual()
-        checks.append(_residual_check("abs-prob-recursion", rec, APS_RECURSION_TOL))
-        checks.append(_residual_check("abs-prob-stochastic", sto, APS_STOCH_TOL))
+        checks += [
+            _residual_check("abs-prob-recursion", rec, APS_RECURSION_TOL),
+            _residual_check("abs-prob-stochastic", aps.stochasticity_residual(), APS_STOCH_TOL),
+        ]
+    if objective.g_bound > 0:
+        violated = sched_report.assumption == "violated"
+        checks.append(CheckResult(
+            "stepsize-decay", not violated,
+            note=sched_report.note if violated else sched_report.assumption,
+        ))
+    return checks
 
 
 def _evaluate_bounds(
@@ -857,42 +859,27 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     horizon = min(cfg.graph.horizon, VERIFY_HORIZON)
     gcfg = dataclasses.replace(cfg.graph, horizon=horizon)
     seq = _horizon_prefix(_graph_source(gcfg), gcfg)
-    window = uniform_connectivity_window(seq)
-    checks: list[CheckResult] = [CheckResult(
-        "connectivity-window", window is not None, value=window,
-        note="" if window is not None else "no certifying window over this horizon",
-    )]
+    window_check = _window_check(seq)
+    ws, violations = _materialize_weights(seq, cfg.weights)
+    weights_check = _weights_check(ws, violations, seq.horizon)
+    checks = [window_check, weights_check]
     summary = SummaryReport(
         kind="verify", n=seq.n, d=cfg.objective.d, steps=horizon,
         graph_kind=seq.kind, schedule_kind=cfg.schedule.kind,
-        connectivity_window=window,
+        connectivity_window=window_check.value, beta=weights_check.value,
     )
-    ws, violations = _materialize_weights(seq, cfg.weights)
-    if violations:
-        texts = _violation_texts(violations, seq.horizon)
-        checks.append(CheckResult(
-            "weight-validation", False,
-            note="; ".join(texts[:5]) + ("; ..." if len(texts) > 5 else ""),
-        ))
-        checks.append(CheckResult(
-            "downstream", True, note="skipped: weight validation failed",
-        ))
-        summary.checks = checks
-        summary.passed = False
-        return summary, None
-    beta = min(w.beta for w in ws)
-    checks.append(CheckResult("weight-validation", True, value=beta))
-    summary.beta = beta
-    if window is None:
+    if not weights_check.passed:
+        checks.append(CheckResult("downstream", True, note="skipped: weight validation failed"))
+    if not (window_check.passed and weights_check.passed):
         summary.checks = checks
         summary.passed = False
         return summary, None
 
     objective = zero_objective(seq.n, cfg.objective.d)
     x0 = _materialize_init(cfg.init, seq.n, cfg.objective.d)
-    trace = run_push_subgradient(ws, x0, objective, schedule, record_products=True)
-    tc = theory_constants(seq.n, window)
-    _invariant_checks(trace, tc, checks)
+    trace = run_push_subgradient(ws, x0, objective, schedule)
+    tc = theory_constants(seq.n, window_check.value)
+    checks += _invariant_checks(trace, tc, objective, validate_schedule(schedule))
 
     # Exchange identity between raw and companion products over all
     # window pairs tau <= t with t - tau capped.
@@ -952,21 +939,22 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
         )
 
     schedule, objective = _materialize_spec(at_horizon(hs[0]))
+    sched_report = validate_schedule(schedule)  # a fixed schedule's does not depend on T
     source = _graph_source(at_horizon(hs[-1]).graph)
     x0 = _materialize_init(cfg.init, cfg.graph.n, objective.d)
     ws: list[WeightMatrix] | None = None
-    certified: list[tuple[int, int, float]] = []  # (T, window, beta)
+    certified: list[tuple[int, list[CheckResult]]] = []  # (T, its hypothesis checks)
     deferred: Exception | None = None  # the first certification failure
     try:
         for T in hs:
-            window = _certified_window(_horizon_prefix(source, at_horizon(T).graph))
+            hypotheses = [_certified(_window_check(_horizon_prefix(source, at_horizon(T).graph)))]
             if ws is None:
                 ws, violations = _materialize_weights(
                     source.prefix(min(hs[-1], source.horizon)), cfg.weights,
                 )
-            _check_weights(violations, T)
+            hypotheses.append(_certified(_weights_check(ws, violations, T)))
             _check_init(objective, x0)
-            certified.append((T, window, min(w.beta for w in ws[:T])))
+            certified.append((T, hypotheses))
     except (ValueError, ValidationFailure, OSError) as exc:
         # raised once the horizons before this one have run
         deferred = exc
@@ -975,13 +963,14 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
     all_checks: list[CheckResult] = []
     decaying = schedule.kind != "fixed"
     if certified and decaying:
-        longest = _sweep_run(ws, x0, objective, schedule, [T for T, _, _ in certified])
-    for T, window, beta in certified:
+        longest = _sweep_run(ws, x0, objective, schedule, [T for T, _ in certified])
+    for T, hypotheses in certified:
         if decaying:
             trace = longest.prefix(T)
         else:
             trace = _sweep_run(ws, x0, objective, dataclasses.replace(schedule, T=T), [T])
-        checks = _run_checks(trace, window, beta, theory_constants(source.n, window))
+        tc = theory_constants(source.n, hypotheses[0].value)
+        checks = hypotheses + _invariant_checks(trace, tc, objective, sched_report)
         points.append((T, float(trace.running_gap[-1])))
         all_checks += [dataclasses.replace(c, name=f"T={T}:{c.name}") for c in checks]
     if deferred is not None:

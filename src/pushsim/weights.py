@@ -63,10 +63,8 @@ class WeightValidation:
         return not self.violations
 
 
-def build_weights(g: Digraph, rule: str = "uniform-out-degree") -> WeightMatrix:
+def build_weights(g: Digraph) -> WeightMatrix:
     """Mixing matrix for one step on graph ``g``; see :func:`build_weight_stack`."""
-    if rule != "uniform-out-degree":
-        raise ValueError(f"unknown weight rule {rule!r}")
     return _uniform_out_degree(g.adjacency()[None])[0]
 
 
@@ -97,17 +95,14 @@ def _uniform_out_degree(adj: np.ndarray) -> list[WeightMatrix]:
 
 
 def validate_column_stochastic(
-    entries: np.ndarray,
-    g: Digraph,
-    beta_min: float = 0.0,
-    tol: float = COLUMN_SUM_TOL,
+    entries: np.ndarray, g: Digraph, tol: float = COLUMN_SUM_TOL
 ) -> WeightValidation:
     """Check a candidate matrix against the support and stochasticity rules.
 
     Violations reported: a non-finite entry; column sums off by more than
     ``tol``; a positive entry without the matching arc; an arc without a
-    positive entry; a positive entry below ``beta_min``; a nonpositive
-    diagonal entry.  Entries must be nonnegative.
+    positive entry; a nonpositive diagonal entry.  Entries must be
+    nonnegative.
     """
     w = np.asarray(entries, dtype=float)
     n = g.n
@@ -138,10 +133,6 @@ def validate_column_stochastic(
             problems.append(f"arc {j + 1}>{i + 1} carries no weight")
     positives = w[w > 0]
     min_pos = float(positives.min()) if positives.size else float("nan")
-    if positives.size and beta_min > 0 and min_pos < beta_min:
-        problems.append(
-            f"smallest positive entry {min_pos:.3e} below floor {beta_min:.3e}"
-        )
     if (np.diag(w) <= 0).any():
         bad = [i + 1 for i in range(n) if w[i, i] <= 0]
         problems.append(f"nonpositive diagonal at agents {bad}")

@@ -100,11 +100,8 @@ def test_static_cycle_window_is_one():
 
 
 def test_self_arcs_only_has_no_window():
-    g = digraph(3)
-    seq_graphs = tuple(g for _ in range(10))
-    from pushsim.graphs import GraphSequence
-
-    seq = GraphSequence(n=3, horizon=10, kind="custom", seed=0, graphs=seq_graphs)
+    adj = np.stack([digraph(3).adjacency()] * 10)
+    seq = GraphSequence(n=3, horizon=10, kind="custom", seed=0, adj=adj)
     assert uniform_connectivity_window(seq) is None
 
 

@@ -537,19 +537,22 @@ def test_init_outside_declared_box_fails_loud(tmp_path):
         run_experiment(cfg, out_dir=tmp_path / "x")
 
 
-def test_graph_without_connectivity_window_fails_loud(tmp_path):
-    seq = generate_sequence("static-cycle", 3, 20)
-    isolated = dataclasses.replace(
-        seq, kind="file", graphs=tuple(digraph(3, []) for _ in range(20))
-    )
-    gfile = tmp_path / "graphs.txt"
-    gfile.write_text(format_graph_sequence(isolated))
+def test_graph_without_connectivity_window_fails_loud(tmp_path, capsys):
+    # simulate stops with the failed check's note, verify reports the check
     cfg = base_config(graph=GraphConfig(kind="file", n=3, horizon=20,
-                                        file=str(gfile)),
+                                        file=graph_file(tmp_path, [digraph(3)] * 20)),
                       objective=ObjectiveConfig(kind="l1", d=1,
                                                 targets=((0.0,), (1.0,), (2.0,))))
-    with pytest.raises(ValidationFailure, match="window"):
-        run_experiment(cfg)
+    cfgp = write_cfg(tmp_path, cfg)
+    text = "no window length certifies joint strong connectivity over the 20-step horizon"
+    assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "sim")]) == 1
+    assert capsys.readouterr().err == f"certification failed: {text}\n"
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", cfgp, "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert not checks["connectivity-window"]["passed"]
+    assert checks["connectivity-window"]["note"] == text
+    assert "product-identity" not in checks
 
 
 # --------------------------------------------------------------------------
@@ -589,6 +592,9 @@ def test_verify_skips_downstream_on_bad_weights(tmp_path):
     assert not summary.passed and result is None
     by_name = {c.name: c for c in summary.checks}
     assert not by_name["weight-validation"].passed
+    assert by_name["weight-validation"].note.startswith(
+        "weight matrix fails column-stochastic/support validation: step 0: columns [1]"
+    )
     assert "skipped" in by_name["downstream"].note
     assert "product-identity" not in by_name
 
@@ -658,11 +664,13 @@ def reference_sweep(cfg, out):
             bounds=BoundsConfig(evaluate=False, agents=False, envelope=False),
         )
         try:
-            res = run_experiment(sub, out_dir=None, record_products=False)
+            res = run_experiment(sub, out_dir=None)
         except RunFailure as exc:
             raise RunFailure(f"T={T}:{exc.check}", exc.agent, exc.t, f"T={T}: {exc}") from exc
         points.append((T, float(res.trace.running_gap[-1])))
-        all_checks += [dataclasses.replace(c, name=f"T={T}:{c.name}") for c in res.summary.checks]
+        # the sweep records no companion products, and so has no abs-prob checks
+        checks = [c for c in res.summary.checks if not c.name.startswith("abs-prob-")]
+        all_checks += [dataclasses.replace(c, name=f"T={T}:{c.name}") for c in checks]
     fit = fit_rate(points)
     summary = SummaryReport(
         kind="sweep", n=cfg.graph.n, d=cfg.objective.d, steps=max(cfg.sweep.horizons),
@@ -681,7 +689,8 @@ def reference_sweep(cfg, out):
 
 
 def graph_file(tmp_path, graphs):
-    seq = GraphSequence(n=graphs[0].n, horizon=len(graphs), kind="file", seed=0, graphs=graphs)
+    adj = np.stack([g.adjacency() for g in graphs])
+    seq = GraphSequence(n=graphs[0].n, horizon=len(graphs), kind="file", seed=0, adj=adj)
     path = tmp_path / "graphs.txt"
     path.write_text(format_graph_sequence(seq))
     return str(path)
@@ -712,13 +721,16 @@ def ring3_with_weights(tmp_path, schedule, extra_arc_from=None):
 
 QUAD2D = ObjectiveConfig(kind="quadratic", d=2,
                          targets=((0.0, 1.0), (1.0, -2.0), (2.0, 0.5), (5.0, 3.0)))
-# (config factory, expected outcome: None for a passing sweep, else the
-# exception type and a piece of its message)
+# (config factory, expected outcome: None for a sweep that writes its
+# artifacts, else the exception type and a piece of its message)
 SWEEP_CASES = {
     "harmonic": (lambda tmp: base_config(sweep=HORIZONS), None),
     "polynomial-2d": (lambda tmp: base_config(
         objective=QUAD2D, schedule=ScheduleConfig(kind="polynomial", a=0.5, p=0.75),
         sweep=HORIZONS), None),
+    # 1/t^2 breaks the decay conditions: every horizon fails stepsize-decay
+    "polynomial-p2": (lambda tmp: base_config(
+        schedule=ScheduleConfig(kind="polynomial", p=2.0), sweep=HORIZONS), None),
     "fixed": (lambda tmp: base_config(
         schedule=ScheduleConfig(kind="fixed", t_fixed=150), sweep=HORIZONS), None),
     "unsorted-duplicates": (lambda tmp: base_config(
@@ -997,6 +1009,29 @@ def test_cli_overflowing_polynomial_exponent_fails_the_decay_check(tmp_path, cap
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
     assert not checks["stepsize-decay"]["passed"]
     assert [name for name, c in checks.items() if not c["passed"]] == ["stepsize-decay"]
+
+
+@pytest.mark.parametrize("evaluate", [True, False])
+def test_cli_decay_violation_fails_simulate_and_every_sweep_horizon(tmp_path, evaluate):
+    # 1/t^2 is summable, so the decay conditions (1/2 < p <= 1) fail
+    # whether or not the bounds are evaluated
+    cfg = base_config(
+        graph=GraphConfig(kind="static-cycle", n=3, horizon=20),
+        objective=ObjectiveConfig(kind="l1", d=1, targets=((0.0,), (1.0,), (2.0,))),
+        schedule=ScheduleConfig(kind="polynomial", p=2.0),
+        bounds=BoundsConfig(evaluate=evaluate),
+        sweep=SweepConfig(horizons=(20, 30, 50)),
+    )
+    cfgp = write_cfg(tmp_path, cfg)
+    for command, failed in (
+        ("simulate", ["stepsize-decay"]),
+        ("sweep", ["T=20:stepsize-decay", "T=30:stepsize-decay", "T=50:stepsize-decay"]),
+    ):
+        out = tmp_path / command
+        assert main([command, "--config", cfgp, "--out", str(out)]) == 1
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == failed
+        assert all("need 1/2 < p <= 1" in c["note"] for c in checks if not c["passed"])
 
 
 @pytest.mark.parametrize("command,check", [
