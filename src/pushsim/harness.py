@@ -57,7 +57,13 @@ from .subgradient import (
     zero_objective,
 )
 from .svgplot import Series, line_chart
-from .weights import WeightMatrix, build_weight_stack, parse_matrix, validate_column_stochastic
+from .weights import (
+    WeightMatrix,
+    WeightStack,
+    build_weight_stack,
+    parse_matrix,
+    validate_column_stochastic,
+)
 
 __all__ = [
     "ConfigError",
@@ -543,10 +549,11 @@ def _horizon_prefix(seq: GraphSequence, gcfg: GraphConfig) -> GraphSequence:
 
 def _materialize_weights(
     seq: GraphSequence, wcfg: WeightConfig
-) -> tuple[list[WeightMatrix], list[tuple[int, str]]]:
+) -> tuple[WeightStack, list[tuple[int, str]]]:
     """Per-step mixing matrices and, for file-supplied weights, the
-    validation violations as (step, problem) pairs in step order.  A
-    weights file that does not parse is a config error."""
+    validation violations as (step, problem) pairs in step order (each
+    distinct step graph is validated once).  A weights file that does not
+    parse is a config error."""
     if wcfg.rule == "uniform-out-degree":
         return build_weight_stack(seq), []
     try:
@@ -559,14 +566,18 @@ def _materialize_weights(
             f"but the graph has n={seq.n}"
         )
     violations: list[tuple[int, str]] = []
-    for t, g in enumerate(seq.graphs):
-        rep = validate_column_stochastic(entries, g, tol=FILE_WEIGHT_TOL)
+    reports = {}  # the validation of each distinct step graph, by its adjacency bytes
+    for t, adj in enumerate(seq.adj):
+        key = adj.tobytes()
+        if key not in reports:
+            reports[key] = validate_column_stochastic(entries, seq[t], tol=FILE_WEIGHT_TOL)
+        rep = reports[key]
         violations.extend((t, v) for v in rep.violations)
         if len(violations) > 20:
             break
     entries.setflags(write=False)  # every step shares the one matrix, and so its beta
-    ws = [WeightMatrix(n=seq.n, entries=entries, beta=rep.min_positive) for _ in range(seq.horizon)]
-    return ws, violations
+    w = WeightMatrix(n=seq.n, entries=entries, beta=rep.min_positive)
+    return WeightStack.repeated(w, seq.horizon), violations
 
 
 def _materialize_spec(cfg: ExperimentConfig) -> tuple[StepsizeSchedule, ObjectiveSpec]:
@@ -658,7 +669,7 @@ def _window_check(seq: GraphSequence) -> CheckResult:
 
 
 def _weights_check(
-    ws: list[WeightMatrix], violations: list[tuple[int, str]], horizon: int
+    ws: WeightStack, violations: list[tuple[int, str]], horizon: int
 ) -> CheckResult:
     """The weight-validation check of the first ``horizon`` steps, given
     the violations ``_materialize_weights`` found; a passing check holds
@@ -669,7 +680,7 @@ def _weights_check(
             "weight matrix fails column-stochastic/support validation: "
             + "; ".join(texts[:5])
         ))
-    return CheckResult("weight-validation", True, value=min(w.beta for w in ws[:horizon]))
+    return CheckResult("weight-validation", True, value=float(ws.betas[:horizon].min()))
 
 
 def _certified(check: CheckResult) -> CheckResult:
@@ -761,11 +772,11 @@ def _invariant_checks(
         ),
         _residual_check("lyapunov-recursion", float(np.abs(zl[1:] - predicted).max()), LYAPUNOV_TOL),
     ]
-    if trace.smatrices is not None:
+    if trace.aps_residual is not None:
         # Built directly, not through absolute_probability's mass guard:
         # mass drift is the weight-mass check's to report.
         aps = AbsProbSeq(vectors=y_all / n)
-        rec = float(aps.recursion_residual(trace.smatrices).max())
+        rec = float(trace.aps_residual.max())
         checks += [
             _residual_check("abs-prob-recursion", rec, APS_RECURSION_TOL),
             _residual_check("abs-prob-stochastic", aps.stochasticity_residual(), APS_STOCH_TOL),
@@ -882,12 +893,14 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     checks += _invariant_checks(trace, tc, objective, validate_schedule(schedule))
 
     # Exchange identity between raw and companion products over all
-    # window pairs tau <= t with t - tau capped.
+    # window pairs tau <= t with t - tau capped; the weights and the
+    # companions are built once for every window.
     ys_all = [trace.ys[t] for t in range(trace.steps)] + [trace.final_state.y]
+    wl, ss = list(ws), list(trace.smatrices)
     worst = 0.0
     for tau in range(trace.steps):
         hi = min(trace.steps, tau + PRODUCT_SPAN)
-        worst = max(worst, *product_identity_residuals(ws, trace.smatrices, ys_all, tau, hi).tolist())
+        worst = max(worst, *product_identity_residuals(wl, ss, ys_all, tau, hi).tolist())
     checks.append(_residual_check("product-identity", worst, PRODUCT_IDENTITY_TOL))
 
     summary.eta_emp = trace.min_y
@@ -942,7 +955,7 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
     sched_report = validate_schedule(schedule)  # a fixed schedule's does not depend on T
     source = _graph_source(at_horizon(hs[-1]).graph)
     x0 = _materialize_init(cfg.init, cfg.graph.n, objective.d)
-    ws: list[WeightMatrix] | None = None
+    ws: WeightStack | None = None
     certified: list[tuple[int, list[CheckResult]]] = []  # (T, its hypothesis checks)
     deferred: Exception | None = None  # the first certification failure
     try:
@@ -1005,7 +1018,7 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
 
 
 def _sweep_run(
-    ws: list[WeightMatrix],
+    ws: WeightStack,
     x0: np.ndarray,
     objective: ObjectiveSpec,
     schedule: StepsizeSchedule,

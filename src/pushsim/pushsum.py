@@ -22,17 +22,18 @@ weights ``y(t)/n`` form an absolute probability sequence for that chain.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .weights import WeightMatrix
+from .weights import WeightMatrix, WeightStack
 
 __all__ = [
     "NetworkState",
     "RunFailure",
     "SMatrix",
+    "CompanionView",
     "AbsProbSeq",
     "TheoryConstants",
     "initial_state",
@@ -153,23 +154,52 @@ class SMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        e = np.array(self.entries, dtype=float)
-        e.setflags(write=False)
+        e = np.asarray(self.entries, dtype=float)
+        # A read-only array is shared; anything the caller could still
+        # change is copied first.
+        if e.flags.writeable:
+            e = np.array(e)
+            e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
 
-def build_s_matrix(w: WeightMatrix, y: np.ndarray) -> SMatrix:
-    """Companion matrix S[i, j] = W[i, j] y_j / (W y)_i for current weights y."""
+def build_s_matrix(w: WeightMatrix | np.ndarray, y: np.ndarray) -> SMatrix:
+    """Companion matrix S[i, j] = W[i, j] y_j / (W y)_i for current weights
+    y; ``w`` is the WeightMatrix or its entries."""
+    w = w.entries if isinstance(w, WeightMatrix) else w
+    n = w.shape[0]
     y = np.asarray(y, dtype=float)
-    if y.shape != (w.n,):
-        raise ValueError(f"y must have shape ({w.n},)")
+    if y.shape != (n,):
+        raise ValueError(f"y must have shape ({n},)")
     if (y <= 0).any():
         raise ValueError("companion matrix needs strictly positive weights y")
-    denom = w.entries @ y
+    denom = w @ y
     if (denom <= 0).any():
         raise ValueError("W y has a nonpositive entry; weight support is broken")
-    s = w.entries * y[None, :] / denom[:, None]
-    return SMatrix(n=w.n, entries=s)
+    s = w * y[None, :] / denom[:, None]
+    s.setflags(write=False)
+    return SMatrix(n=n, entries=s)
+
+
+class CompanionView(Sequence[SMatrix]):
+    """The companions S(t) of a run, rebuilt on every read as
+    ``build_s_matrix(ws[t], ys[t])``.
+
+    S(t) depends only on W(t) and y(t), so each read is bitwise the matrix
+    the run used, and no list of n-by-n matrices is kept.  A slice is the
+    view of those steps.
+    """
+
+    def __init__(self, ws: WeightStack, ys: np.ndarray) -> None:
+        self.ws, self.ys = ws, ys
+
+    def __len__(self) -> int:
+        return len(self.ys)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return CompanionView(self.ws[t], self.ys[t])
+        return build_s_matrix(self.ws[t], self.ys[t])
 
 
 def verify_product_identity(

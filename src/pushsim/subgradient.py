@@ -24,18 +24,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
 
 from .pushsum import (
+    CompanionView,
     NetworkState,
     RunFailure,
-    SMatrix,
     build_s_matrix,
     check_weight_floor,
 )
-from .weights import WeightMatrix
+from .weights import WeightMatrix, WeightStack
 
 __all__ = [
     "QuadraticTerm",
@@ -567,7 +568,10 @@ class RunTrace:
     values h_j(t) = x_j(t) - alpha(t) g_j(t), i.e. the one-step consensus
     deviation the contraction envelope is meant to dominate.
     ``s_product_gap[t]`` is the max-entry distance of the companion
-    product S(t)...S(0) from its rank-one limit.
+    product S(t)...S(0) from its rank-one limit, and ``aps_residual[t]``
+    the absolute-probability recursion residual
+    ``||pi(t+1)^T S(t) - pi(t)^T||_inf`` with pi = y/n, which the run
+    records while it holds S(t); ``smatrices`` rebuilds each S(t) on read.
     """
 
     n: int
@@ -587,7 +591,8 @@ class RunTrace:
     final_zlyap: np.ndarray
     min_y: float
     s_product_gap: np.ndarray | None = None
-    smatrices: list[SMatrix] | None = None
+    aps_residual: np.ndarray | None = None
+    smatrices: CompanionView | None = None
 
     def prefix(self, steps: int) -> RunTrace:
         """The trace of this run's first ``steps`` steps, as views of its rows.
@@ -612,6 +617,7 @@ class RunTrace:
             final_zlyap=self.zlyap[steps],
             min_y=min(1.0, *self.ys[1 : steps + 1].min(axis=1).tolist()),
             s_product_gap=None if self.s_product_gap is None else self.s_product_gap[cut],
+            aps_residual=None if self.aps_residual is None else self.aps_residual[cut],
             smatrices=None if self.smatrices is None else self.smatrices[cut],
         )
 
@@ -627,22 +633,26 @@ def run_push_subgradient(
 
     Parameters
     ----------
-    ws : sequence of WeightMatrix
-        One mixing matrix per step; its length fixes the run length.
+    ws : WeightStack or sequence of WeightMatrix
+        One mixing matrix per step; its length fixes the run length.  The
+        loop reads the weights one block at a time (WeightStack.blocks).
     x0 : array (n, d)
         Initial values; must sit inside the objective's box.
     objective, schedule
         The network objective and stepsize rule.
     record_products : bool
-        Also accumulate companion matrices and their running product gap
-        (needed for the contraction diagnostics; skip on long sweeps).
+        Also build each step's companion matrix for the running product
+        gap and the absolute-probability recursion residual (needed for
+        the contraction diagnostics; skip on long sweeps).  The companions
+        are not kept; ``smatrices`` rebuilds them on read.
 
     Every step enforces the declared subgradient ceiling, box containment,
     the weight floor and the certified optimum; a failure raises
     RunFailure naming the check, the agent and the step, and the earliest
     failing step is the one reported.  Only x, y and the ratios and
     subgradients they give are sequential, so the loop computes just
-    those, the in-step checks and the companion products.  The network
+    those, the in-step checks and, from each companion while it is at
+    hand, the product gap and the recursion residual.  The network
     mean, the Lyapunov average, the consensus error, the running-average
     gap and the one-step deviation are each one expression over the
     stored rows after the loop; each equals, bitwise, what a per-step
@@ -651,6 +661,7 @@ def run_push_subgradient(
     steps = len(ws)
     if steps == 0:
         raise ValueError("need at least one mixing step")
+    ws = WeightStack.of(ws)
     x = np.atleast_2d(np.asarray(x0, dtype=float))
     n, d = x.shape
     y = np.ones(n)
@@ -659,9 +670,8 @@ def run_push_subgradient(
             f"objective is for (n, d)=({objective.n}, {objective.d}), "
             f"initial values have ({n}, {d})"
         )
-    for w in ws:
-        if w.n != n:
-            raise ValueError(f"weight matrix is {w.n}x{w.n} but state has n={n}")
+    if ws.n != n:
+        raise ValueError(f"weight matrix is {ws.n}x{ws.n} but state has n={n}")
     alphas = stepsize_array(schedule, steps)
 
     xs = np.empty((steps, n, d))
@@ -669,7 +679,7 @@ def run_push_subgradient(
     zs = np.empty((steps, n, d))
     gs = np.empty((steps, n, d))
     s_product_gap = np.empty(steps) if record_products else None
-    smatrices: list[SMatrix] | None = [] if record_products else None
+    aps_residual = np.empty(steps) if record_products else None
 
     g_ceiling = objective.g_bound + 1e-9
     prod = np.eye(n) if record_products else None
@@ -677,7 +687,7 @@ def run_push_subgradient(
     z = x / y[:, None]
     recorded = 0
     try:
-        for t in range(steps):
+        for t, w in enumerate(chain.from_iterable(ws.blocks())):
             alpha = alphas[t]
             g = objective.agent_subgradients(z)
             norms = np.sqrt((g ** 2).sum(axis=1))
@@ -702,16 +712,17 @@ def run_push_subgradient(
             recorded = t + 1
 
             if record_products:
-                s = build_s_matrix(ws[t], y)
-                smatrices.append(s)
-                prod = s.entries @ prod
+                s = build_s_matrix(w, y).entries
+                prod = s @ prod
                 s_product_gap[t] = float(np.abs(prod - limit).max())
+                pi = y / n
 
-            w = ws[t].entries
             # alpha == 0 is exactly a pure mixing step: the subtraction is skipped.
             x = w @ (x if alpha == 0.0 else x - alpha * g)
             y = w @ y
             check_weight_floor(t + 1, y)
+            if record_products:
+                aps_residual[t] = np.abs((y / n) @ s - pi).max()
             z = x / y[:, None]
     except (RunFailure, ValueError):  # ValueError: build_s_matrix on underflowed weights
         # The gap of every recorded step came before the failure.
@@ -731,7 +742,8 @@ def run_push_subgradient(
         consensus=consensus, running_gap=running_gap, deviation=deviation,
         final_state=NetworkState(t=steps, x=x, y=y), final_zlyap=(y / n) @ z,
         min_y=min(1.0, *ys[1:].min(axis=1).tolist(), float(y.min())),
-        s_product_gap=s_product_gap, smatrices=smatrices,
+        s_product_gap=s_product_gap, aps_residual=aps_residual,
+        smatrices=CompanionView(ws, ys) if record_products else None,
     )
 
 

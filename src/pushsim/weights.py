@@ -8,6 +8,7 @@ its out-neighbors, itself included).
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from .graphs import Digraph, GraphSequence
 __all__ = [
     "WeightMatrix",
     "WeightValidation",
+    "WeightStack",
     "build_weights",
     "build_weight_stack",
     "validate_column_stochastic",
@@ -24,6 +26,8 @@ __all__ = [
 ]
 
 COLUMN_SUM_TOL = 1e-12
+# Floats in one block of weights that a run builds at once (4 MiB).
+BLOCK_FLOATS = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -68,30 +72,89 @@ def build_weights(g: Digraph) -> WeightMatrix:
     return _uniform_out_degree(g.adjacency()[None])[0]
 
 
-def build_weight_stack(seq: GraphSequence) -> list[WeightMatrix]:
+def build_weight_stack(seq: GraphSequence) -> WeightStack:
     """Mixing matrices for every step of ``seq``.
 
     Each sender splits its mass equally over its out-neighbors:
     ``W[t, i, j] = 1 / outdeg_t(j)`` for every arc ``j -> i`` at step ``t``.
-    All steps are computed in one expression into one C-ordered stack,
-    which is made read-only; step ``t`` gets a view of ``W[t]``, not a
-    copy.  Externally supplied matrices go through
+    The stack keeps the adjacency and the out-degrees, and builds the
+    floats of any run of steps when they are read (:class:`WeightStack`).
+    Externally supplied matrices go through
     :func:`validate_column_stochastic` instead.
     """
     return _uniform_out_degree(seq.adj)
 
 
-def _uniform_out_degree(adj: np.ndarray) -> list[WeightMatrix]:
+def _uniform_out_degree(adj: np.ndarray) -> WeightStack:
     """The uniform rule on a validated adjacency stack ``adj[t, j, i]``
     (arc ``j -> i`` at step ``t``, every self-arc present)."""
-    horizon, n, _ = adj.shape
     deg = np.count_nonzero(adj, axis=2)
-    # Write into a C-ordered stack: a transposed layout holds the same
-    # values but sends W @ x down another BLAS path.
-    w = np.divide(adj.transpose(0, 2, 1), deg[:, None, :], out=np.empty((horizon, n, n)))
-    w.setflags(write=False)
-    betas = (1.0 / deg.max(axis=1)).tolist()
-    return [WeightMatrix(n=n, entries=w[t], beta=betas[t]) for t in range(horizon)]
+    # Float degrees divide exactly like the integers, with no cast per block.
+    return WeightStack(adj.transpose(0, 2, 1), deg.astype(float), 1.0 / deg.max(axis=1))
+
+
+class WeightStack(Sequence[WeightMatrix]):
+    """The mixing matrices of a run, built from per-step arrays when read.
+
+    Step ``t`` is ``num[t] / den[t]`` column by column: for the uniform
+    rule ``num[t]`` is the transposed adjacency ``adj[t].T`` and ``den[t]``
+    the out-degrees; a repeated matrix is broadcast with ``den`` 1.  No
+    float stack of all steps is held.  :meth:`block` computes any run of
+    steps with one elementwise division into a fresh C-ordered array (a
+    transposed layout holds the same values but sends ``W @ x`` down
+    another BLAS path), so every float equals the one whole-stack
+    expression's.  ``ws[t]`` is step ``t``'s WeightMatrix with beta
+    ``betas[t]``; a slice is the stack of those steps, a view.
+    """
+
+    def __init__(self, num: np.ndarray, den: np.ndarray, betas: np.ndarray) -> None:
+        self.num, self.den, self.betas = num, den, betas
+
+    @classmethod
+    def of(cls, ws: Sequence[WeightMatrix]) -> WeightStack:
+        """``ws`` itself if it is a stack, else the stack of its matrices."""
+        if isinstance(ws, WeightStack):
+            return ws
+        nums = np.stack([w.entries for w in ws])
+        return cls(nums, np.broadcast_to(1.0, nums.shape[:2]), np.array([w.beta for w in ws]))
+
+    @classmethod
+    def repeated(cls, w: WeightMatrix, horizon: int) -> WeightStack:
+        """``horizon`` steps of the one matrix ``w``, without a copy."""
+        return cls(
+            np.broadcast_to(w.entries, (horizon, w.n, w.n)),
+            np.broadcast_to(1.0, (horizon, w.n)),
+            np.broadcast_to(w.beta, (horizon,)),
+        )
+
+    @property
+    def n(self) -> int:
+        return self.num.shape[1]
+
+    def __len__(self) -> int:
+        return self.num.shape[0]
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return WeightStack(self.num[t], self.den[t], self.betas[t])
+        t = range(len(self))[t]
+        return WeightMatrix(n=self.n, entries=self.block(t, t + 1)[0], beta=float(self.betas[t]))
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """``W[lo:hi]`` as a fresh read-only array (like a slice, it ends
+        at the last step)."""
+        num = self.num[lo:hi]
+        w = np.divide(num, self.den[lo:hi, None, :], out=np.empty(num.shape))
+        w.setflags(write=False)
+        return w
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """``W[lo:lo + k]`` for ``lo = 0, k, 2k, ...``: every step in
+        order, in blocks of ``k = max(1, BLOCK_FLOATS // n**2)`` steps
+        (the last one may be shorter)."""
+        k = max(1, BLOCK_FLOATS // self.n ** 2)
+        for lo in range(0, len(self), k):
+            yield self.block(lo, lo + k)
 
 
 def validate_column_stochastic(

@@ -39,8 +39,9 @@ from pushsim.harness import (
 from pushsim.pushsum import RunFailure
 from pushsim.subgradient import running_average_gaps
 from pushsim.svgplot import Series, line_chart
-from pushsim.weights import build_weights
-from reference import format_matrix
+from pushsim.weights import WeightStack, build_weights
+from reference import format_matrix, reference_file_violations, reference_weight_stack
+from test_acceptance import CERTIFIED
 
 
 def base_config(**over) -> ExperimentConfig:
@@ -599,6 +600,43 @@ def test_verify_skips_downstream_on_bad_weights(tmp_path):
     assert "product-identity" not in by_name
 
 
+def weights_file_case(tmp_path, kind, corrupt):
+    """A graph sequence and a weights file holding step 0's uniform
+    weights: valid at every step of a static cycle, only at the steps
+    that repeat step 0's graph of a rotating arc; ``corrupt`` breaks a
+    column sum on top."""
+    seq = generate_sequence(kind, 6, 300)
+    entries = np.array(build_weights(seq[0]).entries)
+    if corrupt:
+        entries[0, 0] += 1e-3
+    wfile = tmp_path / f"{kind}-{corrupt}.txt"
+    wfile.write_text(format_matrix(entries))
+    return seq, entries, WeightConfig(rule="file", file=str(wfile))
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("kind", ["static-cycle", "rotating-arc"])
+def test_file_weights_validate_each_distinct_graph_once(tmp_path, monkeypatch, kind, corrupt):
+    seq, entries, wcfg = weights_file_case(tmp_path, kind, corrupt)
+    want, beta = reference_file_violations(entries, seq, pushsim.harness.FILE_WEIGHT_TOL)
+    validated = []
+    validate = pushsim.harness.validate_column_stochastic
+
+    def counted(w, g, **kwargs):
+        validated.append(g.adjacency().tobytes())
+        return validate(w, g, **kwargs)
+
+    monkeypatch.setattr(pushsim.harness, "validate_column_stochastic", counted)
+    ws, got = pushsim.harness._materialize_weights(seq, wcfg)
+    assert got == want
+    assert (len(want) > 20) == (kind == "rotating-arc" or corrupt)  # the cut-off is reached
+    assert len(validated) == len(set(validated)) == (1 if kind == "static-cycle" else 6)
+    assert len(ws) == seq.horizon and (ws.betas == beta).all()
+    if not want:
+        check = pushsim.harness._weights_check(ws, got, seq.horizon)
+        assert check.passed and check.value == beta
+
+
 def test_verify_happy_path():
     summary, result = verify_experiment(base_config())
     assert summary.passed and result is not None
@@ -1100,3 +1138,25 @@ def test_readme_quick_start_output(tmp_path, capsys):
     expected = [line for line in shown.splitlines() if line != "..."]
     assert len(expected) > 5
     assert [line for line in expected if line not in printed] == []
+
+
+def test_artifacts_match_the_whole_stack_weights(tmp_path, monkeypatch):
+    # Every file of the certified acceptance runs and of a weights-file
+    # run, with the per-block weights and then with the one whole stack.
+    configs = dict(CERTIFIED, **{"cycle3-weights-file": cycle3_config(tmp_path)})
+
+    def artifacts(tag):
+        files = {}
+        for name, cfg in configs.items():
+            out = tmp_path / tag / name
+            run_experiment(cfg, out_dir=out)
+            files.update({f"{name}/{f.name}": f.read_bytes() for f in sorted(out.iterdir())})
+        return files
+
+    lazy = artifacts("lazy")
+    monkeypatch.setattr(
+        pushsim.harness, "build_weight_stack", lambda seq: WeightStack.of(reference_weight_stack(seq)),
+    )
+    whole = artifacts("whole")
+    assert len(lazy) > 3 * len(configs)
+    assert whole == lazy

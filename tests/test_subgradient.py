@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from pushsim.graphs import digraph, generate_sequence
 from pushsim.pushsum import (
+    AbsProbSeq,
     NetworkState,
     RunFailure,
     build_s_matrix,
@@ -561,9 +563,17 @@ def assert_matches_reference(ws, x0, objective, schedule, record):
         assert len(got.smatrices) == len(smatrices)
         for a, b in zip(got.smatrices, smatrices):
             assert_same_bits(a.entries, b.entries, "companion")
+        assert_same_bits(got.aps_residual, stored_companion_residual(got), "abs-prob recursion")
     else:
-        assert got.smatrices is None
+        assert got.smatrices is None and got.aps_residual is None
     return None
+
+
+def stored_companion_residual(trace):
+    """The abs-prob recursion residual over the trace's companions, as
+    the acceptance gate computes it from ``trace.smatrices``."""
+    y_all = np.vstack([trace.ys, trace.final_state.y[None, :]])
+    return AbsProbSeq(vectors=y_all / trace.n).recursion_residual(list(trace.smatrices))
 
 
 # Six agents in the plane, 120 steps; the quadratic pull toward (10, 10)
@@ -586,6 +596,31 @@ def pin_objective(kind):
 @pytest.mark.parametrize("kind", ["quadratic", "hinge"])
 def test_thin_step_matches_the_per_step_loop_in_two_dimensions(kind, record):
     assert assert_matches_reference(PIN_WS, PIN_X0, pin_objective(kind), PIN_SCHEDULE, record) is None
+
+
+@pytest.mark.parametrize("steps", [1, 37, 119, 120])
+def test_prefix_companions_are_rebuilt_bitwise(steps):
+    trace = run_push_subgradient(PIN_WS, PIN_X0, pin_objective("hinge"), PIN_SCHEDULE).prefix(steps)
+    assert len(trace.smatrices) == len(trace.aps_residual) == steps
+    for t in range(steps):
+        assert_same_bits(trace.smatrices[t].entries, build_s_matrix(PIN_WS[t], trace.ys[t]).entries)
+    assert_same_bits(trace.aps_residual, stored_companion_residual(trace))
+
+
+def test_run_with_companions_holds_no_step_by_n_squared_array():
+    # One float array over every step of n x n matrices would be
+    # 2000 * 50**2 * 8 B = 38 MiB, above the ceiling on its own.
+    seq = generate_sequence("random-walkable", 50, 2000, 3, arc_prob=0.05)
+    objective = l1_objective(np.linspace(-5.0, 5.0, 50)[:, None])
+    x0 = np.linspace(5.0, -5.0, 50)[:, None]
+    tracemalloc.start()
+    try:
+        trace = run_push_subgradient(build_weight_stack(seq), x0, objective, StepsizeSchedule.harmonic())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert trace.smatrices is not None and trace.aps_residual.max() <= 1e-10
 
 
 @pytest.mark.parametrize("case,check,t", [

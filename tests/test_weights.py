@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from pushsim.graphs import digraph, generate_sequence
 from pushsim.weights import (
+    BLOCK_FLOATS,
     WeightMatrix,
     build_weight_stack,
     build_weights,
     parse_matrix,
     validate_column_stochastic,
 )
-from reference import format_matrix
+from reference import format_matrix, reference_weight_stack
 
 
 def cycle3():
@@ -131,14 +132,11 @@ def test_support_violations_match_the_entry_loop(n, density, seed):
 def test_weight_stack_steps_are_read_only_views_equal_to_per_graph_builds(kind):
     seq = generate_sequence(kind, 6, 40, seed=4, arc_prob=0.3)
     ws = build_weight_stack(seq)
-    stack = ws[0].entries.base
     assert len(ws) == seq.horizon
-    assert stack.shape == (seq.horizon, 6, 6) and stack.flags.c_contiguous
-    assert not stack.flags.writeable
     x = np.linspace(-1.0, 2.0, 6 * 3).reshape(6, 3)
     for t, g in enumerate(seq.graphs):
         w, ref = ws[t], build_weights(g)
-        assert w.entries.base is stack  # a view, not a copy
+        assert not w.entries.base.flags.writeable  # a view of a read-only block
         assert w.entries.flags.c_contiguous and not w.entries.flags.writeable
         assert np.array_equal(w.entries, ref.entries) and w.beta == ref.beta
         # same layout, so the same BLAS path and bit-identical products
@@ -148,6 +146,41 @@ def test_weight_stack_steps_are_read_only_views_equal_to_per_graph_builds(kind):
         for (j, i) in g.arcs:
             expected[i, j] = 1.0 / g.out_degree(j)
         assert np.array_equal(w.entries, expected)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(40, 160),
+    full=st.integers(1, 3),
+    rest=st.floats(0.0, 1.0, exclude_max=True),
+    cut=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_weight_blocks_and_steps_are_bitwise_the_whole_stack(n, full, rest, cut, seed):
+    # `full` whole blocks and then part of one
+    k = max(1, BLOCK_FLOATS // n ** 2)
+    horizon = full * k + 1 + int(rest * (k - 1))
+    seq = generate_sequence("random-walkable", n, horizon, seed, arc_prob=0.1)
+    ws, ref = build_weight_stack(seq), reference_weight_stack(seq)
+    whole = ref[0].entries.base
+    blocks = list(ws.blocks())
+    assert [len(b) for b in blocks] == [k] * full + [horizon - full * k]
+    for b in blocks:
+        assert b.flags.c_contiguous and not b.flags.writeable
+    assert same_bits(np.concatenate(blocks), whole)
+    for t in range(horizon):
+        w = ws[t]
+        assert same_bits(w.entries, ref[t].entries) and w.beta == ref[t].beta
+    # a prefix is a view with the same steps
+    m = 1 + int(cut * horizon)
+    pre = ws[:m]
+    assert len(pre) == m and np.shares_memory(pre.betas, ws.betas)
+    assert same_bits(np.concatenate(list(pre.blocks())), whole[:m])
 
 
 def test_writable_entries_are_copied_read_only_ones_shared():
