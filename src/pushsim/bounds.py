@@ -48,7 +48,6 @@ __all__ = [
     "ContractionSeries",
     "RateFit",
     "GeometricFit",
-    "bound_timevarying",
     "timevarying_series",
     "bound_fixed",
     "contraction_series",
@@ -257,13 +256,6 @@ def timevarying_series(
         ts=ts, terms=np.stack([t1, t2, t3, t4], axis=1), total=total,
         form="time-varying", agent=agent,
     )
-
-
-def bound_timevarying(inp: BoundInputs, t: int, agent: int | None = None) -> BoundValue:
-    """The decaying-stepsize certificate at a single step t (one row of
-    the series up to t)."""
-    _check_timevarying(inp, t)
-    return timevarying_series(inp, t, agent=agent)[t]
 
 
 def bound_fixed(inp: BoundInputs, T: int, agent: int | None = None) -> BoundValue:

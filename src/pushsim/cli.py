@@ -5,7 +5,7 @@ on a short prefix), ``sweep`` (rate fit over several horizons),
 ``report`` (recompute a summary from persisted artifacts).  Exit code 0
 means all checks passed, 1 means a check or certification failed or a run
 stopped at a failed in-run check (then ``--out`` gets a report naming it),
-2 means the invocation or config was unusable.
+2 means the invocation, the config or a file it names was unusable.
 """
 
 from __future__ import annotations
@@ -60,6 +60,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        return _command(args)
+    except OSError as exc:  # a missing or unreadable input, an unwritable --out
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _command(args: argparse.Namespace) -> int:
+    try:
         cfg = load_config(args.config)
         cfg = apply_overrides(
             cfg, seed=args.seed, graph_file=args.graph_file,
@@ -78,9 +86,6 @@ def main(argv: list[str] | None = None) -> int:
             summary = report_from_dir(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
         return 2
     except ValidationFailure as exc:
         print(f"certification failed: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ from .graphs import (
     parse_graph_sequence,
     uniform_connectivity_window,
 )
-from .pushsum import AbsProbSeq, RunFailure, product_identity_residuals, theory_constants
+from .pushsum import AbsProbSeq, RunFailure, build_s_matrix, product_identity_residuals, theory_constants
 from .subgradient import (
     ObjectiveSpec,
     RunTrace,
@@ -359,7 +359,11 @@ def render_config(cfg: ExperimentConfig) -> str:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def apply_overrides(
@@ -896,7 +900,8 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     # window pairs tau <= t with t - tau capped; the weights and the
     # companions are built once for every window.
     ys_all = [trace.ys[t] for t in range(trace.steps)] + [trace.final_state.y]
-    wl, ss = list(ws), list(trace.smatrices)
+    wl = list(ws)
+    ss = [build_s_matrix(w, y) for w, y in zip(wl, trace.ys)]
     worst = 0.0
     for tau in range(trace.steps):
         hi = min(trace.steps, tau + PRODUCT_SPAN)

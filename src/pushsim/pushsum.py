@@ -41,7 +41,6 @@ __all__ = [
     "ratio_state",
     "check_weight_floor",
     "build_s_matrix",
-    "verify_product_identity",
     "product_identity_residuals",
     "absolute_probability",
     "theory_constants",
@@ -202,25 +201,6 @@ class CompanionView(Sequence[SMatrix]):
         return build_s_matrix(self.ws[t], self.ys[t])
 
 
-def verify_product_identity(
-    ws: Sequence[WeightMatrix],
-    ss: Sequence[SMatrix],
-    ys: Sequence[np.ndarray],
-    tau: int,
-    t: int,
-) -> float:
-    """Max entrywise residual tying the two product families together.
-
-    For the products P_S = S(t-1)...S(tau) and P_W = W(t-1)...W(tau) the
-    exchange relation  P_S[i, j] * y_i(t) = P_W[i, j] * y_j(tau)  holds in
-    exact arithmetic; the returned residual is the largest absolute
-    mismatch over all (i, j), and 0 when t == tau.  ``ys[k]`` must be the
-    weight vector at step k, with ``ys`` covering indices tau..t inclusive.
-    """
-    residuals = product_identity_residuals(ws, ss, ys, tau, t)
-    return float(residuals[-1]) if residuals.size else 0.0
-
-
 def product_identity_residuals(
     ws: Sequence[WeightMatrix],
     ss: Sequence[SMatrix],
@@ -228,8 +208,14 @@ def product_identity_residuals(
     tau: int,
     t_max: int,
 ) -> np.ndarray:
-    """Exchange-identity residuals (see verify_product_identity) for every
-    t = tau+1..t_max, in that order.
+    """Max entrywise residuals tying the two product families together,
+    for every t = tau+1..t_max, in that order.
+
+    For the products P_S = S(t-1)...S(tau) and P_W = W(t-1)...W(tau) the
+    exchange relation  P_S[i, j] * y_i(t) = P_W[i, j] * y_j(tau)  holds in
+    exact arithmetic; entry t-tau-1 is the largest absolute mismatch over
+    all (i, j) at t.  ``ys[k]`` must be the weight vector at step k, with
+    ``ys`` covering indices tau..t_max inclusive.
 
     Both products grow by one left multiplication per t, so the whole
     range costs 2 (t_max - tau - 1) matrix products, each the same one a

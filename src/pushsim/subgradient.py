@@ -15,9 +15,12 @@ average approaches an optimum of f.
 Objectives come from three term families (squared distance, absolute
 deviation, hinge) plus an all-zero placeholder; each holds its per-agent
 parameters as arrays and declares a certified optimum and a
-subgradient-norm ceiling on a bounding box.  The run loop raises
-RunFailure if a trajectory ever leaves the box, a subgradient beats the
-declared ceiling, a weight underflows or the certified optimum is beaten.
+subgradient-norm ceiling on a bounding box.  A single term
+(QuadraticTerm, AbsoluteTerm, HingeTerm, ZeroTerm) is the one-agent
+objective of its family, so each family has one formula.  The run loop
+raises RunFailure if a trajectory ever leaves the box, a subgradient
+beats the declared ceiling, a weight underflows or the certified optimum
+is beaten.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -39,20 +42,19 @@ from .pushsum import (
 from .weights import WeightMatrix, WeightStack
 
 __all__ = [
-    "QuadraticTerm",
-    "AbsoluteTerm",
-    "HingeTerm",
-    "ZeroTerm",
-    "ObjectiveTerm",
     "ObjectiveSpec",
     "StepsizeSchedule",
     "ScheduleReport",
     "RunTrace",
-    "subgradient",
     "quadratic_objective",
     "l1_objective",
     "hinge_objective",
     "zero_objective",
+    "QuadraticTerm",
+    "AbsoluteTerm",
+    "HingeTerm",
+    "ZeroTerm",
+    "subgradient",
     "stepsize",
     "stepsize_array",
     "validate_schedule",
@@ -63,126 +65,7 @@ __all__ = [
 ]
 
 GAP_NOISE_TOL = 1e-12
-
-
-# --------------------------------------------------------------------------
-# objective terms
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadraticTerm:
-    """f(z) = ||z - target||^2, subgradient 2 (z - target)."""
-
-    target: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.atleast_1d(np.asarray(self.target, dtype=float))
-        a.setflags(write=False)
-        object.__setattr__(self, "target", a)
-
-    def value(self, z: np.ndarray) -> float:
-        return float(((np.asarray(z, dtype=float) - self.target) ** 2).sum())
-
-    def value_batch(self, zs: np.ndarray) -> np.ndarray:
-        return ((zs - self.target) ** 2).sum(axis=1)
-
-    def subgrad(self, z: np.ndarray) -> np.ndarray:
-        return 2.0 * (np.asarray(z, dtype=float) - self.target)
-
-    def grad_norm_bound(self, lo: np.ndarray, hi: np.ndarray) -> float:
-        # The gradient norm is maximized at a box corner.
-        reach = np.maximum(np.abs(lo - self.target), np.abs(hi - self.target))
-        return 2.0 * float(np.sqrt((reach ** 2).sum()))
-
-
-@dataclass(frozen=True)
-class AbsoluteTerm:
-    """f(z) = sum_c |z_c - target_c|; at a kink the flat subgradient 0 is used."""
-
-    target: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.atleast_1d(np.asarray(self.target, dtype=float))
-        a.setflags(write=False)
-        object.__setattr__(self, "target", a)
-
-    def value(self, z: np.ndarray) -> float:
-        return float(np.abs(np.asarray(z, dtype=float) - self.target).sum())
-
-    def value_batch(self, zs: np.ndarray) -> np.ndarray:
-        return np.abs(zs - self.target).sum(axis=1)
-
-    def subgrad(self, z: np.ndarray) -> np.ndarray:
-        # np.sign maps the kink z_c == target_c to 0, a valid subgradient.
-        return np.sign(np.asarray(z, dtype=float) - self.target)
-
-    def grad_norm_bound(self, lo: np.ndarray, hi: np.ndarray) -> float:
-        return float(math.sqrt(self.target.shape[0]))
-
-
-@dataclass(frozen=True)
-class HingeTerm:
-    """f(z) = max(0, 1 - label * normal . z).
-
-    On the active side the subgradient is -label * normal; at the kink and
-    on the flat side it is 0.
-    """
-
-    normal: np.ndarray
-    label: float
-
-    def __post_init__(self) -> None:
-        w = np.atleast_1d(np.asarray(self.normal, dtype=float))
-        w.setflags(write=False)
-        object.__setattr__(self, "normal", w)
-        if self.label not in (-1.0, 1.0):
-            raise ValueError(f"label must be -1 or +1, got {self.label}")
-
-    def value(self, z: np.ndarray) -> float:
-        margin = 1.0 - self.label * float(self.normal @ np.asarray(z, dtype=float))
-        return max(0.0, margin)
-
-    def value_batch(self, zs: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, 1.0 - self.label * (zs @ self.normal))
-
-    def subgrad(self, z: np.ndarray) -> np.ndarray:
-        margin = 1.0 - self.label * float(self.normal @ np.asarray(z, dtype=float))
-        if margin > 0.0:
-            return -self.label * self.normal
-        return np.zeros_like(self.normal)
-
-    def grad_norm_bound(self, lo: np.ndarray, hi: np.ndarray) -> float:
-        return float(np.sqrt((self.normal ** 2).sum()))
-
-
-@dataclass(frozen=True)
-class ZeroTerm:
-    """Identically-zero objective term (useful for pure-consensus runs)."""
-
-    d: int
-
-    def value(self, z: np.ndarray) -> float:
-        return 0.0
-
-    def value_batch(self, zs: np.ndarray) -> np.ndarray:
-        return np.zeros(zs.shape[0])
-
-    def subgrad(self, z: np.ndarray) -> np.ndarray:
-        return np.zeros(self.d)
-
-    def grad_norm_bound(self, lo: np.ndarray, hi: np.ndarray) -> float:
-        return 0.0
-
-
-ObjectiveTerm = Union[QuadraticTerm, AbsoluteTerm, HingeTerm, ZeroTerm]
-_TERM_TYPES = (QuadraticTerm, AbsoluteTerm, HingeTerm, ZeroTerm)
-
-
-def subgradient(term: ObjectiveTerm, point: np.ndarray) -> np.ndarray:
-    """A subgradient of one term at the given point."""
-    if not isinstance(term, _TERM_TYPES):
-        raise TypeError(f"not an objective term: {term!r}")
-    return term.subgrad(point)
+_UNBOUNDED = (-math.inf, math.inf)  # the whole space; _uncertified broadcasts each end over d
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +85,7 @@ class ObjectiveSpec:
     "hinge" holds its normal in row i of ``normals`` (n, d) and its
     label (+1 or -1) in ``labels`` (n,), and "zero" holds neither.
     Values, subgradients and the box test are one array expression over
-    all agents; ``terms`` gives the same terms as per-agent objects.
+    all agents; with n = 1 the objective is a single term.
     ``g_bound`` upper-bounds every agent's subgradient norm on the box
     [box_lo, box_hi]; ``z_star`` and ``f_star`` are a certified minimizer
     and minimum value, with ``optimum_provenance`` recording how they
@@ -245,17 +128,6 @@ class ObjectiveSpec:
             bad = self.labels[(self.labels != 1.0) & (self.labels != -1.0)]
             if bad.size:
                 raise ValueError(f"label must be -1 or +1, got {bad[0]}")
-
-    @property
-    def terms(self) -> tuple[ObjectiveTerm, ...]:
-        """Per-agent views: ``terms[i]`` is f_i as a standalone term."""
-        if self.kind == "quadratic":
-            return tuple(QuadraticTerm(a) for a in self.targets)
-        if self.kind == "l1":
-            return tuple(AbsoluteTerm(a) for a in self.targets)
-        if self.kind == "hinge":
-            return tuple(HingeTerm(w, float(b)) for w, b in zip(self.normals, self.labels))
-        return tuple(ZeroTerm(self.d) for _ in range(self.n))
 
     def _margins(self, zs: np.ndarray) -> np.ndarray:
         """Hinge margins 1 - label_i * normal_i . z_i for every agent i; zs
@@ -450,8 +322,48 @@ def _hinge_vertices(
 
 def zero_objective(n: int, d: int) -> ObjectiveSpec:
     """All terms identically zero: pure consensus with a trivial optimum."""
-    spec = _uncertified("zero", n, d, (np.full(d, -np.inf), np.full(d, np.inf)), None)
+    spec = _uncertified("zero", n, d, _UNBOUNDED, None)
     return replace(spec, z_star=np.zeros(d), f_star=0.0, optimum_provenance="zero")
+
+
+# --------------------------------------------------------------------------
+# one-agent terms
+# --------------------------------------------------------------------------
+# A single term f is the one-agent objective (n = 1) on the unbounded box,
+# so its value, batch value and subgradient are ObjectiveSpec's formulas.
+
+def QuadraticTerm(target: np.ndarray) -> ObjectiveSpec:
+    """f(z) = ||z - target||^2, subgradient 2 (z - target)."""
+    target = np.atleast_1d(np.asarray(target, dtype=float))
+    return _uncertified("quadratic", 1, target.size, _UNBOUNDED, None, targets=[target])
+
+
+def AbsoluteTerm(target: np.ndarray) -> ObjectiveSpec:
+    """f(z) = sum_c |z_c - target_c|; at a kink the flat subgradient 0 is used."""
+    target = np.atleast_1d(np.asarray(target, dtype=float))
+    return _uncertified("l1", 1, target.size, _UNBOUNDED, None, targets=[target])
+
+
+def HingeTerm(normal: np.ndarray, label: float) -> ObjectiveSpec:
+    """f(z) = max(0, 1 - label * normal . z), label -1 or +1.
+
+    On the active side the subgradient is -label * normal; at the kink and
+    on the flat side it is 0.
+    """
+    normal = np.atleast_1d(np.asarray(normal, dtype=float))
+    return _uncertified("hinge", 1, normal.size, _UNBOUNDED, None, normals=[normal], labels=[label])
+
+
+def ZeroTerm(d: int) -> ObjectiveSpec:
+    """Identically-zero objective term (useful for pure-consensus runs)."""
+    return _uncertified("zero", 1, d, _UNBOUNDED, None)
+
+
+def subgradient(term: ObjectiveSpec, point: np.ndarray) -> np.ndarray:
+    """A subgradient of one term (a one-agent objective) at the given point."""
+    if not isinstance(term, ObjectiveSpec) or term.n != 1:
+        raise TypeError(f"not an objective term: {term!r}")
+    return term.agent_subgradients(np.asarray(point, dtype=float)[None])[0]
 
 
 def _beaten_message(objective: ObjectiveSpec, gap: float) -> str:

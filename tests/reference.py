@@ -1,5 +1,7 @@
 """Independent reference routines the tests check the package against."""
 
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,3 +62,128 @@ def reference_file_violations(entries: np.ndarray, seq, tol: float) -> tuple[lis
         if len(violations) > 20:
             break
     return violations, rep.min_positive
+
+
+# --------------------------------------------------------------------------
+# per-agent objective terms
+# --------------------------------------------------------------------------
+# One object per term with its own value, subgradient and norm-ceiling
+# formulas, kept apart from ObjectiveSpec's array formulas so that those
+# can be checked against them bitwise.
+
+@dataclass(frozen=True)
+class QuadraticRef:
+    """f(z) = ||z - target||^2, subgradient 2 (z - target)."""
+
+    target: np.ndarray
+
+    def __post_init__(self) -> None:
+        a = np.atleast_1d(np.asarray(self.target, dtype=float))
+        a.setflags(write=False)
+        object.__setattr__(self, "target", a)
+
+    def value(self, z: np.ndarray) -> float:
+        return float(((np.asarray(z, dtype=float) - self.target) ** 2).sum())
+
+    def value_batch(self, zs: np.ndarray) -> np.ndarray:
+        return ((zs - self.target) ** 2).sum(axis=1)
+
+    def subgrad(self, z: np.ndarray) -> np.ndarray:
+        return 2.0 * (np.asarray(z, dtype=float) - self.target)
+
+    def grad_norm_bound(self, lo: np.ndarray, hi: np.ndarray) -> float:
+        # The gradient norm is maximized at a box corner.
+        reach = np.maximum(np.abs(lo - self.target), np.abs(hi - self.target))
+        return 2.0 * float(np.sqrt((reach ** 2).sum()))
+
+
+@dataclass(frozen=True)
+class AbsoluteRef:
+    """f(z) = sum_c |z_c - target_c|; at a kink the flat subgradient 0 is used."""
+
+    target: np.ndarray
+
+    def __post_init__(self) -> None:
+        a = np.atleast_1d(np.asarray(self.target, dtype=float))
+        a.setflags(write=False)
+        object.__setattr__(self, "target", a)
+
+    def value(self, z: np.ndarray) -> float:
+        return float(np.abs(np.asarray(z, dtype=float) - self.target).sum())
+
+    def value_batch(self, zs: np.ndarray) -> np.ndarray:
+        return np.abs(zs - self.target).sum(axis=1)
+
+    def subgrad(self, z: np.ndarray) -> np.ndarray:
+        # np.sign maps the kink z_c == target_c to 0, a valid subgradient.
+        return np.sign(np.asarray(z, dtype=float) - self.target)
+
+    def grad_norm_bound(self, lo: np.ndarray, hi: np.ndarray) -> float:
+        return float(math.sqrt(self.target.shape[0]))
+
+
+@dataclass(frozen=True)
+class HingeRef:
+    """f(z) = max(0, 1 - label * normal . z).
+
+    On the active side the subgradient is -label * normal; at the kink and
+    on the flat side it is 0.  ``value_batch`` takes one matrix-vector
+    product, so its rows need not round like ``value``.
+    """
+
+    normal: np.ndarray
+    label: float
+
+    def __post_init__(self) -> None:
+        w = np.atleast_1d(np.asarray(self.normal, dtype=float))
+        w.setflags(write=False)
+        object.__setattr__(self, "normal", w)
+        if self.label not in (-1.0, 1.0):
+            raise ValueError(f"label must be -1 or +1, got {self.label}")
+
+    def value(self, z: np.ndarray) -> float:
+        margin = 1.0 - self.label * float(self.normal @ np.asarray(z, dtype=float))
+        return max(0.0, margin)
+
+    def value_batch(self, zs: np.ndarray) -> np.ndarray:
+        return np.maximum(0.0, 1.0 - self.label * (zs @ self.normal))
+
+    def subgrad(self, z: np.ndarray) -> np.ndarray:
+        margin = 1.0 - self.label * float(self.normal @ np.asarray(z, dtype=float))
+        if margin > 0.0:
+            return -self.label * self.normal
+        return np.zeros_like(self.normal)
+
+    def grad_norm_bound(self, lo: np.ndarray, hi: np.ndarray) -> float:
+        return float(np.sqrt((self.normal ** 2).sum()))
+
+
+@dataclass(frozen=True)
+class ZeroRef:
+    """Identically-zero objective term."""
+
+    d: int
+
+    def value(self, z: np.ndarray) -> float:
+        return 0.0
+
+    def value_batch(self, zs: np.ndarray) -> np.ndarray:
+        return np.zeros(zs.shape[0])
+
+    def subgrad(self, z: np.ndarray) -> np.ndarray:
+        return np.zeros(self.d)
+
+    def grad_norm_bound(self, lo: np.ndarray, hi: np.ndarray) -> float:
+        return 0.0
+
+
+def reference_terms(objective) -> tuple:
+    """Agent i's term of an ObjectiveSpec as the standalone reference
+    object ``reference_terms(objective)[i]``."""
+    if objective.kind == "quadratic":
+        return tuple(QuadraticRef(a) for a in objective.targets)
+    if objective.kind == "l1":
+        return tuple(AbsoluteRef(a) for a in objective.targets)
+    if objective.kind == "hinge":
+        return tuple(HingeRef(w, float(b)) for w, b in zip(objective.normals, objective.labels))
+    return tuple(ZeroRef(objective.d) for _ in range(objective.n))

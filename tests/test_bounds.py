@@ -12,7 +12,6 @@ from pushsim.bounds import (
     BoundValue,
     _mu_powers,
     bound_fixed,
-    bound_timevarying,
     contraction_series,
     fit_geometric_rate,
     fit_rate,
@@ -63,7 +62,7 @@ def test_log_mu_is_authoritative_over_rounded_mu():
     # worst-case constants round mu to 1.0 in floats; the log keeps working
     inp = make_inputs(mu=1.0, log_mu=-1e-18)
     assert inp.one_minus_mu == pytest.approx(1e-18, rel=1e-12)
-    b = bound_timevarying(inp, 10)
+    b = timevarying_series(inp, 10)[10]
     assert math.isfinite(b.total) and b.total > 0
 
 
@@ -83,7 +82,7 @@ def test_initial_mass_and_spread():
 def test_timevarying_t0_terms_by_hand():
     z0 = np.array([[0.0], [2.0], [4.0]])
     inp = make_inputs(z0=z0, G=2.0, eta=0.5)
-    b = bound_timevarying(inp, 0)
+    b = timevarying_series(inp, 0)[0]
     dist_sq = (2.0 - 0.0) ** 2
     assert b.terms[0] == pytest.approx((dist_sq + 4.0 * 1.0) / 2.0)
     assert b.terms[1] == pytest.approx(2.0 * 1.0 * 8.0 / (3 * 1.0))
@@ -117,9 +116,9 @@ def test_timevarying_series_matches_explicit_sums():
 def test_agent_variant_uses_agent_reference_spread():
     z0 = np.array([[0.0], [2.0], [4.0]])
     inp = make_inputs(z0=z0)
-    net = bound_timevarying(inp, 5)
-    ag0 = bound_timevarying(inp, 5, agent=0)
-    ag2 = bound_timevarying(inp, 5, agent=2)
+    net = timevarying_series(inp, 5)[5]
+    ag0 = timevarying_series(inp, 5, agent=0)[5]
+    ag2 = timevarying_series(inp, 5, agent=2)[5]
     # spread about agent 0's start (= 0.0) equals spread about agent 2's (= 4.0)
     assert ag0.terms[1] == pytest.approx(ag2.terms[1])
     assert ag0.terms[1] > net.terms[1]
@@ -128,13 +127,13 @@ def test_agent_variant_uses_agent_reference_spread():
     for k in (0, 2, 3):
         assert ag0.terms[k] == net.terms[k]
     with pytest.raises(ValueError, match="agent"):
-        bound_timevarying(inp, 5, agent=3)
+        timevarying_series(inp, 5, agent=3)
 
 
 def test_single_agent_drops_network_memory_terms():
     z0 = np.array([[3.0]])
     inp = make_inputs(n=1, z0=z0, eta=1.0, mu=0.0)
-    b = bound_timevarying(inp, 20)
+    b = timevarying_series(inp, 20)[20]
     assert b.terms[1] == 0.0 and b.terms[2] == 0.0 and b.terms[3] == 0.0
     # what remains is the classic centralized certificate
     a = inp.alphas[:21]
@@ -145,7 +144,7 @@ def test_single_agent_drops_network_memory_terms():
 def test_timevarying_requires_decaying_schedule():
     inp = make_inputs(schedule=StepsizeSchedule.fixed_horizon(64))
     with pytest.raises(ValueError, match="decay"):
-        bound_timevarying(inp, 10)
+        timevarying_series(inp, 10)
     inp2 = make_inputs(schedule=StepsizeSchedule.polynomial(1.0, 0.3))
     with pytest.raises(ValueError, match="decay"):
         timevarying_series(inp2, 10)
@@ -168,8 +167,8 @@ def test_monotone_dependence_on_constants():
     bigger_g = make_inputs(G=3.0, eta=0.5, mu=0.8)
     smaller_eta = make_inputs(G=1.0, eta=0.05, mu=0.8)
     t = 12
-    assert bound_timevarying(bigger_g, t).total > bound_timevarying(base, t).total
-    b0, b1 = bound_timevarying(base, t), bound_timevarying(smaller_eta, t)
+    assert timevarying_series(bigger_g, t)[t].total > timevarying_series(base, t)[t].total
+    b0, b1 = timevarying_series(base, t)[t], timevarying_series(smaller_eta, t)[t]
     assert b1.terms[2] > b0.terms[2] and b1.terms[3] > b0.terms[3]
 
 
@@ -420,7 +419,7 @@ def test_series_is_bitwise_the_per_step_loop(case):
     assert_bitwise(got.terms, [v.terms for v in ref])
     assert_bitwise(got.total, [v.total for v in ref])
     assert [v.t for v in got] == list(range(t_max + 1))
-    one = bound_timevarying(inp, t, agent=agent)
+    one = timevarying_series(inp, t, agent=agent)[t]
     assert (one.t, one.form, one.agent) == (t, "time-varying", agent)
     assert_bitwise(one.terms, got.terms[t])
     assert_bitwise(one.total, got.total[t])

@@ -1007,6 +1007,42 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         main(["frobnicate", "--config", cfgp])
 
 
+def test_cli_unreadable_inputs_and_outputs_exit_2(tmp_path, capsys):
+    # a directory, a non-UTF-8 file or an existing regular file where the
+    # CLI reads or writes: one stderr line and exit 2, never a traceback
+    cfgp = write_cfg(tmp_path, base_config(sweep=SweepConfig(horizons=(40, 80, 150))))
+    latin = tmp_path / "latin1.ini"
+    latin.write_bytes(Path(cfgp).read_bytes() + "# caf\xe9\n".encode("latin-1"))
+    a_dir, a_file = tmp_path / "a_dir", tmp_path / "a_file"
+    a_dir.mkdir()
+    a_file.write_text("not a directory\n")
+    out = ["--out", str(tmp_path / "o")]
+    cases = [
+        ["simulate", "--config", str(a_dir)] + out,
+        ["simulate", "--config", str(latin)] + out,
+        ["verify", "--config", str(latin)],
+        ["simulate", "--config", cfgp, "--graph-file", str(a_dir)] + out,
+        ["simulate", "--config", cfgp, "--weights-file", str(a_dir)] + out,
+        ["sweep", "--config", cfgp, "--weights-file", str(a_dir)] + out,
+        ["simulate", "--config", cfgp, "--out", str(a_file)],
+        ["verify", "--config", cfgp, "--out", str(a_file)],
+        ["sweep", "--config", cfgp, "--out", str(a_file)],
+        ["report", "--config", cfgp, "--out", str(a_file)],
+    ]
+    for argv in cases:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, (argv, err)
+    # a run that fails mid-way says so, then cannot write its report
+    failing = base_config(objective=ObjectiveConfig(kind="l1", d=1, g_bound=0.5,
+                                                    targets=((0.0,), (1.0,), (2.0,), (5.0,))))
+    assert main(["simulate", "--config", write_cfg(tmp_path, failing), "--out", str(a_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["run failed", "file error"]
+    assert a_file.read_text() == "not a directory\n"
+
+
 def test_cli_sweep(tmp_path):
     cfgp = write_cfg(tmp_path, base_config(sweep=SweepConfig(horizons=(40, 80, 160))))
     out = str(tmp_path / "sw")

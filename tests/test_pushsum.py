@@ -15,7 +15,6 @@ from pushsim.pushsum import (
     pushsum_step,
     ratio_state,
     theory_constants,
-    verify_product_identity,
 )
 from pushsim.subgradient import mean_and_consensus
 from pushsim.weights import WeightMatrix, build_weights
@@ -138,15 +137,14 @@ def test_transition_products_basics():
 def test_product_identity_single_step_is_exact_to_rounding():
     ws, ss, ys, _ = run_history("random-walkable", 4, 20, seed=7, x0=np.zeros((4, 1)))
     for tau in range(19):
-        assert verify_product_identity(ws, ss, ys, tau, tau + 1) <= 1e-12
+        assert product_identity_residuals(ws, ss, ys, tau, tau + 1)[0] <= 1e-12
 
 
 def test_product_identity_long_products():
     ws, ss, ys, _ = run_history("random-walkable", 5, 45, seed=11, x0=np.zeros((5, 1)))
     worst = max(
-        verify_product_identity(ws, ss, ys, tau, t)
+        product_identity_residuals(ws, ss, ys, tau, min(tau + 40, 45)).max()
         for tau in range(0, 40, 5)
-        for t in range(tau + 1, min(tau + 41, 46))
     )
     assert worst <= 1e-9
 
@@ -163,11 +161,8 @@ def test_incremental_identity_residuals_match_scratch_products():
     for tau in range(31):
         res = product_identity_residuals(ws, ss, ys, tau, 30)
         assert res.shape == (30 - tau,)
-        for t in range(tau, 31):
-            want = scratch_identity_residual(ws, ss, ys, tau, t)
-            assert verify_product_identity(ws, ss, ys, tau, t) == want, (tau, t)
-            if t > tau:
-                assert res[t - tau - 1] == want, (tau, t)
+        for t in range(tau + 1, 31):
+            assert res[t - tau - 1] == scratch_identity_residual(ws, ss, ys, tau, t), (tau, t)
     with pytest.raises(ValueError, match="tau <= t"):
         product_identity_residuals(ws, ss, ys, 5, 31)
     with pytest.raises(ValueError, match="tau <= t"):

@@ -21,6 +21,7 @@ from pushsim.pushsum import (
 from pushsim.subgradient import (
     AbsoluteTerm,
     HingeTerm,
+    ObjectiveSpec,
     QuadraticTerm,
     StepsizeSchedule,
     ZeroTerm,
@@ -37,6 +38,7 @@ from pushsim.subgradient import (
     zero_objective,
 )
 from pushsim.weights import build_weight_stack, build_weights
+from reference import AbsoluteRef, HingeRef, QuadraticRef, ZeroRef, reference_terms
 
 CYCLE3 = [build_weights(g) for g in generate_sequence("static-cycle", 3, 1).graphs]
 
@@ -48,27 +50,28 @@ CYCLE3 = [build_weights(g) for g in generate_sequence("static-cycle", 3, 1).grap
 def test_quadratic_term_values_and_gradient():
     t = QuadraticTerm(np.array([2.0]))
     assert t.value(np.array([5.0])) == 9.0
-    assert_allclose(t.subgrad(np.array([5.0])), [6.0])
+    assert_allclose(subgradient(t, np.array([5.0])), [6.0])
     assert_allclose(t.value_batch(np.array([[5.0], [2.0]])), [9.0, 0.0])
     # bound = 2 * distance to the farthest box corner
-    assert t.grad_norm_bound(np.array([-1.0]), np.array([3.0])) == pytest.approx(6.0)
+    assert quadratic_objective([[2.0]], box=([-1.0], [3.0])).g_bound == pytest.approx(6.0)
 
 
 def test_absolute_term_kink_rule():
     t = AbsoluteTerm(np.array([1.0, -1.0]))
-    assert_allclose(t.subgrad(np.array([3.0, -1.0])), [1.0, 0.0])  # sign(0) = 0
+    assert_allclose(subgradient(t, np.array([3.0, -1.0])), [1.0, 0.0])  # sign(0) = 0
     assert t.value(np.array([3.0, -1.0])) == 2.0
-    assert t.grad_norm_bound(np.zeros(2), np.ones(2)) == pytest.approx(np.sqrt(2))
+    box = (np.zeros(2), np.ones(2))
+    assert l1_objective([[1.0, -1.0]], box=box).g_bound == pytest.approx(np.sqrt(2))
 
 
 def test_hinge_term_kink_rule():
     t = HingeTerm(np.array([2.0, 0.0]), 1.0)
     assert t.value(np.array([0.25, 9.0])) == 0.5
-    assert_allclose(t.subgrad(np.array([0.25, 9.0])), [-2.0, 0.0])
+    assert_allclose(subgradient(t, np.array([0.25, 9.0])), [-2.0, 0.0])
     # exactly on the margin: flat-side convention, subgradient 0
-    assert_allclose(t.subgrad(np.array([0.5, 0.0])), [0.0, 0.0])
-    assert_allclose(t.subgrad(np.array([4.0, 0.0])), [0.0, 0.0])
-    assert t.grad_norm_bound(np.zeros(2), np.ones(2)) == 2.0
+    assert_allclose(subgradient(t, np.array([0.5, 0.0])), [0.0, 0.0])
+    assert_allclose(subgradient(t, np.array([4.0, 0.0])), [0.0, 0.0])
+    assert hinge_objective([[2.0, 0.0]], [1.0], (np.zeros(2), np.ones(2))).g_bound == 2.0
     with pytest.raises(ValueError, match="label"):
         HingeTerm(np.ones(2), 0.5)
 
@@ -79,6 +82,51 @@ def test_zero_term_and_dispatch():
     assert_allclose(subgradient(t, np.ones(3)), np.zeros(3))
     with pytest.raises(TypeError, match="not an objective term"):
         subgradient("nope", np.ones(3))
+    with pytest.raises(TypeError, match="not an objective term"):
+        subgradient(zero_objective(2, 3), np.ones(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "l1", "hinge", "zero"]),
+    d=st.integers(1, 3),
+    m=st.integers(1, 20),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_term_views_match_the_reference_terms(kind, d, m, seed):
+    # Each term is a one-agent ObjectiveSpec, so its formulas are the
+    # run's; they must agree bitwise with the standalone reference terms,
+    # on random points and on dyadic points placed exactly on the kinks.
+    rng = np.random.default_rng(seed)
+
+    def grid(*shape):
+        return rng.integers(-32, 33, shape) / 4.0
+
+    zs = np.concatenate([rng.uniform(-6, 6, (m, d)), grid(m, d)])
+    kinks = zs[m:]
+    if kind == "hinge":
+        normal, label = grid(d), float(rng.choice([-1.0, 1.0]))
+        normal[0] = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+        kinks[:, 0] = (label - kinks[:, 1:] @ normal[1:]) / normal[0]  # label * normal . z == 1
+        view, ref = HingeTerm(normal, label), HingeRef(normal, label)
+    elif kind == "zero":
+        view, ref = ZeroTerm(d), ZeroRef(d)
+    else:
+        target = grid(d)
+        on = rng.random(d) < 0.5
+        kinks[:, on] = target[on]  # z_c == target_c
+        make, make_ref = {"quadratic": (QuadraticTerm, QuadraticRef), "l1": (AbsoluteTerm, AbsoluteRef)}[kind]
+        view, ref = make(target), make_ref(target)
+    assert isinstance(view, ObjectiveSpec) and (view.n, view.d) == (1, d)
+    if kind == "hinge":
+        assert not view.value_batch(kinks).any()
+    for z in zs:
+        assert_same_bits(view.value(z), ref.value(z), "value")
+        assert_same_bits(subgradient(view, z), ref.subgrad(z), "subgradient")
+    rows = view.value_batch(zs)
+    assert_same_bits(rows, np.array([ref.value(z) for z in zs]), "value_batch rows")
+    if kind != "hinge":  # the reference hinge batch rounds its one product differently
+        assert_same_bits(rows, ref.value_batch(zs), "value_batch")
 
 
 @settings(max_examples=120, deadline=None)
@@ -412,11 +460,11 @@ def in_order_sum(values):
 
 def reference_run(ws, x0, objective, schedule, record_products):
     """The per-agent run loop: each agent's term is called on its own
-    through the ``terms`` views, and every step builds a fresh state."""
-    terms = objective.terms
+    through the reference terms, and every step builds a fresh state."""
+    terms = reference_terms(objective)
 
     def subgrads(z):
-        return np.stack([subgradient(term, z[i]) for i, term in enumerate(terms)])
+        return np.stack([term.subgrad(z[i]) for i, term in enumerate(terms)])
 
     def value(p):
         return in_order_sum(term.value(p) for term in terms) / len(terms)
@@ -666,7 +714,7 @@ def test_array_objective_matches_its_term_views(kind, n, d, m, seed):
         d = min(d, 2)  # the exact certificate covers d <= 2
     rng = np.random.default_rng(seed)
     objective, _ = random_objective(kind, n, d, rng, None)
-    terms = objective.terms
+    terms = reference_terms(objective)
     assert len(terms) == objective.n == n
     zs = rng.uniform(-8, 8, (m, d))
     want = np.array([in_order_sum(term.value(z) for term in terms) / n for z in zs])
@@ -674,7 +722,7 @@ def test_array_objective_matches_its_term_views(kind, n, d, m, seed):
     for z in zs[:3]:
         assert objective.value(z) == in_order_sum(term.value(z) for term in terms) / n
     at = rng.uniform(-8, 8, (n, d))
-    want = np.stack([subgradient(term, at[i]) for i, term in enumerate(terms)])
+    want = np.stack([term.subgrad(at[i]) for i, term in enumerate(terms)])
     assert_same_bits(objective.agent_subgradients(at), want, "subgradients")
     if kind != "zero":
         lo, hi = objective.box_lo, objective.box_hi
