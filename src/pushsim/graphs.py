@@ -22,6 +22,7 @@ __all__ = [
     "generate_sequence",
     "is_strongly_connected",
     "uniform_connectivity_window",
+    "connectivity_windows",
     "format_graph_sequence",
     "parse_graph_sequence",
 ]
@@ -265,25 +266,47 @@ def uniform_connectivity_window(seq: GraphSequence) -> int | None:
     inside the horizon, the union of graphs over [t, t+L-1] is strongly
     connected.  Returns None if even the whole horizon fails.  This is a
     finite-horizon certificate over the materialized sequence only; it
-    says nothing about steps beyond the horizon.
-
-    The test "every window of length L is strongly connected" is monotone
-    in L, so L is found by doubling and then bisection.  ``level`` holds
-    the unions of all windows of length ``a`` (a power of two); a window
-    of length L in [a, 2a] is the union of two overlapping ones.  Each
-    test searches the unions in blocks, stops at the first failing block,
-    and searches each distinct union once: periodic sequences such as
-    ``static-cycle`` and ``rotating-arc`` repeat a few unions, each of
-    whose searches can take up to n rounds.  Besides the sequence, memory
-    stays at two boolean ``T*n*n`` stacks.
+    says nothing about steps beyond the horizon.  It is the one-horizon
+    case of :func:`connectivity_windows`.
     """
-    h = seq.horizon
-    block = max(1, _BLOCK_CELLS // seq.n**2)
+    return connectivity_windows(seq, [seq.horizon])[0]
 
-    def every_window_connected(length: int, level: np.ndarray, a: int) -> bool:
-        starts = h - length + 1
+
+def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[int | None]:
+    """``uniform_connectivity_window(seq.prefix(T))`` for every T in
+    ``horizons`` (in their order; each within ``1..seq.horizon``), from
+    one search over ``seq``.
+
+    Let f(L) be the first start whose length-L window is not strongly
+    connected.  A longer window holds a shorter one, so f is
+    nondecreasing and f(L) + L increasing, and horizon T's window is the
+    smallest L with f(L) + L > T: every length-L window of the first T
+    steps is connected.  So a length that fails one horizon fails every
+    longer one, and the horizons are searched in ascending order, each by
+    doubling and then bisection from the previous one's window (or, if
+    it had none, from its length plus one).  A length is tested against
+    a horizon by extending the scan of its starts from where an earlier
+    horizon's test of it left off.
+
+    ``level`` holds the unions of all windows of length ``a`` (a power of
+    two, only growing, always below the window); a window of length L in
+    [a, 2a] is the union of two overlapping ones.  Each scan tests the
+    unions in blocks, stops at the first failing block, and tests each
+    distinct union once: periodic sequences such as ``static-cycle`` and
+    ``rotating-arc`` repeat a few unions, each of whose searches can take
+    up to n rounds.  Besides the sequence, memory stays at two boolean
+    ``T*n*n`` stacks.
+    """
+    hs = list(horizons)
+    if any(not 1 <= T <= seq.horizon for T in hs):
+        raise ValueError(f"horizons must lie in [1, {seq.horizon}], got {hs}")
+    block = max(1, _BLOCK_CELLS // seq.n**2)
+    scanned: dict[int, int] = {}  # length -> count of starts whose windows are connected
+
+    def every_window_connected(length: int, horizon: int) -> bool:
+        starts = horizon - length + 1
         connected: set[bytes] = set()  # packed unions already shown connected
-        for lo in range(0, starts, block):
+        for lo in range(scanned.get(length, 0), starts, block):
             hi = min(starts, lo + block)
             unions = level[lo:hi] | level[lo + length - a : hi + length - a]
             keys = [row.tobytes() for row in np.packbits(unions.reshape(hi - lo, -1), axis=1)]
@@ -291,28 +314,46 @@ def uniform_connectivity_window(seq: GraphSequence) -> int | None:
             if fresh and not _all_strongly_connected(unions[list(fresh.values())]):
                 return False
             connected.update(fresh)
+        scanned[length] = starts
         return True
 
     level, a = seq.adj, 1
-    if every_window_connected(1, level, a):
-        return 1
-    while 2 * a < h:
-        if every_window_connected(2 * a, level, a):
-            break
-        level = level[:-a] | level[a:]
-        a *= 2
-    else:
-        if not every_window_connected(h, level, a):
-            return None
-    # Now length a fails and length min(2a, h) passes.
-    fail, ok = a, min(2 * a, h)
-    while ok - fail > 1:
-        mid = (fail + ok) // 2
-        if every_window_connected(mid, level, a):
-            ok = mid
-        else:
-            fail = mid
-    return ok
+
+    def reach(length: int) -> None:
+        """Grow ``level`` until ``length`` is at most 2a; every length
+        below ``length`` must be known to fail."""
+        nonlocal level, a
+        while 2 * a < length:
+            level = level[:-a] | level[a:]
+            a *= 2
+
+    windows: dict[int, int | None] = {}
+    least = 1  # every shorter length fails the next horizon
+
+    for T in sorted(set(hs)):
+        reach(least)
+        if every_window_connected(least, T):
+            windows[T] = least
+            continue
+        fail = least
+        while fail < T:
+            reach(fail + 1)
+            ok = min(2 * a, T)
+            if every_window_connected(ok, T):
+                break
+            fail = ok
+        else:  # even the whole horizon fails
+            windows[T], least = None, T + 1
+            continue
+        # Now length fail fails and length ok passes, both in [a, 2a].
+        while ok - fail > 1:
+            mid = (fail + ok) // 2
+            if every_window_connected(mid, T):
+                ok = mid
+            else:
+                fail = mid
+        windows[T] = least = ok
+    return [windows[T] for T in hs]
 
 
 def format_graph_sequence(seq: GraphSequence) -> str:

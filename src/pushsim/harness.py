@@ -36,6 +36,7 @@ from .bounds import (
 )
 from .graphs import (
     GraphSequence,
+    connectivity_windows,
     generate_sequence,
     parse_graph_sequence,
     uniform_connectivity_window,
@@ -661,13 +662,13 @@ def _bound_inputs(
 # certification
 # --------------------------------------------------------------------------
 
-def _window_check(seq: GraphSequence) -> CheckResult:
-    """The connectivity-window check over the whole of ``seq``."""
-    window = uniform_connectivity_window(seq)
+def _window_check(window: int | None, horizon: int) -> CheckResult:
+    """The connectivity-window check of a ``horizon``-step sequence whose
+    window search gave ``window``."""
     if window is None:
         return CheckResult("connectivity-window", False, note=(
             "no window length certifies joint strong connectivity over "
-            f"the {seq.horizon}-step horizon"
+            f"the {horizon}-step horizon"
         ))
     return CheckResult("connectivity-window", True, value=window)
 
@@ -717,7 +718,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     """
     schedule, objective = _materialize_spec(cfg)
     seq = _horizon_prefix(_graph_source(cfg.graph), cfg.graph)
-    hypotheses = [_certified(_window_check(seq))]
+    hypotheses = [_certified(_window_check(uniform_connectivity_window(seq), seq.horizon))]
     ws, violations = _materialize_weights(seq, cfg.weights)
     hypotheses.append(_certified(_weights_check(ws, violations, seq.horizon)))
     window, beta = (c.value for c in hypotheses)
@@ -874,7 +875,7 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     horizon = min(cfg.graph.horizon, VERIFY_HORIZON)
     gcfg = dataclasses.replace(cfg.graph, horizon=horizon)
     seq = _horizon_prefix(_graph_source(gcfg), gcfg)
-    window_check = _window_check(seq)
+    window_check = _window_check(uniform_connectivity_window(seq), seq.horizon)
     ws, violations = _materialize_weights(seq, cfg.weights)
     weights_check = _weights_check(ws, violations, seq.horizon)
     checks = [window_check, weights_check]
@@ -927,11 +928,12 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
     One run at the longest horizon serves every horizon: shorter horizons
     are its prefixes.  The graph sequence and the weights are built once,
     at the longest horizon (generated sequences are prefix-stable and the
-    weights are per step), and a decaying stepsize does not depend on the
-    horizon, so horizon T's final gap and checks are read from the first
-    T steps of that run (``RunTrace.prefix``).  The fixed stepsize
-    1/sqrt(T) does depend on it, so a fixed schedule runs once per
-    horizon on the shared inputs.
+    weights are per step), one search finds every horizon's connectivity
+    window (``connectivity_windows``), and a decaying stepsize does not
+    depend on the horizon, so horizon T's final gap and checks are read
+    from the first T steps of that run (``RunTrace.prefix``).  The fixed
+    stepsize 1/sqrt(T) does depend on it, so a fixed schedule runs once
+    per horizon on the shared inputs.
 
     Failures are those a run per horizon in ascending order would raise:
     the first failing horizon's, with a run failure at step t raised for
@@ -961,11 +963,16 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
     source = _graph_source(at_horizon(hs[-1]).graph)
     x0 = _materialize_init(cfg.init, cfg.graph.n, objective.d)
     ws: WeightStack | None = None
+    windows: dict[int, int | None] | None = None
     certified: list[tuple[int, list[CheckResult]]] = []  # (T, its hypothesis checks)
     deferred: Exception | None = None  # the first certification failure
     try:
         for T in hs:
-            hypotheses = [_certified(_window_check(_horizon_prefix(source, at_horizon(T).graph)))]
+            _horizon_prefix(source, at_horizon(T).graph)  # a file too short for T is a config error
+            if windows is None:  # one search for every horizon the source covers
+                reach = [h for h in hs if h <= source.horizon]
+                windows = dict(zip(reach, connectivity_windows(source.prefix(reach[-1]), reach)))
+            hypotheses = [_certified(_window_check(windows[T], T))]
             if ws is None:
                 ws, violations = _materialize_weights(
                     source.prefix(min(hs[-1], source.horizon)), cfg.weights,

@@ -17,22 +17,23 @@ deviation, hinge) plus an all-zero placeholder; each holds its per-agent
 parameters as arrays and declares a certified optimum and a
 subgradient-norm ceiling on a bounding box.  A single term
 (QuadraticTerm, AbsoluteTerm, HingeTerm, ZeroTerm) is the one-agent
-objective of its family, so each family has one formula.  The run loop
-raises RunFailure if a trajectory ever leaves the box, a subgradient
-beats the declared ceiling, a weight underflows or the certified optimum
-is beaten.
+objective of its family, so each family has one formula.  A run raises
+RunFailure if a trajectory ever leaves the box, a subgradient beats the
+declared ceiling, a weight underflows or the certified optimum is
+beaten.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .pushsum import (
+    Y_FLOOR,
     CompanionView,
     NetworkState,
     RunFailure,
@@ -435,7 +436,18 @@ def stepsize(schedule: StepsizeSchedule, t: int) -> float:
 
 
 def stepsize_array(schedule: StepsizeSchedule, steps: int) -> np.ndarray:
-    """alpha(0..steps-1) as a vector."""
+    """alpha(0..steps-1) as a vector, each entry bitwise :func:`stepsize`.
+
+    The harmonic and fixed kinds are one array expression (a quotient by
+    an exact float is the same rounding); the polynomial kind keeps
+    Python's power, which numpy's ``t ** p`` can miss by the last bit.
+    """
+    if schedule.kind == "harmonic":
+        return schedule.a / np.arange(1, steps + 1, dtype=float)
+    if schedule.kind == "fixed":
+        if steps > schedule.T:
+            stepsize(schedule, schedule.T)  # raises: the first step past the horizon
+        return np.full(steps, stepsize(schedule, 0))
     return np.array([stepsize(schedule, t) for t in range(steps)])
 
 
@@ -558,17 +570,25 @@ def run_push_subgradient(
         the contraction diagnostics; skip on long sweeps).  The companions
         are not kept; ``smatrices`` rebuilds them on read.
 
-    Every step enforces the declared subgradient ceiling, box containment,
+    The run enforces the declared subgradient ceiling, box containment,
     the weight floor and the certified optimum; a failure raises
-    RunFailure naming the check, the agent and the step, and the earliest
-    failing step is the one reported.  Only x, y and the ratios and
-    subgradients they give are sequential, so the loop computes just
-    those, the in-step checks and, from each companion while it is at
-    hand, the product gap and the recursion residual.  The network
-    mean, the Lyapunov average, the consensus error, the running-average
-    gap and the one-step deviation are each one expression over the
-    stored rows after the loop; each equals, bitwise, what a per-step
-    evaluation gives.
+    RunFailure naming the check, the agent and the step.  The step loop
+    computes only what is sequential: the subgradients, the stored rows,
+    x, y and the ratios, and, from each companion while it is at hand,
+    the product gap and the recursion residual.  The ceiling, box and
+    weight-floor checks are one pass over the stored rows of each weight
+    block when the block ends (:func:`_first_failure`), so a failing run
+    stops at most one block late; the reported failure is the one a
+    check after every step would raise first (per step: ceiling, box,
+    a companion that cannot be built, then the weights the step
+    produced), and the rows past it are discarded.  Each block's
+    warnings are held back until its pass: those of the steps before a
+    failure, or of the whole passing block, are then issued again, and
+    those of the discarded steps never are.  The network mean, the
+    Lyapunov average, the consensus error, the running-average gap and
+    the one-step deviation are each one expression over the stored rows
+    after the loop; each equals, bitwise, what a per-step evaluation
+    gives.
     """
     steps = len(ws)
     if steps == 0:
@@ -593,50 +613,77 @@ def run_push_subgradient(
     s_product_gap = np.empty(steps) if record_products else None
     aps_residual = np.empty(steps) if record_products else None
 
-    g_ceiling = objective.g_bound + 1e-9
     prod = np.eye(n) if record_products else None
     limit = np.full((n, n), 1.0 / n) if record_products else None
     z = x / y[:, None]
-    recorded = 0
+    t = recorded = 0
     try:
-        for t, w in enumerate(chain.from_iterable(ws.blocks())):
-            alpha = alphas[t]
-            g = objective.agent_subgradients(z)
-            norms = np.sqrt((g ** 2).sum(axis=1))
-            if (norms > g_ceiling).any():
-                k = int(norms.argmax())
-                raise RunFailure(
-                    "subgradient-ceiling", k + 1, t,
-                    f"agent {k + 1} produced a subgradient of norm {norms[k]:.6g} "
-                    f"above the declared ceiling {objective.g_bound:.6g} at t={t}",
-                )
-            inside = objective.in_box(z)
-            if not inside.all():
-                i = int(inside.argmin())
-                raise RunFailure(
-                    "box-containment", i + 1, t,
-                    f"agent {i + 1} left the declared box at t={t}: z={z[i]!r}",
-                )
-            xs[t] = x
-            ys[t] = y
-            zs[t] = z
-            gs[t] = g
-            recorded = t + 1
+        for block in ws.blocks():
+            lo = t
+            # How many warnings each step had raised by its checks, and by
+            # the end of its weight update.
+            at_checks: list[int] = []
+            at_update: list[int] = []
+            companion_error = None
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for w in block:
+                    g = objective.agent_subgradients(z)
+                    xs[t] = x
+                    ys[t] = y
+                    zs[t] = z
+                    gs[t] = g
+                    at_checks.append(len(caught))
+                    if record_products:
+                        try:
+                            s = build_s_matrix(w, y).entries
+                        except ValueError as exc:  # y or W y not positive
+                            companion_error = exc
+                            break
+                        prod = s @ prod
+                        s_product_gap[t] = float(np.abs(prod - limit).max())
+                        pi = y / n
 
-            if record_products:
-                s = build_s_matrix(w, y).entries
-                prod = s @ prod
-                s_product_gap[t] = float(np.abs(prod - limit).max())
-                pi = y / n
+                    # alpha == 0 is exactly a pure mixing step: the subtraction is skipped.
+                    alpha = alphas[t]
+                    x = w @ (x if alpha == 0.0 else x - alpha * g)
+                    y = w @ y
+                    at_update.append(len(caught))
+                    if record_products:
+                        aps_residual[t] = np.abs((y / n) @ s - pi).max()
+                    z = x / y[:, None]
+                    t += 1
 
-            # alpha == 0 is exactly a pure mixing step: the subtraction is skipped.
-            x = w @ (x if alpha == 0.0 else x - alpha * g)
-            y = w @ y
-            check_weight_floor(t + 1, y)
-            if record_products:
-                aps_residual[t] = np.abs((y / n) @ s - pi).max()
-            z = x / y[:, None]
-    except (RunFailure, ValueError):  # ValueError: build_s_matrix on underflowed weights
+            # Rows lo..t-1 are whole steps; the weights after them are the
+            # later rows and, after the last one, y.
+            if companion_error is None:
+                after, failure = np.concatenate([ys[lo + 1 : t], y[None]]), None
+            else:
+                after, failure = ys[lo + 1 : t + 1], (t - lo, 2)
+            rows = slice(lo, lo + len(at_checks))
+            found = _first_failure(objective, gs[rows], zs[rows], after)
+            if found is not None and (failure is None or found < failure):
+                failure = found
+            if failure is None:
+                _reissue(caught)
+                continue
+            # Issue the warnings a check after every step would have let
+            # through before raising the same failure.
+            r, order = failure
+            step = lo + r
+            if order < 2:
+                recorded = step
+                _reissue(caught[: at_checks[r]])
+                if order == 0:
+                    raise _ceiling_failure(objective, gs[step], step)
+                raise _box_failure(objective, zs[step], step)
+            recorded = step + 1
+            if order == 2:
+                _reissue(caught)
+                raise companion_error
+            _reissue(caught[: at_update[r]])
+            check_weight_floor(step + 1, after[r])
+    except (RunFailure, ValueError):
         # The gap of every recorded step came before the failure.
         certified_gaps(objective, alphas[:recorded], mean_and_consensus(zs[:recorded])[0])
         raise
@@ -657,6 +704,60 @@ def run_push_subgradient(
         s_product_gap=s_product_gap, aps_residual=aps_residual,
         smatrices=CompanionView(ws, ys) if record_products else None,
     )
+
+
+def _first_failure(
+    objective: ObjectiveSpec, gs: np.ndarray, zs: np.ndarray, after: np.ndarray
+) -> tuple[int, int] | None:
+    """The first failing in-step check over consecutive stored rows, as
+    (row, order), or None.
+
+    ``gs`` and ``zs`` are the rows' subgradients and ratios, shape
+    (k, n, d), and ``after[r]`` the weights that row r's step produced
+    (one per whole step, so possibly one row short).  Order 0 is the
+    subgradient ceiling, 1 box containment and 3 the weight floor; a
+    per-step check takes them in that order, so the smallest pair is the
+    failure it raises first.  A square that overflows makes its row's norm
+    inf, so that row fails the ceiling; it is recomputed, with its
+    warning, when the failure is raised (:func:`_ceiling_failure`).
+    """
+    k, n, d = zs.shape
+    with np.errstate(over="ignore"):
+        over = (np.sqrt((gs ** 2).sum(axis=2)) > objective.g_bound + 1e-9).any(axis=1)
+    outside = ~objective.in_box(zs.reshape(k * n, d)).reshape(k, n).all(axis=1)
+    low = (after <= Y_FLOOR).any(axis=1)
+    firsts = [(int(rows.argmax()), order) for order, rows in ((0, over), (1, outside), (3, low)) if rows.any()]
+    return min(firsts, default=None)
+
+
+def _ceiling_failure(objective: ObjectiveSpec, g: np.ndarray, t: int) -> RunFailure:
+    norms = np.sqrt((g ** 2).sum(axis=1))
+    k = int(norms.argmax())
+    return RunFailure(
+        "subgradient-ceiling", k + 1, t,
+        f"agent {k + 1} produced a subgradient of norm {norms[k]:.6g} "
+        f"above the declared ceiling {objective.g_bound:.6g} at t={t}",
+    )
+
+
+def _box_failure(objective: ObjectiveSpec, z: np.ndarray, t: int) -> RunFailure:
+    inside = objective.in_box(z)
+    i = int(inside.argmin())
+    return RunFailure(
+        "box-containment", i + 1, t,
+        f"agent {i + 1} left the declared box at t={t}: z={z[i]!r}",
+    )
+
+
+def _reissue(caught: list[warnings.WarningMessage]) -> None:
+    """Issue held-back warnings again, through the filters in force; they
+    count as this module's for filtering and for showing once."""
+    registry = globals().setdefault("__warningregistry__", {})
+    for m in caught:
+        warnings.warn_explicit(
+            m.message, m.category, m.filename, m.lineno,
+            module=__name__, registry=registry, source=m.source,
+        )
 
 
 def mean_and_consensus(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,11 +2,28 @@
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from pushsim.weights import WeightMatrix, validate_column_stochastic
+from pushsim.graphs import _BLOCK_CELLS, GraphSequence, _all_strongly_connected
+from pushsim.pushsum import (
+    CompanionView,
+    NetworkState,
+    RunFailure,
+    build_s_matrix,
+    check_weight_floor,
+)
+from pushsim.subgradient import (
+    ObjectiveSpec,
+    RunTrace,
+    StepsizeSchedule,
+    certified_gaps,
+    mean_and_consensus,
+    stepsize_array,
+)
+from pushsim.weights import WeightMatrix, WeightStack, validate_column_stochastic
 
 
 def transition_product_w(ws: Sequence, tau: int, t: int) -> np.ndarray:
@@ -187,3 +204,151 @@ def reference_terms(objective) -> tuple:
     if objective.kind == "hinge":
         return tuple(HingeRef(w, float(b)) for w, b in zip(objective.normals, objective.labels))
     return tuple(ZeroRef(objective.d) for _ in range(objective.n))
+
+
+# --------------------------------------------------------------------------
+# the run loop with per-step checks, and the one-horizon window search
+# --------------------------------------------------------------------------
+
+def reference_run_push_subgradient(
+    ws: Sequence[WeightMatrix],
+    x0: np.ndarray,
+    objective: ObjectiveSpec,
+    schedule: StepsizeSchedule,
+    record_products: bool = True,
+) -> RunTrace:
+    """The run loop with every in-step check made after each step: the
+    subgradient ceiling and box containment before the step, the
+    companion build, then the weight floor on the weights it produced.
+    ``pushsim.subgradient.run_push_subgradient`` must record the same bits
+    and stop with the same failure."""
+    steps = len(ws)
+    if steps == 0:
+        raise ValueError("need at least one mixing step")
+    ws = WeightStack.of(ws)
+    x = np.atleast_2d(np.asarray(x0, dtype=float))
+    n, d = x.shape
+    y = np.ones(n)
+    if objective.n != n or objective.d != d:
+        raise ValueError(
+            f"objective is for (n, d)=({objective.n}, {objective.d}), "
+            f"initial values have ({n}, {d})"
+        )
+    if ws.n != n:
+        raise ValueError(f"weight matrix is {ws.n}x{ws.n} but state has n={n}")
+    alphas = stepsize_array(schedule, steps)
+
+    xs = np.empty((steps, n, d))
+    ys = np.empty((steps, n))
+    zs = np.empty((steps, n, d))
+    gs = np.empty((steps, n, d))
+    s_product_gap = np.empty(steps) if record_products else None
+    aps_residual = np.empty(steps) if record_products else None
+
+    g_ceiling = objective.g_bound + 1e-9
+    prod = np.eye(n) if record_products else None
+    limit = np.full((n, n), 1.0 / n) if record_products else None
+    z = x / y[:, None]
+    recorded = 0
+    try:
+        for t, w in enumerate(chain.from_iterable(ws.blocks())):
+            alpha = alphas[t]
+            g = objective.agent_subgradients(z)
+            norms = np.sqrt((g ** 2).sum(axis=1))
+            if (norms > g_ceiling).any():
+                k = int(norms.argmax())
+                raise RunFailure(
+                    "subgradient-ceiling", k + 1, t,
+                    f"agent {k + 1} produced a subgradient of norm {norms[k]:.6g} "
+                    f"above the declared ceiling {objective.g_bound:.6g} at t={t}",
+                )
+            inside = objective.in_box(z)
+            if not inside.all():
+                i = int(inside.argmin())
+                raise RunFailure(
+                    "box-containment", i + 1, t,
+                    f"agent {i + 1} left the declared box at t={t}: z={z[i]!r}",
+                )
+            xs[t] = x
+            ys[t] = y
+            zs[t] = z
+            gs[t] = g
+            recorded = t + 1
+
+            if record_products:
+                s = build_s_matrix(w, y).entries
+                prod = s @ prod
+                s_product_gap[t] = float(np.abs(prod - limit).max())
+                pi = y / n
+
+            # alpha == 0 is exactly a pure mixing step: the subtraction is skipped.
+            x = w @ (x if alpha == 0.0 else x - alpha * g)
+            y = w @ y
+            check_weight_floor(t + 1, y)
+            if record_products:
+                aps_residual[t] = np.abs((y / n) @ s - pi).max()
+            z = x / y[:, None]
+    except (RunFailure, ValueError):  # ValueError: build_s_matrix on underflowed weights
+        # The gap of every recorded step came before the failure.
+        certified_gaps(objective, alphas[:recorded], mean_and_consensus(zs[:recorded])[0])
+        raise
+
+    zbar, consensus = mean_and_consensus(zs)
+    running_gap = certified_gaps(objective, alphas, zbar)
+    zlyap = ((ys / n)[:, None, :] @ zs)[:, 0, :]
+    h_mean = (xs - alphas[:, None, None] * gs).sum(axis=1) / n
+    z_next = np.concatenate([zs[1:], z[None]])
+    deviation = np.sqrt(((z_next - h_mean[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
+
+    return RunTrace(
+        n=n, d=d, steps=steps, alphas=alphas,
+        xs=xs, ys=ys, zs=zs, gs=gs, zbar=zbar, zlyap=zlyap,
+        consensus=consensus, running_gap=running_gap, deviation=deviation,
+        final_state=NetworkState(t=steps, x=x, y=y), final_zlyap=(y / n) @ z,
+        min_y=min(1.0, *ys[1:].min(axis=1).tolist(), float(y.min())),
+        s_product_gap=s_product_gap, aps_residual=aps_residual,
+        smatrices=CompanionView(ws, ys) if record_products else None,
+    )
+
+
+def reference_connectivity_window(seq: GraphSequence) -> int | None:
+    """The one-horizon window search, doubling and then bisection over
+    the unions of one sequence: smallest L whose every full window is
+    strongly connected, None if even the whole horizon fails."""
+    h = seq.horizon
+    block = max(1, _BLOCK_CELLS // seq.n**2)
+
+    def every_window_connected(length: int, level: np.ndarray, a: int) -> bool:
+        starts = h - length + 1
+        connected: set[bytes] = set()  # packed unions already shown connected
+        for lo in range(0, starts, block):
+            hi = min(starts, lo + block)
+            unions = level[lo:hi] | level[lo + length - a : hi + length - a]
+            keys = [row.tobytes() for row in np.packbits(unions.reshape(hi - lo, -1), axis=1)]
+            fresh = {key: k for k, key in enumerate(keys) if key not in connected}
+            if fresh and not _all_strongly_connected(unions[list(fresh.values())]):
+                return False
+            connected.update(fresh)
+        return True
+
+    level, a = seq.adj, 1
+    if every_window_connected(1, level, a):
+        return 1
+    while 2 * a < h:
+        if every_window_connected(2 * a, level, a):
+            break
+        level = level[:-a] | level[a:]
+        a *= 2
+    else:
+        if not every_window_connected(h, level, a):
+            return None
+    # Now length a fails and length min(2a, h) passes.
+    fail, ok = a, min(2 * a, h)
+    while ok - fail > 1:
+        mid = (fail + ok) // 2
+        if every_window_connected(mid, level, a):
+            ok = mid
+        else:
+            fail = mid
+    return ok
+

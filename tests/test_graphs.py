@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pushsim.graphs import (
     Digraph,
     GraphSequence,
+    connectivity_windows,
     digraph,
     format_graph_sequence,
     generate_sequence,
@@ -13,6 +14,7 @@ from pushsim.graphs import (
     parse_graph_sequence,
     uniform_connectivity_window,
 )
+from reference import reference_connectivity_window
 
 
 def test_digraph_requires_self_arcs():
@@ -258,6 +260,77 @@ def test_window_edge_cases_match_reference(n, steps, expected):
     seq = GraphSequence(n=n, horizon=len(steps), kind="custom", seed=0, adj=stack_of(n, steps))
     assert reference_window(n, steps) == expected
     assert uniform_connectivity_window(seq) == expected
+
+
+def horizon_lists(horizon):
+    """Horizon lists in any order, repeats allowed, all within ``horizon``."""
+    return st.lists(st.integers(1, horizon), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["static-cycle", "rotating-arc", "random-walkable"]),
+    n=st.integers(1, 7),
+    horizon=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    arc_prob=st.floats(0.0, 0.6),
+    inject_every=st.integers(1, 12),
+    data=st.data(),
+)
+def test_every_horizon_window_matches_the_one_horizon_search(
+    kind, n, horizon, seed, arc_prob, inject_every, data
+):
+    seq = generate_sequence(kind, n, horizon, seed, arc_prob=arc_prob, inject_every=inject_every)
+    hs = data.draw(horizon_lists(horizon))
+    assert connectivity_windows(seq, hs) == [reference_connectivity_window(seq.prefix(T)) for T in hs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lead=st.integers(1, 30), tail=st.integers(1, 30), connected_first=st.booleans(), data=st.data())
+def test_file_sequence_windows_match_the_one_horizon_search(lead, tail, connected_first, data):
+    # A graph file of ``lead`` steps of one kind and ``tail`` of the
+    # other: self-arcs only, or the 4-ring.  Ring steps first give every
+    # horizon a window that grows with it; ring steps last leave the short
+    # horizons without any.
+    ring = frozenset({(i, i) for i in range(4)} | {(j, (j + 1) % 4) for j in range(4)})
+    alone = frozenset((i, i) for i in range(4))
+    steps = [ring] * lead + [alone] * tail if connected_first else [alone] * lead + [ring] * tail
+    seq = parse_graph_sequence(format_graph_sequence(
+        GraphSequence(n=4, horizon=len(steps), kind="file", seed=0, adj=stack_of(4, steps))))
+    hs = data.draw(horizon_lists(len(steps)))
+    windows = connectivity_windows(seq, hs)
+    assert windows == [reference_connectivity_window(seq.prefix(T)) for T in hs]
+    assert windows == [reference_window(4, steps[:T]) for T in hs]
+
+
+def pattern_sequences():
+    """Small sequences whose windows change with the horizon: the
+    rotating arc (none below n, then n) and a ring run after a run of
+    self-arcs only (none, then a window growing with the horizon)."""
+    for n in range(2, 8):
+        yield generate_sequence("rotating-arc", n, 2 * n + 2)
+    ring = frozenset({(i, i) for i in range(4)} | {(j, (j + 1) % 4) for j in range(4)})
+    alone = frozenset((i, i) for i in range(4))
+    for lead in (1, 3, 6):
+        steps = [alone] * lead + [ring] * 3 + [alone] * lead + [ring]
+        yield GraphSequence(n=4, horizon=len(steps), kind="custom", seed=0, adj=stack_of(4, steps))
+
+
+@pytest.mark.parametrize("seq", list(pattern_sequences()), ids=lambda seq: f"{seq.kind}-{seq.n}-{seq.horizon}")
+def test_every_pair_of_horizons_matches_the_one_horizon_search(seq):
+    one = {T: reference_connectivity_window(seq.prefix(T)) for T in range(1, seq.horizon + 1)}
+    assert connectivity_windows(seq, list(one)) == list(one.values())
+    for shorter in range(1, seq.horizon + 1):
+        for longer in range(shorter, seq.horizon + 1):
+            assert connectivity_windows(seq, [longer, shorter]) == [one[longer], one[shorter]]
+
+
+def test_window_search_rejects_horizons_outside_the_sequence():
+    seq = generate_sequence("static-cycle", 3, 10)
+    assert connectivity_windows(seq, []) == []
+    for bad in ([0], [11], [5, 11]):
+        with pytest.raises(ValueError, match=r"horizons must lie in \[1, 10\]"):
+            connectivity_windows(seq, bad)
 
 
 def test_sequence_stack_is_read_only_and_validated():

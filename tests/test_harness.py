@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import re
+import runpy
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import pushsim.harness
+import pushsim.weights
 from pushsim.bounds import fit_rate
 from pushsim.cli import main
 from pushsim.graphs import GraphSequence, digraph, format_graph_sequence, generate_sequence
@@ -40,8 +43,16 @@ from pushsim.pushsum import RunFailure
 from pushsim.subgradient import running_average_gaps
 from pushsim.svgplot import Series, line_chart
 from pushsim.weights import WeightStack, build_weights
-from reference import format_matrix, reference_file_violations, reference_weight_stack
+from reference import (
+    format_matrix,
+    reference_file_violations,
+    reference_run_push_subgradient,
+    reference_weight_stack,
+)
 from test_acceptance import CERTIFIED
+
+# The module itself: the package exports a function of the same name.
+SUBGRADIENT = importlib.import_module("pushsim.subgradient")
 
 
 def base_config(**over) -> ExperimentConfig:
@@ -783,6 +794,17 @@ SWEEP_CASES = {
         graph=GraphConfig(kind="file", n=4, horizon=200, file=graph_file(
             tmp, generate_sequence("random-walkable", 4, 200, 5, arc_prob=0.3).graphs)),
         sweep=HORIZONS), (ConfigError, "horizon>=250")),
+    "file-too-short-unsorted": (lambda tmp: base_config(
+        graph=GraphConfig(kind="file", n=4, horizon=200, file=graph_file(
+            tmp, generate_sequence("random-walkable", 4, 200, 5, arc_prob=0.3).graphs)),
+        sweep=SweepConfig(horizons=(250, 100, 40, 100))), (ConfigError, "horizon>=250")),
+    # horizon 40 has no window, and that is raised before horizon 100 is
+    # found too long for the file
+    "no-window-then-too-short": (lambda tmp: base_config(
+        graph=GraphConfig(kind="file", n=3, horizon=80, file=graph_file(
+            tmp, [digraph(3)] * 60 + [digraph(3, RING3)] * 20)),
+        objective=ObjectiveConfig(kind="l1", d=1, targets=((0.0,), (1.0,), (2.0,))),
+        sweep=SweepConfig(horizons=(100, 70, 40))), (ValidationFailure, "40-step horizon")),
     "no-window-in-prefix": (lambda tmp: base_config(
         graph=GraphConfig(kind="file", n=3, horizon=300, file=graph_file(
             tmp, [digraph(3)] * 60 + [digraph(3, RING3)] * 240)),
@@ -830,6 +852,44 @@ def test_sweep_matches_the_per_horizon_loop(tmp_path, case):
     assert type(got) is kind and str(got) == str(want)
     if kind is RunFailure:
         assert (got.check, got.agent, got.t) == (want.check, want.agent, want.t)
+
+
+def underflow_sweep_config(tmp_path):
+    """A 3-agent pure-mixing sweep whose weights file lets agent 1 keep
+    1e-20 of its weight and receive only 1e-310 of agent 2's: its weight
+    falls below the floor at t=16, found by step 15."""
+    arcs = [(0, 1), (1, 0), (1, 2), (2, 1)]
+    wfile = tmp_path / "weights.txt"
+    wfile.write_text(format_matrix(
+        [[1e-20, 1e-310, 0.0], [1.0 - 1e-20, 0.5 - 1e-310, 0.5], [0.0, 0.5, 0.5]]))
+    return base_config(
+        graph=GraphConfig(kind="file", n=3, horizon=40, file=graph_file(tmp_path, [digraph(3, arcs)] * 40)),
+        weights=WeightConfig(rule="file", file=str(wfile)),
+        objective=ObjectiveConfig(kind="zero", d=1),
+        sweep=SweepConfig(horizons=(10, 16, 40)),
+    )
+
+
+def per_step_check_loop(monkeypatch):
+    """Make the drivers run the per-step-check reference loop."""
+    monkeypatch.setattr(pushsim.harness, "run_push_subgradient", reference_run_push_subgradient)
+    monkeypatch.setattr(SUBGRADIENT, "run_push_subgradient", reference_run_push_subgradient)
+
+
+@pytest.mark.parametrize("block", [1, 4, 5, 16, None])
+def test_sweep_names_a_weight_underflow_for_its_horizon(tmp_path, monkeypatch, block):
+    # Blocks of 4 and 16 steps end with step 15, whose weights are checked
+    # after the block; blocks of 5 begin with it.
+    cfg = underflow_sweep_config(tmp_path)
+    if block is not None:
+        monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", block * 3 * 3)
+    got = sweep_outcome(lambda c, out: sweep_experiment(c, out_dir=out), cfg, tmp_path / "got")
+    per_step_check_loop(monkeypatch)
+    want = sweep_outcome(lambda c, out: sweep_experiment(c, out_dir=out), cfg, tmp_path / "want")
+    assert type(got) is type(want) is RunFailure
+    assert (got.check, got.agent, got.t, str(got)) == (want.check, want.agent, want.t, str(want))
+    assert (got.check, got.agent, got.t) == ("T=16:weight-underflow", 1, 16)
+    assert str(got).startswith("T=16: push-sum weight underflow at t=16 for agents [1]")
 
 
 @pytest.mark.parametrize("schedule,runs", [
@@ -1196,3 +1256,38 @@ def test_artifacts_match_the_whole_stack_weights(tmp_path, monkeypatch):
     whole = artifacts("whole")
     assert len(lazy) > 3 * len(configs)
     assert whole == lazy
+
+
+def bench_sweep_config(seed):
+    """The benchmark's ``sweep`` workload config for one seed."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+    return parse_config(workloads["WORKLOADS"]["sweep"].config(seed, False))
+
+
+def test_artifacts_match_the_per_step_check_loop(tmp_path, monkeypatch):
+    # Every file of the certified acceptance runs, of their sweeps and of
+    # the benchmark's seed-1 sweep, with the block-end check pass and then
+    # with the loop that checks after every step.
+    sweeps = {
+        name: dataclasses.replace(cfg, sweep=SweepConfig(horizons=(
+            cfg.graph.horizon // 4, cfg.graph.horizon // 2, cfg.graph.horizon)))
+        for name, cfg in CERTIFIED.items()
+    }
+    sweeps["bench-sweep-seed-1"] = bench_sweep_config(1)
+
+    def artifacts(tag):
+        files = {}
+        for driver, configs in ((run_experiment, CERTIFIED), (sweep_experiment, sweeps)):
+            for name, cfg in configs.items():
+                out = tmp_path / tag / driver.__name__ / name
+                driver(cfg, out_dir=out)
+                files.update({
+                    f"{driver.__name__}/{name}/{f.name}": f.read_bytes() for f in sorted(out.iterdir())
+                })
+        return files
+
+    blocks = artifacts("blocks")
+    per_step_check_loop(monkeypatch)
+    per_step = artifacts("per-step")
+    assert len(blocks) > 3 * (len(CERTIFIED) + len(sweeps))
+    assert per_step == blocks

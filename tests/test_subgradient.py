@@ -2,11 +2,16 @@ import dataclasses
 import re
 import tracemalloc
 
+import importlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import pushsim.weights
 
 from pushsim.graphs import digraph, generate_sequence
 from pushsim.pushsum import (
@@ -37,9 +42,18 @@ from pushsim.subgradient import (
     validate_schedule,
     zero_objective,
 )
-from pushsim.weights import build_weight_stack, build_weights
-from reference import AbsoluteRef, HingeRef, QuadraticRef, ZeroRef, reference_terms
+from pushsim.weights import WeightMatrix, WeightStack, build_weight_stack, build_weights
+from reference import (
+    AbsoluteRef,
+    HingeRef,
+    QuadraticRef,
+    ZeroRef,
+    reference_run_push_subgradient,
+    reference_terms,
+)
 
+# The module itself: the package exports a function of the same name.
+SUBGRADIENT = importlib.import_module("pushsim.subgradient")
 CYCLE3 = [build_weights(g) for g in generate_sequence("static-cycle", 3, 1).graphs]
 
 
@@ -311,6 +325,39 @@ def test_schedule_constructor_validation():
         StepsizeSchedule.fixed_horizon(0)
     with pytest.raises(ValueError, match="unknown schedule"):
         StepsizeSchedule(kind="exp")
+
+
+def per_step_stepsizes(schedule, steps):
+    """alpha(0..steps-1) one ``stepsize`` call at a time."""
+    return np.array([stepsize(schedule, t) for t in range(steps)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["harmonic", "polynomial", "fixed"]),
+    a=st.floats(1e-6, 1e6),
+    p=st.floats(0.0, 3.0),
+    horizon=st.integers(1, 20_000),
+    steps=st.integers(0, 20_000),
+)
+def test_stepsize_array_is_bitwise_the_per_step_values(kind, a, p, horizon, steps):
+    schedule = {
+        "harmonic": StepsizeSchedule.harmonic(a),
+        "polynomial": StepsizeSchedule.polynomial(a, p),
+        "fixed": StepsizeSchedule.fixed_horizon(horizon),
+    }[kind]
+    if kind == "fixed" and steps > horizon:
+        with pytest.raises(ValueError) as want:
+            per_step_stepsizes(schedule, steps)
+        with pytest.raises(ValueError) as got:
+            stepsize_array(schedule, steps)
+        assert str(got.value) == str(want.value)
+        steps = horizon
+    assert_same_bits(stepsize_array(schedule, steps), per_step_stepsizes(schedule, steps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SUBGRADIENT, "stepsize_array", per_step_stepsizes)
+        want_report = validate_schedule(schedule)
+    assert validate_schedule(schedule) == want_report
 
 
 @pytest.mark.parametrize(
@@ -699,6 +746,169 @@ def test_thin_step_stops_at_the_first_failing_step(case, check, t, record):
         assert failure.agent is None and 0 < failure.t < 54
     else:
         assert failure.t == t
+
+
+# --------------------------------------------------------------------------
+# the block-end check pass against the per-step checks
+# --------------------------------------------------------------------------
+
+INJECT_STEPS = 60
+
+
+def underflow_weights(q, steps):
+    """Three agents; agent 1 keeps q of its weight and receives nothing,
+    so y_1(t) = q**t falls below the floor and then to 0."""
+    w = WeightMatrix(n=3, entries=[[q, 0.0, 0.0], [1.0 - q, 0.5, 0.5], [0.0, 0.5, 0.5]], beta=q)
+    return WeightStack.repeated(w, steps)
+
+
+def zero_row_weights(broken_at, steps):
+    """The 3-ring, except that nobody sends to agent 1 at step ``broken_at``."""
+    ring = [w.entries for w in build_weight_stack(generate_sequence("static-cycle", 3, steps))]
+    ring[broken_at] = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    return WeightStack.of([WeightMatrix(n=3, entries=e, beta=0.5) for e in ring])
+
+
+def unconstrained_run(ws, x0, objective, schedule):
+    """The run with the ceiling and the box lifted."""
+    wide = np.full(objective.d, 1e300)
+    free = dataclasses.replace(objective, g_bound=1e300, box_lo=-wide, box_hi=wide)
+    return run_push_subgradient(ws, x0, free, schedule, record_products=False)
+
+
+def injected_run(inject, seed, frac):
+    """(ws, x0, objective, schedule) of a run that fails part way:
+    ``frac`` sets how late (a lowered ceiling or box is a fraction of the
+    range the unconstrained run covers)."""
+    rng = np.random.default_rng(seed)
+    schedule = StepsizeSchedule.polynomial(float(rng.uniform(0.005, 0.05)), 0.75)
+    if inject == "underflow":
+        q = 10.0 ** -(6.0 + 24.0 * frac)
+        return underflow_weights(q, INJECT_STEPS), rng.uniform(-3, 3, (3, 1)), zero_objective(3, 1), schedule
+    if inject == "zero-row":
+        broken_at = int(frac * (INJECT_STEPS - 1))
+        return zero_row_weights(broken_at, INJECT_STEPS), rng.uniform(-3, 3, (3, 1)), zero_objective(3, 1), schedule
+    n, d = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+    # Sparse graphs mix slowly, so the ratios drift over many steps.
+    ws = build_weight_stack(generate_sequence(
+        "random-walkable", n, INJECT_STEPS, seed, arc_prob=0.05, inject_every=8))
+    if inject == "ceiling":
+        # Constant stepsizes this large make the run diverge: the
+        # subgradients grow about geometrically.
+        schedule = StepsizeSchedule.polynomial(float(rng.uniform(0.5, 1.0)), 0.0)
+        wide = (np.full(d, -1e300), np.full(d, 1e300))
+        x0 = rng.uniform(-3, 3, (n, d))
+        objective = quadratic_objective(rng.uniform(-5, 5, (n, d)), box=wide, g_bound=1.0)
+        tops = np.sqrt((unconstrained_run(ws, x0, objective, schedule).gs ** 2).sum(axis=2)).max(axis=1)
+        low = 0.999 * tops.min()
+        g_bound = low * (tops.max() / low) ** frac
+        return ws, x0, dataclasses.replace(objective, g_bound=g_bound), schedule
+    # The pull toward targets near 10 raises every ratio.
+    x0 = rng.uniform(-3, 3, (n, d))
+    box = (np.full(d, -20.0), np.full(d, 20.0))
+    objective = quadratic_objective(rng.uniform(9, 11, (n, d)), box=box)
+    free = unconstrained_run(ws, x0, objective, schedule)
+    tops = free.zs.max(axis=(1, 2))
+    box_hi = np.full(d, tops.min() + frac * (tops.max() - tops.min()) - 1e-6)
+    return ws, x0, dataclasses.replace(objective, box_hi=box_hi), schedule
+
+
+def failing_step(exc):
+    """The step whose per-step checks raise ``exc``: a weight underflow at
+    t is found by step t - 1."""
+    if isinstance(exc, RunFailure):
+        return exc.t - 1 if exc.check == "weight-underflow" else exc.t
+    return None
+
+
+def run_with_warnings(run):
+    """(the RunFailure or ValueError that ``run`` raised, or None, and
+    every warning it issued)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            run()
+        except (RunFailure, ValueError) as exc:
+            return exc, caught
+    return None, caught
+
+
+def blocks_of(steps, n):
+    """BLOCK_FLOATS for WeightStack blocks of ``steps`` steps of n x n weights."""
+    return steps * n * n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    inject=st.sampled_from(["ceiling", "box", "underflow", "zero-row"]),
+    place=st.sampled_from([-1, 0, 1]),
+    record=st.booleans(),
+    beat=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+    frac=st.floats(0.0, 0.95),
+)
+def test_block_pass_raises_the_per_step_failure(inject, place, record, beat, seed, frac):
+    # The injected failure sits just before (-1), at (0) or just after (1)
+    # the first step of a weight block; ``beat`` also raises f* so that the
+    # running average may beat it before or after that failure.
+    ws, x0, objective, schedule = injected_run(inject, seed, frac)
+    alone, _ = run_with_warnings(lambda: reference_run_push_subgradient(ws, x0, objective, schedule, record))
+    assert alone is not None
+    t = failing_step(alone)
+    if t is None:  # the companion of the broken step cannot be built
+        t = int(frac * (INJECT_STEPS - 1))
+    m = t - place  # the first step of a block
+    k = next((j for j in range(2, m + 1) if m % j == 0), 1) if m > 0 else 2
+    if beat and objective.kind == "quadratic":
+        gap = unconstrained_run(ws, x0, objective, schedule).running_gap[int(frac * (INJECT_STEPS - 1))]
+        objective = dataclasses.replace(objective, f_star=objective.f_star + gap)
+
+    want, want_warnings = run_with_warnings(
+        lambda: reference_run_push_subgradient(ws, x0, objective, schedule, record))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(k, ws.n))
+        got, got_warnings = run_with_warnings(
+            lambda: run_push_subgradient(ws, x0, objective, schedule, record_products=record))
+    assert type(got) is type(want) and str(got) == str(want)
+    if isinstance(want, RunFailure):
+        assert (got.check, got.agent, got.t) == (want.check, want.agent, want.t)
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+    assert not [w for w in got_warnings if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("k", [1, 3, INJECT_STEPS])
+def test_steps_past_a_failure_issue_no_warnings(monkeypatch, k):
+    ws = underflow_weights(1e-30, INJECT_STEPS)
+    x0 = np.array([[1.0], [2.0], [3.0]])
+    # Mixing past the underflow divides 0 by 0.
+    x, y = x0, np.ones(3)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        for w in ws:
+            x, y = w.entries @ x, w.entries @ y
+            x / y[:, None]
+    monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(k, 3))
+    got, caught = run_with_warnings(
+        lambda: run_push_subgradient(ws, x0, zero_objective(3, 1), StepsizeSchedule.harmonic(), False))
+    assert (got.check, got.agent, got.t) == ("weight-underflow", 1, 11)
+    assert caught == []
+
+
+@pytest.mark.parametrize("k", [1, 2, INJECT_STEPS])
+def test_warnings_of_the_steps_before_a_failure_are_issued(monkeypatch, k):
+    # An infinite initial value meets a zero weight in the first mixing
+    # step, whose product warns (0 * inf); the NaN it leaves fails the box
+    # at t=1.
+    ws = underflow_weights(0.5, INJECT_STEPS)
+    x0 = np.array([[np.inf], [0.0], [1.0]])
+    run = (ws, x0, zero_objective(3, 1), StepsizeSchedule.harmonic())
+    want, want_warnings = run_with_warnings(lambda: reference_run_push_subgradient(*run))
+    monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(k, 3))
+    got, got_warnings = run_with_warnings(lambda: run_push_subgradient(*run))
+    assert (got.check, got.agent, got.t, str(got)) == (want.check, want.agent, want.t, str(want))
+    assert want.check == "box-containment" and want.t == 1
+    messages = [(w.category, str(w.message)) for w in got_warnings]
+    assert messages == [(w.category, str(w.message)) for w in want_warnings]
+    assert any(category is RuntimeWarning for category, _ in messages)
 
 
 @settings(max_examples=80, deadline=None)
