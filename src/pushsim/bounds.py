@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .subgradient import StepsizeSchedule, validate_schedule
 
 __all__ = [
     "BoundInputs",
-    "BoundValue",
     "BoundReport",
     "BoundSeries",
     "ContractionSeries",
@@ -131,17 +130,6 @@ class BoundInputs:
         return float((da + db).sum())
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    """One evaluated certificate: the four summands and their total."""
-
-    t: int
-    terms: tuple[float, float, float, float]
-    total: float
-    form: str                 # "time-varying" | "fixed-horizon"
-    agent: int | None = None
-
-
 def _mu_powers(log_mu: float, ks: np.ndarray) -> np.ndarray:
     out = np.empty(ks.shape)
     nz = ks != 0
@@ -164,41 +152,19 @@ def _check_timevarying(inp: BoundInputs, t: int) -> None:
 
 @dataclass(frozen=True)
 class BoundSeries:
-    """Certificates for a run of steps, held as read-only arrays.
+    """Certificates for one or more steps, held as read-only arrays.
 
     ``ts`` (float), ``terms`` of shape (len(ts), 4) and ``total`` line up
-    row by row.  Indexing or iterating yields one ``BoundValue`` per row.
+    row by row: the step, its four summands in order and their total.
     """
 
     ts: np.ndarray
     terms: np.ndarray
     total: np.ndarray
-    form: str                 # "time-varying" | "fixed-horizon"
-    agent: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("ts", "terms", "total"):
             getattr(self, name).setflags(write=False)
-
-    @classmethod
-    def single(cls, value: BoundValue) -> "BoundSeries":
-        """The one-row series holding ``value``."""
-        return cls(
-            ts=np.array([float(value.t)]), terms=np.array([value.terms]),
-            total=np.array([value.total]), form=value.form, agent=value.agent,
-        )
-
-    def __len__(self) -> int:
-        return self.ts.size
-
-    def __getitem__(self, k: int) -> BoundValue:
-        return BoundValue(
-            t=int(self.ts[k]), terms=tuple(self.terms[k]), total=self.total[k],
-            form=self.form, agent=self.agent,
-        )
-
-    def __iter__(self) -> Iterator[BoundValue]:
-        return (self[k] for k in range(len(self)))
 
 
 def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
@@ -252,14 +218,12 @@ def timevarying_series(
             )
     with np.errstate(over="ignore"):
         total = t1 + t2 + t3 + t4
-    return BoundSeries(
-        ts=ts, terms=np.stack([t1, t2, t3, t4], axis=1), total=total,
-        form="time-varying", agent=agent,
-    )
+    return BoundSeries(ts=ts, terms=np.stack([t1, t2, t3, t4], axis=1), total=total)
 
 
-def bound_fixed(inp: BoundInputs, T: int, agent: int | None = None) -> BoundValue:
-    """Certificate at the horizon for the constant stepsize 1/sqrt(T)."""
+def bound_fixed(inp: BoundInputs, T: int, agent: int | None = None) -> BoundSeries:
+    """Certificate at the horizon for the constant stepsize 1/sqrt(T): the
+    one-row series at t = T."""
     if inp.schedule is None or inp.schedule.kind != "fixed" or inp.schedule.T != T:
         raise ValueError(
             f"fixed-horizon bound needs a fixed 1/sqrt(T) schedule with T={T}"
@@ -280,7 +244,9 @@ def bound_fixed(inp: BoundInputs, T: int, agent: int | None = None) -> BoundValu
         else 32.0 * inp.n * inp.G ** 2 / (inp.eta * inp.one_minus_mu * sqrt_t)
     )
     terms = (t1, t2, t3, t4)
-    return BoundValue(t=T, terms=terms, total=sum(terms), form="fixed-horizon", agent=agent)
+    return BoundSeries(
+        ts=np.array([float(T)]), terms=np.array([terms]), total=np.array([sum(terms)]),
+    )
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ stopped at a failed in-run check (then ``--out`` gets a report naming it),
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .harness import (
@@ -73,6 +75,11 @@ def _command(args: argparse.Namespace) -> int:
             cfg, seed=args.seed, graph_file=args.graph_file,
             weights_file=args.weights_file,
         )
+        # An --out the run would write into but that is not a directory
+        # fails here, as its mkdir would, before the run starts.
+        writes = args.command != "report" and args.out is not None
+        if writes and os.path.lexists(args.out) and not os.path.isdir(args.out):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
         if args.command == "simulate":
             result = run_experiment(cfg, out_dir=args.out)
             summary = result.summary

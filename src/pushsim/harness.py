@@ -27,7 +27,6 @@ import numpy as np
 from .bounds import (
     BoundInputs,
     BoundReport,
-    BoundSeries,
     bound_fixed,
     contraction_series,
     fit_geometric_rate,
@@ -637,27 +636,6 @@ def _empirical_constants(trace: RunTrace) -> tuple[float, float | None, float | 
     return eta_emp, float(min(max(fit.rho, 0.0), MU_EMP_CAP)), fit.r2
 
 
-def _bound_inputs(
-    trace: RunTrace | LoadedTrace,
-    objective: ObjectiveSpec,
-    schedule: StepsizeSchedule,
-    window: int,
-    eta: float,
-    mu: float,
-    log_mu: float | None,
-) -> BoundInputs:
-    """Certificate inputs for a run or for its persisted trace.  y(0) = 1
-    makes the initial ratios equal the initial values x(0), and g(0) is
-    the subgradient at them, so both are rebuilt from ``zs[0]``."""
-    return BoundInputs(
-        n=trace.n, L=window, d=trace.d, G=objective.g_bound,
-        eta=eta, mu=mu, log_mu=log_mu,
-        z_bar0=trace.zbar[0], z0=trace.zs[0], z_star=objective.z_star,
-        x0=trace.zs[0], g0=objective.agent_subgradients(trace.zs[0]),
-        alphas=trace.alphas, schedule=schedule,
-    )
-
-
 # --------------------------------------------------------------------------
 # certification
 # --------------------------------------------------------------------------
@@ -749,7 +727,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
     checks = hypotheses + _invariant_checks(trace, tc, objective, sched_report)
     if cfg.bounds.evaluate and any(c.name == "stepsize-decay" and c.passed for c in checks):
-        _evaluate_bounds(result, schedule, window, eta_emp, mu_emp, tc, checks)
+        constants = {}
+        if mu_emp is not None:
+            constants["empirical"] = (eta_emp, mu_emp, None)
+        if tc.eta > 0.0:
+            constants["worst-case"] = (tc.eta, tc.mu, tc.log_mu)
+        for rep in _certificates(
+            trace, objective, schedule, window, constants, cfg.bounds.agents, cfg.bounds.envelope,
+        ):
+            reports = result.gap_reports if rep.label.startswith("gap-") else result.envelope_reports
+            reports.append(rep)
+            summary.bound_margins[rep.label] = rep.min_margin
+            summary.bound_argmin[rep.label] = rep.argmin_t
+            checks.append(CheckResult(
+                f"bound:{rep.label}", rep.ok, value=rep.min_margin, threshold=0.0,
+            ))
     summary.checks = checks
     summary.passed = all(c.passed for c in checks)
 
@@ -795,69 +787,59 @@ def _invariant_checks(
     return checks
 
 
-def _evaluate_bounds(
-    result: ExperimentResult,
+def _certificates(
+    trace: RunTrace | LoadedTrace,
+    objective: ObjectiveSpec,
     schedule: StepsizeSchedule,
     window: int,
-    eta_emp: float,
-    mu_emp: float | None,
-    tc,
-    checks: list[CheckResult],
-) -> None:
-    cfg, trace, objective = result.config, result.trace, result.objective
-    summary = result.summary
-    pairs: list[tuple[str, BoundInputs]] = []
-    if mu_emp is not None:
-        pairs.append(("empirical", _bound_inputs(
-            trace, objective, schedule, window, eta_emp, mu_emp, None,
-        )))
-    if tc.eta > 0.0:
-        pairs.append(("worst-case", _bound_inputs(
-            trace, objective, schedule, window, tc.eta, tc.mu, tc.log_mu,
-        )))
-
+    constants: dict[str, tuple[float, float, float | None]],
+    agents: bool,
+    envelope: bool,
+) -> list[BoundReport]:
+    """Every certificate of a run or of its persisted trace, in report
+    order: for each constant set (label -> eta, mu, log mu), the network's
+    gap certificate, then each agent's (with ``agents``), then the
+    contraction envelopes (with ``envelope``).  A fixed schedule gets the
+    one-row certificate at the horizon, a decaying one the series over
+    every step."""
+    # y(0) = 1 makes the initial ratios equal the initial values x(0), and
+    # g(0) is the subgradient at them, so both are rebuilt from zs[0].
+    g0 = objective.agent_subgradients(trace.zs[0])
     t_last = trace.steps - 1
     form = "fixed" if schedule.kind == "fixed" else "decaying"
     # (who, agent index, realized gap series); each agent's series is
-    # computed once and shared by both constant sets
+    # computed once and shared by every constant set
     targets = [("network", None, trace.running_gap)]
-    if cfg.bounds.agents and pairs:
+    if agents and constants:
         targets += [
             (f"agent{k + 1}", k, certified_gaps(objective, trace.alphas, trace.zs[:, k], k + 1))
             for k in range(trace.n)
         ]
-    for label, inp in pairs:
+    reports = []
+    for label, (eta, mu, log_mu) in constants.items():
+        inp = BoundInputs(
+            n=trace.n, L=window, d=trace.d, G=objective.g_bound, eta=eta, mu=mu, log_mu=log_mu,
+            z_bar0=trace.zbar[0], z0=trace.zs[0], z_star=objective.z_star,
+            x0=trace.zs[0], g0=g0, alphas=trace.alphas, schedule=schedule,
+        )
         for who, agent, gaps in targets:
             if form == "fixed":
-                series = BoundSeries.single(bound_fixed(inp, schedule.T, agent=agent))
-                lhs = gaps[t_last:]
+                series, lhs = bound_fixed(inp, schedule.T, agent=agent), gaps[t_last:]
             else:
                 series, lhs = timevarying_series(inp, t_last, agent=agent), gaps
-            rep = BoundReport(
+            reports.append(BoundReport(
                 label=f"gap-{form}-{who}-{label}",
                 ts=series.ts, lhs=lhs, rhs=series.total, terms=series.terms,
-            )
-            result.gap_reports.append(rep)
-            _record_margin(summary, checks, rep)
-        if cfg.bounds.envelope:
+            ))
+        if envelope:
             env = contraction_series(inp, t_last)
             for kind, rhs in (("geometric", env.geometric), ("refined", env.refined)):
-                if rhs is None:
-                    continue
-                rep = BoundReport(
-                    label=f"envelope-{kind}-{label}", ts=np.arange(trace.steps, dtype=float),
-                    lhs=trace.deviation, rhs=rhs, terms=np.zeros((trace.steps, 4)),
-                )
-                result.envelope_reports.append(rep)
-                _record_margin(summary, checks, rep)
-
-
-def _record_margin(summary: SummaryReport, checks: list[CheckResult], rep: BoundReport) -> None:
-    summary.bound_margins[rep.label] = rep.min_margin
-    summary.bound_argmin[rep.label] = rep.argmin_t
-    checks.append(CheckResult(
-        f"bound:{rep.label}", rep.ok, value=rep.min_margin, threshold=0.0,
-    ))
+                if rhs is not None:
+                    reports.append(BoundReport(
+                        label=f"envelope-{kind}-{label}", ts=np.arange(trace.steps, dtype=float),
+                        lhs=trace.deviation, rhs=rhs, terms=np.zeros((trace.steps, 4)),
+                    ))
+    return reports
 
 
 # --------------------------------------------------------------------------
@@ -1149,24 +1131,13 @@ def import_trace(path: str | Path) -> LoadedTrace:
     return LoadedTrace(n=n, d=d, steps=steps, **fields)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def write_report(summary: SummaryReport, out_dir: str | Path) -> None:
     """Write ``report.json`` (sorted keys, deterministic bytes) and
     ``report.txt`` for a summary, creating ``out_dir`` if needed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = _jsonable(summary.as_dict())
     (out / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (out / "report.txt").write_text(summary.format_text(), encoding="utf-8")
 
@@ -1280,38 +1251,42 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     errors["recompute-gap"] = float(np.abs(gaps - loaded.running_gap).max())
     errors["recompute-final-gap"] = abs(float(loaded.running_gap[-1]) - float(stored["final_gap"]))
 
-    # The certificates are rebuilt from the trace and the constants the
-    # report recorded, for each constant set the run evaluated.
-    constants = {
+    # The network certificates are rebuilt from the trace and the constants
+    # the report recorded, for each constant set the run evaluated: a
+    # decaying run's shows in its trace columns (an all-NaN worst-case
+    # column means none was evaluated), a fixed run's in a finite margin.
+    fixed = schedule.kind == "fixed"
+    if fixed:
+        margins = stored["bound_margins"]
+        evaluated = {
+            label: math.isfinite(margins.get(f"gap-fixed-network-{label}", math.nan))
+            for label in ("empirical", "worst-case")
+        }
+    else:
+        evaluated = {
+            "empirical": loaded.bound_lhs is not None and stored.get("mu_emp") is not None,
+            "worst-case": loaded.bound_rhs_wc is not None and not np.isnan(loaded.bound_rhs_wc).all(),
+        }
+    recorded = {
         "empirical": (stored.get("eta_emp"), stored.get("mu_emp"), None),
         "worst-case": (stored.get("eta_theory"), stored.get("mu_theory"), stored.get("log_mu_theory")),
     }
-
-    def inputs(label: str) -> BoundInputs:
-        eta, mu, log_mu = constants[label]
-        return _bound_inputs(
-            loaded, objective, schedule, int(stored["connectivity_window"]),
-            float(eta), float(mu), log_mu,
-        )
-
-    if loaded.bound_lhs is not None and stored.get("mu_emp") is not None:
-        rhs = timevarying_series(inputs("empirical"), loaded.steps - 1).total
-        errors["recompute-bound-rhs"] = _column_error(rhs, loaded.bound_rhs_emp)
-        errors["bound-terms-sum"] = float(
-            np.abs(loaded.bound_terms.sum(axis=1) - loaded.bound_rhs_emp).max()
-        )
-    # An all-NaN column means no worst-case series was evaluated.
-    if loaded.bound_rhs_wc is not None and not np.isnan(loaded.bound_rhs_wc).all():
-        rhs = timevarying_series(inputs("worst-case"), loaded.steps - 1).total
-        errors["recompute-bound-rhs-wc"] = _column_error(rhs, loaded.bound_rhs_wc)
-    if schedule.kind == "fixed":
-        for label, name in (("empirical", "recompute-bound-fixed"),
-                            ("worst-case", "recompute-bound-fixed-wc")):
-            margin = stored["bound_margins"].get(f"gap-fixed-network-{label}")
-            if margin is None or not math.isfinite(margin):
-                continue
-            recomputed = bound_fixed(inputs(label), schedule.T).total - float(loaded.running_gap[-1])
-            errors[name] = abs(recomputed - margin)
+    constants = {
+        label: (float(eta), float(mu), log_mu)
+        for label, (eta, mu, log_mu) in recorded.items() if evaluated[label]
+    }
+    window = int(stored["connectivity_window"])
+    for rep in _certificates(loaded, objective, schedule, window, constants, False, False):
+        wc = "-wc" if rep.label.endswith("-worst-case") else ""
+        if fixed:
+            errors["recompute-bound-fixed" + wc] = abs(rep.min_margin - margins[rep.label])
+        elif wc:
+            errors["recompute-bound-rhs-wc"] = _column_error(rep.rhs, loaded.bound_rhs_wc)
+        else:
+            errors["recompute-bound-rhs"] = _column_error(rep.rhs, loaded.bound_rhs_emp)
+            errors["bound-terms-sum"] = float(
+                np.abs(loaded.bound_terms.sum(axis=1) - loaded.bound_rhs_emp).max()
+            )
 
     checks = [_residual_check(name, err, RECOMPUTE_TOL) for name, err in errors.items()]
     return SummaryReport(

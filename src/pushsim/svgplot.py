@@ -16,6 +16,8 @@ __all__ = ["Series", "line_chart"]
 
 _COLORS = ("#1f6fb2", "#d1495b", "#3a7d44", "#8e5fa8", "#c77d2e", "#38808f")
 LOG_FLOOR = 1e-300
+WIDTH, HEIGHT = 720, 440   # chart size in pixels
+TICKS = 6                  # tick marks wanted per axis
 
 
 @dataclass(frozen=True)
@@ -25,10 +27,10 @@ class Series:
     label: str
 
 
-def _ticks(lo: float, hi: float, want: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(want - 1, 1)
+    raw = (hi - lo) / (TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -63,8 +65,6 @@ def line_chart(
     xlabel: str = "",
     ylabel: str = "",
     logy: bool = False,
-    width: int = 720,
-    height: int = 440,
 ) -> None:
     """Write a line chart of the given series to ``path`` as SVG.
 
@@ -76,7 +76,7 @@ def line_chart(
     if not series:
         raise ValueError("nothing to plot")
     ml, mr, mt, mb = 70, 20, 40, 55
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     pts = []
     for s in series:
@@ -102,14 +102,14 @@ def line_chart(
         return mt + (1.0 - (y - y_lo) / (y_hi - y_lo)) * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#444"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
             f'font-size="15">{title}</text>'
         )
     for xv in _ticks(x_lo, x_hi):
@@ -135,7 +135,7 @@ def line_chart(
         )
     if xlabel:
         out.append(
-            f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" text-anchor="middle">{xlabel}</text>'
+            f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
         )
     if ylabel:
         out.append(

@@ -1,6 +1,7 @@
 """The public surface: bench/tracing.py wraps every ``__all__`` name and a
 few methods by name, so a stale entry must fail here first."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -32,6 +33,36 @@ def test_package_exports_only_public_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported <= public, sorted(exported - public)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads (``__all__`` entries count
+    as reads; ``from __future__`` imports are not names)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    src = Path(pushsim.__file__).parent
+    assert unused_imports("import os\nfrom typing import Iterator\nos.sep\n") == ["Iterator (line 2)"]
+    for path in sorted(src.glob("*.py")):
+        if path.name != "__init__.py":
+            unused = unused_imports(path.read_text(encoding="utf-8"))
+            assert not unused, (path.name, unused)
 
 
 def test_traced_methods_exist():

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from pushsim.bounds import (
     BoundInputs,
     BoundSeries,
-    BoundValue,
     _mu_powers,
     bound_fixed,
     contraction_series,
@@ -62,8 +61,8 @@ def test_log_mu_is_authoritative_over_rounded_mu():
     # worst-case constants round mu to 1.0 in floats; the log keeps working
     inp = make_inputs(mu=1.0, log_mu=-1e-18)
     assert inp.one_minus_mu == pytest.approx(1e-18, rel=1e-12)
-    b = timevarying_series(inp, 10)[10]
-    assert math.isfinite(b.total) and b.total > 0
+    total = timevarying_series(inp, 10).total[10]
+    assert math.isfinite(total) and total > 0
 
 
 def test_initial_mass_and_spread():
@@ -82,14 +81,14 @@ def test_initial_mass_and_spread():
 def test_timevarying_t0_terms_by_hand():
     z0 = np.array([[0.0], [2.0], [4.0]])
     inp = make_inputs(z0=z0, G=2.0, eta=0.5)
-    b = timevarying_series(inp, 0)[0]
+    b = timevarying_series(inp, 0)
     dist_sq = (2.0 - 0.0) ** 2
-    assert b.terms[0] == pytest.approx((dist_sq + 4.0 * 1.0) / 2.0)
-    assert b.terms[1] == pytest.approx(2.0 * 1.0 * 8.0 / (3 * 1.0))
+    assert b.terms[0, 0] == pytest.approx((dist_sq + 4.0 * 1.0) / 2.0)
+    assert b.terms[0, 1] == pytest.approx(2.0 * 1.0 * 8.0 / (3 * 1.0))
     # the network memory terms cover steps before t and are empty at t=0
-    assert b.terms[2] == 0.0
-    assert b.terms[3] == 0.0
-    assert b.total == sum(b.terms)
+    assert b.terms[0, 2] == 0.0
+    assert b.terms[0, 3] == 0.0
+    assert b.total[0] == sum(b.terms[0])
 
 
 def test_timevarying_series_matches_explicit_sums():
@@ -104,28 +103,27 @@ def test_timevarying_series_matches_explicit_sums():
         for tau in range(t)
     )
     mass_norm = abs(float(inp.initial_mass[0]))
-    b = series[t]
-    assert b.terms[2] == pytest.approx(32.0 * 2.0 * mass_norm * mass_acc / (0.5 * sum_a))
-    assert b.terms[3] == pytest.approx(
+    terms = series.terms[t]
+    assert terms[2] == pytest.approx(32.0 * 2.0 * mass_norm * mass_acc / (0.5 * sum_a))
+    assert terms[3] == pytest.approx(
         32.0 * 3 * 4.0 * tail_acc / (0.5 * 0.4 * sum_a)
     )
-    assert b.total == pytest.approx(sum(b.terms))
-    assert [v.t for v in series] == list(range(32))
+    assert series.total[t] == pytest.approx(sum(terms))
+    assert series.ts.tolist() == list(range(32))
 
 
 def test_agent_variant_uses_agent_reference_spread():
     z0 = np.array([[0.0], [2.0], [4.0]])
     inp = make_inputs(z0=z0)
-    net = timevarying_series(inp, 5)[5]
-    ag0 = timevarying_series(inp, 5, agent=0)[5]
-    ag2 = timevarying_series(inp, 5, agent=2)[5]
+    net = timevarying_series(inp, 5).terms[5]
+    ag0 = timevarying_series(inp, 5, agent=0).terms[5]
+    ag2 = timevarying_series(inp, 5, agent=2).terms[5]
     # spread about agent 0's start (= 0.0) equals spread about agent 2's (= 4.0)
-    assert ag0.terms[1] == pytest.approx(ag2.terms[1])
-    assert ag0.terms[1] > net.terms[1]
-    assert ag0.agent == 0 and net.agent is None
+    assert ag0[1] == pytest.approx(ag2[1])
+    assert ag0[1] > net[1]
     # the other three terms do not depend on the reference point
     for k in (0, 2, 3):
-        assert ag0.terms[k] == net.terms[k]
+        assert ag0[k] == net[k]
     with pytest.raises(ValueError, match="agent"):
         timevarying_series(inp, 5, agent=3)
 
@@ -133,12 +131,12 @@ def test_agent_variant_uses_agent_reference_spread():
 def test_single_agent_drops_network_memory_terms():
     z0 = np.array([[3.0]])
     inp = make_inputs(n=1, z0=z0, eta=1.0, mu=0.0)
-    b = timevarying_series(inp, 20)[20]
-    assert b.terms[1] == 0.0 and b.terms[2] == 0.0 and b.terms[3] == 0.0
+    b = timevarying_series(inp, 20)
+    assert b.terms[20, 1] == 0.0 and b.terms[20, 2] == 0.0 and b.terms[20, 3] == 0.0
     # what remains is the classic centralized certificate
     a = inp.alphas[:21]
     expect = (9.0 + 4.0 * (a ** 2).sum()) / (2.0 * a.sum())
-    assert b.total == pytest.approx(expect)
+    assert b.total[20] == pytest.approx(expect)
 
 
 def test_timevarying_requires_decaying_schedule():
@@ -156,7 +154,7 @@ def test_timevarying_total_decays_to_zero():
     inp = make_inputs(steps=100_000, mu=0.9,
                       schedule=StepsizeSchedule.polynomial(1.0, 0.75))
     series = timevarying_series(inp, 99_999)
-    t_small, t_big = series[999].total, series[99_999].total
+    t_small, t_big = series.total[999], series.total[99_999]
     assert t_big < 0.4 * t_small
     ratio = (999 + 1) / (99_999 + 1)
     assert t_big / t_small == pytest.approx(ratio ** 0.25, rel=0.25)
@@ -167,9 +165,9 @@ def test_monotone_dependence_on_constants():
     bigger_g = make_inputs(G=3.0, eta=0.5, mu=0.8)
     smaller_eta = make_inputs(G=1.0, eta=0.05, mu=0.8)
     t = 12
-    assert timevarying_series(bigger_g, t)[t].total > timevarying_series(base, t)[t].total
-    b0, b1 = timevarying_series(base, t)[t], timevarying_series(smaller_eta, t)[t]
-    assert b1.terms[2] > b0.terms[2] and b1.terms[3] > b0.terms[3]
+    assert timevarying_series(bigger_g, t).total[t] > timevarying_series(base, t).total[t]
+    b0, b1 = timevarying_series(base, t).terms[t], timevarying_series(smaller_eta, t).terms[t]
+    assert b1[2] > b0[2] and b1[3] > b0[3]
 
 
 # --------------------------------------------------------------------------
@@ -184,12 +182,13 @@ def test_fixed_horizon_terms_by_hand():
                       g0=np.full((3, 1), 2.0), G=2.0, eta=0.5, mu=0.8,
                       z_star=np.array([0.0]))
     b = bound_fixed(inp, T)
-    assert b.form == "fixed-horizon"
-    assert b.terms[0] == pytest.approx((1.0 + 4.0) / (2 * 20.0))
-    assert b.terms[1] == 0.0  # all agents start together
+    assert b.ts.tolist() == [T]
+    terms = b.terms[0]
+    assert terms[0] == pytest.approx((1.0 + 4.0) / (2 * 20.0))
+    assert terms[1] == 0.0  # all agents start together
     mass = 3.0 * (1.0 + 2.0 / 20.0)
-    assert b.terms[2] == pytest.approx(32.0 * 2.0 * mass / (0.5 * 0.2 * T))
-    assert b.terms[3] == pytest.approx(32.0 * 3 * 4.0 / (0.5 * 0.2 * 20.0))
+    assert terms[2] == pytest.approx(32.0 * 2.0 * mass / (0.5 * 0.2 * T))
+    assert terms[3] == pytest.approx(32.0 * 3 * 4.0 / (0.5 * 0.2 * 20.0))
 
 
 def test_fixed_horizon_scales_as_inverse_sqrt():
@@ -201,19 +200,35 @@ def test_fixed_horizon_scales_as_inverse_sqrt():
             schedule=sched, steps=T, z0=np.ones((3, 1)),
             x0=-g0 / math.sqrt(T), g0=g0, z_star=np.array([0.0]),
         )
-        return bound_fixed(inp, T).total
+        return bound_fixed(inp, T).total[0]
 
     ratio = rhs(1600) / rhs(400)
     assert 0.49 <= ratio <= 0.51
+
+
+def test_fixed_horizon_terms_one_and_four_are_exactly_order_inverse_sqrt():
+    # The paper's O(1/sqrt(T)) rate: sqrt(T) * term 1 and sqrt(T) * term 4
+    # do not depend on T, and term 2 is O(1/T).  With T = 4^k, sqrt(T) is a
+    # power of two, so the scaled terms agree exactly, not just to rounding.
+    z0 = np.array([[0.0], [2.0], [4.0]])
+    scaled = set()
+    for k in range(1, 11):
+        T = 4 ** k
+        inp = make_inputs(schedule=StepsizeSchedule.fixed_horizon(T), steps=T, z0=z0,
+                          z_star=np.array([1.5]), G=3.0, eta=0.3, mu=0.7)
+        t1, t2, _, t4 = bound_fixed(inp, T).terms[0]
+        scaled.add((math.sqrt(T) * t1, math.sqrt(T) * t4, T * t2))
+    assert len(scaled) == 1
+    assert all(v > 0 for v in scaled.pop())
 
 
 def test_fixed_horizon_single_agent_keeps_mass_term_only():
     sched = StepsizeSchedule.fixed_horizon(100)
     inp = make_inputs(n=1, schedule=sched, steps=100, z0=np.array([[2.0]]),
                       eta=1.0, mu=0.0)
-    b = bound_fixed(inp, 100)
-    assert b.terms[3] == 0.0
-    assert b.terms[2] > 0.0  # self-mass memory stays, decaying like 1/T
+    terms = bound_fixed(inp, 100).terms[0]
+    assert terms[3] == 0.0
+    assert terms[2] > 0.0  # self-mass memory stays, decaying like 1/T
 
 
 def test_fixed_horizon_schedule_must_match():
@@ -326,7 +341,7 @@ def test_fit_geometric_rate_exact_path():
 def reference_series(inp, t_max, agent=None):
     """The certificate series as a per-step loop with running sums: the
     definition the array form of ``timevarying_series`` must reproduce
-    bit for bit."""
+    bit for bit, as (terms rows, totals)."""
     a = inp.alphas
     dist0_sq = float(((inp.z_bar0 - inp.z_star) ** 2).sum())
     ref = inp.z_bar0 if agent is None else inp.z0[agent]
@@ -338,7 +353,7 @@ def reference_series(inp, t_max, agent=None):
     pow_t = _mu_powers(inp.log_mu, ts)
     pow_half = _mu_powers(inp.log_mu, ts / 2.0)
 
-    out = []
+    terms_rows, totals = [], []
     sum_a = 0.0
     sum_a2 = 0.0
     mass_acc = 0.0   # sum_{tau=0}^{t-1} alpha(tau) mu^tau
@@ -359,11 +374,11 @@ def reference_series(inp, t_max, agent=None):
                     / (inp.eta * inp.one_minus_mu * sum_a)
                 )
             terms = (t1, t2, t3, t4)
-            out.append(BoundValue(t=t, terms=terms, total=sum(terms),
-                                  form="time-varying", agent=agent))
+            terms_rows.append(terms)
+            totals.append(sum(terms))
             mass_acc += a[t] * pow_t[t]
             tail_acc += a[t] * (a[0] * pow_half[t] + a[math.ceil(t / 2)])
-    return out
+    return terms_rows, totals
 
 
 def assert_bitwise(got, want):
@@ -412,17 +427,16 @@ def series_inputs(draw):
 @given(series_inputs())
 def test_series_is_bitwise_the_per_step_loop(case):
     inp, t_max, agent, t = case
-    ref = reference_series(inp, t_max, agent)
+    ref_terms, ref_totals = reference_series(inp, t_max, agent)
     got = timevarying_series(inp, t_max, agent)
-    assert isinstance(got, BoundSeries) and len(got) == t_max + 1
+    assert isinstance(got, BoundSeries) and got.ts.size == t_max + 1
     assert_bitwise(got.ts, np.arange(t_max + 1))
-    assert_bitwise(got.terms, [v.terms for v in ref])
-    assert_bitwise(got.total, [v.total for v in ref])
-    assert [v.t for v in got] == list(range(t_max + 1))
-    one = timevarying_series(inp, t, agent=agent)[t]
-    assert (one.t, one.form, one.agent) == (t, "time-varying", agent)
-    assert_bitwise(one.terms, got.terms[t])
-    assert_bitwise(one.total, got.total[t])
+    assert_bitwise(got.terms, ref_terms)
+    assert_bitwise(got.total, ref_totals)
+    one = timevarying_series(inp, t, agent=agent)
+    assert one.ts[t] == t
+    assert_bitwise(one.terms[t], got.terms[t])
+    assert_bitwise(one.total[t], got.total[t])
 
 
 def test_tiny_eta_overflows_to_an_inf_certificate_silently():
@@ -442,7 +456,9 @@ def test_series_arrays_are_read_only():
 
 def test_single_row_series_holds_the_fixed_certificate():
     inp = make_inputs(schedule=StepsizeSchedule.fixed_horizon(64), steps=64)
-    value = bound_fixed(inp, 64, agent=1)
-    series = BoundSeries.single(value)
-    assert len(series) == 1 and series.ts.tolist() == [64.0]
-    assert series[0] == value
+    series = bound_fixed(inp, 64, agent=1)
+    assert isinstance(series, BoundSeries) and series.ts.tolist() == [64.0]
+    assert series.terms.shape == (1, 4) and series.total[0] == sum(series.terms[0])
+    for arr in (series.ts, series.terms, series.total):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0

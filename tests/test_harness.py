@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pushsim.cli
 import pushsim.harness
 import pushsim.weights
 from pushsim.bounds import fit_rate
@@ -29,6 +30,7 @@ from pushsim.harness import (
     WeightConfig,
     apply_overrides,
     export_trace,
+    failure_summary,
     import_trace,
     load_config,
     parse_config,
@@ -611,6 +613,41 @@ def test_verify_skips_downstream_on_bad_weights(tmp_path):
     assert "product-identity" not in by_name
 
 
+def test_every_report_leaf_is_a_plain_json_value(tmp_path):
+    # report.json is written with json.dumps alone: a numpy scalar among
+    # the leaves would fail it (np.int64, np.bool_) or pass only because
+    # np.float64 subclasses float
+    def leaves(obj):
+        if isinstance(obj, dict):
+            return [x for v in obj.values() for x in leaves(v)]
+        if isinstance(obj, (list, tuple)):
+            return [x for v in obj for x in leaves(v)]
+        return [obj]
+
+    decaying = base_config()
+    fixed = base_config(schedule=ScheduleConfig(kind="fixed", t_fixed=150))
+    failing = base_config(objective=ObjectiveConfig(kind="l1", d=1, g_bound=0.5,
+                                                    targets=((0.0,), (1.0,), (2.0,), (5.0,))))
+    with pytest.raises(RunFailure) as info:
+        run_experiment(failing)
+    summaries = [
+        run_experiment(decaying, out_dir=tmp_path / "dec").summary,
+        run_experiment(fixed, out_dir=tmp_path / "fix").summary,
+        run_experiment(CERTIFIED["cycle3-hinge2d-fixed"]).summary,
+        run_experiment(cycle3_config(tmp_path)).summary,
+        verify_experiment(decaying)[0],
+        verify_experiment(cycle3_config(tmp_path, corrupt=True))[0],
+        sweep_experiment(base_config(sweep=SweepConfig(horizons=(40, 80, 150)))),
+        report_from_dir(decaying, tmp_path / "dec"),
+        report_from_dir(fixed, tmp_path / "fix"),
+        failure_summary(failing, "simulate", info.value),
+    ]
+    assert [s.passed for s in summaries] == [True] * 5 + [False] + [True] * 3 + [False]
+    for s in summaries:
+        bad = [x for x in leaves(s.as_dict()) if type(x) not in (bool, int, float, str, type(None))]
+        assert not bad, (s.kind, bad)
+
+
 def weights_file_case(tmp_path, kind, corrupt):
     """A graph sequence and a weights file holding step 0's uniform
     weights: valid at every step of a static cycle, only at the steps
@@ -1067,9 +1104,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         main(["frobnicate", "--config", cfgp])
 
 
-def test_cli_unreadable_inputs_and_outputs_exit_2(tmp_path, capsys):
+def test_cli_unreadable_inputs_and_outputs_exit_2(tmp_path, capsys, monkeypatch):
     # a directory, a non-UTF-8 file or an existing regular file where the
-    # CLI reads or writes: one stderr line and exit 2, never a traceback
+    # CLI reads or writes: one stderr line and exit 2, never a traceback;
+    # a regular file as the --out of simulate, sweep or verify is found
+    # before any run starts
     cfgp = write_cfg(tmp_path, base_config(sweep=SweepConfig(horizons=(40, 80, 150))))
     latin = tmp_path / "latin1.ini"
     latin.write_bytes(Path(cfgp).read_bytes() + "# caf\xe9\n".encode("latin-1"))
@@ -1089,18 +1128,29 @@ def test_cli_unreadable_inputs_and_outputs_exit_2(tmp_path, capsys):
         ["sweep", "--config", cfgp, "--out", str(a_file)],
         ["report", "--config", cfgp, "--out", str(a_file)],
     ]
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    out_exists = f"file error: [Errno 17] File exists: '{a_file}'\n"
     for argv in cases:
         capsys.readouterr()
-        assert main(argv) == 2, argv
+        early = str(a_file) in argv and argv[0] != "report"
+        with monkeypatch.context() as m:
+            if early:
+                for name in ("run_experiment", "sweep_experiment", "verify_experiment"):
+                    m.setattr(pushsim.cli, name, no_run)
+            assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, (argv, err)
-    # a run that fails mid-way says so, then cannot write its report
+        assert err == out_exists or not early, (argv, err)
+    # a run that would fail mid-way does not start: the --out is found first
     failing = base_config(objective=ObjectiveConfig(kind="l1", d=1, g_bound=0.5,
                                                     targets=((0.0,), (1.0,), (2.0,), (5.0,))))
     assert main(["simulate", "--config", write_cfg(tmp_path, failing), "--out", str(a_file)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert [line.split(":")[0] for line in err] == ["run failed", "file error"]
+    assert capsys.readouterr().err == out_exists
     assert a_file.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "a_file", "latin1.ini", "run.ini"]
 
 
 def test_cli_sweep(tmp_path):
