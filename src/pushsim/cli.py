@@ -68,6 +68,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _check_out(out: str) -> None:
+    """Raise the error the run's ``mkdir`` of ``out`` would raise if
+    ``out``, or the nearest of its ancestors that exists, is not a
+    directory, so that it comes before the run starts; nothing is made."""
+    path = target = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if os.path.isdir(path):
+        return
+    if path == target:
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
+    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
+
+
 def _command(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
@@ -75,11 +89,8 @@ def _command(args: argparse.Namespace) -> int:
             cfg, seed=args.seed, graph_file=args.graph_file,
             weights_file=args.weights_file,
         )
-        # An --out the run would write into but that is not a directory
-        # fails here, as its mkdir would, before the run starts.
-        writes = args.command != "report" and args.out is not None
-        if writes and os.path.lexists(args.out) and not os.path.isdir(args.out):
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
+        if args.command != "report" and args.out is not None:
+            _check_out(args.out)
         if args.command == "simulate":
             result = run_experiment(cfg, out_dir=args.out)
             summary = result.summary

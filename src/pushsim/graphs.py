@@ -294,8 +294,13 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
     unions in blocks, stops at the first failing block, and tests each
     distinct union once: periodic sequences such as ``static-cycle`` and
     ``rotating-arc`` repeat a few unions, each of whose searches can take
-    up to n rounds.  Besides the sequence, memory stays at two boolean
-    ``T*n*n`` stacks.
+    up to n rounds.  ``level`` starts as the sequence itself; its first
+    growth makes one private copy of the stack, and every growth ORs each
+    union with the one ``a`` starts later in place, in ascending blocks:
+    a block reads only rows that no earlier block has updated, and NumPy
+    reads the rows a block shares with its own output before writing.
+    Besides the sequence, memory stays at one boolean ``T*n*n`` stack plus
+    a few blocks of ``_BLOCK_CELLS`` cells.
     """
     hs = list(horizons)
     if any(not 1 <= T <= seq.horizon for T in hs):
@@ -324,7 +329,13 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
         below ``length`` must be known to fail."""
         nonlocal level, a
         while 2 * a < length:
-            level = level[:-a] | level[a:]
+            if level is seq.adj:
+                level = np.array(seq.adj)
+            m = len(level) - a
+            for lo in range(0, m, block):
+                hi = min(m, lo + block)
+                np.bitwise_or(level[lo:hi], level[lo + a : hi + a], out=level[lo:hi])
+            level = level[:m]
             a *= 2
 
     windows: dict[int, int | None] = {}

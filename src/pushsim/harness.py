@@ -20,7 +20,7 @@ import math
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .subgradient import (
 )
 from .svgplot import Series, line_chart
 from .weights import (
+    BLOCK_FLOATS,
     WeightMatrix,
     WeightStack,
     build_weight_stack,
@@ -508,6 +509,10 @@ def failure_summary(cfg: ExperimentConfig, kind: str, failure: RunFailure) -> Su
 
 @dataclass
 class ExperimentResult:
+    """A finished run.  ``gap_reports`` holds the network's gap
+    certificates and ``envelope_reports`` the contraction envelopes; each
+    agent's certificate shows only in the summary's margins and checks."""
+
     config: ExperimentConfig
     objective: ObjectiveSpec | None
     trace: RunTrace | None
@@ -517,7 +522,7 @@ class ExperimentResult:
 
     @property
     def reports(self) -> dict[str, BoundReport]:
-        """Every bound report of the run by its label."""
+        """Every bound report the result keeps, by its label."""
         return {r.label: r for r in self.gap_reports + self.envelope_reports}
 
 
@@ -735,8 +740,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         for rep in _certificates(
             trace, objective, schedule, window, constants, cfg.bounds.agents, cfg.bounds.envelope,
         ):
-            reports = result.gap_reports if rep.label.startswith("gap-") else result.envelope_reports
-            reports.append(rep)
+            # A per-agent certificate is folded into the summary and dropped.
+            if rep.label.startswith("envelope-"):
+                result.envelope_reports.append(rep)
+            elif "-network-" in rep.label:
+                result.gap_reports.append(rep)
             summary.bound_margins[rep.label] = rep.min_margin
             summary.bound_argmin[rep.label] = rep.argmin_t
             checks.append(CheckResult(
@@ -795,12 +803,12 @@ def _certificates(
     constants: dict[str, tuple[float, float, float | None]],
     agents: bool,
     envelope: bool,
-) -> list[BoundReport]:
-    """Every certificate of a run or of its persisted trace, in report
-    order: for each constant set (label -> eta, mu, log mu), the network's
-    gap certificate, then each agent's (with ``agents``), then the
-    contraction envelopes (with ``envelope``).  A fixed schedule gets the
-    one-row certificate at the horizon, a decaying one the series over
+) -> Iterator[BoundReport]:
+    """Every certificate of a run or of its persisted trace, one at a time
+    in report order: for each constant set (label -> eta, mu, log mu), the
+    network's gap certificate, then each agent's (with ``agents``), then
+    the contraction envelopes (with ``envelope``).  A fixed schedule gets
+    the one-row certificate at the horizon, a decaying one the series over
     every step."""
     # y(0) = 1 makes the initial ratios equal the initial values x(0), and
     # g(0) is the subgradient at them, so both are rebuilt from zs[0].
@@ -815,7 +823,6 @@ def _certificates(
             (f"agent{k + 1}", k, certified_gaps(objective, trace.alphas, trace.zs[:, k], k + 1))
             for k in range(trace.n)
         ]
-    reports = []
     for label, (eta, mu, log_mu) in constants.items():
         inp = BoundInputs(
             n=trace.n, L=window, d=trace.d, G=objective.g_bound, eta=eta, mu=mu, log_mu=log_mu,
@@ -827,19 +834,18 @@ def _certificates(
                 series, lhs = bound_fixed(inp, schedule.T, agent=agent), gaps[t_last:]
             else:
                 series, lhs = timevarying_series(inp, t_last, agent=agent), gaps
-            reports.append(BoundReport(
+            yield BoundReport(
                 label=f"gap-{form}-{who}-{label}",
                 ts=series.ts, lhs=lhs, rhs=series.total, terms=series.terms,
-            ))
+            )
         if envelope:
             env = contraction_series(inp, t_last)
             for kind, rhs in (("geometric", env.geometric), ("refined", env.refined)):
                 if rhs is not None:
-                    reports.append(BoundReport(
+                    yield BoundReport(
                         label=f"envelope-{kind}-{label}", ts=np.arange(trace.steps, dtype=float),
                         lhs=trace.deviation, rhs=rhs, terms=np.zeros((trace.steps, 4)),
-                    ))
-    return reports
+                    )
 
 
 # --------------------------------------------------------------------------
@@ -1073,23 +1079,32 @@ def export_trace(
     """
     steps = trace.steps
     columns = {
-        "ts": np.arange(steps), "alphas": trace.alphas, "zs": trace.zs, "zbar": trace.zbar,
+        "ts": range(steps), "alphas": trace.alphas, "zs": trace.zs, "zbar": trace.zbar,
         "zlyap": trace.zlyap, "consensus": trace.consensus, "running_gap": trace.running_gap,
     }
     if bound_emp is not None:
         columns.update(
             bound_lhs=bound_emp.lhs, bound_rhs_emp=bound_emp.rhs,
-            bound_rhs_wc=np.full(steps, np.nan) if bound_wc is None else bound_wc.rhs,
+            bound_rhs_wc=np.broadcast_to(np.nan, steps) if bound_wc is None else bound_wc.rhs,
             bound_terms=bound_emp.terms,
         )
     layout = _trace_layout(trace.n, trace.d, bound_emp is not None)
-    data = np.column_stack([np.reshape(columns[name], (steps, -1)) for name, _, _ in layout])
-    header = ",".join(col for _, _, cols in layout for col in cols)
+    header = [col for _, _, cols in layout for col in cols]
     # A whole-number float formats under .17g as the integer itself, so t
     # needs no column of its own type.
-    row = ",".join(["{:.17g}"] * data.shape[1]) + "\n"
-    text = header + "\n" + (row * steps).format(*data.ravel().tolist())
-    Path(path).write_text(text, encoding="utf-8")
+    row = ",".join(["{:.17g}"] * len(header)) + "\n"
+    # The rows go out in chunks of an eighth of a weight block's floats:
+    # at about 70 bytes each as Python floats and text, a chunk takes about
+    # a block's bytes, and the whole trace's text is never held.
+    chunk = max(1, BLOCK_FLOATS // (8 * len(header)))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, steps, chunk):
+            hi = min(steps, lo + chunk)
+            data = np.column_stack([
+                np.reshape(columns[name][lo:hi], (hi - lo, -1)) for name, _, _ in layout
+            ])
+            f.write((row * (hi - lo)).format(*data.ravel().tolist()))
 
 
 @dataclass

@@ -169,6 +169,10 @@ class ObjectiveSpec:
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         if zs.shape != (self.n, self.d):
             raise ValueError(f"expected ratios of shape ({self.n}, {self.d})")
+        return self._subgradients(zs)
+
+    def _subgradients(self, zs: np.ndarray) -> np.ndarray:
+        """:meth:`agent_subgradients` on a float array already of shape (n, d)."""
         if self.kind == "quadratic":
             return 2.0 * (zs - self.targets)
         if self.kind == "l1":
@@ -251,8 +255,19 @@ def l1_objective(
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     n, d = targets.shape
     spec = _uncertified("l1", n, d, box or _default_box(targets), g_bound, targets=targets)
-    z_star = np.median(targets, axis=0)
+    z_star = _median(targets)
     return replace(spec, z_star=z_star, f_star=spec.value(z_star), optimum_provenance="analytic-median")
+
+
+def _median(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=0)`` bitwise, without the ``numpy.ma`` import
+    its first call costs.  Like np.median, it sums the middle one or two
+    sorted values from +0.0 (so a middle -0.0 comes out +0.0), divides by
+    their count, and gives NaN in a column holding a NaN."""
+    s = np.sort(rows, axis=0)
+    m, odd = divmod(len(s), 2)
+    mid = 0.0 + s[m] if odd else (0.0 + s[m - 1] + s[m]) / 2.0
+    return np.where(np.isnan(s[-1]), s[-1], mid)
 
 
 def hinge_objective(
@@ -628,7 +643,7 @@ def run_push_subgradient(
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 for w in block:
-                    g = objective.agent_subgradients(z)
+                    g = objective._subgradients(z)
                     xs[t] = x
                     ys[t] = y
                     zs[t] = z
@@ -653,6 +668,8 @@ def run_push_subgradient(
                         aps_residual[t] = np.abs((y / n) @ s - pi).max()
                     z = x / y[:, None]
                     t += 1
+            # Free this block (w is a view of it) before the next is built.
+            del block, w
 
             # Rows lo..t-1 are whole steps; the weights after them are the
             # later rows and, after the last one, y.

@@ -26,8 +26,9 @@ __all__ = [
 ]
 
 COLUMN_SUM_TOL = 1e-12
-# Floats in one block of weights that a run builds at once (4 MiB).
-BLOCK_FLOATS = 2 ** 19
+# Floats in one block of weights that a run builds at once (512 KiB); the
+# run frees each block before the next is built.
+BLOCK_FLOATS = 2 ** 16
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pushsim.graphs
 from pushsim.graphs import (
     Digraph,
     GraphSequence,
@@ -282,7 +285,14 @@ def test_every_horizon_window_matches_the_one_horizon_search(
 ):
     seq = generate_sequence(kind, n, horizon, seed, arc_prob=arc_prob, inject_every=inject_every)
     hs = data.draw(horizon_lists(horizon))
-    assert connectivity_windows(seq, hs) == [reference_connectivity_window(seq.prefix(T)) for T in hs]
+    # Blocks of a few steps make the in-place growth of the unions run over
+    # many blocks, some of which overlap the rows they read.
+    steps = data.draw(st.sampled_from([None, 1, 2, 3, 5]))
+    cells = pushsim.graphs._BLOCK_CELLS if steps is None else steps * n * n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pushsim.graphs, "_BLOCK_CELLS", cells)
+        got = connectivity_windows(seq, hs)
+    assert got == [reference_connectivity_window(seq.prefix(T)) for T in hs]
 
 
 @settings(max_examples=100, deadline=None)
@@ -323,6 +333,26 @@ def test_every_pair_of_horizons_matches_the_one_horizon_search(seq):
     for shorter in range(1, seq.horizon + 1):
         for longer in range(shorter, seq.horizon + 1):
             assert connectivity_windows(seq, [longer, shorter]) == [one[longer], one[shorter]]
+
+
+@pytest.mark.parametrize("kind", ["static-cycle", "rotating-arc"])
+def test_window_search_holds_one_private_stack(monkeypatch, kind):
+    # The unions grow in place in one copy of the stack: the search holds
+    # that copy and O(_BLOCK_CELLS) cells, never a second T*n*n stack.
+    # The rotating arc's window 8 grows the unions twice; the static
+    # cycle's window 1 never does, and makes no copy.
+    monkeypatch.setattr(pushsim.graphs, "_BLOCK_CELLS", 1 << 12)
+    seq = generate_sequence(kind, 8, 20000)
+    tracemalloc.start()
+    try:
+        windows = connectivity_windows(seq, [20000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert windows == [8 if kind == "rotating-arc" else 1]
+    copies = 1 if kind == "rotating-arc" else 0
+    bound = copies * seq.adj.nbytes + 16 * pushsim.graphs._BLOCK_CELLS
+    assert peak <= bound, f"peak {peak} B above {bound} B"
 
 
 def test_window_search_rejects_horizons_outside_the_sequence():

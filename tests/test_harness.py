@@ -4,6 +4,8 @@ import importlib
 import json
 import re
 import runpy
+import tracemalloc
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -415,16 +417,19 @@ QUADRATIC_2D = ObjectiveConfig(
 
 @pytest.mark.parametrize("objective", [None, QUADRATIC_2D], ids=["d1", "d2"])
 @pytest.mark.parametrize("bounds", ["none", "empirical", "both", "infinite-worst-case"])
-def test_export_trace_matches_the_row_writer(tmp_path, objective, bounds):
+def test_export_trace_matches_the_row_writer(tmp_path, monkeypatch, objective, bounds):
     result = run_experiment(base_config() if objective is None else base_config(objective=objective))
     trace, reports = result.trace, result.reports
     emp = None if bounds == "none" else reports["gap-decaying-network-empirical"]
     wc = reports["gap-decaying-network-worst-case"] if bounds != "empirical" and emp else None
     if bounds == "infinite-worst-case":
         wc = dataclasses.replace(wc, rhs=np.where(np.arange(trace.steps) % 3 == 1, np.inf, wc.rhs))
-    export_trace(trace, tmp_path / "got.csv", emp, wc)
     reference_export_trace(trace, tmp_path / "want.csv", emp, wc)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    # One chunk of all 150 rows, chunks of one row, and of 6 to 9 rows
+    for floats in (pushsim.harness.BLOCK_FLOATS, 1, 1000):
+        monkeypatch.setattr(pushsim.harness, "BLOCK_FLOATS", floats)
+        export_trace(trace, tmp_path / "got.csv", emp, wc)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), floats
     loaded = import_trace(tmp_path / "got.csv")
     assert np.array_equal(loaded.zs, trace.zs) and np.array_equal(loaded.zbar, trace.zbar)
     assert np.array_equal(loaded.ts, np.arange(trace.steps))
@@ -434,6 +439,71 @@ def test_export_trace_matches_the_row_writer(tmp_path, objective, bounds):
         assert np.array_equal(loaded.bound_terms, emp.terms)
         want_wc = np.full(trace.steps, np.nan) if wc is None else wc.rhs
         assert np.array_equal(loaded.bound_rhs_wc, want_wc, equal_nan=True)
+
+
+def fake_trace(steps, n, rng):
+    """The columns export_trace reads from a run of ``steps`` steps."""
+    return types.SimpleNamespace(
+        n=n, d=1, steps=steps, alphas=rng.random(steps), zs=rng.random((steps, n, 1)),
+        zbar=rng.random((steps, 1)), zlyap=rng.random((steps, 1)),
+        consensus=rng.random(steps), running_gap=rng.random(steps),
+    )
+
+
+def test_export_trace_memory_stays_flat_as_the_trace_grows(tmp_path):
+    # The rows go out in fixed chunks: neither the text nor the Python
+    # floats of the whole trace are ever held.
+    rng = np.random.default_rng(5)
+    peaks, sizes = [], []
+    for steps in (4000, 16000):
+        trace = fake_trace(steps, 20, rng)
+        path = tmp_path / f"{steps}.csv"
+        tracemalloc.start()
+        try:
+            export_trace(trace, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(path.stat().st_size)
+        assert import_trace(path).zs.tobytes() == trace.zs.tobytes()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert peaks[1] <= sizes[1] / 8, (peaks, sizes)
+
+
+def test_run_experiment_folds_the_agent_certificates(monkeypatch):
+    # Each agent's certificate shows in the margins, the argmins and a
+    # bound check, in the order the certificates come, and no report of
+    # it is kept.
+    cfg = base_config(schedule=ScheduleConfig(kind="harmonic"))
+    kept = []
+    certificates = pushsim.harness._certificates
+
+    def listed(*args):
+        reports = list(certificates(*args))
+        kept.append(reports)
+        return iter(reports)
+
+    monkeypatch.setattr(pushsim.harness, "_certificates", listed)
+    result = run_experiment(cfg)
+    (reports,) = kept
+    agents = [f"agent{k}" for k in range(1, 5)]
+    labels = [
+        f"gap-decaying-{who}-{constants}" for constants in ("empirical", "worst-case")
+        for who in ["network"] + agents
+    ]
+    assert [r.label for r in reports if r.label.startswith("gap-")] == labels
+    summary = result.summary
+    assert list(summary.bound_margins) == [r.label for r in reports]
+    assert summary.bound_margins == {r.label: r.min_margin for r in reports}
+    assert summary.bound_argmin == {r.label: r.argmin_t for r in reports}
+    assert [c.name for c in summary.checks if c.name.startswith("bound:")] == [
+        f"bound:{r.label}" for r in reports
+    ]
+    assert [r.label for r in result.gap_reports] == [
+        "gap-decaying-network-empirical", "gap-decaying-network-worst-case",
+    ]
+    assert all(r.label.startswith("envelope-") for r in result.envelope_reports)
+    assert not [label for label in result.reports if "-agent" in label]
 
 
 def test_import_trace_checks_the_header(tmp_path, finished):
@@ -1107,8 +1177,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 def test_cli_unreadable_inputs_and_outputs_exit_2(tmp_path, capsys, monkeypatch):
     # a directory, a non-UTF-8 file or an existing regular file where the
     # CLI reads or writes: one stderr line and exit 2, never a traceback;
-    # a regular file as the --out of simulate, sweep or verify is found
-    # before any run starts
+    # a regular file as the --out of simulate, sweep or verify, or as an
+    # ancestor of it, is found before any run starts
     cfgp = write_cfg(tmp_path, base_config(sweep=SweepConfig(horizons=(40, 80, 150))))
     latin = tmp_path / "latin1.ini"
     latin.write_bytes(Path(cfgp).read_bytes() + "# caf\xe9\n".encode("latin-1"))
@@ -1116,6 +1186,7 @@ def test_cli_unreadable_inputs_and_outputs_exit_2(tmp_path, capsys, monkeypatch)
     a_dir.mkdir()
     a_file.write_text("not a directory\n")
     out = ["--out", str(tmp_path / "o")]
+    below = a_file / "sub" / "dir"
     cases = [
         ["simulate", "--config", str(a_dir)] + out,
         ["simulate", "--config", str(latin)] + out,
@@ -1127,15 +1198,22 @@ def test_cli_unreadable_inputs_and_outputs_exit_2(tmp_path, capsys, monkeypatch)
         ["verify", "--config", cfgp, "--out", str(a_file)],
         ["sweep", "--config", cfgp, "--out", str(a_file)],
         ["report", "--config", cfgp, "--out", str(a_file)],
+        ["simulate", "--config", cfgp, "--out", str(below)],
+        ["verify", "--config", cfgp, "--out", str(below)],
+        ["sweep", "--config", cfgp, "--out", str(below)],
     ]
 
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    out_exists = f"file error: [Errno 17] File exists: '{a_file}'\n"
+    early_errors = {
+        str(a_file): f"file error: [Errno 17] File exists: '{a_file}'\n",
+        str(below): f"file error: [Errno 20] Not a directory: '{below}'\n",
+    }
+    out_exists = early_errors[str(a_file)]
     for argv in cases:
         capsys.readouterr()
-        early = str(a_file) in argv and argv[0] != "report"
+        early = argv[-1] in early_errors and argv[0] != "report"
         with monkeypatch.context() as m:
             if early:
                 for name in ("run_experiment", "sweep_experiment", "verify_experiment"):
@@ -1143,7 +1221,7 @@ def test_cli_unreadable_inputs_and_outputs_exit_2(tmp_path, capsys, monkeypatch)
             assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, (argv, err)
-        assert err == out_exists or not early, (argv, err)
+        assert not early or err == early_errors[argv[-1]], (argv, err)
     # a run that would fail mid-way does not start: the --out is found first
     failing = base_config(objective=ObjectiveConfig(kind="l1", d=1, g_bound=0.5,
                                                     targets=((0.0,), (1.0,), (2.0,), (5.0,))))

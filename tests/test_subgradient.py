@@ -185,6 +185,31 @@ def test_l1_objective_median_optimum_even_count():
     assert obj.value(np.array([1.5])) - obj.f_star == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
+def test_l1_optimum_is_bitwise_the_numpy_median(n, d):
+    # Ties and signed zeros: a middle -0.0 is +0.0 in np.median, which a
+    # plain midpoint (s[m-1] + s[m]) / 2 of the sorted column gets wrong.
+    rng = np.random.default_rng(100 * n + d)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, -1e-300])
+    for _ in range(300):
+        targets = rng.choice(pool, size=(n, d))
+        obj = l1_objective(targets, box=(np.full(d, -4.0), np.full(d, 4.0)))
+        assert obj.z_star.tobytes() == np.median(targets, axis=0).tobytes(), targets
+    for targets in (np.full((n, d), -0.0), np.full((n, d), 0.0)):
+        assert SUBGRADIENT._median(targets).tobytes() == np.zeros(d).tobytes()
+    with_nan = np.zeros((n, d))
+    with_nan[n // 2, 0] = np.nan
+    assert SUBGRADIENT._median(with_nan).tobytes() == np.median(with_nan, axis=0).tobytes()
+
+
+def test_agent_subgradients_checks_the_ratio_shape():
+    obj = l1_objective(np.array([[0.0], [1.0], [2.0]]))
+    assert_same_bits(obj.agent_subgradients([[0.5], [1.0], [3.0]]), np.array([[1.0], [0.0], [1.0]]))
+    with pytest.raises(ValueError, match=r"expected ratios of shape \(3, 1\)"):
+        obj.agent_subgradients(np.zeros((2, 1)))
+
+
 def test_l1_gap_example():
     obj = l1_objective(np.array([[0.0], [1.0], [2.0]]))
     assert obj.f_star == pytest.approx(2.0 / 3.0)
@@ -716,6 +741,34 @@ def test_run_with_companions_holds_no_step_by_n_squared_array():
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
     assert trace.smatrices is not None and trace.aps_residual.max() <= 1e-10
+
+
+@pytest.mark.parametrize("floats", [None, 2 ** 19], ids=["default", "4MiB"])
+@pytest.mark.parametrize("record", [False, True])
+def test_run_holds_its_trace_and_one_weight_block(monkeypatch, record, floats):
+    # Besides the arrays it returns, a run holds one block of weights at a
+    # time (the previous block is freed before the next is built) and,
+    # after its loop, the (steps, n, d) scratch of its derived series.  A
+    # default block is at most 512 KiB.
+    assert 8 * pushsim.weights.BLOCK_FLOATS <= 2 ** 19
+    if floats is not None:
+        monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", floats)
+    n, steps = 50, 2000
+    seq = generate_sequence("random-walkable", n, steps, 3, arc_prob=0.05)
+    ws = build_weight_stack(seq)
+    objective = l1_objective(np.linspace(-5.0, 5.0, n)[:, None])
+    x0 = np.linspace(5.0, -5.0, n)[:, None]
+    tracemalloc.start()
+    try:
+        trace = run_push_subgradient(ws, x0, objective, StepsizeSchedule.harmonic(), record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+    held = sum(a.nbytes for a in arrays) + trace.final_state.x.nbytes + trace.final_state.y.nbytes
+    block = 8 * pushsim.weights.BLOCK_FLOATS
+    scratch = 3 * trace.zs.nbytes
+    assert peak <= held + block + scratch, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 @pytest.mark.parametrize("case,check,t", [
