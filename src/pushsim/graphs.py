@@ -1,10 +1,14 @@
 """Time-varying directed graphs with self-arcs.
 
 A network is a finite sequence of digraphs on a fixed vertex set, one graph
-per time step.  A sequence is stored as one read-only boolean stack
-``adj[t, j, i]``, true iff arc ``j -> i`` is present at step ``t``, with
-vertices indexed from 0 internally; the text format is 1-indexed.  Every
-vertex always keeps a self-arc, so each agent can at least talk to itself.
+per time step.  A sequence is stored as one read-only ``uint8`` stack of
+packed adjacency rows, ``bits[t, j, :] = np.packbits(adj[t, j, :])`` of
+shape ``(T, n, ceil(n/8))``, where ``adj[t, j, i]`` is true iff arc
+``j -> i`` is present at step ``t``: one bit per arc slot, big bit order,
+zero padding.  Vertices are indexed from 0 internally; the text format is
+1-indexed.  Every vertex always keeps a self-arc, so each agent can at
+least talk to itself.  :func:`unpack_adjacency` is the one way back to
+booleans, a few steps at a time.
 """
 
 from __future__ import annotations
@@ -25,35 +29,60 @@ __all__ = [
     "connectivity_windows",
     "format_graph_sequence",
     "parse_graph_sequence",
+    "unpack_adjacency",
 ]
 
 GENERATOR_KINDS = ("static-cycle", "rotating-arc", "random-walkable")
 
 # Adjacency cells per block of window unions tested at once (1 MiB as
-# float32); a failing window length usually stops in the first block.
+# float32), and bytes of float draws per block of generated steps; a
+# failing window length usually stops in the first block.
 _BLOCK_CELLS = 1 << 18
 
 
-def _frozen_stack(adj: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Validated read-only boolean adjacency of the given shape; a
-    read-only input is shared, anything else is copied."""
-    a = np.asarray(adj, dtype=bool)
-    if a.shape != shape:
-        raise ValueError(f"expected adjacency of shape {shape}, got {a.shape}")
-    diagonals = a.diagonal(axis1=-2, axis2=-1).reshape(-1, shape[-1])
-    missing = np.flatnonzero(~diagonals.all(axis=0))
+def unpack_adjacency(bits: np.ndarray, n: int) -> np.ndarray:
+    """The boolean adjacency ``adj[..., j, i]`` of packed rows
+    ``bits[..., j, :]`` on ``n`` vertices, as a read-only view of a fresh
+    array.  The rows are unpacked whole, padding included, and the view
+    drops the padding: one pass over the flat bytes is several times
+    faster than unpacking each short row along its axis."""
+    rows = np.unpackbits(bits).reshape(*bits.shape[:-1], 8 * bits.shape[-1])
+    adj = rows[..., :n].view(bool)
+    adj.setflags(write=False)
+    return adj
+
+
+def _frozen_bits(bits: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Validated read-only packed adjacency of the given shape, whose last
+    two axes are ``(n, ceil(n/8))``; a read-only input is shared, anything
+    else is copied."""
+    b = np.asarray(bits)
+    if b.dtype != np.uint8 or b.shape != shape:
+        raise ValueError(
+            f"expected packed uint8 adjacency of shape {shape}, got {b.dtype} {b.shape}"
+        )
+    n = shape[-2]
+    v = np.arange(n)
+    # Bytes ANDed over every step: a self-arc bit is set iff it is set at
+    # every step; the last bytes ORed: a padding bit is clear iff it is
+    # clear at every step.
+    diagonal = np.bitwise_and.reduce(b[..., v, v >> 3].reshape(-1, n), axis=0)
+    missing = np.flatnonzero(diagonal & (0x80 >> (v & 7)) == 0)
     if missing.size:
         raise ValueError(f"missing self-arc at vertices {missing.tolist()}")
-    if a.flags.writeable:
-        a = a.copy()
-        a.setflags(write=False)
-    return a
+    if n % 8 and np.bitwise_or.reduce(b[..., -1], axis=None) & (0xFF >> n % 8):
+        raise ValueError(f"packed adjacency sets padding bits past vertex {n}")
+    if b.flags.writeable:
+        b = b.copy()
+        b.setflags(write=False)
+    return b
 
 
 class Digraph:
     """Directed graph on vertices ``0..n-1``; every vertex has a self-arc.
 
-    A view of one read-only boolean adjacency matrix; the ``arcs`` set of
+    A view of one read-only packed adjacency matrix ``bits[j, :]``; the
+    boolean matrix is unpacked when read, and the ``arcs`` set of
     ``(sender, receiver)`` pairs is built on first use.
     """
 
@@ -65,18 +94,19 @@ class Digraph:
             if not (0 <= j < n and 0 <= i < n):
                 raise ValueError(f"arc ({j}, {i}) out of range for n={n}")
             a[j, i] = True
-        self._adj = _frozen_stack(a, (n, n))
+        self.n = n
+        self._bits = _frozen_bits(np.packbits(a, axis=1), (n, (n + 7) // 8))
 
     @classmethod
-    def _view(cls, adj: np.ndarray) -> Digraph:
-        """Wrap an already validated read-only adjacency matrix."""
+    def _view(cls, bits: np.ndarray, n: int) -> Digraph:
+        """Wrap an already validated read-only packed adjacency matrix."""
         g = cls.__new__(cls)
-        g._adj = adj
+        g.n, g._bits = n, bits
         return g
 
     @property
-    def n(self) -> int:
-        return self._adj.shape[0]
+    def _adj(self) -> np.ndarray:
+        return unpack_adjacency(self._bits, self.n)
 
     @cached_property
     def arcs(self) -> frozenset[tuple[int, int]]:
@@ -86,10 +116,10 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._adj, other._adj)
+        return self.n == other.n and np.array_equal(self._bits, other._bits)
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj.tobytes()))
+        return hash((self.n, self._bits.tobytes()))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.arcs!r})"
@@ -124,20 +154,22 @@ class GraphSequence:
     function of (kind, n, horizon, seed) and are prefix-stable: a longer
     horizon with the same seed extends the shorter sequence unchanged.
 
-    ``adj`` is the adjacency stack of shape ``(horizon, n, n)``, kept
-    read-only; ``graphs`` and indexing give per-step views of it.
+    ``bits`` is the packed adjacency stack of shape
+    ``(horizon, n, ceil(n/8))``, kept read-only; ``graphs`` and indexing
+    give per-step views of it.
     """
 
     n: int
     horizon: int
     kind: str
     seed: int
-    adj: np.ndarray = field(repr=False)
+    bits: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        object.__setattr__(self, "adj", _frozen_stack(self.adj, (self.horizon, self.n, self.n)))
+        shape = (self.horizon, self.n, (self.n + 7) // 8)
+        object.__setattr__(self, "bits", _frozen_bits(self.bits, shape))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphSequence):
@@ -145,7 +177,7 @@ class GraphSequence:
         return (
             (self.n, self.horizon, self.kind, self.seed)
             == (other.n, other.horizon, other.kind, other.seed)
-            and np.array_equal(self.adj, other.adj)
+            and np.array_equal(self.bits, other.bits)
         )
 
     def __hash__(self) -> int:
@@ -153,13 +185,13 @@ class GraphSequence:
 
     @cached_property
     def graphs(self) -> tuple[Digraph, ...]:
-        return tuple(Digraph._view(a) for a in self.adj)
+        return tuple(Digraph._view(b, self.n) for b in self.bits)
 
     def __len__(self) -> int:
         return self.horizon
 
     def __getitem__(self, t: int) -> Digraph:
-        return Digraph._view(self.adj[t])
+        return Digraph._view(self.bits[t], self.n)
 
     def prefix(self, horizon: int) -> GraphSequence:
         """The first ``horizon`` steps, a view of this sequence's stack."""
@@ -168,7 +200,7 @@ class GraphSequence:
         if horizon == self.horizon:
             return self
         return GraphSequence(
-            n=self.n, horizon=horizon, kind=self.kind, seed=self.seed, adj=self.adj[:horizon],
+            n=self.n, horizon=horizon, kind=self.kind, seed=self.seed, bits=self.bits[:horizon],
         )
 
 
@@ -195,6 +227,11 @@ def generate_sequence(
     n, horizon, seed : int
         Vertex count, number of steps, and generator seed.  The same
         arguments always reproduce the same sequence.
+
+    The steps are built a block at a time, as booleans copied into rows
+    padded to whole bytes, and each block is packed at once as flat
+    bytes; besides the packed stack, only one block (its float draws at
+    most ``_BLOCK_CELLS`` bytes, unless one step's alone are more) is held.
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
@@ -205,25 +242,35 @@ def generate_sequence(
     eye = np.eye(n, dtype=bool)
     ring = np.roll(eye, 1, axis=1)  # arcs j -> (j+1) mod n
     if kind == "static-cycle":
-        adj = np.broadcast_to(eye | ring, (horizon, n, n))
-    else:
-        adj = np.zeros((horizon, n, n), dtype=bool)
+        bits = np.broadcast_to(np.packbits(eye | ring, axis=1), (horizon, n, (n + 7) // 8))
+        return GraphSequence(n=n, horizon=horizon, kind=kind, seed=seed, bits=bits)
+    if kind == "random-walkable":
+        if not (0.0 <= arc_prob <= 1.0):
+            raise ValueError("arc_prob must lie in [0, 1]")
+        if inject_every < 1:
+            raise ValueError("inject_every must be positive")
+        rng = np.random.default_rng(seed)
+    nb = (n + 7) // 8
+    bits = np.empty((horizon, n, nb), dtype=np.uint8)
+    k = max(1, _BLOCK_CELLS // (8 * n * n))  # steps whose float draws fill _BLOCK_CELLS bytes
+    padded = np.zeros((min(k, horizon), n, 8 * nb), dtype=bool)  # the padding stays clear
+    for lo in range(0, horizon, k):
+        m = min(k, horizon - lo)
         if kind == "rotating-arc":
-            t = np.arange(horizon)
-            adj[t, t % n, (t + 1) % n] = True
+            t = np.arange(lo, lo + m)
+            adj = np.zeros((m, n, n), dtype=bool)
+            adj[t - lo, t % n, (t + 1) % n] = True
         else:  # random-walkable
-            if not (0.0 <= arc_prob <= 1.0):
-                raise ValueError("arc_prob must lie in [0, 1]")
-            if inject_every < 1:
-                raise ValueError("inject_every must be positive")
-            rng = np.random.default_rng(seed)
-            for t in range(horizon):
-                # One draw block per step keeps prefixes seed-stable.
-                np.less(rng.random((n, n)), arc_prob, out=adj[t])
-            adj[::inject_every] |= ring
+            # Consecutive steps draw consecutively from the stream, so one
+            # draw per block equals one (n, n) draw per step, and prefixes
+            # stay seed-stable.
+            adj = rng.random((m, n, n)) < arc_prob
+            adj[-lo % inject_every :: inject_every] |= ring
         adj |= eye
-        adj.setflags(write=False)
-    return GraphSequence(n=n, horizon=horizon, kind=kind, seed=seed, adj=adj)
+        padded[:m, :, :n] = adj
+        bits[lo : lo + m] = np.packbits(padded[:m]).reshape(m, n, nb)
+    bits.setflags(write=False)
+    return GraphSequence(n=n, horizon=horizon, kind=kind, seed=seed, bits=bits)
 
 
 def _reaches_all(adj: np.ndarray) -> np.ndarray:
@@ -288,19 +335,21 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
     a horizon by extending the scan of its starts from where an earlier
     horizon's test of it left off.
 
-    ``level`` holds the unions of all windows of length ``a`` (a power of
-    two, only growing, always below the window); a window of length L in
-    [a, 2a] is the union of two overlapping ones.  Each scan tests the
-    unions in blocks, stops at the first failing block, and tests each
-    distinct union once: periodic sequences such as ``static-cycle`` and
-    ``rotating-arc`` repeat a few unions, each of whose searches can take
-    up to n rounds.  ``level`` starts as the sequence itself; its first
-    growth makes one private copy of the stack, and every growth ORs each
-    union with the one ``a`` starts later in place, in ascending blocks:
-    a block reads only rows that no earlier block has updated, and NumPy
-    reads the rows a block shares with its own output before writing.
-    Besides the sequence, memory stays at one boolean ``T*n*n`` stack plus
-    a few blocks of ``_BLOCK_CELLS`` cells.
+    ``level`` holds the packed unions of all windows of length ``a`` (a
+    power of two, only growing, always below the window); a window of
+    length L in [a, 2a] is the union of two overlapping ones, the OR of
+    their packed bytes.  Each scan tests the unions in blocks, stops at
+    the first failing block, and tests each distinct union once (keyed by
+    its packed bytes; only the fresh ones are unpacked): periodic
+    sequences such as ``static-cycle`` and ``rotating-arc`` repeat a few
+    unions, each of whose searches can take up to n rounds.  ``level``
+    starts as the sequence itself; its first growth makes one private copy
+    of the packed stack, and every growth ORs each union with the one
+    ``a`` starts later in place, in ascending blocks: a block reads only
+    rows that no earlier block has updated, and NumPy reads the rows a
+    block shares with its own output before writing.  Besides the
+    sequence, memory stays at one packed stack plus a few blocks of
+    ``_BLOCK_CELLS`` cells.
     """
     hs = list(horizons)
     if any(not 1 <= T <= seq.horizon for T in hs):
@@ -314,23 +363,25 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
         for lo in range(scanned.get(length, 0), starts, block):
             hi = min(starts, lo + block)
             unions = level[lo:hi] | level[lo + length - a : hi + length - a]
-            keys = [row.tobytes() for row in np.packbits(unions.reshape(hi - lo, -1), axis=1)]
+            keys = [u.tobytes() for u in unions]
             fresh = {key: k for k, key in enumerate(keys) if key not in connected}
-            if fresh and not _all_strongly_connected(unions[list(fresh.values())]):
+            if fresh and not _all_strongly_connected(
+                unpack_adjacency(unions[list(fresh.values())], seq.n)
+            ):
                 return False
             connected.update(fresh)
         scanned[length] = starts
         return True
 
-    level, a = seq.adj, 1
+    level, a = seq.bits, 1
 
     def reach(length: int) -> None:
         """Grow ``level`` until ``length`` is at most 2a; every length
         below ``length`` must be known to fail."""
         nonlocal level, a
         while 2 * a < length:
-            if level is seq.adj:
-                level = np.array(seq.adj)
+            if level is seq.bits:
+                level = np.array(seq.bits)
             m = len(level) - a
             for lo in range(0, m, block):
                 hi = min(m, lo + block)
@@ -369,13 +420,13 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
 
 def format_graph_sequence(seq: GraphSequence) -> str:
     """Render the 1-indexed text form: header ``n horizon``, then one
-    ``t: j>i j>i ...`` line per step with self-arcs omitted."""
-    steps, senders, receivers = np.nonzero(seq.adj & ~np.eye(seq.n, dtype=bool))
-    tokens = [f"{j + 1}>{i + 1}" for j, i in zip(senders.tolist(), receivers.tolist())]
-    bounds = np.searchsorted(steps, np.arange(seq.horizon + 1)).tolist()
+    ``t: j>i j>i ...`` line per step with self-arcs omitted.  The steps
+    are unpacked one at a time."""
+    cross = ~np.eye(seq.n, dtype=bool)
     lines = [f"{seq.n} {seq.horizon}"]
     for t in range(seq.horizon):
-        body = " ".join(tokens[bounds[t] : bounds[t + 1]])
+        senders, receivers = np.nonzero(unpack_adjacency(seq.bits[t], seq.n) & cross)
+        body = " ".join(f"{j + 1}>{i + 1}" for j, i in zip(senders.tolist(), receivers.tolist()))
         lines.append(f"{t}: {body}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -385,6 +436,7 @@ def parse_graph_sequence(text: str) -> GraphSequence:
 
     Self-arcs are implied and added on every vertex; listing one
     explicitly is tolerated.  Steps must appear in order 0..horizon-1.
+    Each step is packed as soon as it is parsed.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -402,8 +454,9 @@ def parse_graph_sequence(text: str) -> GraphSequence:
         raise ValueError(
             f"expected {horizon} step lines, found {len(lines) - 1}"
         )
-    adj = np.zeros((horizon, n, n), dtype=bool)
-    adj[:, np.arange(n), np.arange(n)] = True
+    bits = np.empty((horizon, n, (n + 7) // 8), dtype=np.uint8)
+    eye = np.eye(n, dtype=bool)
+    adj = np.empty((n, n), dtype=bool)
     for t, ln in enumerate(lines[1:]):
         label, _, rest = ln.partition(":")
         try:
@@ -412,6 +465,7 @@ def parse_graph_sequence(text: str) -> GraphSequence:
             raise ValueError(f"bad step label in line {ln!r}") from exc
         if step != t:
             raise ValueError(f"step lines out of order: expected {t}, got {step}")
+        adj[:] = eye
         for tok in rest.split():
             j_txt, sep, i_txt = tok.partition(">")
             if not sep:
@@ -424,6 +478,7 @@ def parse_graph_sequence(text: str) -> GraphSequence:
                 raise ValueError(
                     f"arc {tok!r} at step {t} out of range for n={n}"
                 )
-            adj[t, j - 1, i - 1] = True
-    adj.setflags(write=False)
-    return GraphSequence(n=n, horizon=horizon, kind="file", seed=0, adj=adj)
+            adj[j - 1, i - 1] = True
+        bits[t] = np.packbits(adj, axis=1)
+    bits.setflags(write=False)
+    return GraphSequence(n=n, horizon=horizon, kind="file", seed=0, bits=bits)

@@ -575,9 +575,9 @@ def _materialize_weights(
             f"but the graph has n={seq.n}"
         )
     violations: list[tuple[int, str]] = []
-    reports = {}  # the validation of each distinct step graph, by its adjacency bytes
-    for t, adj in enumerate(seq.adj):
-        key = adj.tobytes()
+    reports = {}  # the validation of each distinct step graph, by its packed rows
+    for t, rows in enumerate(seq.bits):
+        key = rows.tobytes()
         if key not in reports:
             reports[key] = validate_column_stochastic(entries, seq[t], tol=FILE_WEIGHT_TOL)
         rep = reports[key]

@@ -708,9 +708,14 @@ def run_push_subgradient(
     zbar, consensus = mean_and_consensus(zs)
     running_gap = certified_gaps(objective, alphas, zbar)
     zlyap = ((ys / n)[:, None, :] @ zs)[:, 0, :]
-    h_mean = (xs - alphas[:, None, None] * gs).sum(axis=1) / n
-    z_next = np.concatenate([zs[1:], z[None]])
-    deviation = np.sqrt(((z_next - h_mean[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
+    # One (steps, n, d) scratch, updated in place: the mixing inputs
+    # x - alpha g, then each next ratio's deviation from their mean.
+    scratch = alphas[:, None, None] * gs
+    h_mean = np.subtract(xs, scratch, out=scratch).sum(axis=1) / n
+    scratch[:-1] = zs[1:]
+    scratch[-1] = z
+    scratch -= h_mean[:, None, :]
+    deviation = _max_agent_norms(scratch)
 
     return RunTrace(
         n=n, d=d, steps=steps, alphas=alphas,
@@ -782,7 +787,15 @@ def mean_and_consensus(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zbar(t)|| of every row of zs, shape (steps, n, d); each row reduces
     like the same expression on that row alone (sum / n is mean())."""
     zbar = zs.sum(axis=1) / zs.shape[1]
-    return zbar, np.sqrt(((zs - zbar[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
+    return zbar, _max_agent_norms(zs - zbar[:, None, :])
+
+
+def _max_agent_norms(diffs: np.ndarray) -> np.ndarray:
+    """max_i ||diffs[t, i]|| for every t of a fresh (steps, n, d) array,
+    which is squared in place; besides it, only the (steps, n) sums of
+    squares are allocated."""
+    sums = np.square(diffs, out=diffs).sum(axis=2)
+    return np.sqrt(sums, out=sums).max(axis=1)
 
 
 def running_average_gaps(

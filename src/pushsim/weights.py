@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Digraph, GraphSequence
+from .graphs import Digraph, GraphSequence, unpack_adjacency
 
 __all__ = [
     "WeightMatrix",
@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 COLUMN_SUM_TOL = 1e-12
+# Set bits of every byte value: out-degrees from packed adjacency rows.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 # Floats in one block of weights that a run builds at once (512 KiB); the
 # run frees each block before the next is built.
 BLOCK_FLOATS = 2 ** 16
@@ -70,7 +72,7 @@ class WeightValidation:
 
 def build_weights(g: Digraph) -> WeightMatrix:
     """Mixing matrix for one step on graph ``g``; see :func:`build_weight_stack`."""
-    return _uniform_out_degree(g.adjacency()[None])[0]
+    return _uniform_out_degree(g._bits[None])[0]
 
 
 def build_weight_stack(seq: GraphSequence) -> WeightStack:
@@ -78,34 +80,40 @@ def build_weight_stack(seq: GraphSequence) -> WeightStack:
 
     Each sender splits its mass equally over its out-neighbors:
     ``W[t, i, j] = 1 / outdeg_t(j)`` for every arc ``j -> i`` at step ``t``.
-    The stack keeps the adjacency and the out-degrees, and builds the
-    floats of any run of steps when they are read (:class:`WeightStack`).
+    The stack keeps the packed adjacency and the out-degrees, and builds
+    the floats of any run of steps when they are read (:class:`WeightStack`).
     Externally supplied matrices go through
     :func:`validate_column_stochastic` instead.
     """
-    return _uniform_out_degree(seq.adj)
+    return _uniform_out_degree(seq.bits)
 
 
-def _uniform_out_degree(adj: np.ndarray) -> WeightStack:
-    """The uniform rule on a validated adjacency stack ``adj[t, j, i]``
-    (arc ``j -> i`` at step ``t``, every self-arc present)."""
-    deg = np.count_nonzero(adj, axis=2)
-    # Float degrees divide exactly like the integers, with no cast per block.
-    return WeightStack(adj.transpose(0, 2, 1), deg.astype(float), 1.0 / deg.max(axis=1))
+def _uniform_out_degree(bits: np.ndarray) -> WeightStack:
+    """The uniform rule on a validated packed adjacency stack
+    ``bits[t, j, :]`` (arc ``j -> i`` at step ``t``, every self-arc
+    present)."""
+    # Float degrees divide exactly like the integers, with no cast per
+    # block; one byte column at a time, so no temporary is as large as bits.
+    deg = np.zeros(bits.shape[:2])
+    for c in range(bits.shape[2]):
+        deg += _POPCOUNT[bits[:, :, c]]
+    return WeightStack(bits, deg, 1.0 / deg.max(axis=1))
 
 
 class WeightStack(Sequence[WeightMatrix]):
     """The mixing matrices of a run, built from per-step arrays when read.
 
     Step ``t`` is ``num[t] / den[t]`` column by column: for the uniform
-    rule ``num[t]`` is the transposed adjacency ``adj[t].T`` and ``den[t]``
-    the out-degrees; a repeated matrix is broadcast with ``den`` 1.  No
-    float stack of all steps is held.  :meth:`block` computes any run of
-    steps with one elementwise division into a fresh C-ordered array (a
-    transposed layout holds the same values but sends ``W @ x`` down
-    another BLAS path), so every float equals the one whole-stack
-    expression's.  ``ws[t]`` is step ``t``'s WeightMatrix with beta
-    ``betas[t]``; a slice is the stack of those steps, a view.
+    rule ``num`` is the packed adjacency stack (``uint8`` rows
+    ``bits[t, j, :]``, read as the transposed 0/1 matrix ``adj[t].T``) and
+    ``den[t]`` the out-degrees; a repeated matrix is broadcast with
+    ``den`` 1.  No float stack of all steps is held.  :meth:`block`
+    unpacks and transposes its steps and computes them with one
+    elementwise division into a fresh C-ordered array (a transposed
+    layout holds the same values but sends ``W @ x`` down another BLAS
+    path), so every float equals the one whole-stack expression's.
+    ``ws[t]`` is step ``t``'s WeightMatrix with beta ``betas[t]``; a slice
+    is the stack of those steps, a view.
     """
 
     def __init__(self, num: np.ndarray, den: np.ndarray, betas: np.ndarray) -> None:
@@ -145,6 +153,9 @@ class WeightStack(Sequence[WeightMatrix]):
         """``W[lo:hi]`` as a fresh read-only array (like a slice, it ends
         at the last step)."""
         num = self.num[lo:hi]
+        if num.dtype == np.uint8:  # packed adjacency rows
+            # As 0/1 bytes, which convert to floats faster than booleans.
+            num = unpack_adjacency(num, self.n).view(np.uint8).transpose(0, 2, 1)
         w = np.divide(num, self.den[lo:hi, None, :], out=np.empty(num.shape))
         w.setflags(write=False)
         return w

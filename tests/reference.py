@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from pushsim.graphs import _BLOCK_CELLS, GraphSequence, _all_strongly_connected
+from pushsim.graphs import _BLOCK_CELLS, GraphSequence, _all_strongly_connected, unpack_adjacency
 from pushsim.pushsum import (
     CompanionView,
     NetworkState,
@@ -55,11 +55,33 @@ def format_matrix(entries: np.ndarray) -> str:
     return "\n".join(" ".join(f"{v:.17g}" for v in row) for row in w) + "\n"
 
 
+def reference_adjacency(kind, n, horizon, seed=0, arc_prob=0.25, inject_every=5) -> np.ndarray:
+    """The boolean stack ``adj[t, j, i]`` of a generated sequence, filled
+    in place for every step at once: the dense generator that the packed,
+    block-by-block one replaced."""
+    eye = np.eye(n, dtype=bool)
+    ring = np.roll(eye, 1, axis=1)
+    if kind == "static-cycle":
+        return np.broadcast_to(eye | ring, (horizon, n, n))
+    adj = np.zeros((horizon, n, n), dtype=bool)
+    if kind == "rotating-arc":
+        t = np.arange(horizon)
+        adj[t, t % n, (t + 1) % n] = True
+    else:
+        rng = np.random.default_rng(seed)
+        for t in range(horizon):
+            np.less(rng.random((n, n)), arc_prob, out=adj[t])
+        adj[::inject_every] |= ring
+    adj |= eye
+    return adj
+
+
 def reference_weight_stack(seq) -> list[WeightMatrix]:
-    """The uniform rule as one expression into one read-only C-ordered
-    stack of every step's floats, step t a WeightMatrix view of W[t]: the
-    whole-stack builder that the per-block WeightStack replaced."""
-    adj = seq.adj
+    """The uniform rule as one expression on the boolean stack into one
+    read-only C-ordered stack of every step's floats, step t a
+    WeightMatrix view of W[t]: the whole-stack builder that the
+    per-block WeightStack replaced."""
+    adj = unpack_adjacency(seq.bits, seq.n)
     horizon, n, _ = adj.shape
     deg = np.count_nonzero(adj, axis=2)
     w = np.divide(adj.transpose(0, 2, 1), deg[:, None, :], out=np.empty((horizon, n, n)))
@@ -313,8 +335,8 @@ def reference_run_push_subgradient(
 
 def reference_connectivity_window(seq: GraphSequence) -> int | None:
     """The one-horizon window search, doubling and then bisection over
-    the unions of one sequence: smallest L whose every full window is
-    strongly connected, None if even the whole horizon fails."""
+    the boolean unions of one sequence: smallest L whose every full window
+    is strongly connected, None if even the whole horizon fails."""
     h = seq.horizon
     block = max(1, _BLOCK_CELLS // seq.n**2)
 
@@ -331,7 +353,7 @@ def reference_connectivity_window(seq: GraphSequence) -> int | None:
             connected.update(fresh)
         return True
 
-    level, a = seq.adj, 1
+    level, a = unpack_adjacency(seq.bits, seq.n), 1
     if every_window_connected(1, level, a):
         return 1
     while 2 * a < h:

@@ -16,8 +16,10 @@ from pushsim.graphs import (
     is_strongly_connected,
     parse_graph_sequence,
     uniform_connectivity_window,
+    unpack_adjacency,
 )
-from reference import reference_connectivity_window
+from pushsim.weights import build_weight_stack
+from reference import reference_adjacency, reference_connectivity_window
 
 
 def test_digraph_requires_self_arcs():
@@ -106,7 +108,7 @@ def test_static_cycle_window_is_one():
 
 def test_self_arcs_only_has_no_window():
     adj = np.stack([digraph(3).adjacency()] * 10)
-    seq = GraphSequence(n=3, horizon=10, kind="custom", seed=0, adj=adj)
+    seq = GraphSequence(n=3, horizon=10, kind="custom", seed=0, bits=np.packbits(adj, axis=2))
     assert uniform_connectivity_window(seq) is None
 
 
@@ -221,6 +223,10 @@ def stack_of(n, steps):
     return adj
 
 
+def bits_of(n, steps):
+    return np.packbits(stack_of(n, steps), axis=2)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     kind=st.sampled_from(["static-cycle", "rotating-arc", "random-walkable"]),
@@ -233,19 +239,19 @@ def stack_of(n, steps):
 def test_generator_and_window_match_reference(kind, n, horizon, seed, arc_prob, inject_every):
     seq = generate_sequence(kind, n, horizon, seed, arc_prob=arc_prob, inject_every=inject_every)
     steps = reference_arcs(kind, n, horizon, seed, arc_prob, inject_every)
-    assert np.array_equal(seq.adj, stack_of(n, steps))
+    assert np.array_equal(unpack_adjacency(seq.bits, n), stack_of(n, steps))
     assert [g.arcs for g in seq.graphs] == steps
     assert uniform_connectivity_window(seq) == reference_window(n, steps)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 5), horizon=st.integers(1, 14), data=st.data())
+@given(n=st.integers(1, 10), horizon=st.integers(1, 14), data=st.data())
 def test_window_matches_reference_on_hand_built_stacks(n, horizon, data):
     pairs = [(j, i) for j in range(n) for i in range(n) if i != j]
     selfs = {(i, i) for i in range(n)}
     cross = st.sets(st.sampled_from(pairs), max_size=3) if pairs else st.just(frozenset())
     steps = [frozenset(selfs | data.draw(cross)) for _ in range(horizon)]
-    seq = GraphSequence(n=n, horizon=horizon, kind="custom", seed=0, adj=stack_of(n, steps))
+    seq = GraphSequence(n=n, horizon=horizon, kind="custom", seed=0, bits=bits_of(n, steps))
     assert uniform_connectivity_window(seq) == reference_window(n, steps)
 
 
@@ -260,7 +266,7 @@ def test_window_matches_reference_on_hand_built_stacks(n, horizon, data):
     ],
 )
 def test_window_edge_cases_match_reference(n, steps, expected):
-    seq = GraphSequence(n=n, horizon=len(steps), kind="custom", seed=0, adj=stack_of(n, steps))
+    seq = GraphSequence(n=n, horizon=len(steps), kind="custom", seed=0, bits=bits_of(n, steps))
     assert reference_window(n, steps) == expected
     assert uniform_connectivity_window(seq) == expected
 
@@ -273,7 +279,7 @@ def horizon_lists(horizon):
 @settings(max_examples=150, deadline=None)
 @given(
     kind=st.sampled_from(["static-cycle", "rotating-arc", "random-walkable"]),
-    n=st.integers(1, 7),
+    n=st.integers(1, 19),  # one to three bytes per packed row
     horizon=st.integers(1, 60),
     seed=st.integers(0, 2**32 - 1),
     arc_prob=st.floats(0.0, 0.6),
@@ -306,7 +312,7 @@ def test_file_sequence_windows_match_the_one_horizon_search(lead, tail, connecte
     alone = frozenset((i, i) for i in range(4))
     steps = [ring] * lead + [alone] * tail if connected_first else [alone] * lead + [ring] * tail
     seq = parse_graph_sequence(format_graph_sequence(
-        GraphSequence(n=4, horizon=len(steps), kind="file", seed=0, adj=stack_of(4, steps))))
+        GraphSequence(n=4, horizon=len(steps), kind="file", seed=0, bits=bits_of(4, steps))))
     hs = data.draw(horizon_lists(len(steps)))
     windows = connectivity_windows(seq, hs)
     assert windows == [reference_connectivity_window(seq.prefix(T)) for T in hs]
@@ -323,7 +329,7 @@ def pattern_sequences():
     alone = frozenset((i, i) for i in range(4))
     for lead in (1, 3, 6):
         steps = [alone] * lead + [ring] * 3 + [alone] * lead + [ring]
-        yield GraphSequence(n=4, horizon=len(steps), kind="custom", seed=0, adj=stack_of(4, steps))
+        yield GraphSequence(n=4, horizon=len(steps), kind="custom", seed=0, bits=bits_of(4, steps))
 
 
 @pytest.mark.parametrize("seq", list(pattern_sequences()), ids=lambda seq: f"{seq.kind}-{seq.n}-{seq.horizon}")
@@ -337,8 +343,8 @@ def test_every_pair_of_horizons_matches_the_one_horizon_search(seq):
 
 @pytest.mark.parametrize("kind", ["static-cycle", "rotating-arc"])
 def test_window_search_holds_one_private_stack(monkeypatch, kind):
-    # The unions grow in place in one copy of the stack: the search holds
-    # that copy and O(_BLOCK_CELLS) cells, never a second T*n*n stack.
+    # The unions grow in place in one copy of the packed stack: the search
+    # holds that copy and O(_BLOCK_CELLS) cells, never a second stack.
     # The rotating arc's window 8 grows the unions twice; the static
     # cycle's window 1 never does, and makes no copy.
     monkeypatch.setattr(pushsim.graphs, "_BLOCK_CELLS", 1 << 12)
@@ -351,8 +357,66 @@ def test_window_search_holds_one_private_stack(monkeypatch, kind):
         tracemalloc.stop()
     assert windows == [8 if kind == "rotating-arc" else 1]
     copies = 1 if kind == "rotating-arc" else 0
-    bound = copies * seq.adj.nbytes + 16 * pushsim.graphs._BLOCK_CELLS
+    bound = copies * seq.bits.nbytes + 16 * pushsim.graphs._BLOCK_CELLS
     assert peak <= bound, f"peak {peak} B above {bound} B"
+
+
+def traced_peak(build):
+    """(build(), the tracemalloc peak while it ran)."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["static-cycle", "rotating-arc", "random-walkable"])
+def test_building_a_sequence_or_its_weights_holds_the_packed_stack_and_one_block(kind):
+    # Generation, parsing and the weight stack hold the packed stack (one
+    # bit per arc slot) and one block of _BLOCK_CELLS float32 cells, never
+    # a T*n*n boolean stack (at n=100, T=4000: 5.2 MB packed, 40 MB not).
+    n, horizon = 100, 4000
+    packed = horizon * n * ((n + 7) // 8)
+    bound = packed + 4 * pushsim.graphs._BLOCK_CELLS
+    # The generator's and the parser's first calls import and cache.
+    parse_graph_sequence(format_graph_sequence(generate_sequence(kind, 9, 3, 1)))
+    seq, peak = traced_peak(lambda: generate_sequence(kind, n, horizon, 1, arc_prob=0.02))
+    assert peak <= bound, f"generation peak {peak} B above {bound} B"
+    # The weights share the stack and keep per-step degrees and floors.
+    _, peak = traced_peak(lambda: build_weight_stack(seq))
+    assert peak <= bound, f"weight stack peak {peak} B above {bound} B"
+    if kind == "rotating-arc":  # a file whose text is small next to the stack
+        text = format_graph_sequence(seq)
+        back, peak = traced_peak(lambda: parse_graph_sequence(text))
+        assert back.bits.nbytes == packed and np.array_equal(back.bits, seq.bits)
+        assert peak <= bound, f"parse peak {peak} B above {bound} B"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["static-cycle", "rotating-arc", "random-walkable"]),
+    n=st.integers(1, 21),
+    horizon=st.integers(1, 90),
+    seed=st.integers(0, 2**32 - 1),
+    arc_prob=st.floats(0.0, 1.0),
+    inject_every=st.integers(1, 9),
+    cells=st.sampled_from([None, 1, 50, 300]),
+)
+def test_packed_generation_is_the_dense_generator_packed(
+    kind, n, horizon, seed, arc_prob, inject_every, cells
+):
+    # Blocks of a few steps split the draws, the injections and the
+    # rotating arcs across block boundaries.
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(pushsim.graphs, "_BLOCK_CELLS", cells)
+        seq = generate_sequence(kind, n, horizon, seed, arc_prob=arc_prob, inject_every=inject_every)
+    dense = reference_adjacency(kind, n, horizon, seed, arc_prob, inject_every)
+    assert seq.bits.dtype == np.uint8 and seq.bits.shape == (horizon, n, (n + 7) // 8)
+    assert not seq.bits.flags.writeable
+    assert np.array_equal(seq.bits, np.packbits(dense, axis=2))
+    assert np.array_equal(unpack_adjacency(seq.bits, n), dense)
+    assert [g.adjacency().tolist() for g in seq.graphs] == dense.tolist()
 
 
 def test_window_search_rejects_horizons_outside_the_sequence():
@@ -365,15 +429,30 @@ def test_window_search_rejects_horizons_outside_the_sequence():
 
 def test_sequence_stack_is_read_only_and_validated():
     seq = generate_sequence("random-walkable", 4, 10, seed=1)
-    assert seq.adj.shape == (10, 4, 4) and seq.adj.dtype == bool
+    assert seq.bits.shape == (10, 4, 1) and seq.bits.dtype == np.uint8
     with pytest.raises(ValueError):
-        seq.adj[0, 0, 1] = True
-    adj = np.array(seq.adj)
-    copy = GraphSequence(n=4, horizon=10, kind="custom", seed=0, adj=adj)
-    adj[0, 0, 1] = not adj[0, 0, 1]  # the sequence kept its own copy
-    assert np.array_equal(copy.adj, seq.adj)
-    adj[3, 2, 2] = False
-    with pytest.raises(ValueError, match="self-arc"):
-        GraphSequence(n=4, horizon=10, kind="custom", seed=0, adj=adj)
+        seq.bits[0, 0, 0] = 0
+    bits = np.array(seq.bits)
+    copy = GraphSequence(n=4, horizon=10, kind="custom", seed=0, bits=bits)
+    bits[0, 0, 0] ^= 0x40  # the sequence kept its own copy
+    assert np.array_equal(copy.bits, seq.bits)
+    bits[3, 2, 0] &= ~np.uint8(0x20)
+    with pytest.raises(ValueError, match=r"self-arc at vertices \[2\]"):
+        GraphSequence(n=4, horizon=10, kind="custom", seed=0, bits=bits)
     with pytest.raises(ValueError, match="shape"):
-        GraphSequence(n=4, horizon=9, kind="custom", seed=0, adj=seq.adj)
+        GraphSequence(n=4, horizon=9, kind="custom", seed=0, bits=seq.bits)
+    with pytest.raises(ValueError, match="uint8"):
+        GraphSequence(n=4, horizon=10, kind="custom", seed=0, bits=unpack_adjacency(seq.bits, 4))
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 16, 17])
+def test_packed_rows_keep_their_padding_clear(n):
+    seq = generate_sequence("static-cycle", n, 3)
+    bits = np.array(seq.bits)
+    assert np.array_equal(unpack_adjacency(bits, n), np.broadcast_to(seq[0].adjacency(), (3, n, n)))
+    bits[2, n - 1, -1] |= 1  # the last bit of the last byte of a row
+    if n % 8:
+        with pytest.raises(ValueError, match=f"padding bits past vertex {n}"):
+            GraphSequence(n=n, horizon=3, kind="custom", seed=0, bits=bits)
+    else:  # no padding: the bit is vertex n-1's self-arc, already set
+        assert np.array_equal(GraphSequence(n=n, horizon=3, kind="custom", seed=0, bits=bits).bits, seq.bits)

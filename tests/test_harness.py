@@ -845,8 +845,8 @@ def reference_sweep(cfg, out):
 
 
 def graph_file(tmp_path, graphs):
-    adj = np.stack([g.adjacency() for g in graphs])
-    seq = GraphSequence(n=graphs[0].n, horizon=len(graphs), kind="file", seed=0, adj=adj)
+    bits = np.stack([np.packbits(g.adjacency(), axis=1) for g in graphs])
+    seq = GraphSequence(n=graphs[0].n, horizon=len(graphs), kind="file", seed=0, bits=bits)
     path = tmp_path / "graphs.txt"
     path.write_text(format_graph_sequence(seq))
     return str(path)

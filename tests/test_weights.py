@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushsim.graphs import digraph, generate_sequence
+from pushsim.graphs import GraphSequence, digraph, generate_sequence
 from pushsim.weights import (
     BLOCK_FLOATS,
     WeightMatrix,
@@ -153,19 +153,33 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=20, deadline=None)
+def custom_sequence(n, horizon, seed):
+    """A hand-built packed stack: each cross arc present with a density
+    drawn per step, so some steps are dense and some nearly empty."""
+    rng = np.random.default_rng(seed)
+    adj = rng.random((horizon, n, n)) < rng.random((horizon, 1, 1))
+    adj |= np.eye(n, dtype=bool)
+    return GraphSequence(n=n, horizon=horizon, kind="custom", seed=0, bits=np.packbits(adj, axis=2))
+
+
+@settings(max_examples=30, deadline=None)
 @given(
+    kind=st.sampled_from(["static-cycle", "rotating-arc", "random-walkable", "custom"]),
     n=st.integers(40, 160),
     full=st.integers(1, 3),
     rest=st.floats(0.0, 1.0, exclude_max=True),
     cut=st.floats(0.0, 1.0, exclude_max=True),
     seed=st.integers(0, 2 ** 16),
 )
-def test_weight_blocks_and_steps_are_bitwise_the_whole_stack(n, full, rest, cut, seed):
-    # `full` whole blocks and then part of one
+def test_weight_blocks_and_steps_are_bitwise_the_whole_stack(kind, n, full, rest, cut, seed):
+    # `full` whole blocks and then part of one; most n are not a multiple
+    # of 8, so the packed rows end in padding.
     k = max(1, BLOCK_FLOATS // n ** 2)
     horizon = full * k + 1 + int(rest * (k - 1))
-    seq = generate_sequence("random-walkable", n, horizon, seed, arc_prob=0.1)
+    if kind == "custom":
+        seq = custom_sequence(n, horizon, seed)
+    else:
+        seq = generate_sequence(kind, n, horizon, seed, arc_prob=0.1)
     ws, ref = build_weight_stack(seq), reference_weight_stack(seq)
     whole = ref[0].entries.base
     blocks = list(ws.blocks())
