@@ -57,17 +57,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Everything a bound evaluation needs besides the evaluation step.
+    """One run's constants, initial state and stepsizes.
 
-    ``alphas`` must hold the stepsizes actually applied, covering every
-    step the bound will be asked about.  ``mu`` may round to 1.0 for
-    worst-case constants; ``log_mu`` (strictly negative) is authoritative
-    and ``one_minus_mu`` is derived from it without cancellation;
-    ``decay_ok`` says whether ``schedule`` meets the decay conditions.
+    Every run starts at y(0) = 1, so x(0) = ``z0``.  ``alphas`` holds the
+    stepsizes applied; a series covers every step, and its row t depends
+    only on ``alphas[:t+1]``.  ``mu`` may round to 1.0 for worst-case
+    constants; ``log_mu`` (strictly negative) is authoritative and
+    ``one_minus_mu`` is derived from it without cancellation; ``decay_ok``
+    says whether ``schedule`` meets the decay conditions.
     """
 
     n: int
-    L: int
     d: int
     G: float
     eta: float
@@ -75,17 +75,16 @@ class BoundInputs:
     z_bar0: np.ndarray
     z0: np.ndarray
     z_star: np.ndarray
-    x0: np.ndarray
     g0: np.ndarray
     alphas: np.ndarray
-    schedule: StepsizeSchedule | None = None
+    schedule: StepsizeSchedule
     log_mu: float = field(default=None)  # type: ignore[assignment]
     one_minus_mu: float = field(init=False)
     decay_ok: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.L < 1 or self.d < 1:
-            raise ValueError("n, L, d must be positive")
+        if self.n < 1 or self.d < 1:
+            raise ValueError("n, d must be positive")
         if self.G <= 0:
             raise ValueError("subgradient ceiling G must be positive")
         if not 0 < self.eta <= self.n:
@@ -102,8 +101,7 @@ class BoundInputs:
         object.__setattr__(self, "one_minus_mu", -math.expm1(log_mu))
         for name, shape in (
             ("z_bar0", (self.d,)), ("z0", (self.n, self.d)),
-            ("z_star", (self.d,)), ("x0", (self.n, self.d)),
-            ("g0", (self.n, self.d)),
+            ("z_star", (self.d,)), ("g0", (self.n, self.d)),
         ):
             v = np.asarray(getattr(self, name), dtype=float).reshape(shape)
             v.setflags(write=False)
@@ -113,15 +111,13 @@ class BoundInputs:
             raise ValueError("alphas must be a nonempty vector")
         a.setflags(write=False)
         object.__setattr__(self, "alphas", a)
-        object.__setattr__(self, "decay_ok", (
-            self.schedule is not None
-            and validate_schedule(self.schedule).assumption == "satisfied"
-        ))
+        decay_ok = validate_schedule(self.schedule).assumption == "satisfied"
+        object.__setattr__(self, "decay_ok", decay_ok)
 
     @property
     def initial_mass(self) -> np.ndarray:
         """sum_i (x_i(0) + alpha(0) g_i(0)), the aggregate the mass term remembers."""
-        return (self.x0 + self.alphas[0] * self.g0).sum(axis=0)
+        return (self.z0 + self.alphas[0] * self.g0).sum(axis=0)
 
     def spread_sum(self, ref: np.ndarray) -> float:
         """sum_i (||z_bar0 - z_i0|| + ||ref - z_i0||)."""
@@ -137,17 +133,6 @@ def _mu_powers(log_mu: float, ks: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         out[nz] = np.exp(ks[nz] * log_mu)
     return out
-
-
-def _check_timevarying(inp: BoundInputs, t: int) -> None:
-    if not inp.decay_ok:
-        raise ValueError(
-            "time-varying bound needs a stepsize satisfying the decay "
-            "conditions (positive, nonincreasing, divergent sum, "
-            "square-summable)"
-        )
-    if not 0 <= t < inp.alphas.size:
-        raise ValueError(f"t must lie in [0, {inp.alphas.size - 1}], got {t}")
 
 
 @dataclass(frozen=True)
@@ -174,10 +159,8 @@ def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def timevarying_series(
-    inp: BoundInputs, t_max: int, agent: int | None = None
-) -> BoundSeries:
-    """Certificates for every t in 0..t_max under a decaying stepsize.
+def timevarying_series(inp: BoundInputs, agent: int | None = None) -> BoundSeries:
+    """Certificates for every step of ``inp.alphas`` under a decaying stepsize.
 
     The stepsize prefix sums are sequential cumulative sums, so the
     reported numbers are exactly the finite sums they claim to be, added
@@ -186,28 +169,30 @@ def timevarying_series(
     With tiny worst-case constants the memory terms may overflow to inf:
     such a certificate is valid but vacuous.
     """
-    _check_timevarying(inp, t_max)
+    if not inp.decay_ok:
+        raise ValueError("time-varying bound needs a stepsize satisfying the decay conditions "
+                         "(positive, nonincreasing, divergent sum, square-summable)")
     if agent is not None and not 0 <= agent < inp.n:
         raise ValueError(f"agent index out of range: {agent}")
-    a = inp.alphas[: t_max + 1]
+    a = inp.alphas
     dist0_sq = float(((inp.z_bar0 - inp.z_star) ** 2).sum())
     ref = inp.z_bar0 if agent is None else inp.z0[agent]
     spread = inp.spread_sum(ref)
     mass_norm = float(np.sqrt((inp.initial_mass ** 2).sum()))
 
-    ts = np.arange(t_max + 1, dtype=float)
+    ts = np.arange(a.size, dtype=float)
     sum_a = np.cumsum(a)
     sum_a2 = np.cumsum(a * a)
     t1 = (dist0_sq + inp.G ** 2 * sum_a2) / (2.0 * sum_a)
     t2 = inp.G * a[0] * spread / (inp.n * sum_a)
-    t3 = t4 = np.zeros(t_max + 1)
+    t3 = t4 = np.zeros(a.size)
     if inp.n > 1:
         # sum_{tau<t} alpha(tau) mu^tau and
         # sum_{tau<t} alpha(tau) (alpha(0) mu^(tau/2) + alpha(ceil(tau/2)))
-        head = a[:t_max]
-        pow_t = _mu_powers(inp.log_mu, ts)[:t_max]
-        pow_half = _mu_powers(inp.log_mu, ts / 2.0)[:t_max]
-        halves = a[0] * pow_half + a[(np.arange(t_max) + 1) // 2]  # alpha(ceil(tau/2))
+        head = a[:-1]
+        pow_t = _mu_powers(inp.log_mu, ts)[:-1]
+        pow_half = _mu_powers(inp.log_mu, ts / 2.0)[:-1]
+        halves = a[0] * pow_half + a[np.arange(1, a.size) // 2]  # alpha(ceil(tau/2))
         mass_acc = _exclusive_cumsum(head * pow_t)
         tail_acc = _exclusive_cumsum(head * halves)
         with np.errstate(over="ignore"):
@@ -221,20 +206,19 @@ def timevarying_series(
     return BoundSeries(ts=ts, terms=np.stack([t1, t2, t3, t4], axis=1), total=total)
 
 
-def bound_fixed(inp: BoundInputs, T: int, agent: int | None = None) -> BoundSeries:
-    """Certificate at the horizon for the constant stepsize 1/sqrt(T): the
-    one-row series at t = T."""
-    if inp.schedule is None or inp.schedule.kind != "fixed" or inp.schedule.T != T:
-        raise ValueError(
-            f"fixed-horizon bound needs a fixed 1/sqrt(T) schedule with T={T}"
-        )
+def bound_fixed(inp: BoundInputs, agent: int | None = None) -> BoundSeries:
+    """Certificate at the horizon T of ``inp.schedule`` for the constant
+    stepsize 1/sqrt(T): the one-row series at t = T."""
+    if inp.schedule.kind != "fixed":
+        raise ValueError("fixed-horizon bound needs a fixed 1/sqrt(T) schedule")
+    T = inp.schedule.T
     if agent is not None and not 0 <= agent < inp.n:
         raise ValueError(f"agent index out of range: {agent}")
     sqrt_t = math.sqrt(T)
     dist0_sq = float(((inp.z_bar0 - inp.z_star) ** 2).sum())
     ref = inp.z_bar0 if agent is None else inp.z0[agent]
     spread = inp.spread_sum(ref)
-    mass = (inp.x0 + inp.g0 / sqrt_t).sum(axis=0)
+    mass = (inp.z0 + inp.g0 / sqrt_t).sum(axis=0)
     mass_norm = float(np.sqrt((mass ** 2).sum()))
     t1 = (dist0_sq + inp.G ** 2) / (2.0 * sqrt_t)
     t2 = inp.G * spread / (inp.n * T)
@@ -264,21 +248,19 @@ class ContractionSeries:
     refined: np.ndarray | None
 
 
-def contraction_series(inp: BoundInputs, t_max: int) -> ContractionSeries:
-    """Evaluate both envelope forms for t = 0..t_max."""
-    if not 0 <= t_max < inp.alphas.size:
-        raise ValueError(f"t_max must lie in [0, {inp.alphas.size - 1}]")
+def contraction_series(inp: BoundInputs) -> ContractionSeries:
+    """Evaluate both envelope forms for every step of ``inp.alphas``."""
     a = inp.alphas
     mass_norm = float(np.sqrt((inp.initial_mass ** 2).sum()))
-    ts = np.arange(t_max + 1, dtype=float)
+    ts = np.arange(a.size, dtype=float)
     pow_t = _mu_powers(inp.log_mu, ts)
     pow_half = _mu_powers(inp.log_mu, ts / 2.0)
     lead = (8.0 / inp.eta) * mass_norm * pow_t
 
     mu = math.exp(inp.log_mu)  # rounding up toward 1.0 only loosens the bound
-    conv = np.empty(t_max + 1)
+    conv = np.empty(a.size)
     acc = 0.0
-    for t in range(t_max + 1):
+    for t in range(a.size):
         acc = mu * acc + a[t]
         conv[t] = acc
     geometric = lead + (8.0 * inp.n * inp.G / inp.eta) * conv

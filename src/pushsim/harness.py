@@ -40,7 +40,7 @@ from .graphs import (
     parse_graph_sequence,
     uniform_connectivity_window,
 )
-from .pushsum import AbsProbSeq, RunFailure, build_s_matrix, product_identity_residuals, theory_constants
+from .pushsum import AbsProbSeq, RunFailure, product_identity_residuals, theory_constants
 from .subgradient import (
     ObjectiveSpec,
     RunTrace,
@@ -96,7 +96,6 @@ APS_STOCH_TOL = 1e-12
 PRODUCT_IDENTITY_TOL = 1e-9
 FILE_WEIGHT_TOL = 1e-9
 VERIFY_HORIZON = 64
-PRODUCT_SPAN = 50
 
 
 class ConfigError(ValueError):
@@ -592,7 +591,8 @@ def _materialize_weights(
 def _materialize_spec(cfg: ExperimentConfig) -> tuple[StepsizeSchedule, ObjectiveSpec]:
     """The configured stepsize schedule and objective.  Their constructors
     hold the range rules (a > 0, p >= 0, g_bound >= 0, box_lo < box_hi,
-    ...); a config that breaks one is a config error."""
+    ...); a config that breaks one, or whose objective's optimum value f*
+    or ceiling g_bound overflows a float, is a config error."""
     s, o = cfg.schedule, cfg.objective
     box = None
     if o.box_lo is not None and o.box_hi is not None:
@@ -606,14 +606,19 @@ def _materialize_spec(cfg: ExperimentConfig) -> tuple[StepsizeSchedule, Objectiv
         else:
             schedule = StepsizeSchedule.fixed_horizon(s.t_fixed)
         section = "objective"
-        if o.kind == "quadratic":
-            objective = quadratic_objective(np.array(o.targets), box=box, g_bound=o.g_bound)
-        elif o.kind == "l1":
-            objective = l1_objective(np.array(o.targets), box=box, g_bound=o.g_bound)
-        elif o.kind == "hinge":
-            objective = hinge_objective(np.array(o.normals), o.labels, box=box, g_bound=o.g_bound)
-        else:
-            objective = zero_objective(cfg.graph.n, o.d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if o.kind == "quadratic":
+                objective = quadratic_objective(np.array(o.targets), box=box, g_bound=o.g_bound)
+            elif o.kind == "l1":
+                objective = l1_objective(np.array(o.targets), box=box, g_bound=o.g_bound)
+            elif o.kind == "hinge":
+                normals = np.array(o.normals)
+                objective = hinge_objective(normals, o.labels, box=box, g_bound=o.g_bound)
+            else:
+                objective = zero_objective(cfg.graph.n, o.d)
+        for name, value in (("g_bound", objective.g_bound), ("optimum f*", objective.f_star)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is {value}: the objective overflows a float")
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
     return schedule, objective
@@ -738,7 +743,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         if tc.eta > 0.0:
             constants["worst-case"] = (tc.eta, tc.mu, tc.log_mu)
         for rep in _certificates(
-            trace, objective, schedule, window, constants, cfg.bounds.agents, cfg.bounds.envelope,
+            trace, objective, schedule, constants, cfg.bounds.agents, cfg.bounds.envelope,
         ):
             # A per-agent certificate is folded into the summary and dropped.
             if rep.label.startswith("envelope-"):
@@ -799,7 +804,6 @@ def _certificates(
     trace: RunTrace | LoadedTrace,
     objective: ObjectiveSpec,
     schedule: StepsizeSchedule,
-    window: int,
     constants: dict[str, tuple[float, float, float | None]],
     agents: bool,
     envelope: bool,
@@ -810,11 +814,10 @@ def _certificates(
     the contraction envelopes (with ``envelope``).  A fixed schedule gets
     the one-row certificate at the horizon, a decaying one the series over
     every step."""
-    # y(0) = 1 makes the initial ratios equal the initial values x(0), and
-    # g(0) is the subgradient at them, so both are rebuilt from zs[0].
+    # g(0) is the subgradient at the initial ratios zs[0].
     g0 = objective.agent_subgradients(trace.zs[0])
-    t_last = trace.steps - 1
-    form = "fixed" if schedule.kind == "fixed" else "decaying"
+    fixed = schedule.kind == "fixed"
+    form, certify = ("fixed", bound_fixed) if fixed else ("decaying", timevarying_series)
     # (who, agent index, realized gap series); each agent's series is
     # computed once and shared by every constant set
     targets = [("network", None, trace.running_gap)]
@@ -825,21 +828,18 @@ def _certificates(
         ]
     for label, (eta, mu, log_mu) in constants.items():
         inp = BoundInputs(
-            n=trace.n, L=window, d=trace.d, G=objective.g_bound, eta=eta, mu=mu, log_mu=log_mu,
+            n=trace.n, d=trace.d, G=objective.g_bound, eta=eta, mu=mu, log_mu=log_mu,
             z_bar0=trace.zbar[0], z0=trace.zs[0], z_star=objective.z_star,
-            x0=trace.zs[0], g0=g0, alphas=trace.alphas, schedule=schedule,
+            g0=g0, alphas=trace.alphas, schedule=schedule,
         )
         for who, agent, gaps in targets:
-            if form == "fixed":
-                series, lhs = bound_fixed(inp, schedule.T, agent=agent), gaps[t_last:]
-            else:
-                series, lhs = timevarying_series(inp, t_last, agent=agent), gaps
+            series = certify(inp, agent=agent)
             yield BoundReport(
                 label=f"gap-{form}-{who}-{label}",
-                ts=series.ts, lhs=lhs, rhs=series.total, terms=series.terms,
+                ts=series.ts, lhs=gaps[-series.ts.size:], rhs=series.total, terms=series.terms,
             )
         if envelope:
-            env = contraction_series(inp, t_last)
+            env = contraction_series(inp)
             for kind, rhs in (("geometric", env.geometric), ("refined", env.refined)):
                 if rhs is not None:
                     yield BoundReport(
@@ -885,16 +885,9 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     tc = theory_constants(seq.n, window_check.value)
     checks += _invariant_checks(trace, tc, objective, validate_schedule(schedule))
 
-    # Exchange identity between raw and companion products over all
-    # window pairs tau <= t with t - tau capped; the weights and the
-    # companions are built once for every window.
-    ys_all = [trace.ys[t] for t in range(trace.steps)] + [trace.final_state.y]
-    wl = list(ws)
-    ss = [build_s_matrix(w, y) for w, y in zip(wl, trace.ys)]
-    worst = 0.0
-    for tau in range(trace.steps):
-        hi = min(trace.steps, tau + PRODUCT_SPAN)
-        worst = max(worst, *product_identity_residuals(wl, ss, ys_all, tau, hi).tolist())
+    # The exchange identity over every window tau < t <= tau + PRODUCT_SPAN.
+    ys = np.vstack([trace.ys, trace.final_state.y[None, :]])
+    worst = float(product_identity_residuals(ws.block(0, trace.steps), ys).max())
     checks.append(_residual_check("product-identity", worst, PRODUCT_IDENTITY_TOL))
 
     summary.eta_emp = trace.min_y
@@ -1131,14 +1124,14 @@ def import_trace(path: str | Path) -> LoadedTrace:
     """Read a trace CSV back into arrays; floats round-trip bitwise."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) < 2:
-        raise ValueError(f"trace file {path} has no data rows")
+        raise ValueError("no data rows")
     header = lines[0].split(",")
     z_cols = [c for c in header if c.startswith("z") and "_" in c and c[1].isdigit()]
     n = max(int(c[1 : c.index("_")]) for c in z_cols)
     d = max(int(c.split("_")[1]) for c in z_cols)
     layout = _trace_layout(n, d, "bound_lhs" in header)
     if header != [col for _, _, cols in layout for col in cols]:
-        raise ValueError(f"unexpected trace header in {path}")
+        raise ValueError("unexpected trace header")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     steps = data.shape[0]
     blocks = np.split(data, np.cumsum([len(cols) for _, _, cols in layout])[:-1], axis=1)
@@ -1249,12 +1242,47 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     (the empirical constants themselves) are treated as recorded inputs,
     not re-derived.  The charts are left as ``simulate`` drew them: they
     hold series (the one-step deviation, the contraction envelope) that
-    the trace does not persist.
+    the trace does not persist.  An artifact that does not parse, or lacks
+    an entry this reads, is a ConfigError naming its file.
     """
     schedule, objective = _materialize_spec(cfg)
     out = Path(out_dir)
-    loaded = import_trace(out / "trace.csv")
-    stored = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    path = out / "trace.csv"
+    try:
+        loaded = import_trace(path)
+        path = out / "report.json"
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        stored_gap = float(stored["final_gap"])
+        # The network certificates are rebuilt from the trace and the
+        # constants the report recorded, for each constant set the run
+        # evaluated: a decaying run's shows in its trace columns (an
+        # all-NaN worst-case column means none was evaluated), a fixed
+        # run's in a finite margin.
+        fixed = schedule.kind == "fixed"
+        if fixed:
+            margins = stored["bound_margins"]
+            evaluated = {
+                label: math.isfinite(margins.get(f"gap-fixed-network-{label}", math.nan))
+                for label in ("empirical", "worst-case")
+            }
+        else:
+            wc_column = loaded.bound_rhs_wc
+            evaluated = {
+                "empirical": loaded.bound_lhs is not None and stored.get("mu_emp") is not None,
+                "worst-case": wc_column is not None and not np.isnan(wc_column).all(),
+            }
+        recorded = {
+            "empirical": (stored.get("eta_emp"), stored.get("mu_emp"), None),
+            "worst-case": tuple(stored.get(k) for k in ("eta_theory", "mu_theory", "log_mu_theory")),
+        }
+        constants = {
+            label: (float(eta), float(mu), log_mu)
+            for label, (eta, mu, log_mu) in recorded.items() if evaluated[label]
+        }
+    except KeyError as exc:
+        raise ConfigError(f"{path}: no {exc} entry") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     # check name -> largest deviation between recomputed and stored values
     errors: dict[str, float] = {}
     zbar, cons = mean_and_consensus(loaded.zs)
@@ -1264,34 +1292,8 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     # and the report.json of the run stays as it is.
     gaps = np.maximum(running_average_gaps(objective, loaded.alphas, loaded.zbar), 0.0)
     errors["recompute-gap"] = float(np.abs(gaps - loaded.running_gap).max())
-    errors["recompute-final-gap"] = abs(float(loaded.running_gap[-1]) - float(stored["final_gap"]))
-
-    # The network certificates are rebuilt from the trace and the constants
-    # the report recorded, for each constant set the run evaluated: a
-    # decaying run's shows in its trace columns (an all-NaN worst-case
-    # column means none was evaluated), a fixed run's in a finite margin.
-    fixed = schedule.kind == "fixed"
-    if fixed:
-        margins = stored["bound_margins"]
-        evaluated = {
-            label: math.isfinite(margins.get(f"gap-fixed-network-{label}", math.nan))
-            for label in ("empirical", "worst-case")
-        }
-    else:
-        evaluated = {
-            "empirical": loaded.bound_lhs is not None and stored.get("mu_emp") is not None,
-            "worst-case": loaded.bound_rhs_wc is not None and not np.isnan(loaded.bound_rhs_wc).all(),
-        }
-    recorded = {
-        "empirical": (stored.get("eta_emp"), stored.get("mu_emp"), None),
-        "worst-case": (stored.get("eta_theory"), stored.get("mu_theory"), stored.get("log_mu_theory")),
-    }
-    constants = {
-        label: (float(eta), float(mu), log_mu)
-        for label, (eta, mu, log_mu) in recorded.items() if evaluated[label]
-    }
-    window = int(stored["connectivity_window"])
-    for rep in _certificates(loaded, objective, schedule, window, constants, False, False):
+    errors["recompute-final-gap"] = abs(float(loaded.running_gap[-1]) - stored_gap)
+    for rep in _certificates(loaded, objective, schedule, constants, False, False):
         wc = "-wc" if rep.label.endswith("-worst-case") else ""
         if fixed:
             errors["recompute-bound-fixed" + wc] = abs(rep.min_margin - margins[rep.label])

@@ -51,6 +51,8 @@ Y_FLOOR = 1e-300
 # weights; the harness builds its rows directly and reports the drift
 # through its own, tighter weight-mass check instead.
 APS_MASS_TOL = 1e-6
+# The longest product the exchange identity is checked over.
+PRODUCT_SPAN = 50
 
 
 @dataclass(frozen=True)
@@ -201,40 +203,29 @@ class CompanionView(Sequence[SMatrix]):
         return build_s_matrix(self.ws[t], self.ys[t])
 
 
-def product_identity_residuals(
-    ws: Sequence[WeightMatrix],
-    ss: Sequence[SMatrix],
-    ys: Sequence[np.ndarray],
-    tau: int,
-    t_max: int,
-) -> np.ndarray:
-    """Max entrywise residuals tying the two product families together,
-    for every t = tau+1..t_max, in that order.
+def product_identity_residuals(ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Worst exchange-identity residual for each start tau of a T-step
+    run, from W(0..T-1) ``ws`` (T, n, n) and y(0..T) ``ys`` (T+1, n).
 
-    For the products P_S = S(t-1)...S(tau) and P_W = W(t-1)...W(tau) the
-    exchange relation  P_S[i, j] * y_i(t) = P_W[i, j] * y_j(tau)  holds in
-    exact arithmetic; entry t-tau-1 is the largest absolute mismatch over
-    all (i, j) at t.  ``ys[k]`` must be the weight vector at step k, with
-    ``ys`` covering indices tau..t_max inclusive.
-
-    Both products grow by one left multiplication per t, so the whole
-    range costs 2 (t_max - tau - 1) matrix products, each the same one a
-    from-scratch product would have taken.
+    P_S = S(t-1)...S(tau) and P_W = W(t-1)...W(tau) satisfy
+    P_S[i, j] * y_i(t) = P_W[i, j] * y_j(tau) in exact arithmetic; entry
+    tau is the largest mismatch over all (i, j) and t = tau+1 .. min(T,
+    tau + PRODUCT_SPAN), NaN if any is NaN.  Each S(k) is built once, and
+    both products grow by one left multiplication per t.
     """
-    for mats in (ss, ws):
-        if not 0 <= tau <= t_max <= len(mats):
-            raise ValueError(
-                f"need 0 <= tau <= t <= {len(mats)}, got tau={tau}, t={t_max}"
-            )
-    y_tau = np.asarray(ys[tau], dtype=float)
-    out = np.empty(t_max - tau)
-    ps = pw = None
-    for k in range(tau, t_max):
-        s_k, w_k = ss[k].entries, ws[k].entries
-        ps = s_k if ps is None else s_k @ ps
-        pw = w_k if pw is None else w_k @ pw
-        y_t = np.asarray(ys[k + 1], dtype=float)
-        out[k - tau] = np.abs(ps * y_t[:, None] - pw * y_tau[None, :]).max()
+    steps = len(ws)
+    if ys.shape != (steps + 1, ws.shape[1]):
+        raise ValueError(f"need {steps + 1} weight vectors of length {ws.shape[1]}, got {ys.shape}")
+    ss = [build_s_matrix(w, y).entries for w, y in zip(ws, ys)]
+    out = np.empty(steps)
+    for tau in range(steps):
+        worst, ps, pw = 0.0, None, None
+        for k in range(tau, min(steps, tau + PRODUCT_SPAN)):
+            ps = ss[k] if ps is None else ss[k] @ ps
+            pw = ws[k] if pw is None else ws[k] @ pw
+            # np.maximum, unlike max(), keeps a NaN
+            worst = np.maximum(worst, np.abs(ps * ys[k + 1][:, None] - pw * ys[tau][None, :]).max())
+        out[tau] = worst
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,17 +21,16 @@ from pushsim.subgradient import StepsizeSchedule, stepsize_array
 
 
 def make_inputs(n=3, d=1, G=2.0, eta=0.5, mu=0.8, steps=64, schedule=None,
-                z0=None, x0=None, g0=None, z_star=None, **kw):
+                z0=None, g0=None, z_star=None, **kw):
     sched = schedule if schedule is not None else StepsizeSchedule.harmonic()
     alphas = stepsize_array(sched, steps)
     z0 = np.arange(n, dtype=float).reshape(n, 1) * np.ones((1, d)) if z0 is None else z0
-    x0 = z0.copy() if x0 is None else x0
     g0 = np.ones((n, d)) if g0 is None else g0
     return BoundInputs(
-        n=n, L=1, d=d, G=G, eta=eta, mu=mu,
+        n=n, d=d, G=G, eta=eta, mu=mu,
         z_bar0=z0.mean(axis=0), z0=z0,
         z_star=np.zeros(d) if z_star is None else z_star,
-        x0=x0, g0=g0, alphas=alphas, schedule=sched, **kw,
+        g0=g0, alphas=alphas, schedule=sched, **kw,
     )
 
 
@@ -61,13 +61,13 @@ def test_log_mu_is_authoritative_over_rounded_mu():
     # worst-case constants round mu to 1.0 in floats; the log keeps working
     inp = make_inputs(mu=1.0, log_mu=-1e-18)
     assert inp.one_minus_mu == pytest.approx(1e-18, rel=1e-12)
-    total = timevarying_series(inp, 10).total[10]
+    total = timevarying_series(inp).total[10]
     assert math.isfinite(total) and total > 0
 
 
 def test_initial_mass_and_spread():
     z0 = np.array([[0.0], [2.0], [4.0]])
-    inp = make_inputs(z0=z0, x0=z0, g0=np.ones((3, 1)))
+    inp = make_inputs(z0=z0, g0=np.ones((3, 1)))
     assert_allclose(inp.initial_mass, [6.0 + 3.0])  # alpha(0) = 1
     # spread about the network mean: sum ||zbar - zi|| counted twice
     assert inp.spread_sum(np.array([2.0])) == pytest.approx(8.0)
@@ -81,7 +81,7 @@ def test_initial_mass_and_spread():
 def test_timevarying_t0_terms_by_hand():
     z0 = np.array([[0.0], [2.0], [4.0]])
     inp = make_inputs(z0=z0, G=2.0, eta=0.5)
-    b = timevarying_series(inp, 0)
+    b = timevarying_series(inp)
     dist_sq = (2.0 - 0.0) ** 2
     assert b.terms[0, 0] == pytest.approx((dist_sq + 4.0 * 1.0) / 2.0)
     assert b.terms[0, 1] == pytest.approx(2.0 * 1.0 * 8.0 / (3 * 1.0))
@@ -93,7 +93,7 @@ def test_timevarying_t0_terms_by_hand():
 
 def test_timevarying_series_matches_explicit_sums():
     inp = make_inputs(steps=32, mu=0.6)
-    series = timevarying_series(inp, 31)
+    series = timevarying_series(inp)
     a = inp.alphas
     t = 17
     sum_a = a[: t + 1].sum()
@@ -115,9 +115,9 @@ def test_timevarying_series_matches_explicit_sums():
 def test_agent_variant_uses_agent_reference_spread():
     z0 = np.array([[0.0], [2.0], [4.0]])
     inp = make_inputs(z0=z0)
-    net = timevarying_series(inp, 5).terms[5]
-    ag0 = timevarying_series(inp, 5, agent=0).terms[5]
-    ag2 = timevarying_series(inp, 5, agent=2).terms[5]
+    net = timevarying_series(inp).terms[5]
+    ag0 = timevarying_series(inp, agent=0).terms[5]
+    ag2 = timevarying_series(inp, agent=2).terms[5]
     # spread about agent 0's start (= 0.0) equals spread about agent 2's (= 4.0)
     assert ag0[1] == pytest.approx(ag2[1])
     assert ag0[1] > net[1]
@@ -125,13 +125,13 @@ def test_agent_variant_uses_agent_reference_spread():
     for k in (0, 2, 3):
         assert ag0[k] == net[k]
     with pytest.raises(ValueError, match="agent"):
-        timevarying_series(inp, 5, agent=3)
+        timevarying_series(inp, agent=3)
 
 
 def test_single_agent_drops_network_memory_terms():
     z0 = np.array([[3.0]])
     inp = make_inputs(n=1, z0=z0, eta=1.0, mu=0.0)
-    b = timevarying_series(inp, 20)
+    b = timevarying_series(inp)
     assert b.terms[20, 1] == 0.0 and b.terms[20, 2] == 0.0 and b.terms[20, 3] == 0.0
     # what remains is the classic centralized certificate
     a = inp.alphas[:21]
@@ -142,10 +142,10 @@ def test_single_agent_drops_network_memory_terms():
 def test_timevarying_requires_decaying_schedule():
     inp = make_inputs(schedule=StepsizeSchedule.fixed_horizon(64))
     with pytest.raises(ValueError, match="decay"):
-        timevarying_series(inp, 10)
+        timevarying_series(inp)
     inp2 = make_inputs(schedule=StepsizeSchedule.polynomial(1.0, 0.3))
     with pytest.raises(ValueError, match="decay"):
-        timevarying_series(inp2, 10)
+        timevarying_series(inp2)
 
 
 def test_timevarying_total_decays_to_zero():
@@ -153,7 +153,7 @@ def test_timevarying_total_decays_to_zero():
     # for large t, so the certificate keeps shrinking at that rate
     inp = make_inputs(steps=100_000, mu=0.9,
                       schedule=StepsizeSchedule.polynomial(1.0, 0.75))
-    series = timevarying_series(inp, 99_999)
+    series = timevarying_series(inp)
     t_small, t_big = series.total[999], series.total[99_999]
     assert t_big < 0.4 * t_small
     ratio = (999 + 1) / (99_999 + 1)
@@ -165,8 +165,8 @@ def test_monotone_dependence_on_constants():
     bigger_g = make_inputs(G=3.0, eta=0.5, mu=0.8)
     smaller_eta = make_inputs(G=1.0, eta=0.05, mu=0.8)
     t = 12
-    assert timevarying_series(bigger_g, t).total[t] > timevarying_series(base, t).total[t]
-    b0, b1 = timevarying_series(base, t).terms[t], timevarying_series(smaller_eta, t).terms[t]
+    assert timevarying_series(bigger_g).total[t] > timevarying_series(base).total[t]
+    b0, b1 = timevarying_series(base).terms[t], timevarying_series(smaller_eta).terms[t]
     assert b1[2] > b0[2] and b1[3] > b0[3]
 
 
@@ -178,10 +178,10 @@ def test_fixed_horizon_terms_by_hand():
     T = 400
     sched = StepsizeSchedule.fixed_horizon(T)
     z0 = np.array([[1.0], [1.0], [1.0]])
-    inp = make_inputs(schedule=sched, steps=T, z0=z0, x0=z0,
+    inp = make_inputs(schedule=sched, steps=T, z0=z0,
                       g0=np.full((3, 1), 2.0), G=2.0, eta=0.5, mu=0.8,
                       z_star=np.array([0.0]))
-    b = bound_fixed(inp, T)
+    b = bound_fixed(inp)
     assert b.ts.tolist() == [T]
     terms = b.terms[0]
     assert terms[0] == pytest.approx((1.0 + 4.0) / (2 * 20.0))
@@ -192,15 +192,16 @@ def test_fixed_horizon_terms_by_hand():
 
 
 def test_fixed_horizon_scales_as_inverse_sqrt():
-    # suppress the 1/T terms: zero spread and zero aggregate mass
+    # suppress the 1/T terms: zero spread and zero aggregate mass, with
+    # the optimum a unit distance from the start
     def rhs(T):
         sched = StepsizeSchedule.fixed_horizon(T)
         g0 = np.ones((3, 1))
+        z0 = -g0 / math.sqrt(T)
         inp = make_inputs(
-            schedule=sched, steps=T, z0=np.ones((3, 1)),
-            x0=-g0 / math.sqrt(T), g0=g0, z_star=np.array([0.0]),
+            schedule=sched, steps=T, z0=z0, g0=g0, z_star=z0[0] - 1.0,
         )
-        return bound_fixed(inp, T).total[0]
+        return bound_fixed(inp).total[0]
 
     ratio = rhs(1600) / rhs(400)
     assert 0.49 <= ratio <= 0.51
@@ -216,7 +217,7 @@ def test_fixed_horizon_terms_one_and_four_are_exactly_order_inverse_sqrt():
         T = 4 ** k
         inp = make_inputs(schedule=StepsizeSchedule.fixed_horizon(T), steps=T, z0=z0,
                           z_star=np.array([1.5]), G=3.0, eta=0.3, mu=0.7)
-        t1, t2, _, t4 = bound_fixed(inp, T).terms[0]
+        t1, t2, _, t4 = bound_fixed(inp).terms[0]
         scaled.add((math.sqrt(T) * t1, math.sqrt(T) * t4, T * t2))
     assert len(scaled) == 1
     assert all(v > 0 for v in scaled.pop())
@@ -226,7 +227,7 @@ def test_fixed_horizon_single_agent_keeps_mass_term_only():
     sched = StepsizeSchedule.fixed_horizon(100)
     inp = make_inputs(n=1, schedule=sched, steps=100, z0=np.array([[2.0]]),
                       eta=1.0, mu=0.0)
-    terms = bound_fixed(inp, 100).terms[0]
+    terms = bound_fixed(inp).terms[0]
     assert terms[3] == 0.0
     assert terms[2] > 0.0  # self-mass memory stays, decaying like 1/T
 
@@ -234,10 +235,10 @@ def test_fixed_horizon_single_agent_keeps_mass_term_only():
 def test_fixed_horizon_schedule_must_match():
     inp = make_inputs(schedule=StepsizeSchedule.harmonic(), steps=50)
     with pytest.raises(ValueError, match="fixed 1/sqrt"):
-        bound_fixed(inp, 50)
+        bound_fixed(inp)
+    # the horizon is the schedule's
     inp2 = make_inputs(schedule=StepsizeSchedule.fixed_horizon(64), steps=64)
-    with pytest.raises(ValueError, match="T=100"):
-        bound_fixed(inp2, 100)
+    assert bound_fixed(inp2).ts.tolist() == [64.0]
 
 
 # --------------------------------------------------------------------------
@@ -246,8 +247,8 @@ def test_fixed_horizon_schedule_must_match():
 
 def test_envelope_t0_by_hand():
     z0 = np.array([[1.0], [2.0], [3.0]])
-    inp = make_inputs(z0=z0, x0=z0, g0=np.ones((3, 1)), G=2.0, eta=0.5, mu=0.8)
-    series = contraction_series(inp, 0)
+    inp = make_inputs(z0=z0, g0=np.ones((3, 1)), G=2.0, eta=0.5, mu=0.8)
+    series = contraction_series(inp)
     geo, refined = series.geometric[0], series.refined[0]
     mass = 6.0 + 3.0  # alpha(0) = 1
     assert geo == pytest.approx((8.0 / 0.5) * mass + (8.0 * 3 * 2.0 / 0.5) * 1.0)
@@ -258,7 +259,7 @@ def test_envelope_t0_by_hand():
 
 def test_envelope_geometric_recursion_matches_direct_sum():
     inp = make_inputs(mu=0.7, steps=40)
-    series = contraction_series(inp, 39)
+    series = contraction_series(inp)
     a = inp.alphas
     t = 23
     conv = sum(0.7 ** (t - s) * a[s] for s in range(t + 1))
@@ -268,22 +269,23 @@ def test_envelope_geometric_recursion_matches_direct_sum():
 
 
 def test_envelope_without_stepsizes_is_pure_decay():
-    # zero stepsizes and no schedule: the refined form is unavailable and
-    # the geometric form collapses to the decaying initial-mass envelope
+    # zero stepsizes under a schedule that does not decay: the refined form
+    # is unavailable and the geometric form collapses to the decaying
+    # initial-mass envelope
     z0 = np.array([[1.0], [5.0]])
     inp = BoundInputs(
-        n=2, L=1, d=1, G=1.0, eta=0.5, mu=0.6,
+        n=2, d=1, G=1.0, eta=0.5, mu=0.6,
         z_bar0=z0.mean(axis=0), z0=z0, z_star=np.zeros(1),
-        x0=z0, g0=np.zeros((2, 1)), alphas=np.zeros(30),
+        g0=np.zeros((2, 1)), alphas=np.zeros(30), schedule=StepsizeSchedule.fixed_horizon(30),
     )
-    series = contraction_series(inp, 29)
+    series = contraction_series(inp)
     assert series.refined is None
     assert_allclose(series.geometric, (8.0 / 0.5) * 6.0 * 0.6 ** np.arange(30))
 
 
 def test_envelope_refined_beats_geometric_eventually():
     inp = make_inputs(mu=0.9, steps=4000)
-    series = contraction_series(inp, 3999)
+    series = contraction_series(inp)
     # both envelopes shrink toward zero and the refined form also vanishes
     assert series.geometric[-1] < series.geometric[200] < series.geometric[0]
     assert series.refined[-1] < 1e-1 * series.refined[0]
@@ -338,7 +340,7 @@ def test_fit_geometric_rate_exact_path():
 # the array series against the per-step loop it replaced
 # --------------------------------------------------------------------------
 
-def reference_series(inp, t_max, agent=None):
+def reference_series(inp, agent=None):
     """The certificate series as a per-step loop with running sums: the
     definition the array form of ``timevarying_series`` must reproduce
     bit for bit, as (terms rows, totals)."""
@@ -349,7 +351,7 @@ def reference_series(inp, t_max, agent=None):
     mass_norm = float(np.sqrt((inp.initial_mass ** 2).sum()))
     single = inp.n == 1
 
-    ts = np.arange(t_max + 1, dtype=float)
+    ts = np.arange(a.size, dtype=float)
     pow_t = _mu_powers(inp.log_mu, ts)
     pow_half = _mu_powers(inp.log_mu, ts / 2.0)
 
@@ -359,7 +361,7 @@ def reference_series(inp, t_max, agent=None):
     mass_acc = 0.0   # sum_{tau=0}^{t-1} alpha(tau) mu^tau
     tail_acc = 0.0   # sum_{tau=0}^{t-1} alpha(tau) (alpha(0) mu^(tau/2) + alpha(ceil(tau/2)))
     with np.errstate(over="ignore"):
-        for t in range(t_max + 1):
+        for t in range(a.size):
             sum_a += a[t]
             sum_a2 += a[t] * a[t]
             t1 = (dist0_sq + inp.G ** 2 * sum_a2) / (2.0 * sum_a)
@@ -402,7 +404,6 @@ def series_inputs(draw):
     steps = draw(st.integers(1, 300))
     coords = st.floats(-10.0, 10.0)
     z0 = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d))).reshape(n, d)
-    x0 = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d))).reshape(n, d)
     g0 = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d))).reshape(n, d)
     z_star = np.array(draw(st.lists(coords, min_size=d, max_size=d)))
     if n == 1:
@@ -413,42 +414,59 @@ def series_inputs(draw):
         mu, log_mu = 1.0, -draw(st.floats(1e-18, 1e-3))
     eta = draw(st.one_of(st.floats(1e-3, float(n)), st.just(1e-300)))
     inp = BoundInputs(
-        n=n, L=1, d=d, G=draw(st.floats(0.01, 10.0)), eta=eta, mu=mu, log_mu=log_mu,
-        z_bar0=z0.mean(axis=0), z0=z0, z_star=z_star, x0=x0, g0=g0,
+        n=n, d=d, G=draw(st.floats(0.01, 10.0)), eta=eta, mu=mu, log_mu=log_mu,
+        z_bar0=z0.mean(axis=0), z0=z0, z_star=z_star, g0=g0,
         alphas=stepsize_array(sched, steps), schedule=sched,
     )
-    t_max = draw(st.integers(0, steps - 1))
     agent = draw(st.one_of(st.none(), st.integers(0, n - 1)))
-    t = draw(st.integers(0, t_max))
-    return inp, t_max, agent, t
+    t = draw(st.integers(0, steps - 1))
+    return inp, agent, t
 
 
 @settings(max_examples=200, deadline=None)
 @given(series_inputs())
 def test_series_is_bitwise_the_per_step_loop(case):
-    inp, t_max, agent, t = case
-    ref_terms, ref_totals = reference_series(inp, t_max, agent)
-    got = timevarying_series(inp, t_max, agent)
-    assert isinstance(got, BoundSeries) and got.ts.size == t_max + 1
-    assert_bitwise(got.ts, np.arange(t_max + 1))
+    inp, agent, t = case
+    steps = inp.alphas.size
+    ref_terms, ref_totals = reference_series(inp, agent)
+    got = timevarying_series(inp, agent)
+    assert isinstance(got, BoundSeries) and got.ts.size == steps
+    assert_bitwise(got.ts, np.arange(steps))
     assert_bitwise(got.terms, ref_terms)
     assert_bitwise(got.total, ref_totals)
-    one = timevarying_series(inp, t, agent=agent)
-    assert one.ts[t] == t
-    assert_bitwise(one.terms[t], got.terms[t])
-    assert_bitwise(one.total[t], got.total[t])
+    # the inputs of a run cut after step t give rows 0..t
+    one = timevarying_series(replace(inp, alphas=inp.alphas[: t + 1]), agent=agent)
+    assert one.ts[-1] == t
+    assert_bitwise(one.terms, got.terms[: t + 1])
+    assert_bitwise(one.total, got.total[: t + 1])
+
+
+@pytest.mark.parametrize("sched", [StepsizeSchedule.harmonic(), StepsizeSchedule.polynomial(2.0, 0.6)])
+def test_series_rows_depend_only_on_the_stepsize_prefix(sched):
+    # A decaying run's certificates and envelopes at steps 0..t are those
+    # of the same run cut after step t: every row, bit for bit.
+    inp = make_inputs(n=4, d=2, steps=300, schedule=sched, mu=0.9)
+    full, env = timevarying_series(inp), contraction_series(inp)
+    for t in (0, 1, 2, 7, 64, 150, 298, 299):
+        cut = replace(inp, alphas=inp.alphas[: t + 1])
+        part, part_env = timevarying_series(cut), contraction_series(cut)
+        for got, want in (
+            (part.ts, full.ts), (part.terms, full.terms), (part.total, full.total),
+            (part_env.geometric, env.geometric), (part_env.refined, env.refined),
+        ):
+            assert_bitwise(got, want[: t + 1])
 
 
 def test_tiny_eta_overflows_to_an_inf_certificate_silently():
     # with filterwarnings = error a numpy overflow warning would fail here
     inp = make_inputs(n=4, eta=1e-300, mu=1.0, log_mu=-1e-18, steps=50)
-    series = timevarying_series(inp, 49)
+    series = timevarying_series(inp)
     assert series.terms[0, 3] == 0.0 and np.isinf(series.terms[1:, 3]).all()
     assert np.isinf(series.total[1:]).all() and np.isfinite(series.total[0])
 
 
 def test_series_arrays_are_read_only():
-    series = timevarying_series(make_inputs(steps=8), 7)
+    series = timevarying_series(make_inputs(steps=8))
     for arr in (series.ts, series.terms, series.total):
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -456,7 +474,7 @@ def test_series_arrays_are_read_only():
 
 def test_single_row_series_holds_the_fixed_certificate():
     inp = make_inputs(schedule=StepsizeSchedule.fixed_horizon(64), steps=64)
-    series = bound_fixed(inp, 64, agent=1)
+    series = bound_fixed(inp, agent=1)
     assert isinstance(series, BoundSeries) and series.ts.tolist() == [64.0]
     assert series.terms.shape == (1, 4) and series.total[0] == sum(series.terms[0])
     for arr in (series.ts, series.terms, series.total):

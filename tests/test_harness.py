@@ -764,6 +764,23 @@ def test_verify_happy_path():
     assert summary.steps <= 64
 
 
+def test_verify_fails_product_identity_on_a_nan_residual(monkeypatch):
+    # one NaN weight late in the stack: its residuals follow finite ones,
+    # which a plain max() would keep instead of the NaN
+    residuals = pushsim.harness.product_identity_residuals
+
+    def with_nan(ws, ys):
+        ws = ws.copy()
+        ws[40, 0, 0] = np.nan
+        return residuals(ws, ys)
+
+    monkeypatch.setattr(pushsim.harness, "product_identity_residuals", with_nan)
+    summary, _ = verify_experiment(base_config())
+    check = {c.name: c for c in summary.checks}["product-identity"]
+    assert not check.passed and np.isnan(check.value)
+    assert not summary.passed
+
+
 # --------------------------------------------------------------------------
 # sweeps
 # --------------------------------------------------------------------------
@@ -1229,6 +1246,70 @@ def test_cli_unreadable_inputs_and_outputs_exit_2(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err == out_exists
     assert a_file.read_text() == "not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "a_file", "latin1.ini", "run.ini"]
+
+
+def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
+    # one stderr line naming the file, exit 2, never a traceback
+    cfgp = write_cfg(tmp_path, base_config())
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+    trace, report = (out / "trace.csv").read_text(), (out / "report.json").read_text()
+    lines = trace.splitlines(keepends=True)
+    no_gap, no_eta = json.loads(report), json.loads(report)
+    del no_gap["final_gap"]
+    no_eta["eta_emp"] = None
+    cases = [
+        ("trace.csv", "T" + trace[1:], "unexpected trace header"),
+        ("trace.csv", lines[0] + "x" + lines[1][lines[1].index(","):] + "".join(lines[2:]),
+         "could not convert string to float"),
+        ("report.json", report[: len(report) // 2], "Unterminated string"),
+        ("report.json", json.dumps(no_gap), "no 'final_gap' entry"),
+        ("report.json", json.dumps(no_eta), "not 'NoneType'"),
+    ]
+
+    def refused(cfgp, name, message):
+        capsys.readouterr()
+        assert main(["report", "--config", cfgp, "--out", str(out)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {out / name}: ") and message in err, err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    for name, text, message in cases:
+        (out / "trace.csv").write_text(trace)
+        (out / "report.json").write_text(report)
+        (out / name).write_text(text)
+        refused(cfgp, name, message)
+    # a fixed-schedule run's report is read for its margins
+    fixed = base_config(schedule=ScheduleConfig(kind="fixed", t_fixed=150))
+    cfgp = write_cfg(tmp_path, fixed)
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+    stored = json.loads((out / "report.json").read_text())
+    del stored["bound_margins"]
+    (out / "report.json").write_text(json.dumps(stored))
+    refused(cfgp, "report.json", "no 'bound_margins' entry")
+
+
+def test_cli_non_finite_optimum_or_ceiling_is_a_config_error(tmp_path, capsys):
+    # f* and the automatic g_bound of the quadratic targets overflow to inf,
+    # and so does f* of the l1 ones (whose g_bound is 1); every command
+    # refuses the config without a RuntimeWarning (an error here) and
+    # creates nothing
+    for objective, message in (
+        (ObjectiveConfig(kind="quadratic", targets=((1e160,), (0.0,), (-1e160,))), "g_bound is inf"),
+        (ObjectiveConfig(kind="l1", targets=((1e308,), (-1e308,), (1e308,))), "optimum f* is inf"),
+    ):
+        cfg = dataclasses.replace(
+            base_config(), graph=GraphConfig(kind="static-cycle", n=3, horizon=50),
+            objective=objective, sweep=SweepConfig(horizons=(10, 20, 40)),
+        )
+        cfgp = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        for command in ("simulate", "verify", "sweep", "report"):
+            capsys.readouterr()
+            assert main([command, "--config", cfgp, "--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert err == f"config error: [objective] {message}: the objective overflows a float\n", err
+        assert not out.exists()
 
 
 def test_cli_sweep(tmp_path):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from pushsim.graphs import digraph, generate_sequence
 from pushsim.pushsum import (
+    PRODUCT_SPAN,
     AbsProbSeq,
     RunFailure,
     absolute_probability,
@@ -134,19 +135,21 @@ def test_transition_products_basics():
         transition_product_w(ws, 5, 3)
 
 
+def stacked(ws, ys):
+    """The (T, n, n) weights and (T+1, n) weight history of a run_history."""
+    return np.stack([w.entries for w in ws]), np.array(ys)
+
+
 def test_product_identity_single_step_is_exact_to_rounding():
     ws, ss, ys, _ = run_history("random-walkable", 4, 20, seed=7, x0=np.zeros((4, 1)))
+    w, y = stacked(ws, ys)
     for tau in range(19):
-        assert product_identity_residuals(ws, ss, ys, tau, tau + 1)[0] <= 1e-12
+        assert product_identity_residuals(w[tau : tau + 1], y[tau : tau + 2])[0] <= 1e-12
 
 
 def test_product_identity_long_products():
     ws, ss, ys, _ = run_history("random-walkable", 5, 45, seed=11, x0=np.zeros((5, 1)))
-    worst = max(
-        product_identity_residuals(ws, ss, ys, tau, min(tau + 40, 45)).max()
-        for tau in range(0, 40, 5)
-    )
-    assert worst <= 1e-9
+    assert product_identity_residuals(*stacked(ws, ys)).max() <= 1e-9
 
 
 def scratch_identity_residual(ws, ss, ys, tau, t):
@@ -157,16 +160,34 @@ def scratch_identity_residual(ws, ss, ys, tau, t):
 
 
 def test_incremental_identity_residuals_match_scratch_products():
-    ws, ss, ys, _ = run_history("random-walkable", 6, 30, seed=5, x0=np.zeros((6, 1)))
-    for tau in range(31):
-        res = product_identity_residuals(ws, ss, ys, tau, 30)
-        assert res.shape == (30 - tau,)
-        for t in range(tau + 1, 31):
-            assert res[t - tau - 1] == scratch_identity_residual(ws, ss, ys, tau, t), (tau, t)
-    with pytest.raises(ValueError, match="tau <= t"):
-        product_identity_residuals(ws, ss, ys, 5, 31)
-    with pytest.raises(ValueError, match="tau <= t"):
-        product_identity_residuals(ws, ss, ys, 6, 5)
+    # entry tau is the worst from-scratch residual over t = tau+1 ..
+    # min(T, tau + PRODUCT_SPAN), bit for bit, for T below, at and above
+    # the span
+    for steps in (30, PRODUCT_SPAN, PRODUCT_SPAN + 13):
+        ws, ss, ys, _ = run_history("random-walkable", 6, steps, seed=5, x0=np.zeros((6, 1)))
+        res = product_identity_residuals(*stacked(ws, ys))
+        assert res.shape == (steps,)
+        for tau in range(steps):
+            want = max(
+                scratch_identity_residual(ws, ss, ys, tau, t)
+                for t in range(tau + 1, min(steps, tau + PRODUCT_SPAN) + 1)
+            )
+            assert res[tau] == want, (steps, tau)
+    w, y = stacked(ws, ys)
+    with pytest.raises(ValueError, match="weight vectors"):
+        product_identity_residuals(w, y[:-1])
+
+
+def test_a_nan_weight_gives_a_nan_residual():
+    # max() would drop a NaN that is not first; every start whose products
+    # reach the bad step reports NaN, the others stay finite
+    ws, ss, ys, _ = run_history("random-walkable", 5, 20, seed=2, x0=np.zeros((5, 1)))
+    w, y = stacked(ws, ys)
+    w = w.copy()
+    w[7, 2, 2] = np.nan
+    res = product_identity_residuals(w, y)
+    assert np.isnan(res[:8]).all() and (res[8:] <= 1e-9).all()
+    assert np.isnan(res.max())
 
 
 def test_w_product_columns_approach_common_vector_within_envelope():
