@@ -59,53 +59,50 @@ __all__ = [
 class BoundInputs:
     """One run's constants, initial state and stepsizes.
 
-    Every run starts at y(0) = 1, so x(0) = ``z0``.  ``alphas`` holds the
-    stepsizes applied; a series covers every step, and its row t depends
-    only on ``alphas[:t+1]``.  ``mu`` may round to 1.0 for worst-case
-    constants; ``log_mu`` (strictly negative) is authoritative and
-    ``one_minus_mu`` is derived from it without cancellation; ``decay_ok``
-    says whether ``schedule`` meets the decay conditions.
+    ``z0`` is the (n, d) start (every run starts at y(0) = 1, so x(0) =
+    ``z0``), ``g0`` has its shape and ``z_star`` shape (d,); nothing is
+    reshaped.  ``n`` and the mean ``z_bar0`` (the rows summed, then divided
+    by n: bitwise a trace's ``zbar[0]``) are read from ``z0``.  A series
+    covers every step of ``alphas``, and its row t depends only on
+    ``alphas[:t+1]``.  ``log_mu`` < 0 (-inf for mu = 0) stays exact where
+    worst-case mu rounds to 1.0; ``one_minus_mu`` is derived from it
+    without cancellation, and ``decay_ok`` says whether ``schedule`` meets
+    the decay conditions.
     """
 
-    n: int
-    d: int
     G: float
     eta: float
-    mu: float
-    z_bar0: np.ndarray
+    log_mu: float
     z0: np.ndarray
     z_star: np.ndarray
     g0: np.ndarray
     alphas: np.ndarray
     schedule: StepsizeSchedule
-    log_mu: float = field(default=None)  # type: ignore[assignment]
+    z_bar0: np.ndarray = field(init=False)
     one_minus_mu: float = field(init=False)
     decay_ok: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n, d must be positive")
-        if self.G <= 0:
-            raise ValueError("subgradient ceiling G must be positive")
-        if not 0 < self.eta <= self.n:
-            raise ValueError(f"eta must lie in (0, n], got {self.eta}")
-        log_mu = self.log_mu
-        if log_mu is None:
-            if not 0.0 <= self.mu < 1.0:
-                raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
-            log_mu = math.log(self.mu) if self.mu > 0 else float("-inf")
-        if not log_mu < 0:
-            raise ValueError("log(mu) must be negative: the chain must contract")
-        object.__setattr__(self, "log_mu", float(log_mu))
-        # positive for every log_mu < 0, -inf included
-        object.__setattr__(self, "one_minus_mu", -math.expm1(log_mu))
-        for name, shape in (
-            ("z_bar0", (self.d,)), ("z0", (self.n, self.d)),
-            ("z_star", (self.d,)), ("g0", (self.n, self.d)),
-        ):
-            v = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+        z0 = np.asarray(self.z0, dtype=float)
+        if z0.ndim != 2 or 0 in z0.shape:
+            raise ValueError(f"z0 must have shape (n, d) with n, d positive, got {z0.shape}")
+        n, d = z0.shape
+        object.__setattr__(self, "z_bar0", z0.sum(axis=0) / n)
+        for name, shape in (("z0", (n, d)), ("g0", (n, d)), ("z_star", (d,)), ("z_bar0", (d,))):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        if self.G <= 0:
+            raise ValueError("subgradient ceiling G must be positive")
+        if not 0 < self.eta <= n:
+            raise ValueError(f"eta must lie in (0, n], got {self.eta}")
+        if not self.log_mu < 0:
+            raise ValueError("log(mu) must be negative: the chain must contract")
+        object.__setattr__(self, "log_mu", float(self.log_mu))
+        # positive for every log_mu < 0, -inf included
+        object.__setattr__(self, "one_minus_mu", -math.expm1(self.log_mu))
         a = np.asarray(self.alphas, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("alphas must be a nonempty vector")
@@ -113,6 +110,10 @@ class BoundInputs:
         object.__setattr__(self, "alphas", a)
         decay_ok = validate_schedule(self.schedule).assumption == "satisfied"
         object.__setattr__(self, "decay_ok", decay_ok)
+
+    @property
+    def n(self) -> int:
+        return self.z0.shape[0]
 
     @property
     def initial_mass(self) -> np.ndarray:

@@ -118,9 +118,6 @@ class Digraph:
             return NotImplemented
         return self.n == other.n and np.array_equal(self._bits, other._bits)
 
-    def __hash__(self) -> int:
-        return hash((self.n, self._bits.tobytes()))
-
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.arcs!r})"
 
@@ -149,46 +146,35 @@ def digraph(n: int, cross_arcs: Iterable[tuple[int, int]] = ()) -> Digraph:
 class GraphSequence:
     """One digraph per step over a finite horizon.
 
-    ``kind``/``seed`` record how the sequence was produced ("file" or
-    "custom" sequences carry seed 0).  Generated sequences are a pure
-    function of (kind, n, horizon, seed) and are prefix-stable: a longer
-    horizon with the same seed extends the shorter sequence unchanged.
-
     ``bits`` is the packed adjacency stack of shape
-    ``(horizon, n, ceil(n/8))``, kept read-only; ``graphs`` and indexing
-    give per-step views of it.
+    ``(horizon, n, ceil(n/8))``, kept read-only; the horizon is its
+    length, and ``graphs`` and indexing give per-step views of it.
+    Generated sequences are a pure function of (kind, n, horizon, seed)
+    and are prefix-stable: a longer horizon with the same seed extends the
+    shorter sequence unchanged.
     """
 
     n: int
-    horizon: int
-    kind: str
-    seed: int
     bits: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        shape = (self.horizon, self.n, (self.n + 7) // 8)
-        object.__setattr__(self, "bits", _frozen_bits(self.bits, shape))
+        b = np.asarray(self.bits)
+        if b.ndim != 3 or len(b) == 0:
+            raise ValueError(f"expected a nonempty (horizon, n, ceil(n/8)) stack, got shape {b.shape}")
+        object.__setattr__(self, "bits", _frozen_bits(b, (len(b), self.n, (self.n + 7) // 8)))
+
+    @property
+    def horizon(self) -> int:
+        return len(self.bits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphSequence):
             return NotImplemented
-        return (
-            (self.n, self.horizon, self.kind, self.seed)
-            == (other.n, other.horizon, other.kind, other.seed)
-            and np.array_equal(self.bits, other.bits)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.horizon, self.kind, self.seed))
+        return self.n == other.n and np.array_equal(self.bits, other.bits)
 
     @cached_property
     def graphs(self) -> tuple[Digraph, ...]:
         return tuple(Digraph._view(b, self.n) for b in self.bits)
-
-    def __len__(self) -> int:
-        return self.horizon
 
     def __getitem__(self, t: int) -> Digraph:
         return Digraph._view(self.bits[t], self.n)
@@ -199,9 +185,7 @@ class GraphSequence:
             raise ValueError(f"prefix horizon must lie in [1, {self.horizon}], got {horizon}")
         if horizon == self.horizon:
             return self
-        return GraphSequence(
-            n=self.n, horizon=horizon, kind=self.kind, seed=self.seed, bits=self.bits[:horizon],
-        )
+        return GraphSequence(self.n, self.bits[:horizon])
 
 
 def generate_sequence(
@@ -243,7 +227,7 @@ def generate_sequence(
     ring = np.roll(eye, 1, axis=1)  # arcs j -> (j+1) mod n
     if kind == "static-cycle":
         bits = np.broadcast_to(np.packbits(eye | ring, axis=1), (horizon, n, (n + 7) // 8))
-        return GraphSequence(n=n, horizon=horizon, kind=kind, seed=seed, bits=bits)
+        return GraphSequence(n, bits)
     if kind == "random-walkable":
         if not (0.0 <= arc_prob <= 1.0):
             raise ValueError("arc_prob must lie in [0, 1]")
@@ -270,7 +254,7 @@ def generate_sequence(
         padded[:m, :, :n] = adj
         bits[lo : lo + m] = np.packbits(padded[:m]).reshape(m, n, nb)
     bits.setflags(write=False)
-    return GraphSequence(n=n, horizon=horizon, kind=kind, seed=seed, bits=bits)
+    return GraphSequence(n, bits)
 
 
 def _reaches_all(adj: np.ndarray) -> np.ndarray:
@@ -481,4 +465,4 @@ def parse_graph_sequence(text: str) -> GraphSequence:
             adj[j - 1, i - 1] = True
         bits[t] = np.packbits(adj, axis=1)
     bits.setflags(write=False)
-    return GraphSequence(n=n, horizon=horizon, kind="file", seed=0, bits=bits)
+    return GraphSequence(n, bits)

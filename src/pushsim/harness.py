@@ -444,9 +444,7 @@ class SummaryReport:
     passed: bool = True
 
     def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["checks"] = [dataclasses.asdict(c) for c in self.checks]
-        return out
+        return dataclasses.asdict(self)
 
     def format_text(self) -> str:
         lines = [f"{self.kind} summary: n={self.n} d={self.d} steps={self.steps}"]
@@ -512,8 +510,6 @@ class ExperimentResult:
     certificates and ``envelope_reports`` the contraction envelopes; each
     agent's certificate shows only in the summary's margins and checks."""
 
-    config: ExperimentConfig
-    objective: ObjectiveSpec | None
     trace: RunTrace | None
     summary: SummaryReport
     gap_reports: list[BoundReport] = field(default_factory=list)
@@ -584,7 +580,7 @@ def _materialize_weights(
         if len(violations) > 20:
             break
     entries.setflags(write=False)  # every step shares the one matrix, and so its beta
-    w = WeightMatrix(n=seq.n, entries=entries, beta=rep.min_positive)
+    w = WeightMatrix(entries, rep.min_positive)
     return WeightStack.repeated(w, seq.horizon), violations
 
 
@@ -721,7 +717,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
     summary = SummaryReport(
         kind="simulate", n=seq.n, d=objective.d, steps=trace.steps,
-        graph_kind=seq.kind, schedule_kind=cfg.schedule.kind,
+        graph_kind=cfg.graph.kind, schedule_kind=cfg.schedule.kind,
         connectivity_window=window, beta=beta,
         schedule_status=sched_report.assumption,
         eta_emp=eta_emp, mu_emp=mu_emp, mu_fit_r2=mu_r2,
@@ -733,7 +729,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         min_y=trace.min_y, f_star=objective.f_star,
         optimum_provenance=objective.optimum_provenance,
     )
-    result = ExperimentResult(config=cfg, objective=objective, trace=trace, summary=summary)
+    result = ExperimentResult(trace=trace, summary=summary)
 
     checks = hypotheses + _invariant_checks(trace, tc, objective, sched_report)
     if cfg.bounds.evaluate and any(c.name == "stepsize-decay" and c.passed for c in checks):
@@ -809,11 +805,11 @@ def _certificates(
     envelope: bool,
 ) -> Iterator[BoundReport]:
     """Every certificate of a run or of its persisted trace, one at a time
-    in report order: for each constant set (label -> eta, mu, log mu), the
-    network's gap certificate, then each agent's (with ``agents``), then
-    the contraction envelopes (with ``envelope``).  A fixed schedule gets
-    the one-row certificate at the horizon, a decaying one the series over
-    every step."""
+    in report order: for each constant set (label -> eta, mu, log mu; the
+    log is None for an empirical mu and taken here), the network's gap
+    certificate, then each agent's (with ``agents``), then the contraction
+    envelopes (with ``envelope``).  A fixed schedule gets the one-row
+    certificate at the horizon, a decaying one the series over every step."""
     # g(0) is the subgradient at the initial ratios zs[0].
     g0 = objective.agent_subgradients(trace.zs[0])
     fixed = schedule.kind == "fixed"
@@ -827,10 +823,11 @@ def _certificates(
             for k in range(trace.n)
         ]
     for label, (eta, mu, log_mu) in constants.items():
+        if log_mu is None:  # an empirical mu, 0 when the products converged exactly
+            log_mu = math.log(mu) if mu != 0 else -math.inf
         inp = BoundInputs(
-            n=trace.n, d=trace.d, G=objective.g_bound, eta=eta, mu=mu, log_mu=log_mu,
-            z_bar0=trace.zbar[0], z0=trace.zs[0], z_star=objective.z_star,
-            g0=g0, alphas=trace.alphas, schedule=schedule,
+            G=objective.g_bound, eta=eta, log_mu=log_mu, z0=trace.zs[0],
+            z_star=objective.z_star, g0=g0, alphas=trace.alphas, schedule=schedule,
         )
         for who, agent, gaps in targets:
             series = certify(inp, agent=agent)
@@ -869,7 +866,7 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     checks = [window_check, weights_check]
     summary = SummaryReport(
         kind="verify", n=seq.n, d=cfg.objective.d, steps=horizon,
-        graph_kind=seq.kind, schedule_kind=cfg.schedule.kind,
+        graph_kind=cfg.graph.kind, schedule_kind=cfg.schedule.kind,
         connectivity_window=window_check.value, beta=weights_check.value,
     )
     if not weights_check.passed:
@@ -895,7 +892,7 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     summary.final_consensus = float(trace.consensus[-1])
     summary.checks = checks
     summary.passed = all(c.passed for c in checks)
-    result = ExperimentResult(config=cfg, objective=objective, trace=trace, summary=summary)
+    result = ExperimentResult(trace=trace, summary=summary)
     return summary, result
 
 
@@ -1005,7 +1002,7 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
                 out / "sweep.svg",
                 [Series([T for T, _ in pos], [g for _, g in pos], "final gap")],
                 title="optimality gap vs horizon",
-                xlabel="T", ylabel="gap", logy=True,
+                xlabel="T", ylabel="gap",
             )
     return summary
 
@@ -1172,12 +1169,11 @@ def render_plots(result: ExperimentResult, out_dir: str | Path) -> None:
     ts = list(range(trace.steps))
     reports = result.reports
 
-    gap_positive = bool((trace.running_gap > 0).any())
     line_chart(
         out / "gap.svg",
         [Series(ts, list(trace.running_gap), "running-average gap")],
         title="optimality gap of the weighted running average",
-        xlabel="t", ylabel="f - f*", logy=gap_positive,
+        xlabel="t", ylabel="f - f*",
     )
 
     cons = [Series(ts, list(trace.consensus), "consensus error")]
@@ -1185,11 +1181,9 @@ def render_plots(result: ExperimentResult, out_dir: str | Path) -> None:
     env = reports.get("envelope-refined-empirical", reports.get("envelope-geometric-empirical"))
     if env is not None:
         cons.append(Series(ts, list(env.rhs), "contraction envelope"))
-    cons_positive = any(any(v > 0 for v in s.ys) for s in cons)
     line_chart(
         out / "consensus.svg", cons,
         title="agent disagreement", xlabel="t", ylabel="max deviation",
-        logy=cons_positive,
     )
 
     bnd = [Series(ts, list(trace.running_gap), "gap (lhs)")]
@@ -1202,11 +1196,10 @@ def render_plots(result: ExperimentResult, out_dir: str | Path) -> None:
     for rep in result.gap_reports:
         if rep.label.startswith("gap-fixed-network-"):
             bnd.append(Series([trace.steps - 1], [rep.rhs[0]], "bound at horizon"))
-    bnd_positive = any(any(y > 0 for y in s.ys) for s in bnd)
     line_chart(
         out / "bounds.svg", bnd,
         title="finite-time certificate vs realized gap",
-        xlabel="t", ylabel="value", logy=bnd_positive,
+        xlabel="t", ylabel="value",
     )
 
 
@@ -1261,6 +1254,8 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         fixed = schedule.kind == "fixed"
         if fixed:
             margins = stored["bound_margins"]
+            if not isinstance(margins, dict):
+                raise TypeError(f"bound_margins is not an object: {margins!r}")
             evaluated = {
                 label: math.isfinite(margins.get(f"gap-fixed-network-{label}", math.nan))
                 for label in ("empirical", "worst-case")

@@ -151,7 +151,6 @@ class SMatrix:
     original weights.
     """
 
-    n: int
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -162,6 +161,10 @@ class SMatrix:
             e = np.array(e)
             e.setflags(write=False)
         object.__setattr__(self, "entries", e)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
 
 def build_s_matrix(w: WeightMatrix | np.ndarray, y: np.ndarray) -> SMatrix:
@@ -179,7 +182,7 @@ def build_s_matrix(w: WeightMatrix | np.ndarray, y: np.ndarray) -> SMatrix:
         raise ValueError("W y has a nonpositive entry; weight support is broken")
     s = w * y[None, :] / denom[:, None]
     s.setflags(write=False)
-    return SMatrix(n=n, entries=s)
+    return SMatrix(s)
 
 
 class CompanionView(Sequence[SMatrix]):

@@ -64,17 +64,17 @@ def line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    logy: bool = False,
 ) -> None:
     """Write a line chart of the given series to ``path`` as SVG.
 
-    Non-finite values are dropped from the drawing, and with ``logy`` (a
-    log10 y axis) so are nonpositive ones; a series with no drawable
-    value is skipped.
+    The y axis is log10 when some value is positive, else linear.
+    Non-finite values are dropped from the drawing, and on a log axis so
+    are nonpositive ones; a series with no drawable value is skipped.
     """
     series = [s for s in series if len(s.xs) > 0]
     if not series:
         raise ValueError("nothing to plot")
+    logy = any(y > 0 for s in series for y in s.ys)
     ml, mr, mt, mb = 70, 20, 40, 55
     pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 

@@ -37,24 +37,28 @@ BLOCK_FLOATS = 2 ** 16
 class WeightMatrix:
     """Immutable n-by-n column-stochastic matrix with its support floor.
 
-    ``beta`` is the smallest positive entry; with the uniform rule it is
-    1/(max out-degree) and never below 1/n.
+    ``n`` is read from the square ``entries``.  ``beta`` is the smallest
+    positive entry; with the uniform rule it is 1/(max out-degree) and
+    never below 1/n.
     """
 
-    n: int
     entries: np.ndarray = field(repr=False)
     beta: float
 
     def __post_init__(self) -> None:
         e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.n, self.n):
-            raise ValueError(f"expected shape ({self.n}, {self.n}), got {e.shape}")
+        if e.ndim != 2 or e.shape[0] != e.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {e.shape}")
         # A read-only array is shared; anything the caller could still
         # change is copied first.
         if e.flags.writeable:
             e = np.array(e)
             e.setflags(write=False)
         object.__setattr__(self, "entries", e)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,7 @@ class WeightStack(Sequence[WeightMatrix]):
         if isinstance(t, slice):
             return WeightStack(self.num[t], self.den[t], self.betas[t])
         t = range(len(self))[t]
-        return WeightMatrix(n=self.n, entries=self.block(t, t + 1)[0], beta=float(self.betas[t]))
+        return WeightMatrix(self.block(t, t + 1)[0], float(self.betas[t]))
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """``W[lo:hi]`` as a fresh read-only array (like a slice, it ends

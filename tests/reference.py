@@ -87,7 +87,7 @@ def reference_weight_stack(seq) -> list[WeightMatrix]:
     w = np.divide(adj.transpose(0, 2, 1), deg[:, None, :], out=np.empty((horizon, n, n)))
     w.setflags(write=False)
     betas = (1.0 / deg.max(axis=1)).tolist()
-    return [WeightMatrix(n=n, entries=w[t], beta=betas[t]) for t in range(horizon)]
+    return [WeightMatrix(w[t], betas[t]) for t in range(horizon)]
 
 
 def reference_file_violations(entries: np.ndarray, seq, tol: float) -> tuple[list, float]:

@@ -7,7 +7,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import pushsim
+from pushsim.graphs import generate_sequence
+from pushsim.subgradient import StepsizeSchedule, quadratic_objective, run_push_subgradient
+from pushsim.weights import build_weight_stack
 
 _spec = importlib.util.spec_from_file_location(
     "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -71,3 +76,17 @@ def test_traced_methods_exist():
         for name in dotted:
             cls_name, meth = name.split(".")
             assert callable(getattr(getattr(mods[layer], cls_name), meth)), name
+
+
+def test_tracer_hooks_read_the_records():
+    # The hooks read GraphSequence, Digraph, RunTrace and SMatrix fields by
+    # name, so a record change that breaks them fails here.
+    seq = generate_sequence("random-walkable", 11, 7, seed=3)
+    tr = tracing.Tracer()
+    tracing._count_arcs(tr, (), seq)
+    assert tr.counters["graphs.arcs"] == int(np.unpackbits(seq.bits).sum())
+    x0 = np.linspace(-1.0, 1.0, 22).reshape(11, 2)
+    objective = quadratic_objective(x0[::-1])
+    trace = run_push_subgradient(build_weight_stack(seq), x0, objective, StepsizeSchedule.harmonic())
+    arrays = trace.zs.nbytes + trace.ys.nbytes + trace.final_state.x.nbytes
+    assert tracing._trace_nbytes(trace) >= arrays + trace.steps * 11 * 11 * 8  # the companions

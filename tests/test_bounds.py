@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,20 +17,31 @@ from pushsim.bounds import (
     fit_rate,
     timevarying_series,
 )
-from pushsim.subgradient import StepsizeSchedule, stepsize_array
+from pushsim.graphs import generate_sequence
+from pushsim.subgradient import (
+    StepsizeSchedule,
+    quadratic_objective,
+    run_push_subgradient,
+    stepsize_array,
+)
+from pushsim.weights import build_weight_stack
 
 
 def make_inputs(n=3, d=1, G=2.0, eta=0.5, mu=0.8, steps=64, schedule=None,
-                z0=None, g0=None, z_star=None, **kw):
+                z0=None, g0=None, z_star=None, log_mu=None):
+    """Inputs with mixing rate ``mu``, or with ``log_mu`` itself when it
+    is given; n and d size the default z0, and a given z0 sets them."""
     sched = schedule if schedule is not None else StepsizeSchedule.harmonic()
     alphas = stepsize_array(sched, steps)
     z0 = np.arange(n, dtype=float).reshape(n, 1) * np.ones((1, d)) if z0 is None else z0
+    n, d = z0.shape
     g0 = np.ones((n, d)) if g0 is None else g0
+    if log_mu is None:
+        log_mu = math.log(mu) if mu > 0 else -math.inf
     return BoundInputs(
-        n=n, d=d, G=G, eta=eta, mu=mu,
-        z_bar0=z0.mean(axis=0), z0=z0,
+        G=G, eta=eta, log_mu=log_mu, z0=z0,
         z_star=np.zeros(d) if z_star is None else z_star,
-        g0=g0, alphas=alphas, schedule=sched, **kw,
+        g0=g0, alphas=alphas, schedule=sched,
     )
 
 
@@ -49,17 +60,55 @@ def test_inputs_validation():
         make_inputs(eta=0.0)
     with pytest.raises(ValueError, match="eta"):
         make_inputs(eta=5.0)
-    with pytest.raises(ValueError, match="mu must lie"):
-        make_inputs(mu=1.0)
     with pytest.raises(ValueError, match="contract"):
         make_inputs(log_mu=0.0)
+    with pytest.raises(ValueError, match="contract"):
+        make_inputs(log_mu=math.nan)
     with pytest.raises(ValueError, match="G"):
         make_inputs(G=0.0)
+    # n and z_bar0 are read from z0, and nothing is reshaped
+    inp = make_inputs(z0=np.arange(6.0).reshape(3, 2))
+    assert inp.n == 3 and inp.z_bar0.tolist() == [2.0, 3.0]
+    with pytest.raises(ValueError):
+        inp.z_bar0[0] = 0.0
+    for bad in (np.zeros(6), np.zeros((3, 2, 1)), np.zeros((0, 2)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="z0 must have shape"):
+            replace(inp, z0=bad)
+    # a start stored coordinates-by-agents is refused, not read as scrambled rows
+    with pytest.raises(ValueError, match=r"g0 must have shape \(2, 3\)"):
+        replace(inp, z0=np.arange(6.0).reshape(2, 3))
+    with pytest.raises(ValueError, match=r"g0 must have shape \(3, 2\)"):
+        replace(inp, g0=np.ones((2, 3)))
+    for bad in (np.zeros(3), np.zeros((1, 2)), np.zeros(())):
+        with pytest.raises(ValueError, match=r"z_star must have shape \(2,\)"):
+            replace(inp, z_star=bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 3e5]))
+@example(n=8, d=1, seed=0, scale=1.0)
+@example(n=9, d=3, seed=1, scale=3e5)
+@example(n=17, d=4, seed=2, scale=1e-3)
+def test_z_bar0_is_bitwise_the_traced_network_mean(n, d, seed, scale):
+    # zbar is reduced over the whole (T, n, d) stack, z_bar0 over row 0 alone
+    rng = np.random.default_rng(seed)
+    x0 = scale * rng.standard_normal((n, d))
+    box = (np.full(d, -1e7), np.full(d, 1e7))
+    objective = quadratic_objective(scale * rng.standard_normal((n, d)), box=box)
+    schedule = StepsizeSchedule.harmonic()
+    ws = build_weight_stack(generate_sequence("random-walkable", n, 3, seed))
+    trace = run_push_subgradient(ws, x0, objective, schedule, record_products=False)
+    inp = BoundInputs(
+        G=objective.g_bound, eta=0.5, log_mu=-1.0, z0=trace.zs[0], z_star=objective.z_star,
+        g0=objective.agent_subgradients(trace.zs[0]), alphas=trace.alphas, schedule=schedule,
+    )
+    assert inp.z_bar0.tobytes() == trace.zbar[0].tobytes()
 
 
 def test_log_mu_is_authoritative_over_rounded_mu():
     # worst-case constants round mu to 1.0 in floats; the log keeps working
-    inp = make_inputs(mu=1.0, log_mu=-1e-18)
+    inp = make_inputs(log_mu=-1e-18)
     assert inp.one_minus_mu == pytest.approx(1e-18, rel=1e-12)
     total = timevarying_series(inp).total[10]
     assert math.isfinite(total) and total > 0
@@ -274,8 +323,7 @@ def test_envelope_without_stepsizes_is_pure_decay():
     # initial-mass envelope
     z0 = np.array([[1.0], [5.0]])
     inp = BoundInputs(
-        n=2, d=1, G=1.0, eta=0.5, mu=0.6,
-        z_bar0=z0.mean(axis=0), z0=z0, z_star=np.zeros(1),
+        G=1.0, eta=0.5, log_mu=math.log(0.6), z0=z0, z_star=np.zeros(1),
         g0=np.zeros((2, 1)), alphas=np.zeros(30), schedule=StepsizeSchedule.fixed_horizon(30),
     )
     series = contraction_series(inp)
@@ -407,15 +455,15 @@ def series_inputs(draw):
     g0 = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d))).reshape(n, d)
     z_star = np.array(draw(st.lists(coords, min_size=d, max_size=d)))
     if n == 1:
-        mu, log_mu = 0.0, None
+        log_mu = -math.inf
     elif draw(st.booleans()):
-        mu, log_mu = draw(st.floats(0.0, 1.0, exclude_max=True)), None
+        mu = draw(st.floats(0.0, 1.0, exclude_max=True))
+        log_mu = math.log(mu) if mu > 0 else -math.inf
     else:  # worst-case constants: mu rounds to 1.0, the log stays exact
-        mu, log_mu = 1.0, -draw(st.floats(1e-18, 1e-3))
+        log_mu = -draw(st.floats(1e-18, 1e-3))
     eta = draw(st.one_of(st.floats(1e-3, float(n)), st.just(1e-300)))
     inp = BoundInputs(
-        n=n, d=d, G=draw(st.floats(0.01, 10.0)), eta=eta, mu=mu, log_mu=log_mu,
-        z_bar0=z0.mean(axis=0), z0=z0, z_star=z_star, g0=g0,
+        G=draw(st.floats(0.01, 10.0)), eta=eta, log_mu=log_mu, z0=z0, z_star=z_star, g0=g0,
         alphas=stepsize_array(sched, steps), schedule=sched,
     )
     agent = draw(st.one_of(st.none(), st.integers(0, n - 1)))
@@ -459,7 +507,7 @@ def test_series_rows_depend_only_on_the_stepsize_prefix(sched):
 
 def test_tiny_eta_overflows_to_an_inf_certificate_silently():
     # with filterwarnings = error a numpy overflow warning would fail here
-    inp = make_inputs(n=4, eta=1e-300, mu=1.0, log_mu=-1e-18, steps=50)
+    inp = make_inputs(n=4, eta=1e-300, log_mu=-1e-18, steps=50)
     series = timevarying_series(inp)
     assert series.terms[0, 3] == 0.0 and np.isinf(series.terms[1:, 3]).all()
     assert np.isinf(series.total[1:]).all() and np.isfinite(series.total[0])

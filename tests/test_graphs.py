@@ -108,7 +108,7 @@ def test_static_cycle_window_is_one():
 
 def test_self_arcs_only_has_no_window():
     adj = np.stack([digraph(3).adjacency()] * 10)
-    seq = GraphSequence(n=3, horizon=10, kind="custom", seed=0, bits=np.packbits(adj, axis=2))
+    seq = GraphSequence(3, np.packbits(adj, axis=2))
     assert uniform_connectivity_window(seq) is None
 
 
@@ -251,7 +251,7 @@ def test_window_matches_reference_on_hand_built_stacks(n, horizon, data):
     selfs = {(i, i) for i in range(n)}
     cross = st.sets(st.sampled_from(pairs), max_size=3) if pairs else st.just(frozenset())
     steps = [frozenset(selfs | data.draw(cross)) for _ in range(horizon)]
-    seq = GraphSequence(n=n, horizon=horizon, kind="custom", seed=0, bits=bits_of(n, steps))
+    seq = GraphSequence(n, bits_of(n, steps))
     assert uniform_connectivity_window(seq) == reference_window(n, steps)
 
 
@@ -266,7 +266,7 @@ def test_window_matches_reference_on_hand_built_stacks(n, horizon, data):
     ],
 )
 def test_window_edge_cases_match_reference(n, steps, expected):
-    seq = GraphSequence(n=n, horizon=len(steps), kind="custom", seed=0, bits=bits_of(n, steps))
+    seq = GraphSequence(n, bits_of(n, steps))
     assert reference_window(n, steps) == expected
     assert uniform_connectivity_window(seq) == expected
 
@@ -312,7 +312,7 @@ def test_file_sequence_windows_match_the_one_horizon_search(lead, tail, connecte
     alone = frozenset((i, i) for i in range(4))
     steps = [ring] * lead + [alone] * tail if connected_first else [alone] * lead + [ring] * tail
     seq = parse_graph_sequence(format_graph_sequence(
-        GraphSequence(n=4, horizon=len(steps), kind="file", seed=0, bits=bits_of(4, steps))))
+        GraphSequence(4, bits_of(4, steps))))
     hs = data.draw(horizon_lists(len(steps)))
     windows = connectivity_windows(seq, hs)
     assert windows == [reference_connectivity_window(seq.prefix(T)) for T in hs]
@@ -320,19 +320,20 @@ def test_file_sequence_windows_match_the_one_horizon_search(lead, tail, connecte
 
 
 def pattern_sequences():
-    """Small sequences whose windows change with the horizon: the
-    rotating arc (none below n, then n) and a ring run after a run of
-    self-arcs only (none, then a window growing with the horizon)."""
+    """Small sequences whose windows change with the horizon, each with
+    its test id: the rotating arc (none below n, then n) and a ring run
+    after a run of self-arcs only (none, then a window growing with the
+    horizon)."""
     for n in range(2, 8):
-        yield generate_sequence("rotating-arc", n, 2 * n + 2)
+        yield pytest.param(generate_sequence("rotating-arc", n, 2 * n + 2), id=f"rotating-arc-{n}-{2 * n + 2}")
     ring = frozenset({(i, i) for i in range(4)} | {(j, (j + 1) % 4) for j in range(4)})
     alone = frozenset((i, i) for i in range(4))
     for lead in (1, 3, 6):
         steps = [alone] * lead + [ring] * 3 + [alone] * lead + [ring]
-        yield GraphSequence(n=4, horizon=len(steps), kind="custom", seed=0, bits=bits_of(4, steps))
+        yield pytest.param(GraphSequence(4, bits_of(4, steps)), id=f"custom-4-{len(steps)}")
 
 
-@pytest.mark.parametrize("seq", list(pattern_sequences()), ids=lambda seq: f"{seq.kind}-{seq.n}-{seq.horizon}")
+@pytest.mark.parametrize("seq", list(pattern_sequences()))
 def test_every_pair_of_horizons_matches_the_one_horizon_search(seq):
     one = {T: reference_connectivity_window(seq.prefix(T)) for T in range(1, seq.horizon + 1)}
     assert connectivity_windows(seq, list(one)) == list(one.values())
@@ -433,16 +434,21 @@ def test_sequence_stack_is_read_only_and_validated():
     with pytest.raises(ValueError):
         seq.bits[0, 0, 0] = 0
     bits = np.array(seq.bits)
-    copy = GraphSequence(n=4, horizon=10, kind="custom", seed=0, bits=bits)
+    copy = GraphSequence(4, bits)
     bits[0, 0, 0] ^= 0x40  # the sequence kept its own copy
     assert np.array_equal(copy.bits, seq.bits)
     bits[3, 2, 0] &= ~np.uint8(0x20)
     with pytest.raises(ValueError, match=r"self-arc at vertices \[2\]"):
-        GraphSequence(n=4, horizon=10, kind="custom", seed=0, bits=bits)
+        GraphSequence(4, bits)
     with pytest.raises(ValueError, match="shape"):
-        GraphSequence(n=4, horizon=9, kind="custom", seed=0, bits=seq.bits)
+        GraphSequence(5, seq.bits)
     with pytest.raises(ValueError, match="uint8"):
-        GraphSequence(n=4, horizon=10, kind="custom", seed=0, bits=unpack_adjacency(seq.bits, 4))
+        GraphSequence(4, unpack_adjacency(seq.bits, 4))
+    # the horizon is the stack's length, and the stack must hold a step
+    assert GraphSequence(4, seq.bits[:7]).horizon == 7
+    for bad in (seq.bits[:0], seq.bits[0], seq.bits[None]):
+        with pytest.raises(ValueError, match="nonempty"):
+            GraphSequence(4, bad)
 
 
 @pytest.mark.parametrize("n", [1, 7, 9, 16, 17])
@@ -453,6 +459,6 @@ def test_packed_rows_keep_their_padding_clear(n):
     bits[2, n - 1, -1] |= 1  # the last bit of the last byte of a row
     if n % 8:
         with pytest.raises(ValueError, match=f"padding bits past vertex {n}"):
-            GraphSequence(n=n, horizon=3, kind="custom", seed=0, bits=bits)
+            GraphSequence(n, bits)
     else:  # no padding: the bit is vertex n-1's self-arc, already set
-        assert np.array_equal(GraphSequence(n=n, horizon=3, kind="custom", seed=0, bits=bits).bits, seq.bits)
+        assert np.array_equal(GraphSequence(n, bits).bits, seq.bits)

@@ -356,15 +356,20 @@ def test_svg_artifacts_are_well_formed(finished):
 def test_line_chart_skips_non_finite_points(tmp_path):
     xs = [0, 1, 2, 3, 4]
     inf, nan = float("inf"), float("nan")
-    for logy in (False, True):
-        path = tmp_path / f"chart-{logy}.svg"
-        line_chart(path, [Series(xs, [1.0, 2.0, inf, 4.0, nan], "a"),
-                          Series(xs, [inf] * 5, "b")], logy=logy)
+    for sign in (1.0, -1.0):  # some value positive: a log axis; none: a linear one
+        path = tmp_path / f"chart{sign}.svg"
+        line_chart(path, [Series(xs, [sign, 2 * sign, sign * inf, 4 * sign, nan], "a"),
+                          Series(xs, [sign * inf] * 5, "b")])
         text = path.read_text()
         ET.fromstring(text)
         assert "inf" not in text and "nan" not in text
+        assert (">1e" in text) == (sign > 0)  # log10 tick labels
         # the gap at x=2 splits "a" into a polyline and a lone point
         assert text.count("<polyline") == 1 and text.count("<circle") == 1
+    # on a log axis a nonpositive value is a gap too
+    line_chart(tmp_path / "zero.svg", [Series(xs, [1.0, 2.0, 0.0, 4.0, -1.0], "z")])
+    text = (tmp_path / "zero.svg").read_text()
+    assert text.count("<polyline") == 1 and text.count("<circle") == 1
     with pytest.raises(ValueError, match="no drawable points"):
         line_chart(tmp_path / "none.svg", [Series(xs, [nan] * 5, "c")])
 
@@ -863,7 +868,7 @@ def reference_sweep(cfg, out):
 
 def graph_file(tmp_path, graphs):
     bits = np.stack([np.packbits(g.adjacency(), axis=1) for g in graphs])
-    seq = GraphSequence(n=graphs[0].n, horizon=len(graphs), kind="file", seed=0, bits=bits)
+    seq = GraphSequence(graphs[0].n, bits)
     path = tmp_path / "graphs.txt"
     path.write_text(format_graph_sequence(seq))
     return str(path)
@@ -1284,9 +1289,13 @@ def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
     cfgp = write_cfg(tmp_path, fixed)
     assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
     stored = json.loads((out / "report.json").read_text())
-    del stored["bound_margins"]
-    (out / "report.json").write_text(json.dumps(stored))
-    refused(cfgp, "report.json", "no 'bound_margins' entry")
+    for margins, message in ((None, "no 'bound_margins' entry"), ([1], "not an object: [1]")):
+        if margins is None:
+            del stored["bound_margins"]
+        else:
+            stored["bound_margins"] = margins
+        (out / "report.json").write_text(json.dumps(stored))
+        refused(cfgp, "report.json", message)
 
 
 def test_cli_non_finite_optimum_or_ceiling_is_a_config_error(tmp_path, capsys):

@@ -41,7 +41,7 @@ def run_history(kind, n, steps, seed, x0):
 
 
 def test_single_step_example():
-    w = WeightMatrix(n=2, entries=np.full((2, 2), 0.5), beta=0.5)
+    w = WeightMatrix(np.full((2, 2), 0.5), 0.5)
     st_ = initial_state(np.array([[0.0], [2.0]]))
     nxt = pushsum_step(st_, w)
     assert_allclose(nxt.x, [[1.0], [1.0]])
@@ -99,7 +99,7 @@ def test_mass_conservation_property(n, kind, seed, steps):
 
 
 def test_companion_matrix_of_doubly_stochastic_step_is_w():
-    w = WeightMatrix(n=2, entries=np.full((2, 2), 0.5), beta=0.5)
+    w = WeightMatrix(np.full((2, 2), 0.5), 0.5)
     s = build_s_matrix(w, np.ones(2))
     assert_allclose(s.entries, w.entries)
     assert s.entries[s.entries > 0].min() == 0.5

@@ -812,7 +812,7 @@ INJECT_STEPS = 60
 def underflow_weights(q, steps):
     """Three agents; agent 1 keeps q of its weight and receives nothing,
     so y_1(t) = q**t falls below the floor and then to 0."""
-    w = WeightMatrix(n=3, entries=[[q, 0.0, 0.0], [1.0 - q, 0.5, 0.5], [0.0, 0.5, 0.5]], beta=q)
+    w = WeightMatrix([[q, 0.0, 0.0], [1.0 - q, 0.5, 0.5], [0.0, 0.5, 0.5]], q)
     return WeightStack.repeated(w, steps)
 
 
@@ -820,7 +820,7 @@ def zero_row_weights(broken_at, steps):
     """The 3-ring, except that nobody sends to agent 1 at step ``broken_at``."""
     ring = [w.entries for w in build_weight_stack(generate_sequence("static-cycle", 3, steps))]
     ring[broken_at] = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
-    return WeightStack.of([WeightMatrix(n=3, entries=e, beta=0.5) for e in ring])
+    return WeightStack.of([WeightMatrix(e, 0.5) for e in ring])
 
 
 def unconstrained_run(ws, x0, objective, schedule):

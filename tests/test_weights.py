@@ -159,7 +159,7 @@ def custom_sequence(n, horizon, seed):
     rng = np.random.default_rng(seed)
     adj = rng.random((horizon, n, n)) < rng.random((horizon, 1, 1))
     adj |= np.eye(n, dtype=bool)
-    return GraphSequence(n=n, horizon=horizon, kind="custom", seed=0, bits=np.packbits(adj, axis=2))
+    return GraphSequence(n, np.packbits(adj, axis=2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -199,7 +199,10 @@ def test_weight_blocks_and_steps_are_bitwise_the_whole_stack(kind, n, full, rest
 
 def test_writable_entries_are_copied_read_only_ones_shared():
     e = np.full((2, 2), 0.5)
-    w = WeightMatrix(n=2, entries=e, beta=0.5)
-    assert not np.shares_memory(w.entries, e)
+    w = WeightMatrix(e, 0.5)
+    assert not np.shares_memory(w.entries, e) and w.n == 2
     e.setflags(write=False)
-    assert WeightMatrix(n=2, entries=e, beta=0.5).entries is e
+    assert WeightMatrix(e, 0.5).entries is e
+    for bad in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="square"):
+            WeightMatrix(bad, 0.5)
