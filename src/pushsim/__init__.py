@@ -79,7 +79,6 @@ from .harness import (
     load_config,
     parse_config,
     render_config,
-    render_plots,
     report_from_dir,
     run_experiment,
     sweep_experiment,

@@ -306,8 +306,8 @@ class BoundReport:
 # rate fitting
 # --------------------------------------------------------------------------
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line with r^2; constant targets count as perfect."""
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope and r^2 of the least-squares line; constant targets count as perfect."""
     coeffs = np.polyfit(x, y, 1)
     resid = y - np.polyval(coeffs, x)
     ss_res = float((resid ** 2).sum())
@@ -316,7 +316,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
         r2 = 1.0 if ss_res <= 1e-300 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return float(coeffs[0]), float(coeffs[1]), r2
+    return float(coeffs[0]), r2
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,6 @@ class RateFit:
     """Log-log decay fit of gap against horizon."""
 
     slope: float
-    intercept: float
     r2: float
     n_used: int
     exact: bool      # every gap was zero to machine noise; no fit possible
@@ -341,14 +340,11 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> RateFit:
         raise ValueError(f"need at least 3 points to fit a rate, got {len(points)}")
     kept = [(float(T), float(g)) for (T, g) in points if g > 0.0]
     if len(kept) < 2:
-        return RateFit(
-            slope=float("nan"), intercept=float("nan"), r2=1.0,
-            n_used=0, exact=True,
-        )
+        return RateFit(slope=float("nan"), r2=1.0, n_used=0, exact=True)
     xs = np.log([T for (T, _) in kept])
     ys = np.log([g for (_, g) in kept])
-    slope, intercept, r2 = _linear_fit(xs, ys)
-    return RateFit(slope=slope, intercept=intercept, r2=r2, n_used=len(kept), exact=False)
+    slope, r2 = _linear_fit(xs, ys)
+    return RateFit(slope=slope, r2=r2, n_used=len(kept), exact=False)
 
 
 @dataclass(frozen=True)
@@ -356,7 +352,6 @@ class GeometricFit:
     """Log-linear decay fit value(t) ~ coeff * rho^t."""
 
     rho: float
-    log_coeff: float
     r2: float
     n_used: int
     exact: bool
@@ -379,12 +374,9 @@ def fit_geometric_rate(values: np.ndarray) -> GeometricFit:
     v = np.asarray(values, dtype=float)
     above = np.flatnonzero(v > GEOMETRIC_FLOOR)
     if above.size < 2:
-        return GeometricFit(rho=0.0, log_coeff=float("-inf"), r2=1.0, n_used=0, exact=True)
+        return GeometricFit(rho=0.0, r2=1.0, n_used=0, exact=True)
     window = above[above.size // 2 :]
     if window.size < GEOMETRIC_MIN_POINTS:
         window = above
-    slope, intercept, r2 = _linear_fit(window.astype(float), np.log(v[window]))
-    return GeometricFit(
-        rho=float(math.exp(slope)), log_coeff=intercept, r2=r2,
-        n_used=int(window.size), exact=False,
-    )
+    slope, r2 = _linear_fit(window.astype(float), np.log(v[window]))
+    return GeometricFit(rho=float(math.exp(slope)), r2=r2, n_used=int(window.size), exact=False)

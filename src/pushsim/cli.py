@@ -95,7 +95,7 @@ def _command(args: argparse.Namespace) -> int:
             result = run_experiment(cfg, out_dir=args.out)
             summary = result.summary
         elif args.command == "verify":
-            summary, _ = verify_experiment(cfg)
+            summary = verify_experiment(cfg)
             if args.out is not None:
                 write_report(summary, args.out)
         elif args.command == "sweep":

@@ -84,7 +84,6 @@ __all__ = [
     "failure_summary",
     "export_trace",
     "import_trace",
-    "render_plots",
     "write_report",
 ]
 
@@ -409,7 +408,8 @@ class SummaryReport:
 
     Every quantity that refers to the trajectory is recomputable from the
     persisted trace (plus the constants recorded here); the report never
-    contains information the artifacts cannot back up.
+    contains information the artifacts cannot back up.  ``passed`` is read
+    from the checks: a summary passes exactly when each of its checks does.
     """
 
     kind: str
@@ -441,7 +441,10 @@ class SummaryReport:
     sweep_r2: float | None = None
     sweep_exact: bool = False
     checks: list[CheckResult] = field(default_factory=list)
-    passed: bool = True
+    passed: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.passed = all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -492,16 +495,24 @@ class SummaryReport:
         return "\n".join(lines) + "\n"
 
 
+def _summary(
+    cfg: ExperimentConfig, kind: str, checks: list[CheckResult], **fields
+) -> SummaryReport:
+    """The ``kind`` summary of a run of ``cfg`` with its final ``checks``:
+    n, d and the graph and schedule kinds come from the config, and so do
+    the steps (its horizon) unless ``fields`` gives them."""
+    fields.setdefault("steps", cfg.graph.horizon)
+    return SummaryReport(
+        kind=kind, n=cfg.graph.n, d=cfg.objective.d, graph_kind=cfg.graph.kind,
+        schedule_kind=cfg.schedule.kind, checks=checks, **fields,
+    )
+
+
 def failure_summary(cfg: ExperimentConfig, kind: str, failure: RunFailure) -> SummaryReport:
     """Summary of a run stopped by a failed in-run check: one failed
     check that names the check, the agent and the step."""
     where = f"t={failure.t}" if failure.agent is None else f"agent {failure.agent}, t={failure.t}"
-    return SummaryReport(
-        kind=kind, n=cfg.graph.n, d=cfg.objective.d, steps=cfg.graph.horizon,
-        graph_kind=cfg.graph.kind, schedule_kind=cfg.schedule.kind,
-        checks=[CheckResult(failure.check, False, note=f"{where}: {failure}")],
-        passed=False,
-    )
+    return _summary(cfg, kind, [CheckResult(failure.check, False, note=f"{where}: {failure}")])
 
 
 @dataclass
@@ -510,7 +521,7 @@ class ExperimentResult:
     certificates and ``envelope_reports`` the contraction envelopes; each
     agent's certificate shows only in the summary's margins and checks."""
 
-    trace: RunTrace | None
+    trace: RunTrace
     summary: SummaryReport
     gap_reports: list[BoundReport] = field(default_factory=list)
     envelope_reports: list[BoundReport] = field(default_factory=list)
@@ -631,15 +642,12 @@ def _materialize_init(icfg: InitConfig, n: int, d: int) -> np.ndarray:
 # derived series
 # --------------------------------------------------------------------------
 
-def _empirical_constants(trace: RunTrace) -> tuple[float, float | None, float | None]:
-    """(eta_emp, mu_emp, fit r2); mu is None without recorded products."""
-    eta_emp = trace.min_y
-    if trace.s_product_gap is None:
-        return eta_emp, None, None
+def _empirical_mu(trace: RunTrace) -> tuple[float, float]:
+    """(mu_emp, fit r2) of a run that recorded its companion products."""
     fit = fit_geometric_rate(trace.s_product_gap)
     if fit.exact:
-        return eta_emp, 0.0, 1.0
-    return eta_emp, float(min(max(fit.rho, 0.0), MU_EMP_CAP)), fit.r2
+        return 0.0, 1.0
+    return float(min(max(fit.rho, 0.0), MU_EMP_CAP)), fit.r2
 
 
 # --------------------------------------------------------------------------
@@ -713,29 +721,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     trace = run_push_subgradient(ws, x0, objective, schedule)
 
     tc = theory_constants(seq.n, window)
-    eta_emp, mu_emp, mu_r2 = _empirical_constants(trace)
-
-    summary = SummaryReport(
-        kind="simulate", n=seq.n, d=objective.d, steps=trace.steps,
-        graph_kind=cfg.graph.kind, schedule_kind=cfg.schedule.kind,
-        connectivity_window=window, beta=beta,
-        schedule_status=sched_report.assumption,
-        eta_emp=eta_emp, mu_emp=mu_emp, mu_fit_r2=mu_r2,
-        eta_theory=tc.eta, mu_theory=tc.mu,
-        log_eta_theory=tc.log_eta, log_mu_theory=tc.log_mu,
-        theory_vacuous=tc.vacuous,
-        final_gap=float(trace.running_gap[-1]),
-        final_consensus=float(trace.consensus[-1]),
-        min_y=trace.min_y, f_star=objective.f_star,
-        optimum_provenance=objective.optimum_provenance,
-    )
-    result = ExperimentResult(trace=trace, summary=summary)
-
+    mu_emp, mu_r2 = _empirical_mu(trace)
     checks = hypotheses + _invariant_checks(trace, tc, objective, sched_report)
+    margins, argmin = {}, {}  # each bound's smallest margin and its step, by label
+    gap_reports, envelope_reports = [], []
     if cfg.bounds.evaluate and any(c.name == "stepsize-decay" and c.passed for c in checks):
-        constants = {}
-        if mu_emp is not None:
-            constants["empirical"] = (eta_emp, mu_emp, None)
+        constants = {"empirical": (trace.min_y, mu_emp, None)}
         if tc.eta > 0.0:
             constants["worst-case"] = (tc.eta, tc.mu, tc.log_mu)
         for rep in _certificates(
@@ -743,17 +734,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         ):
             # A per-agent certificate is folded into the summary and dropped.
             if rep.label.startswith("envelope-"):
-                result.envelope_reports.append(rep)
+                envelope_reports.append(rep)
             elif "-network-" in rep.label:
-                result.gap_reports.append(rep)
-            summary.bound_margins[rep.label] = rep.min_margin
-            summary.bound_argmin[rep.label] = rep.argmin_t
+                gap_reports.append(rep)
+            margins[rep.label] = rep.min_margin
+            argmin[rep.label] = rep.argmin_t
             checks.append(CheckResult(
                 f"bound:{rep.label}", rep.ok, value=rep.min_margin, threshold=0.0,
             ))
-    summary.checks = checks
-    summary.passed = all(c.passed for c in checks)
 
+    summary = _summary(
+        cfg, "simulate", checks,
+        connectivity_window=window, beta=beta,
+        schedule_status=sched_report.assumption,
+        eta_emp=trace.min_y, mu_emp=mu_emp, mu_fit_r2=mu_r2,
+        eta_theory=tc.eta, mu_theory=tc.mu,
+        log_eta_theory=tc.log_eta, log_mu_theory=tc.log_mu,
+        theory_vacuous=tc.vacuous,
+        final_gap=float(trace.running_gap[-1]),
+        final_consensus=float(trace.consensus[-1]),
+        min_y=trace.min_y, f_star=objective.f_star,
+        optimum_provenance=objective.optimum_provenance,
+        bound_margins=margins, bound_argmin=argmin,
+    )
+    result = ExperimentResult(trace, summary, gap_reports, envelope_reports)
     if out_dir is not None:
         _persist(result, Path(out_dir))
     return result
@@ -849,7 +853,7 @@ def _certificates(
 # verification driver
 # --------------------------------------------------------------------------
 
-def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentResult | None]:
+def verify_experiment(cfg: ExperimentConfig) -> SummaryReport:
     """Run the invariant suite on a short prefix of the configured setup.
 
     Uses a pure mixing run (zero objective) so every identity can be
@@ -864,36 +868,24 @@ def verify_experiment(cfg: ExperimentConfig) -> tuple[SummaryReport, ExperimentR
     ws, violations = _materialize_weights(seq, cfg.weights)
     weights_check = _weights_check(ws, violations, seq.horizon)
     checks = [window_check, weights_check]
-    summary = SummaryReport(
-        kind="verify", n=seq.n, d=cfg.objective.d, steps=horizon,
-        graph_kind=cfg.graph.kind, schedule_kind=cfg.schedule.kind,
-        connectivity_window=window_check.value, beta=weights_check.value,
-    )
+    fields = dict(steps=horizon, connectivity_window=window_check.value, beta=weights_check.value)
     if not weights_check.passed:
         checks.append(CheckResult("downstream", True, note="skipped: weight validation failed"))
-    if not (window_check.passed and weights_check.passed):
-        summary.checks = checks
-        summary.passed = False
-        return summary, None
+    if window_check.passed and weights_check.passed:
+        objective = zero_objective(seq.n, cfg.objective.d)
+        x0 = _materialize_init(cfg.init, seq.n, cfg.objective.d)
+        trace = run_push_subgradient(ws, x0, objective, schedule)
+        tc = theory_constants(seq.n, window_check.value)
+        checks += _invariant_checks(trace, tc, objective, validate_schedule(schedule))
 
-    objective = zero_objective(seq.n, cfg.objective.d)
-    x0 = _materialize_init(cfg.init, seq.n, cfg.objective.d)
-    trace = run_push_subgradient(ws, x0, objective, schedule)
-    tc = theory_constants(seq.n, window_check.value)
-    checks += _invariant_checks(trace, tc, objective, validate_schedule(schedule))
-
-    # The exchange identity over every window tau < t <= tau + PRODUCT_SPAN.
-    ys = np.vstack([trace.ys, trace.final_state.y[None, :]])
-    worst = float(product_identity_residuals(ws.block(0, trace.steps), ys).max())
-    checks.append(_residual_check("product-identity", worst, PRODUCT_IDENTITY_TOL))
-
-    summary.eta_emp = trace.min_y
-    summary.min_y = trace.min_y
-    summary.final_consensus = float(trace.consensus[-1])
-    summary.checks = checks
-    summary.passed = all(c.passed for c in checks)
-    result = ExperimentResult(trace=trace, summary=summary)
-    return summary, result
+        # The exchange identity over every window tau < t <= tau + PRODUCT_SPAN.
+        ys = np.vstack([trace.ys, trace.final_state.y[None, :]])
+        worst = float(product_identity_residuals(ws.block(0, trace.steps), ys).max())
+        checks.append(_residual_check("product-identity", worst, PRODUCT_IDENTITY_TOL))
+        fields.update(
+            eta_emp=trace.min_y, min_y=trace.min_y, final_consensus=float(trace.consensus[-1]),
+        )
+    return _summary(cfg, "verify", checks, **fields)
 
 
 # --------------------------------------------------------------------------
@@ -979,15 +971,12 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
     if deferred is not None:
         raise deferred
     fit = fit_rate(points)
-    summary = SummaryReport(
-        kind="sweep", n=cfg.graph.n, d=cfg.objective.d, steps=max(hs),
-        graph_kind=cfg.graph.kind, schedule_kind=cfg.schedule.kind,
+    summary = _summary(
+        cfg, "sweep", all_checks, steps=hs[-1],
         sweep_points=points,
         sweep_slope=None if fit.exact else fit.slope,
         sweep_r2=None if fit.exact else fit.r2,
         sweep_exact=fit.exact,
-        checks=all_checks,
-        passed=all(c.passed for c in all_checks),
     )
     if out_dir is not None:
         out = Path(out_dir)
@@ -1148,27 +1137,16 @@ def write_report(summary: SummaryReport, out_dir: str | Path) -> None:
 
 
 def _persist(result: ExperimentResult, out: Path) -> None:
+    """Write a finished run's trace, its report and its charts (gap.svg,
+    consensus.svg and bounds.svg) to ``out``."""
     out.mkdir(parents=True, exist_ok=True)
-    reports = result.reports
-    export_trace(
-        result.trace, out / "trace.csv",
-        bound_emp=reports.get("gap-decaying-network-empirical"),
-        bound_wc=reports.get("gap-decaying-network-worst-case"),
-    )
+    trace, reports = result.trace, result.reports
+    emp = reports.get("gap-decaying-network-empirical")
+    wc = reports.get("gap-decaying-network-worst-case")
+    export_trace(trace, out / "trace.csv", bound_emp=emp, bound_wc=wc)
     write_report(result.summary, out)
-    render_plots(result, out)
 
-
-def render_plots(result: ExperimentResult, out_dir: str | Path) -> None:
-    """Write gap.svg, consensus.svg and bounds.svg for a finished run."""
-    trace = result.trace
-    if trace is None or trace.steps == 0:
-        raise ValueError("nothing to plot: empty run")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ts = list(range(trace.steps))
-    reports = result.reports
-
     line_chart(
         out / "gap.svg",
         [Series(ts, list(trace.running_gap), "running-average gap")],
@@ -1187,8 +1165,6 @@ def render_plots(result: ExperimentResult, out_dir: str | Path) -> None:
     )
 
     bnd = [Series(ts, list(trace.running_gap), "gap (lhs)")]
-    emp = reports.get("gap-decaying-network-empirical")
-    wc = reports.get("gap-decaying-network-worst-case")
     if emp is not None:
         bnd.append(Series(ts, list(emp.rhs), "bound, empirical constants"))
     if wc is not None:
@@ -1235,8 +1211,9 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     (the empirical constants themselves) are treated as recorded inputs,
     not re-derived.  The charts are left as ``simulate`` drew them: they
     hold series (the one-step deviation, the contraction envelope) that
-    the trace does not persist.  An artifact that does not parse, or lacks
-    an entry this reads, is a ConfigError naming its file.
+    the trace does not persist.  An artifact that does not parse, lacks an
+    entry this reads, or records constants that no certificate of the
+    configured schedule can take, is a ConfigError naming its file.
     """
     schedule, objective = _materialize_spec(cfg)
     out = Path(out_dir)
@@ -1274,6 +1251,8 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
             label: (float(eta), float(mu), log_mu)
             for label, (eta, mu, log_mu) in recorded.items() if evaluated[label]
         }
+        # recorded constants the certificates cannot take refuse the report
+        certificates = list(_certificates(loaded, objective, schedule, constants, False, False))
     except KeyError as exc:
         raise ConfigError(f"{path}: no {exc} entry") from exc
     except (ValueError, TypeError) as exc:
@@ -1288,7 +1267,7 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     gaps = np.maximum(running_average_gaps(objective, loaded.alphas, loaded.zbar), 0.0)
     errors["recompute-gap"] = float(np.abs(gaps - loaded.running_gap).max())
     errors["recompute-final-gap"] = abs(float(loaded.running_gap[-1]) - stored_gap)
-    for rep in _certificates(loaded, objective, schedule, constants, False, False):
+    for rep in certificates:
         wc = "-wc" if rep.label.endswith("-worst-case") else ""
         if fixed:
             errors["recompute-bound-fixed" + wc] = abs(rep.min_margin - margins[rep.label])
@@ -1310,5 +1289,4 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         final_gap=float(loaded.running_gap[-1]),
         final_consensus=float(loaded.consensus[-1]),
         checks=checks,
-        passed=all(c.passed for c in checks),
     )

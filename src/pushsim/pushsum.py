@@ -299,8 +299,6 @@ class TheoryConstants:
     longer separates anything at machine precision.
     """
 
-    n: int
-    L: int
     eta: float
     mu: float
     c: float
@@ -323,7 +321,4 @@ def theory_constants(n: int, L: int) -> TheoryConstants:
         log_mu = math.log1p(-eta) / L if eta > 0 else 0.0
         mu = math.exp(log_mu)
     vacuous = eta == 0.0 or mu >= 1.0
-    return TheoryConstants(
-        n=n, L=L, eta=eta, mu=mu, c=4.0,
-        log_eta=log_eta, log_mu=log_mu, vacuous=vacuous,
-    )
+    return TheoryConstants(eta=eta, mu=mu, c=4.0, log_eta=log_eta, log_mu=log_mu, vacuous=vacuous)

@@ -20,6 +20,7 @@ from pushsim.cli import main
 from pushsim.graphs import GraphSequence, digraph, format_graph_sequence, generate_sequence
 from pushsim.harness import (
     BoundsConfig,
+    CheckResult,
     ConfigError,
     ExperimentConfig,
     GraphConfig,
@@ -297,6 +298,42 @@ def test_unknown_section_and_key_are_hard_errors():
 def test_cross_field_sanity_errors(cfg, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config(render_config(cfg))
+
+
+ZERO = "[objective]\nkind = zero\n"
+HINGE2 = "[graph]\nn = 2\n[objective]\nkind = hinge\nd = 2\nbox_lo = -1 -1\nbox_hi = 1 1\n"
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("[graph]\nkind = file\n", "[graph] kind=file needs a file path"),
+    ("[weights]\nrule = magic\n", "[weights] rule: unknown value 'magic'"),
+    ("[weights]\nrule = file\n", "[weights] rule=file needs a file path"),
+    ("[objective]\nkind = cubic\n", "[objective] kind: unknown value 'cubic'"),
+    ("[objective]\nkind = zero\nd = 0\n", "[objective] d must be positive"),
+    ("[graph]\nn = 2\n[objective]\nkind = quadratic\nd = 2\ntargets = 1 2 ; 3\n",
+     "[objective] targets: every row must have d=2 values"),
+    (HINGE2 + "labels = 1 -1\n", "[objective] kind=hinge needs normals and labels"),
+    (HINGE2 + "normals = 1 0 ; 0 1\n", "[objective] kind=hinge needs normals and labels"),
+    (HINGE2 + "normals = 1 0\nlabels = 1 -1\n",
+     "[objective] hinge needs one normal and label per agent (n=2)"),
+    (HINGE2 + "normals = 1 0 ; 0 1\nlabels = 1\n",
+     "[objective] hinge needs one normal and label per agent (n=2)"),
+    (HINGE2 + "normals = 1 0 ; 1\nlabels = 1 -1\n",
+     "[objective] normals: every row must have d=2 values"),
+    (ZERO + "d = 2\nbox_lo = -1\n", "[objective] box_lo must have d=2 values"),
+    (ZERO + "d = 2\nbox_hi = 1 1 1\n", "[objective] box_hi must have d=2 values"),
+    (ZERO + "[schedule]\nkind = cosine\n", "[schedule] kind: unknown value 'cosine'"),
+    (ZERO + "[init]\nmode = zeros\n", "[init] mode: unknown value 'zeros'"),
+    (ZERO + "[init]\nmode = explicit\n", "[init] mode=explicit needs values"),
+    (ZERO + "[init]\nlo = 1\nhi = 1\n", "[init] needs lo < hi"),
+    ("[objective]\nkind = quadratic\ntargets = 1 ; ; 2\n",
+     "[objective] targets: expected rows of finite numbers, got '1 ; ; 2'"),
+    ("[DEFAULT]\nn = 3\n", "unexpected keys outside any section: ['n']"),
+    ("[graph]\nn = 3\n[graph]\nn = 4\n", "unparseable config: "),
+])
+def test_parse_config_refuses(text, msg):
+    with pytest.raises(ConfigError, match=re.escape(msg)):
+        parse_config(text)
 
 
 def test_apply_overrides():
@@ -677,8 +714,8 @@ def test_corrupted_weights_file_fails_loud(tmp_path):
 
 
 def test_verify_skips_downstream_on_bad_weights(tmp_path):
-    summary, result = verify_experiment(cycle3_config(tmp_path, corrupt=True))
-    assert not summary.passed and result is None
+    summary = verify_experiment(cycle3_config(tmp_path, corrupt=True))
+    assert not summary.passed and summary.min_y is None
     by_name = {c.name: c for c in summary.checks}
     assert not by_name["weight-validation"].passed
     assert by_name["weight-validation"].note.startswith(
@@ -710,8 +747,8 @@ def test_every_report_leaf_is_a_plain_json_value(tmp_path):
         run_experiment(fixed, out_dir=tmp_path / "fix").summary,
         run_experiment(CERTIFIED["cycle3-hinge2d-fixed"]).summary,
         run_experiment(cycle3_config(tmp_path)).summary,
-        verify_experiment(decaying)[0],
-        verify_experiment(cycle3_config(tmp_path, corrupt=True))[0],
+        verify_experiment(decaying),
+        verify_experiment(cycle3_config(tmp_path, corrupt=True)),
         sweep_experiment(base_config(sweep=SweepConfig(horizons=(40, 80, 150)))),
         report_from_dir(decaying, tmp_path / "dec"),
         report_from_dir(fixed, tmp_path / "fix"),
@@ -761,8 +798,8 @@ def test_file_weights_validate_each_distinct_graph_once(tmp_path, monkeypatch, k
 
 
 def test_verify_happy_path():
-    summary, result = verify_experiment(base_config())
-    assert summary.passed and result is not None
+    summary = verify_experiment(base_config())
+    assert summary.passed and summary.min_y is not None
     by_name = {c.name: c for c in summary.checks}
     assert by_name["product-identity"].passed
     assert by_name["product-identity"].value <= 1e-9
@@ -780,7 +817,7 @@ def test_verify_fails_product_identity_on_a_nan_residual(monkeypatch):
         return residuals(ws, ys)
 
     monkeypatch.setattr(pushsim.harness, "product_identity_residuals", with_nan)
-    summary, _ = verify_experiment(base_config())
+    summary = verify_experiment(base_config())
     check = {c.name: c for c in summary.checks}["product-identity"]
     assert not check.passed and np.isnan(check.value)
     assert not summary.passed
@@ -858,7 +895,6 @@ def reference_sweep(cfg, out):
         sweep_r2=None if fit.exact else fit.r2,
         sweep_exact=fit.exact,
         checks=all_checks,
-        passed=all(c.passed for c in all_checks),
     )
     out.mkdir(parents=True)
     rows = ["T,gap"] + [f"{T},{g:.17g}" for (T, g) in points]
@@ -1260,16 +1296,20 @@ def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
     trace, report = (out / "trace.csv").read_text(), (out / "report.json").read_text()
     lines = trace.splitlines(keepends=True)
-    no_gap, no_eta = json.loads(report), json.loads(report)
-    del no_gap["final_gap"]
-    no_eta["eta_emp"] = None
+    stored = json.loads(report)
+    no_gap = {k: v for k, v in stored.items() if k != "final_gap"}
     cases = [
         ("trace.csv", "T" + trace[1:], "unexpected trace header"),
         ("trace.csv", lines[0] + "x" + lines[1][lines[1].index(","):] + "".join(lines[2:]),
          "could not convert string to float"),
+        ("trace.csv", lines[0], "no data rows"),
         ("report.json", report[: len(report) // 2], "Unterminated string"),
         ("report.json", json.dumps(no_gap), "no 'final_gap' entry"),
-        ("report.json", json.dumps(no_eta), "not 'NoneType'"),
+        ("report.json", json.dumps({**stored, "eta_emp": None}), "not 'NoneType'"),
+        # recorded constants no certificate can take
+        ("report.json", json.dumps({**stored, "mu_emp": 1.5}), "log(mu) must be negative"),
+        ("report.json", json.dumps({**stored, "mu_emp": -0.5}), "math domain error"),
+        ("report.json", json.dumps({**stored, "eta_emp": -1}), "eta must lie in (0, n]"),
     ]
 
     def refused(cfgp, name, message):
@@ -1284,6 +1324,10 @@ def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
         (out / "report.json").write_text(report)
         (out / name).write_text(text)
         refused(cfgp, name, message)
+    # a schedule without the decay conditions has no certificate for a decaying run's columns
+    (out / "report.json").write_text(report)
+    p_half = base_config(schedule=ScheduleConfig(kind="polynomial", p=0.5))
+    refused(write_cfg(tmp_path, p_half), "report.json", "needs a stepsize satisfying the decay")
     # a fixed-schedule run's report is read for its margins
     fixed = base_config(schedule=ScheduleConfig(kind="fixed", t_fixed=150))
     cfgp = write_cfg(tmp_path, fixed)
@@ -1296,6 +1340,68 @@ def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
             stored["bound_margins"] = margins
         (out / "report.json").write_text(json.dumps(stored))
         refused(cfgp, "report.json", message)
+
+
+def test_cli_unusable_files_and_horizons_exit_2_with_one_line(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, base_config(sweep=SweepConfig(horizons=(40, 80, 150))))
+    w = tmp_path / "w.txt"
+    w.write_text(format_matrix(np.eye(3)))
+    cases = [
+        (["--weights-file", str(w)], "config error: weights file is 3x3, but the graph has n=4"),
+    ]
+    for text, message in (
+        ("four 150\n", "bad header 'four 150'"),
+        ("4 1.5\n", "bad header '4 1.5'"),
+        ("4 0\n", "header values must be positive"),
+        ("-4 1\n0:\n", "header values must be positive"),
+        ("4 1\nx: 1>2\n", "bad step label in line 'x: 1>2'"),
+        ("4 1\n0: 1>b\n", "bad arc token '1>b' at step 0"),
+    ):
+        f = tmp_path / f"g{len(cases)}.txt"
+        f.write_text(text)
+        cases.append((["--graph-file", str(f)], f"config error: [graph] file {f}: {message}"))
+    for flags, message in cases:
+        for command in ("simulate", "verify", "sweep"):
+            capsys.readouterr()
+            argv = [command, "--config", cfgp, "--out", str(tmp_path / "o"), *flags]
+            assert main(argv) == 2, (argv, message)
+            assert capsys.readouterr().err == message + "\n"
+    nonpositive = write_cfg(tmp_path, base_config(sweep=SweepConfig(horizons=(0, 40, 80))))
+    assert main(["sweep", "--config", nonpositive, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: sweep horizons must be positive\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_summary_passes_exactly_when_its_checks_pass(tmp_path):
+    header = dict(kind="simulate", n=3, d=1, steps=10, graph_kind="static-cycle",
+                  schedule_kind="harmonic")
+    ok, failed = CheckResult("a", True), CheckResult("b", False)
+    assert SummaryReport(**header, checks=[ok, ok]).passed is True
+    assert SummaryReport(**header, checks=[ok, failed]).passed is False
+    with pytest.raises(TypeError):
+        SummaryReport(**header, checks=[failed], passed=True)
+    # every command's report.json, a passing and a failing one of each but
+    # report (which writes none: its summary is checked as written)
+    p_half = ScheduleConfig(kind="polynomial", p=0.5)
+    horizons = SweepConfig(horizons=(40, 80, 150))
+    runs = [  # (command, config, --out directory)
+        ("simulate", base_config(), "sim"),
+        ("verify", base_config(), "ver"),
+        ("verify", cycle3_config(tmp_path, corrupt=True), "ver-bad"),
+        ("sweep", base_config(sweep=horizons), "swp"),
+        ("sweep", base_config(schedule=p_half, sweep=horizons), "swp-bad"),
+        ("simulate", base_config(objective=ObjectiveConfig(
+            kind="l1", d=1, g_bound=0.5, targets=((0.0,), (1.0,), (2.0,), (5.0,)))), "fail"),
+    ]
+    payloads = []
+    for command, cfg, out in runs:
+        code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / out)])
+        payloads.append(json.loads((tmp_path / out / "report.json").read_text()))
+        assert code == (0 if payloads[-1]["passed"] else 1), out
+    payloads.append(report_from_dir(base_config(), tmp_path / "sim").as_dict())
+    for payload in payloads:
+        assert payload["passed"] == all(c["passed"] for c in payload["checks"]), payload["kind"]
+    assert [p["passed"] for p in payloads] == [True, True, False, True, False, False, True]
 
 
 def test_cli_non_finite_optimum_or_ceiling_is_a_config_error(tmp_path, capsys):
