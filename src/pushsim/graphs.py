@@ -323,17 +323,19 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
     power of two, only growing, always below the window); a window of
     length L in [a, 2a] is the union of two overlapping ones, the OR of
     their packed bytes.  Each scan tests the unions in blocks, stops at
-    the first failing block, and tests each distinct union once (keyed by
-    its packed bytes; only the fresh ones are unpacked): periodic
-    sequences such as ``static-cycle`` and ``rotating-arc`` repeat a few
-    unions, each of whose searches can take up to n rounds.  ``level``
+    the first failing block, and tests each distinct union once (only the
+    fresh ones are unpacked): periodic sequences such as ``static-cycle``
+    and ``rotating-arc`` repeat a few unions, each of whose searches can
+    take up to n rounds.  A scan keeps the hash of each union's bytes and
+    the first start that had it, not the bytes, and counts a union as seen
+    only if that start's union, recomputed, has the same bytes.  ``level``
     starts as the sequence itself; its first growth makes one private copy
     of the packed stack, and every growth ORs each union with the one
     ``a`` starts later in place, in ascending blocks: a block reads only
     rows that no earlier block has updated, and NumPy reads the rows a
     block shares with its own output before writing.  Besides the
-    sequence, memory stays at one packed stack plus a few blocks of
-    ``_BLOCK_CELLS`` cells.
+    sequence, memory stays at one packed stack, a few blocks of
+    ``_BLOCK_CELLS`` cells and one hash entry per start.
     """
     hs = list(horizons)
     if any(not 1 <= T <= seq.horizon for T in hs):
@@ -343,17 +345,23 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
 
     def every_window_connected(length: int, horizon: int) -> bool:
         starts = horizon - length + 1
-        connected: set[bytes] = set()  # packed unions already shown connected
+        connected: dict[int, int] = {}  # hash of a union's bytes -> first start with it
         for lo in range(scanned.get(length, 0), starts, block):
             hi = min(starts, lo + block)
             unions = level[lo:hi] | level[lo + length - a : hi + length - a]
-            keys = [u.tobytes() for u in unions]
-            fresh = {key: k for k, key in enumerate(keys) if key not in connected}
-            if fresh and not _all_strongly_connected(
-                unpack_adjacency(unions[list(fresh.values())], seq.n)
-            ):
+            first = np.array([
+                connected.setdefault(hash(u.tobytes()), start)
+                for start, u in enumerate(unions, lo)
+            ])
+            # A hit counts once the first start's union, recomputed, has
+            # the same bytes; a hash collision is tested as a new union.
+            seen = first < np.arange(lo, hi)
+            seen[seen] = (
+                level[first[seen]] | level[first[seen] + length - a] == unions[seen]
+            ).all(axis=(1, 2))
+            fresh = np.flatnonzero(~seen)
+            if fresh.size and not _all_strongly_connected(unpack_adjacency(unions[fresh], seq.n)):
                 return False
-            connected.update(fresh)
         scanned[length] = starts
         return True
 

@@ -880,7 +880,7 @@ def verify_experiment(cfg: ExperimentConfig) -> SummaryReport:
 
         # The exchange identity over every window tau < t <= tau + PRODUCT_SPAN.
         ys = np.vstack([trace.ys, trace.final_state.y[None, :]])
-        worst = float(product_identity_residuals(ws.block(0, trace.steps), ys).max())
+        worst = float(product_identity_residuals(ws[: trace.steps], ys).max())
         checks.append(_residual_check("product-identity", worst, PRODUCT_IDENTITY_TOL))
         fields.update(
             eta_emp=trace.min_y, min_y=trace.min_y, final_consensus=float(trace.consensus[-1]),

@@ -206,26 +206,75 @@ class CompanionView(Sequence[SMatrix]):
         return build_s_matrix(self.ws[t], self.ys[t])
 
 
-def product_identity_residuals(ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _compact(m: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The n-by-n float matrix ``m`` as the flat indices and values of its
+    entries with a nonzero bit pattern (NaN and -0.0 included), or ``m``
+    itself when that takes no more bytes."""
+    idx = np.flatnonzero(m.view(np.uint64))
+    idx = idx.astype(np.min_scalar_type(m.size - 1))
+    if idx.size * (idx.itemsize + m.itemsize) >= m.nbytes:
+        return m
+    return idx, np.take(m, idx)
+
+
+class _Scratch:
+    """An n-by-n buffer that shows one matrix kept by :func:`_compact` at
+    a time.  A dense matrix is returned as it is; a sparse one is written
+    over the entries the previous one set, so a load touches its nonzero
+    entries and not all n^2."""
+
+    def __init__(self, n: int) -> None:
+        self.buf = np.zeros((n, n))
+        self.flat, self.idx = self.buf.ravel(), None
+
+    def load(self, kept: np.ndarray | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        if isinstance(kept, np.ndarray):
+            return kept
+        if self.idx is not None:
+            self.flat[self.idx] = 0.0
+        # intp indices scatter about twice as fast as the narrow kept ones
+        self.idx = kept[0].astype(np.intp)
+        self.flat[self.idx] = kept[1]
+        return self.buf
+
+
+def product_identity_residuals(ws: WeightStack | np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Worst exchange-identity residual for each start tau of a T-step
-    run, from W(0..T-1) ``ws`` (T, n, n) and y(0..T) ``ys`` (T+1, n).
+    run, from W(0..T-1) ``ws`` (a WeightStack, or a (T, n, n) array) and
+    y(0..T) ``ys`` (T+1, n).
 
     P_S = S(t-1)...S(tau) and P_W = W(t-1)...W(tau) satisfy
     P_S[i, j] * y_i(t) = P_W[i, j] * y_j(tau) in exact arithmetic; entry
     tau is the largest mismatch over all (i, j) and t = tau+1 .. min(T,
     tau + PRODUCT_SPAN), NaN if any is NaN.  Each S(k) is built once, and
-    both products grow by one left multiplication per t.
+    both products grow by one dense left multiplication per t.
+
+    A stack is read one step at a time (a step costs far less than its
+    PRODUCT_SPAN products), so no block of weights outlives its step.
+    Each W(k) and S(k) is kept by its entries with a nonzero bit pattern,
+    or dense when that takes fewer bytes (a step of an array input as a
+    view), and written into one of two n-by-n buffers for each product,
+    so memory is O(T * nonzeros + n^2) and every residual is bitwise the
+    dense one's.
     """
     steps = len(ws)
-    if ys.shape != (steps + 1, ws.shape[1]):
-        raise ValueError(f"need {steps + 1} weight vectors of length {ws.shape[1]}, got {ys.shape}")
-    ss = [build_s_matrix(w, y).entries for w, y in zip(ws, ys)]
+    stack = isinstance(ws, WeightStack)
+    n = ws.n if stack else ws.shape[1]
+    if ys.shape != (steps + 1, n):
+        raise ValueError(f"need {steps + 1} weight vectors of length {n}, got {ys.shape}")
+    kept_w, kept_s = [], []
+    for t in range(steps):
+        w = ws[t].entries if stack else ws[t]
+        kept_w.append(_compact(w))
+        kept_s.append(_compact(build_s_matrix(w, ys[t]).entries))
+    w_buf, s_buf = _Scratch(n), _Scratch(n)
     out = np.empty(steps)
     for tau in range(steps):
-        worst, ps, pw = 0.0, None, None
+        worst = 0.0
         for k in range(tau, min(steps, tau + PRODUCT_SPAN)):
-            ps = ss[k] if ps is None else ss[k] @ ps
-            pw = ws[k] if pw is None else ws[k] @ pw
+            s, w = s_buf.load(kept_s[k]), w_buf.load(kept_w[k])
+            ps = s.copy() if k == tau else s @ ps
+            pw = w.copy() if k == tau else w @ pw
             # np.maximum, unlike max(), keeps a NaN
             worst = np.maximum(worst, np.abs(ps * ys[k + 1][:, None] - pw * ys[tau][None, :]).max())
         out[tau] = worst

@@ -9,6 +9,7 @@ import numpy as np
 
 from pushsim.graphs import _BLOCK_CELLS, GraphSequence, _all_strongly_connected, unpack_adjacency
 from pushsim.pushsum import (
+    PRODUCT_SPAN,
     CompanionView,
     NetworkState,
     RunFailure,
@@ -47,6 +48,26 @@ def _product(mats: Sequence[np.ndarray], tau: int, t: int) -> np.ndarray:
     for k in range(tau + 1, t):
         p = mats[k] @ p
     return p
+
+
+def reference_product_identity_residuals(ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Worst exchange-identity residual for each start tau, from the dense
+    ``(T, n, n)`` weights and a list of every dense companion: the routine
+    that keeping each step by its nonzero entries replaced."""
+    steps = len(ws)
+    if ys.shape != (steps + 1, ws.shape[1]):
+        raise ValueError(f"need {steps + 1} weight vectors of length {ws.shape[1]}, got {ys.shape}")
+    ss = [build_s_matrix(w, y).entries for w, y in zip(ws, ys)]
+    out = np.empty(steps)
+    for tau in range(steps):
+        worst, ps, pw = 0.0, None, None
+        for k in range(tau, min(steps, tau + PRODUCT_SPAN)):
+            ps = ss[k] if ps is None else ss[k] @ ps
+            pw = ws[k] if pw is None else ws[k] @ pw
+            # np.maximum, unlike max(), keeps a NaN
+            worst = np.maximum(worst, np.abs(ps * ys[k + 1][:, None] - pw * ys[tau][None, :]).max())
+        out[tau] = worst
+    return out
 
 
 def format_matrix(entries: np.ndarray) -> str:

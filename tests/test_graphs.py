@@ -362,6 +362,38 @@ def test_window_search_holds_one_private_stack(monkeypatch, kind):
     assert peak <= bound, f"peak {peak} B above {bound} B"
 
 
+def test_window_search_keeps_a_hash_of_each_union_not_its_bytes(monkeypatch):
+    # Nearly every random union is distinct.  At n=64 a packed union is
+    # 512 B; the search keeps a hash and a start for each (a dict entry of
+    # about 100 B), next to its one private stack and a few blocks.
+    monkeypatch.setattr(pushsim.graphs, "_BLOCK_CELLS", 1 << 14)
+    seq = generate_sequence("random-walkable", 64, 2000, 1, arc_prob=0.05)
+    windows, peak = traced_peak(lambda: connectivity_windows(seq, [2000]))
+    assert windows == [reference_connectivity_window(seq)]
+    bound = seq.bits.nbytes + 16 * pushsim.graphs._BLOCK_CELLS + 128 * seq.horizon
+    assert peak <= bound, f"peak {peak} B above {bound} B"
+
+
+def collision_sequences():
+    """Sequences whose early unions are connected and whose later ones
+    are not, so trusting a hash alone would pass a failing length."""
+    ring = frozenset({(i, i) for i in range(4)} | {(j, (j + 1) % 4) for j in range(4)})
+    alone = frozenset((i, i) for i in range(4))
+    for steps in ([ring] * 3 + [alone] * 2 + [ring] * 2, [ring] * 5 + [alone] + [ring] * 6 + [alone] * 3):
+        yield pytest.param(GraphSequence(4, bits_of(4, steps)), id=f"ring-alone-{len(steps)}")
+    yield pytest.param(generate_sequence("rotating-arc", 5, 17), id="rotating-arc-5-17")
+    yield pytest.param(generate_sequence("random-walkable", 9, 60, 4, arc_prob=0.1), id="random-walkable-9-60")
+
+
+@pytest.mark.parametrize("seq", list(collision_sequences()))
+def test_window_search_tests_a_hash_collision_as_a_new_union(monkeypatch, seq):
+    # every union hashes alike: a union counts as seen only when its bytes
+    # equal those of the earlier union it collides with
+    monkeypatch.setattr(pushsim.graphs, "hash", lambda key: 0, raising=False)
+    for T in range(1, seq.horizon + 1):
+        assert connectivity_windows(seq, [T]) == [reference_connectivity_window(seq.prefix(T))]
+
+
 def traced_peak(build):
     """(build(), the tracemalloc peak while it ran)."""
     tracemalloc.start()

@@ -812,7 +812,7 @@ def test_verify_fails_product_identity_on_a_nan_residual(monkeypatch):
     residuals = pushsim.harness.product_identity_residuals
 
     def with_nan(ws, ys):
-        ws = ws.copy()
+        ws = ws.block(0, len(ws)).copy()
         ws[40, 0, 0] = np.nan
         return residuals(ws, ys)
 

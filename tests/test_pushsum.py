@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,8 @@ from pushsim.pushsum import (
     PRODUCT_SPAN,
     AbsProbSeq,
     RunFailure,
+    _Scratch,
+    _compact,
     absolute_probability,
     build_s_matrix,
     initial_state,
@@ -18,8 +23,12 @@ from pushsim.pushsum import (
     theory_constants,
 )
 from pushsim.subgradient import mean_and_consensus
-from pushsim.weights import WeightMatrix, build_weights
-from reference import transition_product_s, transition_product_w
+from pushsim.weights import WeightMatrix, WeightStack, build_weight_stack, build_weights
+from reference import (
+    reference_product_identity_residuals,
+    transition_product_s,
+    transition_product_w,
+)
 
 
 def cycle_weights(n):
@@ -188,6 +197,116 @@ def test_a_nan_weight_gives_a_nan_residual():
     res = product_identity_residuals(w, y)
     assert np.isnan(res[:8]).all() and (res[8:] <= 1e-9).all()
     assert np.isnan(res.max())
+
+
+def weight_history(ws):
+    """y(0..T) of pure push-sum from unit weights over the stack ``ws``."""
+    ys = [np.ones(ws.n)]
+    for w in chain.from_iterable(ws.blocks()):
+        ys.append(w @ ys[-1])
+    return np.array(ys)
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+
+
+@pytest.mark.parametrize("steps", [30, PRODUCT_SPAN, PRODUCT_SPAN + 13])
+@pytest.mark.parametrize("n", [5, 13, 40])
+@pytest.mark.parametrize("kind", ["static-cycle", "rotating-arc", "random-walkable"])
+def test_identity_residuals_are_bitwise_the_dense_reference(kind, n, steps):
+    # a WeightStack (read one step at a time) and its (T, n, n) array give
+    # the dense routine's residuals bit for bit
+    ws = build_weight_stack(generate_sequence(kind, n, steps, seed=n + steps))
+    ys = weight_history(ws)
+    dense = ws.block(0, steps)
+    want = reference_product_identity_residuals(dense, ys)
+    assert_bitwise(product_identity_residuals(ws, ys), want)
+    assert_bitwise(product_identity_residuals(dense, ys), want)
+
+
+def dense_file_weights(n, steps, seed):
+    """WeightStack.repeated of one column-stochastic matrix with every
+    entry positive, as a weights file gives it."""
+    m = np.random.default_rng(seed).random((n, n)) + 0.1
+    m /= m.sum(axis=0)
+    return WeightStack.repeated(WeightMatrix(m, float(m.min())), steps)
+
+
+@pytest.mark.parametrize("n", [5, 13, 40])
+def test_identity_residuals_of_dense_file_weights_are_bitwise_the_dense_reference(n):
+    steps = PRODUCT_SPAN + 13
+    ws = dense_file_weights(n, steps, seed=n)
+    assert isinstance(_compact(ws.block(0, 1)[0]), np.ndarray)  # kept dense
+    ys = weight_history(ws)
+    want = reference_product_identity_residuals(ws.block(0, steps), ys)
+    assert_bitwise(product_identity_residuals(ws, ys), want)
+    assert_bitwise(product_identity_residuals(ws.block(0, steps), ys), want)
+
+
+@pytest.mark.parametrize("kind", ["static-cycle", "random-walkable"])
+def test_identity_residuals_keep_nan_and_negative_zero_weights_bitwise(kind):
+    # NaN and -0.0 have a nonzero bit pattern, so they are kept, on the
+    # support and off it, in both input forms
+    steps, n = PRODUCT_SPAN + 13, 13
+    ws = build_weight_stack(generate_sequence(kind, n, steps, seed=4))
+    ys = weight_history(ws)
+    w = ws.block(0, steps).copy()
+    w[5, 0, 0] = -0.0
+    w[(9, *np.argwhere(w[9] == 0)[0])] = -0.0
+    w[11, 2, 6] = np.nan
+    w[40, 4, 4] = np.nan
+    want = reference_product_identity_residuals(w, ys)
+    assert np.isnan(want[:41]).all() and not np.isnan(want[41:]).any()
+    assert_bitwise(product_identity_residuals(w, ys), want)
+    stack = WeightStack.of([WeightMatrix(m, 0.1) for m in w])
+    assert_bitwise(product_identity_residuals(stack, ys), want)
+
+
+def test_compact_keeps_every_nonzero_bit_pattern():
+    m = np.zeros((9, 9))
+    m[0, 0], m[3, 4], m[8, 8], m[2, 7] = -0.0, np.nan, 0.25, -np.inf
+    kept = _compact(m)
+    assert isinstance(kept, tuple) and kept[0].dtype == np.uint8 and kept[0].tolist() == [0, 25, 31, 80]
+    full = np.arange(1.0, 82.0).reshape(9, 9)
+    assert _compact(full) is full
+    # each sparse load clears what the one before it set
+    scratch = _Scratch(9)
+    other = np.zeros((9, 9))
+    other[1, 1], other[8, 8] = 0.5, -0.0
+    for want in (m, other, full, m, m, other):
+        got = scratch.load(_compact(want))
+        assert got.tobytes() == want.tobytes()
+
+
+def traced_peak(call):
+    """(call(), the tracemalloc peak while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_identity_residuals_hold_no_stack_of_weights_or_companions():
+    # the weights and companions are kept by their nonzero entries: below
+    # one T*n*n float stack on a lazy stack, where the dense routine holds
+    # the weights and every companion (more than two stacks), and no
+    # second stack next to an array input
+    n = steps = 64
+    ws = build_weight_stack(generate_sequence("random-walkable", n, steps, seed=3))
+    ys = weight_history(ws)
+    stack_bytes = steps * n * n * 8
+    got, peak = traced_peak(lambda: product_identity_residuals(ws, ys))
+    assert peak < stack_bytes, f"peak {peak} B not below one stack of {stack_bytes} B"
+    want, ref_peak = traced_peak(lambda: reference_product_identity_residuals(ws.block(0, steps), ys))
+    assert ref_peak > 2 * stack_bytes
+    assert_bitwise(got, want)
+    dense = ws.block(0, steps)
+    got, peak = traced_peak(lambda: product_identity_residuals(dense, ys))
+    assert peak < stack_bytes, f"peak {peak} B not below one stack of {stack_bytes} B"
+    assert_bitwise(got, want)
 
 
 def test_w_product_columns_approach_common_vector_within_envelope():
