@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
     "GeometricFit",
     "timevarying_series",
     "bound_fixed",
+    "agent_series",
     "contraction_series",
     "fit_rate",
     "fit_geometric_rate",
@@ -120,11 +122,19 @@ class BoundInputs:
         """sum_i (x_i(0) + alpha(0) g_i(0)), the aggregate the mass term remembers."""
         return (self.z0 + self.alphas[0] * self.g0).sum(axis=0)
 
-    def spread_sum(self, ref: np.ndarray) -> float:
-        """sum_i (||z_bar0 - z_i0|| + ||ref - z_i0||)."""
+    def spread_sum(self, ref: np.ndarray) -> float | list[float]:
+        """sum_i (||z_bar0 - z_i0|| + ||ref - z_i0||); a list of one per row of refs (k, d)."""
         da = np.sqrt(((self.z0 - self.z_bar0) ** 2).sum(axis=1))
-        db = np.sqrt(((self.z0 - np.asarray(ref, dtype=float)) ** 2).sum(axis=1))
-        return float((da + db).sum())
+        db = np.sqrt(((self.z0 - np.asarray(ref, dtype=float)[..., None, :]) ** 2).sum(axis=-1))
+        return (da + db).sum(axis=-1).tolist()
+
+    @cached_property
+    def memory(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(||m0||, mu^t, alpha(0) mu^(t/2) + alpha(ceil(t/2))) for each step
+        t, which the decaying certificate and the envelopes both read."""
+        a, ts = self.alphas, np.arange(self.alphas.size, dtype=float)
+        halves = a[0] * _mu_powers(self.log_mu, ts / 2.0) + a[np.arange(1, a.size + 1) // 2]
+        return float(np.sqrt((self.initial_mass ** 2).sum())), _mu_powers(self.log_mu, ts), halves
 
 
 def _mu_powers(log_mu: float, ks: np.ndarray) -> np.ndarray:
@@ -160,8 +170,8 @@ def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def timevarying_series(inp: BoundInputs, agent: int | None = None) -> BoundSeries:
-    """Certificates for every step of ``inp.alphas`` under a decaying stepsize.
+def timevarying_series(inp: BoundInputs) -> BoundSeries:
+    """The network's certificates for every step of ``inp.alphas`` under a decaying stepsize.
 
     The stepsize prefix sums are sequential cumulative sums, so the
     reported numbers are exactly the finite sums they claim to be, added
@@ -173,13 +183,9 @@ def timevarying_series(inp: BoundInputs, agent: int | None = None) -> BoundSerie
     if not inp.decay_ok:
         raise ValueError("time-varying bound needs a stepsize satisfying the decay conditions "
                          "(positive, nonincreasing, divergent sum, square-summable)")
-    if agent is not None and not 0 <= agent < inp.n:
-        raise ValueError(f"agent index out of range: {agent}")
     a = inp.alphas
     dist0_sq = float(((inp.z_bar0 - inp.z_star) ** 2).sum())
-    ref = inp.z_bar0 if agent is None else inp.z0[agent]
-    spread = inp.spread_sum(ref)
-    mass_norm = float(np.sqrt((inp.initial_mass ** 2).sum()))
+    spread = inp.spread_sum(inp.z_bar0)
 
     ts = np.arange(a.size, dtype=float)
     sum_a = np.cumsum(a)
@@ -190,12 +196,9 @@ def timevarying_series(inp: BoundInputs, agent: int | None = None) -> BoundSerie
     if inp.n > 1:
         # sum_{tau<t} alpha(tau) mu^tau and
         # sum_{tau<t} alpha(tau) (alpha(0) mu^(tau/2) + alpha(ceil(tau/2)))
-        head = a[:-1]
-        pow_t = _mu_powers(inp.log_mu, ts)[:-1]
-        pow_half = _mu_powers(inp.log_mu, ts / 2.0)[:-1]
-        halves = a[0] * pow_half + a[np.arange(1, a.size) // 2]  # alpha(ceil(tau/2))
-        mass_acc = _exclusive_cumsum(head * pow_t)
-        tail_acc = _exclusive_cumsum(head * halves)
+        mass_norm, pow_t, halves = inp.memory
+        mass_acc = _exclusive_cumsum(a[:-1] * pow_t[:-1])
+        tail_acc = _exclusive_cumsum(a[:-1] * halves[:-1])
         with np.errstate(over="ignore"):
             t3 = 32.0 * inp.G * mass_norm * mass_acc / (inp.eta * sum_a)
             t4 = (
@@ -207,18 +210,15 @@ def timevarying_series(inp: BoundInputs, agent: int | None = None) -> BoundSerie
     return BoundSeries(ts=ts, terms=np.stack([t1, t2, t3, t4], axis=1), total=total)
 
 
-def bound_fixed(inp: BoundInputs, agent: int | None = None) -> BoundSeries:
-    """Certificate at the horizon T of ``inp.schedule`` for the constant
-    stepsize 1/sqrt(T): the one-row series at t = T."""
+def bound_fixed(inp: BoundInputs) -> BoundSeries:
+    """The network's certificate at the horizon T of ``inp.schedule`` for
+    the constant stepsize 1/sqrt(T): the one-row series at t = T."""
     if inp.schedule.kind != "fixed":
         raise ValueError("fixed-horizon bound needs a fixed 1/sqrt(T) schedule")
     T = inp.schedule.T
-    if agent is not None and not 0 <= agent < inp.n:
-        raise ValueError(f"agent index out of range: {agent}")
     sqrt_t = math.sqrt(T)
     dist0_sq = float(((inp.z_bar0 - inp.z_star) ** 2).sum())
-    ref = inp.z_bar0 if agent is None else inp.z0[agent]
-    spread = inp.spread_sum(ref)
+    spread = inp.spread_sum(inp.z_bar0)
     mass = (inp.z0 + inp.g0 / sqrt_t).sum(axis=0)
     mass_norm = float(np.sqrt((mass ** 2).sum()))
     t1 = (dist0_sq + inp.G ** 2) / (2.0 * sqrt_t)
@@ -232,6 +232,21 @@ def bound_fixed(inp: BoundInputs, agent: int | None = None) -> BoundSeries:
     return BoundSeries(
         ts=np.array([float(T)]), terms=np.array([terms]), total=np.array([sum(terms)]),
     )
+
+
+def agent_series(inp: BoundInputs, network: BoundSeries) -> Iterator[BoundSeries]:
+    """Each agent's certificate, in agent order, from ``network``, the
+    network's of the same ``inp``: only term 2 depends on whose average is
+    certified, and it takes the spread about z_i0 instead of z_bar0."""
+    fixed = inp.schedule.kind == "fixed"
+    scale = inp.G if fixed else inp.G * inp.alphas[0]
+    den = inp.n * (inp.schedule.T if fixed else np.cumsum(inp.alphas))
+    for spread in inp.spread_sum(inp.z0):
+        terms = network.terms.copy()
+        terms[:, 1] = scale * spread / den
+        with np.errstate(over="ignore"):  # ((t1 + t2) + t3) + t4, as the network's
+            total = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+        yield BoundSeries(ts=network.ts, terms=terms, total=total)
 
 
 @dataclass(frozen=True)
@@ -252,10 +267,7 @@ class ContractionSeries:
 def contraction_series(inp: BoundInputs) -> ContractionSeries:
     """Evaluate both envelope forms for every step of ``inp.alphas``."""
     a = inp.alphas
-    mass_norm = float(np.sqrt((inp.initial_mass ** 2).sum()))
-    ts = np.arange(a.size, dtype=float)
-    pow_t = _mu_powers(inp.log_mu, ts)
-    pow_half = _mu_powers(inp.log_mu, ts / 2.0)
+    mass_norm, pow_t, halves = inp.memory
     lead = (8.0 / inp.eta) * mass_norm * pow_t
 
     mu = math.exp(inp.log_mu)  # rounding up toward 1.0 only loosens the bound
@@ -268,7 +280,6 @@ def contraction_series(inp: BoundInputs) -> ContractionSeries:
 
     refined = None
     if inp.decay_ok:
-        halves = a[0] * pow_half + a[np.ceil(ts / 2.0).astype(int)]
         refined = lead + (
             8.0 * inp.n * inp.G / (inp.eta * inp.one_minus_mu)
         ) * halves

@@ -19,6 +19,7 @@ import json
 import math
 from configparser import ConfigParser
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -27,6 +28,7 @@ import numpy as np
 from .bounds import (
     BoundInputs,
     BoundReport,
+    agent_series,
     bound_fixed,
     contraction_series,
     fit_geometric_rate,
@@ -818,12 +820,12 @@ def _certificates(
     g0 = objective.agent_subgradients(trace.zs[0])
     fixed = schedule.kind == "fixed"
     form, certify = ("fixed", bound_fixed) if fixed else ("decaying", timevarying_series)
-    # (who, agent index, realized gap series); each agent's series is
-    # computed once and shared by every constant set
-    targets = [("network", None, trace.running_gap)]
+    # (who, realized gap series), the agents only with ``agents``; each
+    # agent's series is computed once and shared by every constant set
+    targets = [("network", trace.running_gap)]
     if agents and constants:
         targets += [
-            (f"agent{k + 1}", k, certified_gaps(objective, trace.alphas, trace.zs[:, k], k + 1))
+            (f"agent{k + 1}", certified_gaps(objective, trace.alphas, trace.zs[:, k], k + 1))
             for k in range(trace.n)
         ]
     for label, (eta, mu, log_mu) in constants.items():
@@ -833,8 +835,8 @@ def _certificates(
             G=objective.g_bound, eta=eta, log_mu=log_mu, z0=trace.zs[0],
             z_star=objective.z_star, g0=g0, alphas=trace.alphas, schedule=schedule,
         )
-        for who, agent, gaps in targets:
-            series = certify(inp, agent=agent)
+        network = certify(inp)
+        for (who, gaps), series in zip(targets, chain([network], agent_series(inp, network))):
             yield BoundReport(
                 label=f"gap-{form}-{who}-{label}",
                 ts=series.ts, lhs=gaps[-series.ts.size:], rhs=series.total, terms=series.terms,

@@ -509,8 +509,8 @@ class RunTrace:
     ``s_product_gap[t]`` is the max-entry distance of the companion
     product S(t)...S(0) from its rank-one limit, and ``aps_residual[t]``
     the absolute-probability recursion residual
-    ``||pi(t+1)^T S(t) - pi(t)^T||_inf`` with pi = y/n, which the run
-    records while it holds S(t); ``smatrices`` rebuilds each S(t) on read.
+    ``||pi(t+1)^T S(t) - pi(t)^T||_inf`` with pi = y/n, both computed
+    block by block; ``smatrices`` rebuilds each S(t) on read.
     """
 
     n: int
@@ -588,22 +588,21 @@ def run_push_subgradient(
     The run enforces the declared subgradient ceiling, box containment,
     the weight floor and the certified optimum; a failure raises
     RunFailure naming the check, the agent and the step.  The step loop
-    computes only what is sequential: the subgradients, the stored rows,
-    x, y and the ratios, and, from each companion while it is at hand,
-    the product gap and the recursion residual.  The ceiling, box and
-    weight-floor checks are one pass over the stored rows of each weight
-    block when the block ends (:func:`_first_failure`), so a failing run
-    stops at most one block late; the reported failure is the one a
-    check after every step would raise first (per step: ceiling, box,
-    a companion that cannot be built, then the weights the step
-    produced), and the rows past it are discarded.  Each block's
-    warnings are held back until its pass: those of the steps before a
-    failure, or of the whole passing block, are then issued again, and
-    those of the discarded steps never are.  The network mean, the
-    Lyapunov average, the consensus error, the running-average gap and
-    the one-step deviation are each one expression over the stored rows
-    after the loop; each equals, bitwise, what a per-step evaluation
-    gives.
+    only steps: the subgradients, the stored rows, x, y and the ratios.
+    When a weight block ends, one pass over its stored rows makes the
+    checks (:func:`_first_failure`), so a failing run stops at most one
+    block late; the reported failure is the one a check after every step
+    would raise first (per step: ceiling, box, a companion that cannot be
+    built as W(t) y(t) has a nonpositive entry, then the weight floor),
+    and the rows past it are discarded.  Each block's warnings are held
+    back until its pass: those of the steps before a failure, or of the
+    whole passing block, are then issued again, and those of the
+    discarded steps never are.  A passing block's pass then builds each
+    S(t) from W(t) and the stored y(t) and y(t+1), with the product gap
+    and the recursion residual.  The network mean, the Lyapunov average,
+    the consensus error, the running-average gap and the one-step
+    deviation are each one expression over the stored rows after the
+    loop; each equals, bitwise, what a per-step evaluation gives.
     """
     steps = len(ws)
     if steps == 0:
@@ -629,7 +628,6 @@ def run_push_subgradient(
     aps_residual = np.empty(steps) if record_products else None
 
     prod = np.eye(n) if record_products else None
-    limit = np.full((n, n), 1.0 / n) if record_products else None
     z = x / y[:, None]
     t = recorded = 0
     try:
@@ -637,68 +635,52 @@ def run_push_subgradient(
             lo = t
             # How many warnings each step had raised by its checks, and by
             # the end of its weight update.
-            at_checks: list[int] = []
-            at_update: list[int] = []
-            companion_error = None
+            at_checks, at_update = [], []
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 for w in block:
                     g = objective._subgradients(z)
-                    xs[t] = x
-                    ys[t] = y
-                    zs[t] = z
-                    gs[t] = g
+                    xs[t], ys[t], zs[t], gs[t] = x, y, z, g
                     at_checks.append(len(caught))
-                    if record_products:
-                        try:
-                            s = build_s_matrix(w, y).entries
-                        except ValueError as exc:  # y or W y not positive
-                            companion_error = exc
-                            break
-                        prod = s @ prod
-                        s_product_gap[t] = float(np.abs(prod - limit).max())
-                        pi = y / n
-
                     # alpha == 0 is exactly a pure mixing step: the subtraction is skipped.
                     alpha = alphas[t]
                     x = w @ (x if alpha == 0.0 else x - alpha * g)
                     y = w @ y
                     at_update.append(len(caught))
-                    if record_products:
-                        aps_residual[t] = np.abs((y / n) @ s - pi).max()
                     z = x / y[:, None]
                     t += 1
-            # Free this block (w is a view of it) before the next is built.
-            del block, w
 
-            # Rows lo..t-1 are whole steps; the weights after them are the
-            # later rows and, after the last one, y.
-            if companion_error is None:
-                after, failure = np.concatenate([ys[lo + 1 : t], y[None]]), None
-            else:
-                after, failure = ys[lo + 1 : t + 1], (t - lo, 2)
-            rows = slice(lo, lo + len(at_checks))
-            found = _first_failure(objective, gs[rows], zs[rows], after)
-            if found is not None and (failure is None or found < failure):
-                failure = found
+            # Rows lo..t-1 are the block's steps; the weights after them are
+            # the later rows and, after the last one, y.
+            after = np.concatenate([ys[lo + 1 : t], y[None]])
+            failure = _first_failure(objective, gs[lo:t], zs[lo:t], after)
             if failure is None:
                 _reissue(caught)
+                if record_products:
+                    for k, w in enumerate(block, lo):
+                        # build_s_matrix(w, ys[k]), whose divisor W(t) y(t) is y(t+1)
+                        s = w * ys[k] / after[k - lo][:, None]
+                        prod = s @ prod
+                        s_product_gap[k] = float(np.abs(prod - 1.0 / n).max())
+                        aps_residual[k] = np.abs((after[k - lo] / n) @ s - ys[k] / n).max()
+                    del s  # free it before the next block is built
+                # Free this block (w is a view of it) before the next is built.
+                del block, w
                 continue
+            r, order = failure
+            if order == 2 and not record_products:
+                order = 3  # no companion is built: the weight floor fails
+            step = lo + r
+            recorded = step if order < 2 else step + 1
             # Issue the warnings a check after every step would have let
             # through before raising the same failure.
-            r, order = failure
-            step = lo + r
-            if order < 2:
-                recorded = step
-                _reissue(caught[: at_checks[r]])
-                if order == 0:
-                    raise _ceiling_failure(objective, gs[step], step)
+            _reissue(caught[: (at_update if order == 3 else at_checks)[r]])
+            if order == 0:
+                raise _ceiling_failure(objective, gs[step], step)
+            if order == 1:
                 raise _box_failure(objective, zs[step], step)
-            recorded = step + 1
             if order == 2:
-                _reissue(caught)
-                raise companion_error
-            _reissue(caught[: at_update[r]])
+                build_s_matrix(block[r], ys[step])  # raises: W(t) y(t) is not positive
             check_weight_floor(step + 1, after[r])
     except (RunFailure, ValueError):
         # The gap of every recorded step came before the failure.
@@ -735,9 +717,10 @@ def _first_failure(
     (row, order), or None.
 
     ``gs`` and ``zs`` are the rows' subgradients and ratios, shape
-    (k, n, d), and ``after[r]`` the weights that row r's step produced
-    (one per whole step, so possibly one row short).  Order 0 is the
-    subgradient ceiling, 1 box containment and 3 the weight floor; a
+    (k, n, d), and ``after[r]`` the weights W(t) y(t) that row r's step
+    produced.  Order 0 is the subgradient ceiling, 1 box containment, 2 a
+    nonpositive weight (no companion S(t) can divide by it; a run without
+    companions fails the weight floor there) and 3 the weight floor; a
     per-step check takes them in that order, so the smallest pair is the
     failure it raises first.  A square that overflows makes its row's norm
     inf, so that row fails the ceiling; it is recomputed, with its
@@ -747,8 +730,10 @@ def _first_failure(
     with np.errstate(over="ignore"):
         over = (np.sqrt((gs ** 2).sum(axis=2)) > objective.g_bound + 1e-9).any(axis=1)
     outside = ~objective.in_box(zs.reshape(k * n, d)).reshape(k, n).all(axis=1)
+    broken = (after <= 0.0).any(axis=1)
     low = (after <= Y_FLOOR).any(axis=1)
-    firsts = [(int(rows.argmax()), order) for order, rows in ((0, over), (1, outside), (3, low)) if rows.any()]
+    checks = (over, outside, broken, low)  # in order
+    firsts = [(int(rows.argmax()), order) for order, rows in enumerate(checks) if rows.any()]
     return min(firsts, default=None)
 
 

@@ -11,6 +11,7 @@ from pushsim.bounds import (
     BoundInputs,
     BoundSeries,
     _mu_powers,
+    agent_series,
     bound_fixed,
     contraction_series,
     fit_geometric_rate,
@@ -164,17 +165,16 @@ def test_timevarying_series_matches_explicit_sums():
 def test_agent_variant_uses_agent_reference_spread():
     z0 = np.array([[0.0], [2.0], [4.0]])
     inp = make_inputs(z0=z0)
-    net = timevarying_series(inp).terms[5]
-    ag0 = timevarying_series(inp, agent=0).terms[5]
-    ag2 = timevarying_series(inp, agent=2).terms[5]
+    network = timevarying_series(inp)
+    agents = list(agent_series(inp, network))
+    assert len(agents) == 3  # one certificate per agent, in agent order
+    net, ag0, ag2 = network.terms[5], agents[0].terms[5], agents[2].terms[5]
     # spread about agent 0's start (= 0.0) equals spread about agent 2's (= 4.0)
     assert ag0[1] == pytest.approx(ag2[1])
     assert ag0[1] > net[1]
     # the other three terms do not depend on the reference point
     for k in (0, 2, 3):
         assert ag0[k] == net[k]
-    with pytest.raises(ValueError, match="agent"):
-        timevarying_series(inp, agent=3)
 
 
 def test_single_agent_drops_network_memory_terms():
@@ -388,14 +388,23 @@ def test_fit_geometric_rate_exact_path():
 # the array series against the per-step loop it replaced
 # --------------------------------------------------------------------------
 
+def reference_spread(inp, agent=None):
+    """sum_i (||z_bar0 - z_i0|| + ||ref - z_i0||) about z_bar0 (agent
+    None) or about the agent's start, one point at a time."""
+    ref = inp.z_bar0 if agent is None else inp.z0[agent]
+    da = np.sqrt(((inp.z0 - inp.z_bar0) ** 2).sum(axis=1))
+    db = np.sqrt(((inp.z0 - ref) ** 2).sum(axis=1))
+    return float((da + db).sum())
+
+
 def reference_series(inp, agent=None):
     """The certificate series as a per-step loop with running sums: the
-    definition the array form of ``timevarying_series`` must reproduce
-    bit for bit, as (terms rows, totals)."""
+    definition the array form of ``timevarying_series`` (and, for an
+    agent, of ``agent_series``) must reproduce bit for bit, as (terms
+    rows, totals)."""
     a = inp.alphas
     dist0_sq = float(((inp.z_bar0 - inp.z_star) ** 2).sum())
-    ref = inp.z_bar0 if agent is None else inp.z0[agent]
-    spread = inp.spread_sum(ref)
+    spread = reference_spread(inp, agent)
     mass_norm = float(np.sqrt((inp.initial_mass ** 2).sum()))
     single = inp.n == 1
 
@@ -429,6 +438,12 @@ def reference_series(inp, agent=None):
             mass_acc += a[t] * pow_t[t]
             tail_acc += a[t] * (a[0] * pow_half[t] + a[math.ceil(t / 2)])
     return terms_rows, totals
+
+
+def series_for(inp, agent=None, certify=timevarying_series):
+    """The network's certificate, or the agent's derived from it."""
+    network = certify(inp)
+    return network if agent is None else list(agent_series(inp, network))[agent]
 
 
 def assert_bitwise(got, want):
@@ -477,13 +492,13 @@ def test_series_is_bitwise_the_per_step_loop(case):
     inp, agent, t = case
     steps = inp.alphas.size
     ref_terms, ref_totals = reference_series(inp, agent)
-    got = timevarying_series(inp, agent)
+    got = series_for(inp, agent)
     assert isinstance(got, BoundSeries) and got.ts.size == steps
     assert_bitwise(got.ts, np.arange(steps))
     assert_bitwise(got.terms, ref_terms)
     assert_bitwise(got.total, ref_totals)
     # the inputs of a run cut after step t give rows 0..t
-    one = timevarying_series(replace(inp, alphas=inp.alphas[: t + 1]), agent=agent)
+    one = series_for(replace(inp, alphas=inp.alphas[: t + 1]), agent)
     assert one.ts[-1] == t
     assert_bitwise(one.terms, got.terms[: t + 1])
     assert_bitwise(one.total, got.total[: t + 1])
@@ -522,9 +537,69 @@ def test_series_arrays_are_read_only():
 
 def test_single_row_series_holds_the_fixed_certificate():
     inp = make_inputs(schedule=StepsizeSchedule.fixed_horizon(64), steps=64)
-    series = bound_fixed(inp, agent=1)
+    series = series_for(inp, 1, bound_fixed)
     assert isinstance(series, BoundSeries) and series.ts.tolist() == [64.0]
     assert series.terms.shape == (1, 4) and series.total[0] == sum(series.terms[0])
     for arr in (series.ts, series.terms, series.total):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_inputs(), st.integers(1, 5000))
+def test_fixed_agent_certificates_are_bitwise_their_own(case, T):
+    # Each agent's fixed-horizon certificate, derived from the network's,
+    # is the one the fixed formula gives about that agent's start.
+    inp, agent, _ = case
+    sched = StepsizeSchedule.fixed_horizon(T)
+    inp = replace(inp, alphas=stepsize_array(sched, T), schedule=sched)
+    network = bound_fixed(inp)
+    agents = list(agent_series(inp, network))
+    assert len(agents) == inp.n
+    for k in range(inp.n) if agent is None else [agent]:
+        terms = network.terms[0].tolist()
+        terms[1] = inp.G * reference_spread(inp, k) / (inp.n * T)
+        assert_bitwise(agents[k].terms, [terms])
+        assert_bitwise(agents[k].total, [sum(terms)])
+        assert_bitwise(agents[k].ts, network.ts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_inputs())
+def test_spread_sums_of_a_stack_are_those_of_each_point(case):
+    inp = case[0]
+    assert inp.spread_sum(inp.z_bar0) == reference_spread(inp)
+    assert inp.spread_sum(inp.z0) == [reference_spread(inp, k) for k in range(inp.n)]
+
+
+def reference_envelopes(inp):
+    """(geometric, refined) from their own powers of mu, split sums
+    (with ceil(t/2)) and ||m0||, none of them shared."""
+    a = inp.alphas
+    mass_norm = float(np.sqrt((inp.initial_mass ** 2).sum()))
+    ts = np.arange(a.size, dtype=float)
+    lead = (8.0 / inp.eta) * mass_norm * _mu_powers(inp.log_mu, ts)
+    conv, acc, mu = np.empty(a.size), 0.0, math.exp(inp.log_mu)
+    for t in range(a.size):
+        acc = mu * acc + a[t]
+        conv[t] = acc
+    halves = a[0] * _mu_powers(inp.log_mu, ts / 2.0) + a[np.ceil(ts / 2.0).astype(int)]
+    return (
+        lead + (8.0 * inp.n * inp.G / inp.eta) * conv,
+        lead + (8.0 * inp.n * inp.G / (inp.eta * inp.one_minus_mu)) * halves,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_inputs())
+def test_envelopes_read_the_certificate_memory_bitwise(case):
+    # The envelopes read the powers of mu, the split sums and ||m0|| that
+    # the decaying certificate of the same inputs reads, computed once.
+    inp = case[0]
+    # Tiny worst-case eta can overflow the envelopes; here only the bits count.
+    with np.errstate(over="ignore"):
+        geometric, refined = reference_envelopes(inp)
+        env = contraction_series(inp)
+    assert_bitwise(env.geometric, geometric)
+    assert_bitwise(env.refined, refined)
+    assert inp.memory is inp.memory

@@ -643,8 +643,11 @@ def outcome(run):
     steps=st.integers(1, 40),
     seed=st.integers(0, 2 ** 16),
     squeeze=st.sampled_from([None, None, "ceiling", "box"]),
+    block=st.sampled_from([1, 2, 3, None]),
 )
-def test_array_loop_matches_per_agent_reference(kind, n, d, sched, record, steps, seed, squeeze):
+def test_array_loop_matches_per_agent_reference(kind, n, d, sched, record, steps, seed, squeeze, block):
+    # Weight blocks of ``block`` steps (None: the whole run in one), so
+    # the companion pass and its running product cross block boundaries.
     rng = np.random.default_rng(seed)
     objective, x0 = random_objective(kind, n, d, rng, squeeze)
     schedule = {
@@ -653,7 +656,9 @@ def test_array_loop_matches_per_agent_reference(kind, n, d, sched, record, steps
         "fixed": StepsizeSchedule.fixed_horizon(steps),
     }[sched]
     ws = build_weight_stack(generate_sequence("random-walkable", n, steps, seed, arc_prob=0.3))
-    assert_matches_reference(ws, x0, objective, schedule, record)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(block or steps, n))
+        assert_matches_reference(ws, x0, objective, schedule, record)
 
 
 def assert_matches_reference(ws, x0, objective, schedule, record):
@@ -977,6 +982,10 @@ def test_warnings_of_the_steps_before_a_failure_are_issued(monkeypatch, k):
     m=st.integers(1, 30),
     seed=st.integers(0, 2 ** 16),
 )
+# One point over more than 8 agents: numpy sums a contiguous (n, 1) column
+# pairwise, so a reduction over agents must keep their order by itself.
+@example(kind="l1", n=9, d=1, m=1, seed=2)
+@example(kind="l1", n=12, d=1, m=1, seed=7)
 def test_array_objective_matches_its_term_views(kind, n, d, m, seed):
     if kind == "hinge":
         d = min(d, 2)  # the exact certificate covers d <= 2
