@@ -276,13 +276,15 @@ def contraction_series(inp: BoundInputs) -> ContractionSeries:
     for t in range(a.size):
         acc = mu * acc + a[t]
         conv[t] = acc
-    geometric = lead + (8.0 * inp.n * inp.G / inp.eta) * conv
-
-    refined = None
-    if inp.decay_ok:
-        refined = lead + (
-            8.0 * inp.n * inp.G / (inp.eta * inp.one_minus_mu)
-        ) * halves
+    # Tiny worst-case constants may overflow to inf, a valid but vacuous
+    # envelope (as in timevarying_series).
+    with np.errstate(over="ignore"):
+        geometric = lead + (8.0 * inp.n * inp.G / inp.eta) * conv
+        refined = None
+        if inp.decay_ok:
+            refined = lead + (
+                8.0 * inp.n * inp.G / (inp.eta * inp.one_minus_mu)
+            ) * halves
     return ContractionSeries(geometric=geometric, refined=refined)
 
 

@@ -772,11 +772,15 @@ def _invariant_checks(
     weight floor and, when the objective has a subgradient, the stepsize
     decay conditions the rate needs."""
     n = trace.n
-    y_all = np.vstack([trace.ys, trace.final_state.y[None, :]])
+    final_y = trace.final_state.y[None, :]
+    # np.maximum, unlike max(), keeps a NaN from either part.
+    mass = np.maximum(
+        np.abs(trace.ys.sum(axis=1) - n).max(), np.abs(final_y.sum(axis=1) - n).max(),
+    )
     zl = np.vstack([trace.zlyap, trace.final_zlyap[None, :]])
     predicted = zl[:-1] - (trace.alphas[:, None] / n) * trace.gs.sum(axis=1)
     checks = [
-        _residual_check("weight-mass", float(np.abs(y_all.sum(axis=1) - n).max()), MASS_TOL),
+        _residual_check("weight-mass", float(mass), MASS_TOL),
         CheckResult(
             "weight-floor", bool(trace.min_y >= tc.eta or tc.eta == 0.0),
             value=trace.min_y, threshold=tc.eta,
@@ -787,7 +791,7 @@ def _invariant_checks(
     if trace.aps_residual is not None:
         # Built directly, not through absolute_probability's mass guard:
         # mass drift is the weight-mass check's to report.
-        aps = AbsProbSeq(vectors=y_all / n)
+        aps = AbsProbSeq(vectors=np.vstack([trace.ys, final_y]) / n)
         rec = float(trace.aps_residual.max())
         checks += [
             _residual_check("abs-prob-recursion", rec, APS_RECURSION_TOL),
@@ -919,6 +923,39 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
     if any(h < 1 for h in hs):
         raise ConfigError("sweep horizons must be positive")
     hs.sort()
+    points, all_checks = _sweep_horizons(cfg, hs)
+    fit = fit_rate(points)
+    summary = _summary(
+        cfg, "sweep", all_checks, steps=hs[-1],
+        sweep_points=points,
+        sweep_slope=None if fit.exact else fit.slope,
+        sweep_r2=None if fit.exact else fit.r2,
+        sweep_exact=fit.exact,
+    )
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        rows = ["T,gap"]
+        rows += [f"{T},{g:.17g}" for (T, g) in points]
+        (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_report(summary, out)
+        pos = [(T, g) for (T, g) in points if g > 0]
+        if pos:
+            line_chart(
+                out / "sweep.svg",
+                [Series([T for T, _ in pos], [g for _, g in pos], "final gap")],
+                title="optimality gap vs horizon",
+                xlabel="T", ylabel="gap",
+            )
+    return summary
+
+
+def _sweep_horizons(
+    cfg: ExperimentConfig, hs: list[int]
+) -> tuple[list[tuple[int, float]], list[CheckResult]]:
+    """The sweep's (T, final gap) points and its checks, named per
+    horizon, for the ascending horizons ``hs``.  The graphs, the weights
+    and the run are freed on return, before the fit and the artifacts."""
 
     def at_horizon(T: int) -> ExperimentConfig:
         return dataclasses.replace(
@@ -972,30 +1009,7 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
         all_checks += [dataclasses.replace(c, name=f"T={T}:{c.name}") for c in checks]
     if deferred is not None:
         raise deferred
-    fit = fit_rate(points)
-    summary = _summary(
-        cfg, "sweep", all_checks, steps=hs[-1],
-        sweep_points=points,
-        sweep_slope=None if fit.exact else fit.slope,
-        sweep_r2=None if fit.exact else fit.r2,
-        sweep_exact=fit.exact,
-    )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        rows = ["T,gap"]
-        rows += [f"{T},{g:.17g}" for (T, g) in points]
-        (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-        write_report(summary, out)
-        pos = [(T, g) for (T, g) in points if g > 0]
-        if pos:
-            line_chart(
-                out / "sweep.svg",
-                [Series([T for T, _ in pos], [g for _, g in pos], "final gap")],
-                title="optimality gap vs horizon",
-                xlabel="T", ylabel="gap",
-            )
-    return summary
+    return points, all_checks
 
 
 def _sweep_run(

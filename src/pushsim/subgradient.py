@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .pushsum import (
     build_s_matrix,
     check_weight_floor,
 )
-from .weights import WeightMatrix, WeightStack
+from .weights import WeightMatrix, WeightStack, row_blocks
 
 __all__ = [
     "ObjectiveSpec",
@@ -157,11 +157,12 @@ class ObjectiveSpec:
     def value_batch(self, zs: np.ndarray) -> np.ndarray:
         """f at each row of zs, shape (m, d) -> (m,); row k is bitwise
         ``value(zs[k])``.  The agents are added in order (ndarray.sum
-        would pair them up)."""
-        rows = self._agent_values(np.asarray(zs, dtype=float)[:, None, :])
-        total = np.zeros(rows.shape[0])
-        for r in rows.T:
-            total += r
+        would pair them up), one chunk of rows (:func:`_series_chunks`)
+        at a time."""
+        zs = np.asarray(zs, dtype=float)
+        total = np.zeros(zs.shape[0])
+        for rows in _series_chunks(zs.shape[0], self.n, self.d):
+            _add_columns(total[rows], self._agent_values(zs[rows, None, :]))
         return total / self.n
 
     def agent_subgradients(self, zs: np.ndarray) -> np.ndarray:
@@ -190,6 +191,19 @@ class ObjectiveSpec:
 
     def contains(self, z: np.ndarray, slack: float = 1e-9) -> bool:
         return bool(self.in_box(np.atleast_2d(z), slack)[0])
+
+
+def _series_chunks(rows: int, n: int, d: int) -> Iterator[slice]:
+    """Consecutive row slices for the series derived from (rows, n, d)
+    arrays: a chunk holds at most two temporaries of n d floats a row, so
+    together they take at most one weight block (``row_blocks``)."""
+    return row_blocks(rows, 2 * n * d)
+
+
+def _add_columns(total: np.ndarray, columns: np.ndarray) -> None:
+    """Add the columns of ``columns`` (m, n) to ``total`` (m,) in order."""
+    for c in columns.T:
+        total += c
 
 
 def _default_box(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -554,7 +568,7 @@ class RunTrace:
             running_gap=self.running_gap[cut], deviation=self.deviation[cut],
             final_state=NetworkState(t=steps, x=self.xs[steps], y=self.ys[steps]),
             final_zlyap=self.zlyap[steps],
-            min_y=min(1.0, *self.ys[1 : steps + 1].min(axis=1).tolist()),
+            min_y=_least_weight(self.ys[1 : steps + 1]),
             s_product_gap=None if self.s_product_gap is None else self.s_product_gap[cut],
             aps_residual=None if self.aps_residual is None else self.aps_residual[cut],
             smatrices=None if self.smatrices is None else self.smatrices[cut],
@@ -601,8 +615,10 @@ def run_push_subgradient(
     S(t) from W(t) and the stored y(t) and y(t+1), with the product gap
     and the recursion residual.  The network mean, the Lyapunov average,
     the consensus error, the running-average gap and the one-step
-    deviation are each one expression over the stored rows after the
-    loop; each equals, bitwise, what a per-step evaluation gives.
+    deviation are computed after the loop, one chunk of stored rows at a
+    time (:func:`_series_chunks`), so their temporaries take at most one
+    weight block; each row reduces on its own and equals, bitwise, what a
+    per-step evaluation gives.
     """
     steps = len(ws)
     if steps == 0:
@@ -689,22 +705,20 @@ def run_push_subgradient(
 
     zbar, consensus = mean_and_consensus(zs)
     running_gap = certified_gaps(objective, alphas, zbar)
-    zlyap = ((ys / n)[:, None, :] @ zs)[:, 0, :]
-    # One (steps, n, d) scratch, updated in place: the mixing inputs
-    # x - alpha g, then each next ratio's deviation from their mean.
-    scratch = alphas[:, None, None] * gs
-    h_mean = np.subtract(xs, scratch, out=scratch).sum(axis=1) / n
-    scratch[:-1] = zs[1:]
-    scratch[-1] = z
-    scratch -= h_mean[:, None, :]
-    deviation = _max_agent_norms(scratch)
+    zlyap = np.empty((steps, d))
+    deviation = np.empty(steps)
+    for rows in _series_chunks(steps, n, d):
+        zlyap[rows] = ((ys[rows] / n)[:, None, :] @ zs[rows])[:, 0, :]
+        deviation[rows] = _deviations(
+            xs[rows], gs[rows], alphas[rows], zs[rows.start + 1 : rows.stop + 1], z,
+        )
 
     return RunTrace(
         n=n, d=d, steps=steps, alphas=alphas,
         xs=xs, ys=ys, zs=zs, gs=gs, zbar=zbar, zlyap=zlyap,
         consensus=consensus, running_gap=running_gap, deviation=deviation,
         final_state=NetworkState(t=steps, x=x, y=y), final_zlyap=(y / n) @ z,
-        min_y=min(1.0, *ys[1:].min(axis=1).tolist(), float(y.min())),
+        min_y=min(_least_weight(ys[1:]), float(y.min())),
         s_product_gap=s_product_gap, aps_residual=aps_residual,
         smatrices=CompanionView(ws, ys) if record_products else None,
     )
@@ -767,17 +781,45 @@ def _reissue(caught: list[warnings.WarningMessage]) -> None:
         )
 
 
+def _least_weight(ys: np.ndarray) -> float:
+    """``min(1.0, *ys.min(axis=1).tolist())`` without the list: a row
+    holding NaN has a NaN minimum, which neither min() nor fmin picks."""
+    return float(np.fmin.reduce(ys.min(axis=1), initial=1.0))
+
+
 def mean_and_consensus(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The network mean zbar(t) and the consensus error max_i ||z_i(t) -
-    zbar(t)|| of every row of zs, shape (steps, n, d); each row reduces
-    like the same expression on that row alone (sum / n is mean())."""
-    zbar = zs.sum(axis=1) / zs.shape[1]
-    return zbar, _max_agent_norms(zs - zbar[:, None, :])
+    zbar(t)|| of every row of zs, shape (steps, n, d), one chunk of rows
+    (:func:`_series_chunks`) at a time; each row reduces like the same
+    expression on that row alone (sum / n is mean())."""
+    steps, n, d = zs.shape
+    zbar = np.empty((steps, d))
+    consensus = np.empty(steps)
+    for rows in _series_chunks(steps, n, d):
+        zbar[rows] = zs[rows].sum(axis=1) / n
+        consensus[rows] = _max_agent_norms(zs[rows] - zbar[rows, None, :])
+    return zbar, consensus
+
+
+def _deviations(
+    xs: np.ndarray, gs: np.ndarray, alphas: np.ndarray, after: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """The one-step deviation of consecutive rows: how far the next
+    ratios (the stored rows ``after``, then ``z`` past the last one) lie
+    from the mean of the mixing inputs x - alpha g."""
+    # One scratch, updated in place: the mixing inputs, then each next
+    # ratio's deviation from their mean.
+    scratch = alphas[:, None, None] * gs
+    h_mean = np.subtract(xs, scratch, out=scratch).sum(axis=1) / xs.shape[1]
+    scratch[: len(after)] = after
+    scratch[len(after) :] = z
+    scratch -= h_mean[:, None, :]
+    return _max_agent_norms(scratch)
 
 
 def _max_agent_norms(diffs: np.ndarray) -> np.ndarray:
-    """max_i ||diffs[t, i]|| for every t of a fresh (steps, n, d) array,
-    which is squared in place; besides it, only the (steps, n) sums of
+    """max_i ||diffs[t, i]|| for every t of a fresh (k, n, d) array,
+    which is squared in place; besides it, only the (k, n) sums of
     squares are allocated."""
     sums = np.square(diffs, out=diffs).sum(axis=2)
     return np.sqrt(sums, out=sums).max(axis=1)

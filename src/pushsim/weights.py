@@ -96,11 +96,15 @@ def _uniform_out_degree(bits: np.ndarray) -> WeightStack:
     """The uniform rule on a validated packed adjacency stack
     ``bits[t, j, :]`` (arc ``j -> i`` at step ``t``, every self-arc
     present)."""
-    # Float degrees divide exactly like the integers, with no cast per
-    # block; one byte column at a time, so no temporary is as large as bits.
+    # Counted one byte column at a time, so no temporary is as large as
+    # bits, in floats, which add small integers exactly.  Kept in the
+    # narrowest unsigned type that holds n (an eighth of the floats' bytes
+    # for n < 256): block() converts each degree back to the same float
+    # as it divides.
     deg = np.zeros(bits.shape[:2])
     for c in range(bits.shape[2]):
         deg += _POPCOUNT[bits[:, :, c]]
+    deg = deg.astype(np.min_scalar_type(bits.shape[1]))
     return WeightStack(bits, deg, 1.0 / deg.max(axis=1))
 
 
@@ -110,8 +114,8 @@ class WeightStack(Sequence[WeightMatrix]):
     Step ``t`` is ``num[t] / den[t]`` column by column: for the uniform
     rule ``num`` is the packed adjacency stack (``uint8`` rows
     ``bits[t, j, :]``, read as the transposed 0/1 matrix ``adj[t].T``) and
-    ``den[t]`` the out-degrees; a repeated matrix is broadcast with
-    ``den`` 1.  No float stack of all steps is held.  :meth:`block`
+    ``den[t]`` the integer out-degrees; a repeated matrix is broadcast
+    with ``den`` 1.  No float stack of all steps is held.  :meth:`block`
     unpacks and transposes its steps and computes them with one
     elementwise division into a fresh C-ordered array (a transposed
     layout holds the same values but sends ``W @ x`` down another BLAS
@@ -166,11 +170,19 @@ class WeightStack(Sequence[WeightMatrix]):
 
     def blocks(self) -> Iterator[np.ndarray]:
         """``W[lo:lo + k]`` for ``lo = 0, k, 2k, ...``: every step in
-        order, in blocks of ``k = max(1, BLOCK_FLOATS // n**2)`` steps
-        (the last one may be shorter)."""
-        k = max(1, BLOCK_FLOATS // self.n ** 2)
-        for lo in range(0, len(self), k):
-            yield self.block(lo, lo + k)
+        order, in the blocks of :func:`row_blocks` (n**2 floats a step)."""
+        for rows in row_blocks(len(self), self.n ** 2):
+            yield self.block(rows.start, rows.stop)
+
+
+def row_blocks(rows: int, row_floats: int) -> Iterator[slice]:
+    """``slice(lo, lo + k)`` for ``lo = 0, k, 2k, ...`` below ``rows``,
+    with ``k = max(1, BLOCK_FLOATS // row_floats)``: consecutive rows of
+    ``row_floats`` floats each, about one weight block at a time (the last
+    slice may be shorter, and its stop may pass ``rows``)."""
+    k = max(1, BLOCK_FLOATS // row_floats)
+    for lo in range(0, rows, k):
+        yield slice(lo, lo + k)
 
 
 def validate_column_stochastic(

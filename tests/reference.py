@@ -21,7 +21,6 @@ from pushsim.subgradient import (
     RunTrace,
     StepsizeSchedule,
     certified_gaps,
-    mean_and_consensus,
     stepsize_array,
 )
 from pushsim.weights import WeightMatrix, WeightStack, validate_column_stochastic
@@ -253,6 +252,13 @@ def reference_terms(objective) -> tuple:
 # the run loop with per-step checks, and the one-horizon window search
 # --------------------------------------------------------------------------
 
+def reference_mean_and_consensus(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The network mean and the consensus error of every row of zs
+    (steps, n, d), each one expression over all the rows at once."""
+    zbar = zs.sum(axis=1) / zs.shape[1]
+    return zbar, np.sqrt(((zs - zbar[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
+
+
 def reference_run_push_subgradient(
     ws: Sequence[WeightMatrix],
     x0: np.ndarray,
@@ -333,10 +339,10 @@ def reference_run_push_subgradient(
             z = x / y[:, None]
     except (RunFailure, ValueError):  # ValueError: build_s_matrix on underflowed weights
         # The gap of every recorded step came before the failure.
-        certified_gaps(objective, alphas[:recorded], mean_and_consensus(zs[:recorded])[0])
+        certified_gaps(objective, alphas[:recorded], reference_mean_and_consensus(zs[:recorded])[0])
         raise
 
-    zbar, consensus = mean_and_consensus(zs)
+    zbar, consensus = reference_mean_and_consensus(zs)
     running_gap = certified_gaps(objective, alphas, zbar)
     zlyap = ((ys / n)[:, None, :] @ zs)[:, 0, :]
     h_mean = (xs - alphas[:, None, None] * gs).sum(axis=1) / n

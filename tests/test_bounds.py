@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -329,6 +330,19 @@ def test_envelope_without_stepsizes_is_pure_decay():
     series = contraction_series(inp)
     assert series.refined is None
     assert_allclose(series.geometric, (8.0 / 0.5) * 6.0 * 0.6 ** np.arange(30))
+
+
+def test_envelope_overflows_to_inf_without_a_warning():
+    # (8 n G / (eta (1 - mu))) * halves passes the float range: the
+    # refined envelope is inf, valid but vacuous, like an overflowing
+    # timevarying_series, and no RuntimeWarning is issued.
+    inp = make_inputs(n=7, G=4.0, eta=1e-300, log_mu=-1e-5, steps=1,
+                      schedule=StepsizeSchedule.harmonic(5.0))
+    assert inp.alphas.tolist() == [5.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = contraction_series(inp)
+    assert np.isposinf(series.refined).all() and np.isfinite(series.geometric).all()
 
 
 def test_envelope_refined_beats_geometric_eventually():

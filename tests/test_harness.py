@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import re
 import runpy
 import tracemalloc
@@ -44,10 +45,16 @@ from pushsim.harness import (
     verify_experiment,
     write_report,
 )
-from pushsim.pushsum import RunFailure
-from pushsim.subgradient import running_average_gaps
+from pushsim.pushsum import RunFailure, theory_constants
+from pushsim.subgradient import (
+    StepsizeSchedule,
+    run_push_subgradient,
+    running_average_gaps,
+    validate_schedule,
+    zero_objective,
+)
 from pushsim.svgplot import Series, line_chart
-from pushsim.weights import WeightStack, build_weights
+from pushsim.weights import WeightMatrix, WeightStack, build_weights
 from reference import (
     format_matrix,
     reference_file_violations,
@@ -1451,6 +1458,38 @@ def test_cli_weight_mass_drift_is_a_failed_check(tmp_path, capsys):
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
     assert not checks["weight-mass"]["passed"]
     assert checks["weight-mass"]["value"] == pytest.approx(5.4e-6, rel=1e-3)
+
+
+def test_weight_mass_keeps_a_nan_in_an_inner_or_the_final_row():
+    # A NaN weight makes y NaN from the step after it on: at the last step
+    # only y after the run holds it.  Either way the mass residual is NaN
+    # and fails, and min_y skips each row holding NaN, as min() over the
+    # row minima does.
+    ring = build_weights(digraph(3, RING3))
+    broken = np.array(ring.entries)
+    broken[0, 0] = np.nan
+    schedule = StepsizeSchedule.harmonic()
+    objective = zero_objective(3, 1)
+    x0 = np.array([[1.0], [2.0], [3.0]])
+    clean = run_push_subgradient(WeightStack.repeated(ring, 10), x0, objective, schedule)
+    final = run_push_subgradient(
+        WeightStack.of([ring] * 9 + [WeightMatrix(broken, ring.beta)]), x0, objective, schedule,
+    )
+    ys = np.array(clean.ys)
+    ys[4, 1] = np.nan
+    inner = dataclasses.replace(clean, ys=ys)
+    assert np.isnan(final.final_state.y[0]) and np.isfinite(final.ys).all()
+    assert final.min_y == min(1.0, *final.ys[1:].min(axis=1).tolist(), float(final.final_state.y.min()))
+    assert not math.isnan(final.min_y)
+    for t in (4, 5, 9):
+        assert inner.prefix(t).min_y == min(1.0, *ys[1 : t + 1].min(axis=1).tolist())
+    assert dataclasses.replace(clean, ys=np.full_like(ys, np.nan)).prefix(9).min_y == 1.0
+    for trace in (inner, final):
+        checks = pushsim.harness._invariant_checks(
+            trace, theory_constants(3, 1), objective, validate_schedule(schedule),
+        )
+        mass = next(c for c in checks if c.name == "weight-mass")
+        assert math.isnan(mass.value) and not mass.passed
 
 
 def test_cli_overflowing_polynomial_exponent_fails_the_decay_check(tmp_path, capsys):

@@ -732,6 +732,32 @@ def test_prefix_companions_are_rebuilt_bitwise(steps):
     assert_same_bits(trace.aps_residual, stored_companion_residual(trace))
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "l1", "hinge", "zero"])
+def test_chunked_series_are_bitwise_the_whole_horizon_reference(kind):
+    # Derived series in chunks of 4 rows over 18 steps (four whole chunks
+    # and a short last one), against the reference's expressions over
+    # every stored row at once.
+    n, d, steps = 5, 2, 18
+    rng = np.random.default_rng(21)
+    objective, x0 = random_objective(kind, n, d, rng, None)
+    ws = build_weight_stack(generate_sequence("random-walkable", n, steps, 21, arc_prob=0.3))
+    schedule = StepsizeSchedule.harmonic(0.5)
+    want = reference_run_push_subgradient(ws, x0, objective, schedule)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pushsim.weights, "BLOCK_FLOATS", 4 * 2 * n * d)
+        chunks = [len(range(steps)[rows]) for rows in SUBGRADIENT._series_chunks(steps, n, d)]
+        got = run_push_subgradient(ws, x0, objective, schedule)
+    assert chunks == [4, 4, 4, 4, 2]
+    arrays = [name for name, value in vars(want).items() if isinstance(value, np.ndarray)]
+    assert {"zbar", "zlyap", "consensus", "running_gap", "deviation"} <= set(arrays)
+    for name in arrays:
+        assert_same_bits(getattr(got, name), getattr(want, name), name)
+    assert_same_bits(got.final_state.y, want.final_state.y, "final y")
+    assert got.min_y == want.min_y
+    for t in (1, 9, 17, 18):
+        assert got.prefix(t).min_y == min(1.0, *got.ys[1 : t + 1].min(axis=1).tolist())
+
+
 def test_run_with_companions_holds_no_step_by_n_squared_array():
     # One float array over every step of n x n matrices would be
     # 2000 * 50**2 * 8 B = 38 MiB, above the ceiling on its own.

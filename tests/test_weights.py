@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushsim.graphs import GraphSequence, digraph, generate_sequence
+from pushsim.graphs import GraphSequence, digraph, generate_sequence, unpack_adjacency
 from pushsim.weights import (
     BLOCK_FLOATS,
     WeightMatrix,
@@ -206,3 +206,19 @@ def test_writable_entries_are_copied_read_only_ones_shared():
     for bad in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))):
         with pytest.raises(ValueError, match="square"):
             WeightMatrix(bad, 0.5)
+
+
+@pytest.mark.parametrize("n,dtype", [(255, np.uint8), (256, np.uint16)])
+def test_integer_out_degrees_divide_like_float_degrees(n, dtype):
+    # 255 is the largest degree a uint8 holds; at n = 256 one sender that
+    # pushes to everyone has out-degree 256.
+    seq = custom_sequence(n, 3, seed=n)
+    adj = unpack_adjacency(seq.bits, n).copy()
+    adj[0, 0, :] = True  # agent 1 sends to every agent at step 0
+    adj[1, 1, :] = np.arange(n) == 1  # agent 2 keeps everything at step 1
+    ws = build_weight_stack(GraphSequence(n, np.packbits(adj, axis=2)))
+    assert ws.den.dtype == dtype and ws.den.max() == n
+    deg = adj.sum(axis=2, dtype=float)
+    want = np.divide(adj.transpose(0, 2, 1), deg[:, None, :], out=np.empty((3, n, n)))
+    assert same_bits(ws.block(0, 3), want)
+    assert same_bits(ws.betas, 1.0 / deg.max(axis=1))
