@@ -42,7 +42,7 @@ from .graphs import (
     parse_graph_sequence,
     uniform_connectivity_window,
 )
-from .pushsum import AbsProbSeq, RunFailure, product_identity_residuals, theory_constants
+from .pushsum import RunFailure, companion_series, product_identity_residuals, theory_constants
 from .subgradient import (
     ObjectiveSpec,
     RunTrace,
@@ -340,8 +340,8 @@ def _sanity(cfg: ExperimentConfig) -> None:
             raise ConfigError("[init] mode=explicit needs values")
         if len(init.values) != g.n or any(len(r) != o.d for r in init.values):
             raise ConfigError(f"[init] values must be {g.n} rows of {o.d} numbers")
-    if init.mode == "random" and not init.lo < init.hi:
-        raise ConfigError("[init] needs lo < hi")
+    if init.mode == "random" and not (init.lo < init.hi and math.isfinite(init.hi - init.lo)):
+        raise ConfigError(f"[init] needs lo < hi and a finite hi - lo, got {init.lo!r}, {init.hi!r}")
 
 
 def render_config(cfg: ExperimentConfig) -> str:
@@ -644,9 +644,9 @@ def _materialize_init(icfg: InitConfig, n: int, d: int) -> np.ndarray:
 # derived series
 # --------------------------------------------------------------------------
 
-def _empirical_mu(trace: RunTrace) -> tuple[float, float]:
-    """(mu_emp, fit r2) of a run that recorded its companion products."""
-    fit = fit_geometric_rate(trace.s_product_gap)
+def _empirical_mu(product_gap: np.ndarray) -> tuple[float, float]:
+    """(mu_emp, fit r2) of a run's companion product gap series."""
+    fit = fit_geometric_rate(product_gap)
     if fit.exact:
         return 0.0, 1.0
     return float(min(max(fit.rho, 0.0), MU_EMP_CAP)), fit.r2
@@ -721,15 +721,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     _check_init(objective, x0)
 
     trace = run_push_subgradient(ws, x0, objective, schedule)
+    companions = companion_series(ws, trace.ys, trace.final_state.y)
 
     tc = theory_constants(seq.n, window)
-    mu_emp, mu_r2 = _empirical_mu(trace)
-    checks = hypotheses + _invariant_checks(trace, tc, objective, sched_report)
+    mu_emp, mu_r2 = _empirical_mu(companions[0])
+    checks = hypotheses + _invariant_checks(trace, tc, objective, sched_report, companions)
     margins, argmin = {}, {}  # each bound's smallest margin and its step, by label
     gap_reports, envelope_reports = [], []
     if cfg.bounds.evaluate and any(c.name == "stepsize-decay" and c.passed for c in checks):
         constants = {"empirical": (trace.min_y, mu_emp, None)}
-        if tc.eta > 0.0:
+        if tc.log_mu < 0.0:  # what BoundInputs needs; eta > 0 can still round log mu to 0
             constants["worst-case"] = (tc.eta, tc.mu, tc.log_mu)
         for rep in _certificates(
             trace, objective, schedule, constants, cfg.bounds.agents, cfg.bounds.envelope,
@@ -766,17 +767,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
 
 def _invariant_checks(
-    trace: RunTrace, tc, objective: ObjectiveSpec, sched_report: ScheduleReport
+    trace: RunTrace, tc, objective: ObjectiveSpec, sched_report: ScheduleReport, companions=None,
 ) -> list[CheckResult]:
-    """The checks of a finished run, before any bound: its residuals, its
-    weight floor and, when the objective has a subgradient, the stepsize
-    decay conditions the rate needs."""
+    """The checks of a finished run, before any bound: its residuals (the
+    absolute probability ones given its ``companion_series``), its weight
+    floor and, when the objective has a subgradient, the stepsize decay
+    conditions the rate needs."""
     n = trace.n
-    final_y = trace.final_state.y[None, :]
     # np.maximum, unlike max(), keeps a NaN from either part.
-    mass = np.maximum(
-        np.abs(trace.ys.sum(axis=1) - n).max(), np.abs(final_y.sum(axis=1) - n).max(),
-    )
+    mass = np.maximum(np.abs(trace.ys.sum(axis=1) - n).max(), np.abs(trace.final_state.y.sum() - n))
     zl = np.vstack([trace.zlyap, trace.final_zlyap[None, :]])
     predicted = zl[:-1] - (trace.alphas[:, None] / n) * trace.gs.sum(axis=1)
     checks = [
@@ -788,14 +787,11 @@ def _invariant_checks(
         ),
         _residual_check("lyapunov-recursion", float(np.abs(zl[1:] - predicted).max()), LYAPUNOV_TOL),
     ]
-    if trace.aps_residual is not None:
-        # Built directly, not through absolute_probability's mass guard:
-        # mass drift is the weight-mass check's to report.
-        aps = AbsProbSeq(vectors=np.vstack([trace.ys, final_y]) / n)
-        rec = float(trace.aps_residual.max())
+    if companions is not None:
+        _, recursion, stochastic = companions
         checks += [
-            _residual_check("abs-prob-recursion", rec, APS_RECURSION_TOL),
-            _residual_check("abs-prob-stochastic", aps.stochasticity_residual(), APS_STOCH_TOL),
+            _residual_check("abs-prob-recursion", float(recursion.max()), APS_RECURSION_TOL),
+            _residual_check("abs-prob-stochastic", stochastic, APS_STOCH_TOL),
         ]
     if objective.g_bound > 0:
         violated = sched_report.assumption == "violated"
@@ -881,8 +877,9 @@ def verify_experiment(cfg: ExperimentConfig) -> SummaryReport:
         objective = zero_objective(seq.n, cfg.objective.d)
         x0 = _materialize_init(cfg.init, seq.n, cfg.objective.d)
         trace = run_push_subgradient(ws, x0, objective, schedule)
+        companions = companion_series(ws, trace.ys, trace.final_state.y)
         tc = theory_constants(seq.n, window_check.value)
-        checks += _invariant_checks(trace, tc, objective, validate_schedule(schedule))
+        checks += _invariant_checks(trace, tc, objective, validate_schedule(schedule), companions)
 
         # The exchange identity over every window tau < t <= tau + PRODUCT_SPAN.
         ys = np.vstack([trace.ys, trace.final_state.y[None, :]])
@@ -1022,7 +1019,7 @@ def _sweep_run(
     """The run over the first ``horizons[-1]`` steps of ``ws``; a run
     failure is renamed for the smallest horizon whose run reaches it."""
     try:
-        return run_push_subgradient(ws[: horizons[-1]], x0, objective, schedule, record_products=False)
+        return run_push_subgradient(ws[: horizons[-1]], x0, objective, schedule)
     except RunFailure as exc:
         # check_weight_floor names the weights at t, found by step t - 1.
         step = exc.t - 1 if exc.check == "weight-underflow" else exc.t

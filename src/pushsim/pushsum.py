@@ -41,6 +41,7 @@ __all__ = [
     "ratio_state",
     "check_weight_floor",
     "build_s_matrix",
+    "companion_series",
     "product_identity_residuals",
     "absolute_probability",
     "theory_constants",
@@ -48,8 +49,8 @@ __all__ = [
 
 Y_FLOOR = 1e-300
 # How far sum(y) may stray from n before absolute_probability refuses the
-# weights; the harness builds its rows directly and reports the drift
-# through its own, tighter weight-mass check instead.
+# weights; companion_series takes y/n as it is, and the harness reports
+# the drift through its own, tighter weight-mass check instead.
 APS_MASS_TOL = 1e-6
 # The longest product the exchange identity is checked over.
 PRODUCT_SPAN = 50
@@ -204,6 +205,38 @@ class CompanionView(Sequence[SMatrix]):
         if isinstance(t, slice):
             return CompanionView(self.ws[t], self.ys[t])
         return build_s_matrix(self.ws[t], self.ys[t])
+
+
+def companion_series(
+    ws: WeightStack, ys: np.ndarray, y_last: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The companion chain of a finished T-step run (weights W(0..T-1)
+    ``ws``, y(0..T-1) ``ys`` and y(T) ``y_last``) in one pass over the
+    weight blocks: the product gap max|S(t)...S(0) - 1/n| and the
+    recursion residual ||pi(t+1)^T S(t) - pi(t)^T||_inf of pi = y/n, both
+    (T,), and the largest deviation of any pi(t) from a probability vector.
+    S(t) is build_s_matrix(W(t), y(t)), whose divisor W(t) y(t) is y(t+1),
+    and the residuals are AbsProbSeq's, bitwise."""
+    steps, n = ys.shape
+    if len(ws) != steps:
+        raise ValueError(f"need {steps} weight matrices, got {len(ws)}")
+    gap, recursion = np.empty(steps), np.empty(steps)
+    mass, least = np.empty(steps + 1), np.empty(steps + 1)  # |sum pi(t) - 1|, min pi(t)
+    prod, lo = np.eye(n), 0
+    for block in ws.blocks():
+        hi = lo + len(block)
+        y = np.vstack([ys[lo:hi], ys[hi] if hi < steps else y_last])  # y(lo..hi)
+        pi = y / n
+        mass[lo : hi + 1] = np.abs(pi.sum(axis=1) - 1.0)
+        least[lo : hi + 1] = pi.min(axis=1)
+        for k, w in enumerate(block):
+            s = w * y[k] / y[k + 1][:, None]
+            prod = s @ prod
+            gap[lo + k] = np.abs(prod - 1.0 / n).max()
+            recursion[lo + k] = np.abs(pi[k + 1] @ s - pi[k]).max()
+        lo = hi
+        del block, w, s  # free them before the next block is built
+    return gap, recursion, float(max(mass.max(), max(0.0, float(-least.min()))))
 
 
 def _compact(m: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:

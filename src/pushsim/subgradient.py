@@ -37,7 +37,6 @@ from .pushsum import (
     CompanionView,
     NetworkState,
     RunFailure,
-    build_s_matrix,
     check_weight_floor,
 )
 from .weights import WeightMatrix, WeightStack, row_blocks
@@ -520,11 +519,7 @@ class RunTrace:
     distance of any next-step ratio from the network mean of the descended
     values h_j(t) = x_j(t) - alpha(t) g_j(t), i.e. the one-step consensus
     deviation the contraction envelope is meant to dominate.
-    ``s_product_gap[t]`` is the max-entry distance of the companion
-    product S(t)...S(0) from its rank-one limit, and ``aps_residual[t]``
-    the absolute-probability recursion residual
-    ``||pi(t+1)^T S(t) - pi(t)^T||_inf`` with pi = y/n, both computed
-    block by block; ``smatrices`` rebuilds each S(t) on read.
+    ``smatrices`` rebuilds each companion S(t) on read.
     """
 
     n: int
@@ -543,9 +538,7 @@ class RunTrace:
     final_state: NetworkState
     final_zlyap: np.ndarray
     min_y: float
-    s_product_gap: np.ndarray | None = None
-    aps_residual: np.ndarray | None = None
-    smatrices: CompanionView | None = None
+    smatrices: CompanionView
 
     def prefix(self, steps: int) -> RunTrace:
         """The trace of this run's first ``steps`` steps, as views of its rows.
@@ -568,10 +561,7 @@ class RunTrace:
             running_gap=self.running_gap[cut], deviation=self.deviation[cut],
             final_state=NetworkState(t=steps, x=self.xs[steps], y=self.ys[steps]),
             final_zlyap=self.zlyap[steps],
-            min_y=_least_weight(self.ys[1 : steps + 1]),
-            s_product_gap=None if self.s_product_gap is None else self.s_product_gap[cut],
-            aps_residual=None if self.aps_residual is None else self.aps_residual[cut],
-            smatrices=None if self.smatrices is None else self.smatrices[cut],
+            min_y=_least_weight(self.ys[1 : steps + 1]), smatrices=self.smatrices[cut],
         )
 
 
@@ -580,7 +570,6 @@ def run_push_subgradient(
     x0: np.ndarray,
     objective: ObjectiveSpec,
     schedule: StepsizeSchedule,
-    record_products: bool = True,
 ) -> RunTrace:
     """Run the full method for len(ws) steps from x(0) = x0, y(0) = 1.
 
@@ -593,11 +582,6 @@ def run_push_subgradient(
         Initial values; must sit inside the objective's box.
     objective, schedule
         The network objective and stepsize rule.
-    record_products : bool
-        Also build each step's companion matrix for the running product
-        gap and the absolute-probability recursion residual (needed for
-        the contraction diagnostics; skip on long sweeps).  The companions
-        are not kept; ``smatrices`` rebuilds them on read.
 
     The run enforces the declared subgradient ceiling, box containment,
     the weight floor and the certified optimum; a failure raises
@@ -606,14 +590,11 @@ def run_push_subgradient(
     When a weight block ends, one pass over its stored rows makes the
     checks (:func:`_first_failure`), so a failing run stops at most one
     block late; the reported failure is the one a check after every step
-    would raise first (per step: ceiling, box, a companion that cannot be
-    built as W(t) y(t) has a nonpositive entry, then the weight floor),
+    would raise first (per step: ceiling, box, then the weight floor),
     and the rows past it are discarded.  Each block's warnings are held
     back until its pass: those of the steps before a failure, or of the
     whole passing block, are then issued again, and those of the
-    discarded steps never are.  A passing block's pass then builds each
-    S(t) from W(t) and the stored y(t) and y(t+1), with the product gap
-    and the recursion residual.  The network mean, the Lyapunov average,
+    discarded steps never are.  The network mean, the Lyapunov average,
     the consensus error, the running-average gap and the one-step
     deviation are computed after the loop, one chunk of stored rows at a
     time (:func:`_series_chunks`), so their temporaries take at most one
@@ -640,10 +621,7 @@ def run_push_subgradient(
     ys = np.empty((steps, n))
     zs = np.empty((steps, n, d))
     gs = np.empty((steps, n, d))
-    s_product_gap = np.empty(steps) if record_products else None
-    aps_residual = np.empty(steps) if record_products else None
 
-    prod = np.eye(n) if record_products else None
     z = x / y[:, None]
     t = recorded = 0
     try:
@@ -672,35 +650,23 @@ def run_push_subgradient(
             failure = _first_failure(objective, gs[lo:t], zs[lo:t], after)
             if failure is None:
                 _reissue(caught)
-                if record_products:
-                    for k, w in enumerate(block, lo):
-                        # build_s_matrix(w, ys[k]), whose divisor W(t) y(t) is y(t+1)
-                        s = w * ys[k] / after[k - lo][:, None]
-                        prod = s @ prod
-                        s_product_gap[k] = float(np.abs(prod - 1.0 / n).max())
-                        aps_residual[k] = np.abs((after[k - lo] / n) @ s - ys[k] / n).max()
-                    del s  # free it before the next block is built
                 # Free this block (w is a view of it) before the next is built.
                 del block, w
                 continue
             r, order = failure
-            if order == 2 and not record_products:
-                order = 3  # no companion is built: the weight floor fails
             step = lo + r
             recorded = step if order < 2 else step + 1
             # Issue the warnings a check after every step would have let
             # through before raising the same failure.
-            _reissue(caught[: (at_update if order == 3 else at_checks)[r]])
+            _reissue(caught[: (at_update if order == 2 else at_checks)[r]])
             if order == 0:
                 raise _ceiling_failure(objective, gs[step], step)
             if order == 1:
                 raise _box_failure(objective, zs[step], step)
-            if order == 2:
-                build_s_matrix(block[r], ys[step])  # raises: W(t) y(t) is not positive
             check_weight_floor(step + 1, after[r])
-    except (RunFailure, ValueError):
+    except RunFailure:
         # The gap of every recorded step came before the failure.
-        certified_gaps(objective, alphas[:recorded], mean_and_consensus(zs[:recorded])[0])
+        certified_gaps(objective, alphas[:recorded], _network_mean(zs[:recorded]))
         raise
 
     zbar, consensus = mean_and_consensus(zs)
@@ -718,9 +684,7 @@ def run_push_subgradient(
         xs=xs, ys=ys, zs=zs, gs=gs, zbar=zbar, zlyap=zlyap,
         consensus=consensus, running_gap=running_gap, deviation=deviation,
         final_state=NetworkState(t=steps, x=x, y=y), final_zlyap=(y / n) @ z,
-        min_y=min(_least_weight(ys[1:]), float(y.min())),
-        s_product_gap=s_product_gap, aps_residual=aps_residual,
-        smatrices=CompanionView(ws, ys) if record_products else None,
+        min_y=min(_least_weight(ys[1:]), float(y.min())), smatrices=CompanionView(ws, ys),
     )
 
 
@@ -732,21 +696,19 @@ def _first_failure(
 
     ``gs`` and ``zs`` are the rows' subgradients and ratios, shape
     (k, n, d), and ``after[r]`` the weights W(t) y(t) that row r's step
-    produced.  Order 0 is the subgradient ceiling, 1 box containment, 2 a
-    nonpositive weight (no companion S(t) can divide by it; a run without
-    companions fails the weight floor there) and 3 the weight floor; a
-    per-step check takes them in that order, so the smallest pair is the
-    failure it raises first.  A square that overflows makes its row's norm
-    inf, so that row fails the ceiling; it is recomputed, with its
-    warning, when the failure is raised (:func:`_ceiling_failure`).
+    produced.  Order 0 is the subgradient ceiling, 1 box containment and
+    2 the weight floor; a per-step check takes them in that order, so the
+    smallest pair is the failure it raises first.  A square that
+    overflows makes its row's norm inf, so that row fails the ceiling; it
+    is recomputed, with its warning, when the failure is raised
+    (:func:`_ceiling_failure`).
     """
     k, n, d = zs.shape
     with np.errstate(over="ignore"):
         over = (np.sqrt((gs ** 2).sum(axis=2)) > objective.g_bound + 1e-9).any(axis=1)
     outside = ~objective.in_box(zs.reshape(k * n, d)).reshape(k, n).all(axis=1)
-    broken = (after <= 0.0).any(axis=1)
     low = (after <= Y_FLOOR).any(axis=1)
-    checks = (over, outside, broken, low)  # in order
+    checks = (over, outside, low)  # in order
     firsts = [(int(rows.argmax()), order) for order, rows in enumerate(checks) if rows.any()]
     return min(firsts, default=None)
 
@@ -796,9 +758,14 @@ def mean_and_consensus(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zbar = np.empty((steps, d))
     consensus = np.empty(steps)
     for rows in _series_chunks(steps, n, d):
-        zbar[rows] = zs[rows].sum(axis=1) / n
+        zbar[rows] = _network_mean(zs[rows])
         consensus[rows] = _max_agent_norms(zs[rows] - zbar[rows, None, :])
     return zbar, consensus
+
+
+def _network_mean(zs: np.ndarray) -> np.ndarray:
+    """zbar(t) of each row of zs (steps, n, d), bitwise the row's mean alone."""
+    return zs.sum(axis=1) / zs.shape[1]
 
 
 def _deviations(

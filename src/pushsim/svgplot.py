@@ -69,7 +69,8 @@ def line_chart(
 
     The y axis is log10 when some value is positive, else linear.
     Non-finite values are dropped from the drawing, and on a log axis so
-    are nonpositive ones; a series with no drawable value is skipped.
+    are nonpositive ones; a series with no drawable value is skipped, and
+    with none at all the chart is the frame and legend on linear axes.
     """
     series = [s for s in series if len(s.xs) > 0]
     if not series:
@@ -85,7 +86,7 @@ def line_chart(
                 continue
             pts.append((float(x), math.log10(y) if logy else float(y)))
     if not pts:
-        raise ValueError("no drawable points (non-finite, or nonpositive on a log axis)")
+        logy, pts = False, [(float(x), 0.0) for s in series for x in s.xs]
     x_lo = min(p[0] for p in pts)
     x_hi = max(p[0] for p in pts)
     y_lo = min(p[1] for p in pts)

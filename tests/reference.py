@@ -252,10 +252,16 @@ def reference_terms(objective) -> tuple:
 # the run loop with per-step checks, and the one-horizon window search
 # --------------------------------------------------------------------------
 
+def reference_mean(zs: np.ndarray) -> np.ndarray:
+    """The network mean of every row of zs (steps, n, d), one expression
+    over all the rows at once."""
+    return zs.sum(axis=1) / zs.shape[1]
+
+
 def reference_mean_and_consensus(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The network mean and the consensus error of every row of zs
     (steps, n, d), each one expression over all the rows at once."""
-    zbar = zs.sum(axis=1) / zs.shape[1]
+    zbar = reference_mean(zs)
     return zbar, np.sqrt(((zs - zbar[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
 
 
@@ -264,11 +270,10 @@ def reference_run_push_subgradient(
     x0: np.ndarray,
     objective: ObjectiveSpec,
     schedule: StepsizeSchedule,
-    record_products: bool = True,
 ) -> RunTrace:
     """The run loop with every in-step check made after each step: the
-    subgradient ceiling and box containment before the step, the
-    companion build, then the weight floor on the weights it produced.
+    subgradient ceiling and box containment before the step, then the
+    weight floor on the weights it produced.
     ``pushsim.subgradient.run_push_subgradient`` must record the same bits
     and stop with the same failure."""
     steps = len(ws)
@@ -291,12 +296,8 @@ def reference_run_push_subgradient(
     ys = np.empty((steps, n))
     zs = np.empty((steps, n, d))
     gs = np.empty((steps, n, d))
-    s_product_gap = np.empty(steps) if record_products else None
-    aps_residual = np.empty(steps) if record_products else None
 
     g_ceiling = objective.g_bound + 1e-9
-    prod = np.eye(n) if record_products else None
-    limit = np.full((n, n), 1.0 / n) if record_products else None
     z = x / y[:, None]
     recorded = 0
     try:
@@ -324,22 +325,14 @@ def reference_run_push_subgradient(
             gs[t] = g
             recorded = t + 1
 
-            if record_products:
-                s = build_s_matrix(w, y).entries
-                prod = s @ prod
-                s_product_gap[t] = float(np.abs(prod - limit).max())
-                pi = y / n
-
             # alpha == 0 is exactly a pure mixing step: the subtraction is skipped.
             x = w @ (x if alpha == 0.0 else x - alpha * g)
             y = w @ y
             check_weight_floor(t + 1, y)
-            if record_products:
-                aps_residual[t] = np.abs((y / n) @ s - pi).max()
             z = x / y[:, None]
-    except (RunFailure, ValueError):  # ValueError: build_s_matrix on underflowed weights
+    except RunFailure:
         # The gap of every recorded step came before the failure.
-        certified_gaps(objective, alphas[:recorded], reference_mean_and_consensus(zs[:recorded])[0])
+        certified_gaps(objective, alphas[:recorded], reference_mean(zs[:recorded]))
         raise
 
     zbar, consensus = reference_mean_and_consensus(zs)
@@ -355,8 +348,7 @@ def reference_run_push_subgradient(
         consensus=consensus, running_gap=running_gap, deviation=deviation,
         final_state=NetworkState(t=steps, x=x, y=y), final_zlyap=(y / n) @ z,
         min_y=min(1.0, *ys[1:].min(axis=1).tolist(), float(y.min())),
-        s_product_gap=s_product_gap, aps_residual=aps_residual,
-        smatrices=CompanionView(ws, ys) if record_products else None,
+        smatrices=CompanionView(ws, ys),
     )
 
 

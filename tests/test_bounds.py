@@ -100,7 +100,7 @@ def test_z_bar0_is_bitwise_the_traced_network_mean(n, d, seed, scale):
     objective = quadratic_objective(scale * rng.standard_normal((n, d)), box=box)
     schedule = StepsizeSchedule.harmonic()
     ws = build_weight_stack(generate_sequence("random-walkable", n, 3, seed))
-    trace = run_push_subgradient(ws, x0, objective, schedule, record_products=False)
+    trace = run_push_subgradient(ws, x0, objective, schedule)
     inp = BoundInputs(
         G=objective.g_bound, eta=0.5, log_mu=-1.0, z0=trace.zs[0], z_star=objective.z_star,
         g0=objective.agent_subgradients(trace.zs[0]), alphas=trace.alphas, schedule=schedule,

@@ -414,8 +414,11 @@ def test_line_chart_skips_non_finite_points(tmp_path):
     line_chart(tmp_path / "zero.svg", [Series(xs, [1.0, 2.0, 0.0, 4.0, -1.0], "z")])
     text = (tmp_path / "zero.svg").read_text()
     assert text.count("<polyline") == 1 and text.count("<circle") == 1
-    with pytest.raises(ValueError, match="no drawable points"):
-        line_chart(tmp_path / "none.svg", [Series(xs, [nan] * 5, "c")])
+    # with no drawable point at all, the chart is the frame and the legend
+    line_chart(tmp_path / "none.svg", [Series(xs, [nan] * 5, "c"), Series(xs, [inf] * 5, "d")])
+    text = (tmp_path / "none.svg").read_text()
+    ET.fromstring(text)
+    assert "<polyline" not in text and "<circle" not in text and ">c</text>" in text and ">d</text>" in text
 
 
 def test_trace_round_trip_is_bitwise(finished):
@@ -890,7 +893,7 @@ def reference_sweep(cfg, out):
         except RunFailure as exc:
             raise RunFailure(f"T={T}:{exc.check}", exc.agent, exc.t, f"T={T}: {exc}") from exc
         points.append((T, float(res.trace.running_gap[-1])))
-        # the sweep records no companion products, and so has no abs-prob checks
+        # the sweep makes no companion pass, and so has no abs-prob checks
         checks = [c for c in res.summary.checks if not c.name.startswith("abs-prob-")]
         all_checks += [dataclasses.replace(c, name=f"T={T}:{c.name}") for c in checks]
     fit = fit_rate(points)
@@ -1490,6 +1493,104 @@ def test_weight_mass_keeps_a_nan_in_an_inner_or_the_final_row():
         )
         mass = next(c for c in checks if c.name == "weight-mass")
         assert math.isnan(mass.value) and not mass.passed
+
+
+UNDERFLOW_WEIGHTS = [[1.1e-30, 5e-324, 0.0], [0.0, 1.1e-30, 5e-324], [1.0, 1.0, 1.0]]
+ARTIFACTS = sorted(["trace.csv", "report.json", "report.txt", "gap.svg", "consensus.svg", "bounds.svg"])
+
+
+def collapsing_weights_config(tmp_path):
+    """A valid file-weights config (arcs 1>3 2>1 2>3 3>2 at every step)
+    whose weight matrix passes validation, yet lets y_1 and y_2 fall
+    geometrically: every y is above the floor at t=10, and W(10) y(10) has
+    y_1(11) = 0 exactly."""
+    gfile, wfile = tmp_path / "collapse.graph", tmp_path / "collapse.weights"
+    gfile.write_text("3 20\n" + "".join(f"{t}: 1>3 2>1 2>3 3>2\n" for t in range(20)))
+    wfile.write_text("".join(" ".join(repr(v) for v in row) + "\n" for row in UNDERFLOW_WEIGHTS))
+    return base_config(
+        graph=GraphConfig(kind="file", n=3, horizon=20, file=str(gfile)),
+        weights=WeightConfig(rule="file", file=str(wfile)),
+        objective=ObjectiveConfig(kind="zero", d=1),
+        sweep=SweepConfig(horizons=(5, 10, 20)),
+    )
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+def test_cli_collapsed_weight_fails_every_command_the_same_way(tmp_path, capsys, command):
+    # A nonpositive W(t) y(t) is the weight floor's failure, whether or not
+    # the command makes a companion pass afterwards.
+    y = np.ones(3)
+    for _ in range(10):
+        y = np.array(UNDERFLOW_WEIGHTS) @ y
+    assert y.min() > 1e-300 and (np.array(UNDERFLOW_WEIGHTS) @ y)[0] == 0.0
+    out = tmp_path / "out"
+    cfgp = write_cfg(tmp_path, collapsing_weights_config(tmp_path))
+    assert main([command, "--config", cfgp, "--out", str(out)]) == 1
+    horizon = "T=20:" if command == "sweep" else ""
+    assert capsys.readouterr().err == (
+        f"run failed: {horizon + ' ' if horizon else ''}push-sum weight underflow at t=11 "
+        "for agents [1, 2]: min y = 0.000e+00\n"
+    )
+    report = json.loads((out / "report.json").read_text())
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [(horizon + "weight-underflow", False)]
+    assert report["checks"][0]["note"].startswith("agent 1, t=11: ")
+
+
+def test_cli_worst_case_constants_whose_log_mu_rounds_to_zero_are_not_evaluated(tmp_path, capsys):
+    # eta = 2^-2140 is positive, but log1p(-eta) / 535 rounds to -0.0, a
+    # rate no certificate takes: the run evaluates its empirical
+    # certificates alone, and fails on its own envelopes.
+    tc = theory_constants(2, 535)
+    assert tc.eta > 0.0 and tc.log_mu == 0.0
+    cfg = base_config(
+        graph=GraphConfig(kind="random-walkable", n=2, horizon=1070, arc_prob=0.0, inject_every=535),
+        objective=ObjectiveConfig(kind="l1", d=1, targets=((-1.0,), (2.0,))),
+        init=InitConfig(),
+    )
+    cfgp, out = write_cfg(tmp_path, cfg), tmp_path / "out"
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ARTIFACTS
+    report = json.loads((out / "report.json").read_text())
+    assert report["connectivity_window"] == 535 and report["log_mu_theory"] == 0.0
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "bound:envelope-geometric-empirical", "bound:envelope-refined-empirical",
+    ]
+    assert not [c for c in report["checks"] if c["name"].endswith("-worst-case")]
+    assert main(["report", "--config", cfgp, "--out", str(out)]) == 0
+
+
+def test_cli_refuses_a_random_init_range_wider_than_a_float(tmp_path, capsys):
+    cfg = base_config(init=InitConfig(mode="random", lo=-1e308, hi=1e308))
+    cfgp = write_cfg(tmp_path, cfg)
+    for command in ("simulate", "verify"):
+        assert main([command, "--config", cfgp, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [init] needs lo < hi and a finite hi - lo, got -1e+308, 1e+308\n"
+        )
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_whose_consensus_overflows_writes_every_artifact(tmp_path, capsys):
+    # Ratios of +-1e308 overflow the consensus error and the one-step
+    # deviation to inf, so no point of the consensus chart can be drawn:
+    # it holds the frame and the legend, and the run fails its Lyapunov check.
+    cfg = base_config(
+        graph=GraphConfig(kind="static-cycle", n=3, horizon=20),
+        objective=ObjectiveConfig(kind="zero", d=1),
+        init=InitConfig(mode="explicit", values=((1e308,), (-1e308,), (1e308,))),
+    )
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ARTIFACTS
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["lyapunov-recursion"]
+    assert report["final_consensus"] == math.inf
+    chart = (out / "consensus.svg").read_text()
+    ET.fromstring(chart)
+    assert "<polyline" not in chart and ">consensus error</text>" in chart
 
 
 def test_cli_overflowing_polynomial_exponent_fails_the_decay_check(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import importlib
 import warnings
@@ -16,9 +18,11 @@ import pushsim.weights
 from pushsim.graphs import digraph, generate_sequence
 from pushsim.pushsum import (
     AbsProbSeq,
+    CompanionView,
     NetworkState,
     RunFailure,
     build_s_matrix,
+    companion_series,
     initial_state,
     pushsum_step,
     ratio_state,
@@ -32,6 +36,7 @@ from pushsim.subgradient import (
     ZeroTerm,
     certified_gaps,
     hinge_objective,
+    mean_and_consensus,
     l1_objective,
     quadratic_objective,
     run_push_subgradient,
@@ -48,6 +53,7 @@ from reference import (
     HingeRef,
     QuadraticRef,
     ZeroRef,
+    reference_mean,
     reference_run_push_subgradient,
     reference_terms,
 )
@@ -437,12 +443,11 @@ def test_ratio_form_step_matches_mass_form():
 # the full run loop
 # --------------------------------------------------------------------------
 
-def small_run(steps=2000, record=False):
+def small_run(steps=2000):
     obj = l1_objective(np.array([[0.0], [1.0], [2.0]]))
     ws = [CYCLE3[0]] * steps
     x0 = np.array([[4.0], [-2.0], [1.0]])
-    return run_push_subgradient(ws, x0, obj, StepsizeSchedule.harmonic(),
-                                record_products=record), obj
+    return run_push_subgradient(ws, x0, obj, StepsizeSchedule.harmonic()), obj
 
 
 def test_run_converges_to_median():
@@ -478,11 +483,14 @@ def test_running_average_agent_variant():
     assert gaps[-1] == pytest.approx(obj.value(direct) - obj.f_star, abs=1e-12)
 
 
-def test_run_tracks_companion_products_when_asked():
-    trace, _ = small_run(steps=40, record=True)
-    assert trace.s_product_gap is not None
-    assert len(trace.smatrices) == 40
-    assert trace.s_product_gap[-1] <= 1e-8  # product reaches the rank-one limit
+def test_companion_pass_tracks_the_product_to_its_rank_one_limit():
+    trace, _ = small_run(steps=40)
+    gap, recursion, stochastic = companion_series(
+        WeightStack.of([CYCLE3[0]] * 40), trace.ys, trace.final_state.y,
+    )
+    assert len(trace.smatrices) == gap.size == recursion.size == 40
+    assert gap[-1] <= 1e-8 < gap[0]
+    assert recursion.max() <= 1e-15 and stochastic <= 1e-15
 
 
 def test_run_enforces_declared_gradient_ceiling():
@@ -530,7 +538,7 @@ def in_order_sum(values):
     return total
 
 
-def reference_run(ws, x0, objective, schedule, record_products):
+def reference_run(ws, x0, objective, schedule):
     """The per-agent run loop: each agent's term is called on its own
     through the reference terms, and every step builds a fresh state."""
     terms = reference_terms(objective)
@@ -553,11 +561,9 @@ def reference_run(ws, x0, objective, schedule, record_products):
         ("zlyap", (d,)), ("consensus", ()), ("running_gap", ()), ("deviation", ()),
     )}
     out["alphas"] = alphas
-    out["s_product_gap"] = np.empty(steps) if record_products else None
-    smatrices = [] if record_products else None
+    smatrices = []
     avg_num, avg_den = np.zeros(d), 0.0
     min_y = float(state.y.min())
-    prod = np.eye(n)
     z = ratio_state(state)
     for t in range(steps):
         alpha = alphas[t]
@@ -585,11 +591,7 @@ def reference_run(ws, x0, objective, schedule, record_products):
                 f"(provenance {objective.optimum_provenance!r}) is invalid"
             )
         out["running_gap"][t] = max(gap, 0.0)
-        if record_products:
-            s = build_s_matrix(ws[t], state.y)
-            smatrices.append(s)
-            prod = s.entries @ prod
-            out["s_product_gap"][t] = float(np.abs(prod - 1.0 / n).max())
+        smatrices.append(build_s_matrix(ws[t], state.y))
         h_mean = (state.x - alpha * g).mean(axis=0)
         inner = state.x if alpha == 0.0 else state.x - float(alpha) * subgrads(ratio_state(state))
         w = ws[t].entries
@@ -639,13 +641,12 @@ def outcome(run):
     n=st.integers(1, 12),
     d=st.integers(1, 2),
     sched=st.sampled_from(["harmonic", "polynomial", "fixed"]),
-    record=st.booleans(),
     steps=st.integers(1, 40),
     seed=st.integers(0, 2 ** 16),
     squeeze=st.sampled_from([None, None, "ceiling", "box"]),
     block=st.sampled_from([1, 2, 3, None]),
 )
-def test_array_loop_matches_per_agent_reference(kind, n, d, sched, record, steps, seed, squeeze, block):
+def test_array_loop_matches_per_agent_reference(kind, n, d, sched, steps, seed, squeeze, block):
     # Weight blocks of ``block`` steps (None: the whole run in one), so
     # the companion pass and its running product cross block boundaries.
     rng = np.random.default_rng(seed)
@@ -658,14 +659,16 @@ def test_array_loop_matches_per_agent_reference(kind, n, d, sched, record, steps
     ws = build_weight_stack(generate_sequence("random-walkable", n, steps, seed, arc_prob=0.3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(block or steps, n))
-        assert_matches_reference(ws, x0, objective, schedule, record)
+        assert_matches_reference(ws, x0, objective, schedule, companions=True)
 
 
-def assert_matches_reference(ws, x0, objective, schedule, record):
+def assert_matches_reference(ws, x0, objective, schedule, companions=False):
     """Run the array loop and the per-agent loop; they must record the
-    same bits or stop with the same failure, which is returned."""
-    got, got_exc = outcome(lambda: run_push_subgradient(ws, x0, objective, schedule, record_products=record))
-    want, want_exc = outcome(lambda: reference_run(ws, x0, objective, schedule, record))
+    same bits or stop with the same failure, which is returned.  With
+    ``companions``, the companion pass over a finished run must also give
+    the frozen gate's values (:func:`assert_companions_match_the_gate`)."""
+    got, got_exc = outcome(lambda: run_push_subgradient(ws, x0, objective, schedule))
+    want, want_exc = outcome(lambda: reference_run(ws, x0, objective, schedule))
     if want_exc is not None:
         assert isinstance(got_exc, RunFailure), repr(got_exc)
         assert str(got_exc) == str(want_exc)
@@ -676,29 +679,42 @@ def assert_matches_reference(ws, x0, objective, schedule, record):
     assert got_exc is None, repr(got_exc)
     arrays, state, min_y, smatrices = want
     for name, value in arrays.items():
-        if value is None:
-            assert getattr(got, name) is None, name
-        else:
-            assert_same_bits(getattr(got, name), value, name)
+        assert_same_bits(getattr(got, name), value, name)
     assert got.final_state.t == state.t == len(ws)
     assert_same_bits(got.final_state.x, state.x, "final x")
     assert_same_bits(got.final_state.y, state.y, "final y")
     assert got.min_y == min_y
-    if record:
-        assert len(got.smatrices) == len(smatrices)
-        for a, b in zip(got.smatrices, smatrices):
-            assert_same_bits(a.entries, b.entries, "companion")
-        assert_same_bits(got.aps_residual, stored_companion_residual(got), "abs-prob recursion")
-    else:
-        assert got.smatrices is None and got.aps_residual is None
+    assert len(got.smatrices) == len(smatrices)
+    for a, b in zip(got.smatrices, smatrices):
+        assert_same_bits(a.entries, b.entries, "companion")
+    if companions:
+        assert_companions_match_the_gate(WeightStack.of(ws), got)
     return None
 
 
-def stored_companion_residual(trace):
-    """The abs-prob recursion residual over the trace's companions, as
-    the acceptance gate computes it from ``trace.smatrices``."""
-    y_all = np.vstack([trace.ys, trace.final_state.y[None, :]])
-    return AbsProbSeq(vectors=y_all / trace.n).recursion_residual(list(trace.smatrices))
+def gate_companion_series(smatrices, ys, y_last):
+    """The product gap, the abs-prob recursion residual and the
+    stochasticity residual of a run's companions ``smatrices`` and weights
+    y(0..T), through the API the acceptance gate reads (``trace.smatrices``
+    and ``AbsProbSeq.from_weight_history``)."""
+    n = len(y_last)
+    prod, gap = np.eye(n), np.empty(len(ys))
+    for t, s in enumerate(smatrices):
+        prod = s.entries @ prod
+        gap[t] = float(np.abs(prod - 1.0 / n).max())
+    aps = AbsProbSeq.from_weight_history(list(ys) + [y_last])
+    return gap, aps.recursion_residual(smatrices), aps.stochasticity_residual()
+
+
+def assert_companions_match_the_gate(ws, trace):
+    """The companion pass over a run's trace (or any object with its
+    ``ys``, ``final_state.y`` and ``smatrices``) is bitwise the gate's
+    values, which it returns."""
+    got = companion_series(ws, trace.ys, trace.final_state.y)
+    want = gate_companion_series(trace.smatrices, trace.ys, trace.final_state.y)
+    for a, b, what in zip(got, want, ("product gap", "abs-prob recursion", "stochasticity")):
+        assert_same_bits(a, b, what)
+    return got
 
 
 # Six agents in the plane, 120 steps; the quadratic pull toward (10, 10)
@@ -717,19 +733,58 @@ def pin_objective(kind):
                                box=(np.full(2, -20.0), np.full(2, 20.0)), g_bound=80.0)
 
 
-@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("companions", [False, True])
 @pytest.mark.parametrize("kind", ["quadratic", "hinge"])
-def test_thin_step_matches_the_per_step_loop_in_two_dimensions(kind, record):
-    assert assert_matches_reference(PIN_WS, PIN_X0, pin_objective(kind), PIN_SCHEDULE, record) is None
+def test_thin_step_matches_the_per_step_loop_in_two_dimensions(kind, companions):
+    assert assert_matches_reference(PIN_WS, PIN_X0, pin_objective(kind), PIN_SCHEDULE, companions) is None
 
 
 @pytest.mark.parametrize("steps", [1, 37, 119, 120])
 def test_prefix_companions_are_rebuilt_bitwise(steps):
-    trace = run_push_subgradient(PIN_WS, PIN_X0, pin_objective("hinge"), PIN_SCHEDULE).prefix(steps)
-    assert len(trace.smatrices) == len(trace.aps_residual) == steps
+    whole = run_push_subgradient(PIN_WS, PIN_X0, pin_objective("hinge"), PIN_SCHEDULE)
+    trace = whole.prefix(steps)
+    assert len(trace.smatrices) == steps
     for t in range(steps):
         assert_same_bits(trace.smatrices[t].entries, build_s_matrix(PIN_WS[t], trace.ys[t]).entries)
-    assert_same_bits(trace.aps_residual, stored_companion_residual(trace))
+    assert_companions_match_the_gate(PIN_WS[:steps], trace)
+    # the pass over a prefix is the first rows of the pass over the run
+    gap, recursion, _ = companion_series(PIN_WS[:steps], trace.ys, trace.final_state.y)
+    whole_gap, whole_recursion, _ = companion_series(PIN_WS, whole.ys, whole.final_state.y)
+    assert_same_bits(gap, whole_gap[:steps])
+    assert_same_bits(recursion, whole_recursion[:steps])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 120])
+def test_companion_pass_is_bitwise_the_gate_across_blocks(monkeypatch, k):
+    # Blocks of k steps, so the running product and the pi(t) rows cross
+    # block boundaries.  A NaN weight at an inner step spreads through the
+    # later rows of y, and one at the last step reaches y after the run
+    # alone (a run stops at the box on a NaN ratio, so the inner case is
+    # the weights mixed on their own).
+    monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(k, PIN_WS.n))
+    trace = run_push_subgradient(PIN_WS, PIN_X0, pin_objective("hinge"), PIN_SCHEDULE)
+    assert_companions_match_the_gate(PIN_WS, trace)
+    for broken in (61, 119):
+        entries = [w.entries.copy() for w in PIN_WS]
+        entries[broken][0, 0] = np.nan
+        ws = WeightStack.of([WeightMatrix(e, w.beta) for e, w in zip(entries, PIN_WS)])
+        ys = [np.ones(6)]
+        for e in entries:
+            ys.append(e @ ys[-1])
+        mixed = SimpleNamespace(
+            ys=np.array(ys[:-1]), final_state=SimpleNamespace(y=ys[-1]),
+            smatrices=CompanionView(ws, np.array(ys[:-1])),
+        )
+        gap, recursion, stochastic = assert_companions_match_the_gate(ws, mixed)
+        assert np.isnan(gap[broken:]).all() and not np.isnan(gap[:broken]).any()
+        assert np.isnan(recursion[broken:]).all() and not np.isnan(recursion[:broken]).any()
+        assert math.isnan(stochastic)
+
+
+def test_companion_pass_needs_one_weight_matrix_a_step():
+    trace = run_push_subgradient(PIN_WS[:10], PIN_X0, pin_objective("hinge"), PIN_SCHEDULE)
+    with pytest.raises(ValueError, match="need 10 weight matrices, got 11"):
+        companion_series(PIN_WS[:11], trace.ys, trace.final_state.y)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "l1", "hinge", "zero"])
@@ -758,6 +813,19 @@ def test_chunked_series_are_bitwise_the_whole_horizon_reference(kind):
         assert got.prefix(t).min_y == min(1.0, *got.ys[1 : t + 1].min(axis=1).tolist())
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_network_mean_is_bitwise_the_chunked_mean(monkeypatch, d):
+    # The failure path's mean alone, over every recorded row at once, is
+    # the zbar that mean_and_consensus computes one chunk of rows at a
+    # time; agents of very different sizes make the order of addition show.
+    n, steps = 9, 23
+    zs = np.random.default_rng(d).standard_normal((steps, n, d)) * 10.0 ** np.arange(n)[:, None]
+    monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", 5 * 2 * n * d)
+    zbar = mean_and_consensus(zs)[0]
+    assert_same_bits(SUBGRADIENT._network_mean(zs), zbar)
+    assert_same_bits(reference_mean(zs), zbar)
+
+
 def test_run_with_companions_holds_no_step_by_n_squared_array():
     # One float array over every step of n x n matrices would be
     # 2000 * 50**2 * 8 B = 38 MiB, above the ceiling on its own.
@@ -766,21 +834,24 @@ def test_run_with_companions_holds_no_step_by_n_squared_array():
     x0 = np.linspace(5.0, -5.0, 50)[:, None]
     tracemalloc.start()
     try:
-        trace = run_push_subgradient(build_weight_stack(seq), x0, objective, StepsizeSchedule.harmonic())
+        ws = build_weight_stack(seq)
+        trace = run_push_subgradient(ws, x0, objective, StepsizeSchedule.harmonic())
+        _, recursion, stochastic = companion_series(ws, trace.ys, trace.final_state.y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
-    assert trace.smatrices is not None and trace.aps_residual.max() <= 1e-10
+    assert recursion.max() <= 1e-10 and stochastic <= 1e-12
 
 
 @pytest.mark.parametrize("floats", [None, 2 ** 19], ids=["default", "4MiB"])
-@pytest.mark.parametrize("record", [False, True])
-def test_run_holds_its_trace_and_one_weight_block(monkeypatch, record, floats):
+@pytest.mark.parametrize("companions", [False, True])
+def test_run_holds_its_trace_and_one_weight_block(monkeypatch, companions, floats):
     # Besides the arrays it returns, a run holds one block of weights at a
     # time (the previous block is freed before the next is built) and,
     # after its loop, one (steps, n, d) scratch for its derived series and
-    # the (steps, n) sums of its squares.  A default block is at most
+    # the (steps, n) sums of its squares.  The companion pass after it
+    # holds its series and, again, one block.  A default block is at most
     # 512 KiB.
     assert 8 * pushsim.weights.BLOCK_FLOATS <= 2 ** 19
     if floats is not None:
@@ -792,11 +863,12 @@ def test_run_holds_its_trace_and_one_weight_block(monkeypatch, record, floats):
     x0 = np.linspace(5.0, -5.0, n)[:, None]
     tracemalloc.start()
     try:
-        trace = run_push_subgradient(ws, x0, objective, StepsizeSchedule.harmonic(), record)
+        trace = run_push_subgradient(ws, x0, objective, StepsizeSchedule.harmonic())
+        series = companion_series(ws, trace.ys, trace.final_state.y)[:2] if companions else ()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+    arrays = [v for v in vars(trace).values() if isinstance(v, np.ndarray)] + list(series)
     held = sum(a.nbytes for a in arrays) + trace.final_state.x.nbytes + trace.final_state.y.nbytes
     block = 8 * pushsim.weights.BLOCK_FLOATS
     scratch = trace.zs.nbytes + trace.ys.nbytes
@@ -810,10 +882,12 @@ def test_run_holds_its_trace_and_one_weight_block(monkeypatch, record, floats):
     ("optimum-before-box", "certified-optimum", None),
     ("box-before-optimum", "box-containment", 54),
 ])
-@pytest.mark.parametrize("record", [False, True])
-def test_thin_step_stops_at_the_first_failing_step(case, check, t, record):
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_thin_step_stops_at_the_first_failing_step(monkeypatch, case, check, t, small_blocks):
+    # In one block for the whole run, or in blocks of 7 steps, so that the
+    # failure at t=54 is found in the eighth.
     objective = pin_objective("quadratic")
-    gaps = run_push_subgradient(PIN_WS, PIN_X0, objective, PIN_SCHEDULE, record_products=False).running_gap
+    gaps = run_push_subgradient(PIN_WS, PIN_X0, objective, PIN_SCHEDULE).running_gap
     changes = {}
     if case.startswith("optimum"):  # an f* that the average beats mid-run
         changes["f_star"] = objective.f_star + gaps[20]
@@ -823,8 +897,10 @@ def test_thin_step_stops_at_the_first_failing_step(case, check, t, record):
         changes["f_star"] = objective.f_star + gaps[80]
     if case == "ceiling":
         changes["g_bound"] = 10.0
+    if small_blocks:
+        monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(7, PIN_WS.n))
     failure = assert_matches_reference(
-        PIN_WS, PIN_X0, dataclasses.replace(objective, **changes), PIN_SCHEDULE, record,
+        PIN_WS, PIN_X0, dataclasses.replace(objective, **changes), PIN_SCHEDULE,
     )
     assert failure is not None and failure.check == check
     if t is None:
@@ -858,7 +934,7 @@ def unconstrained_run(ws, x0, objective, schedule):
     """The run with the ceiling and the box lifted."""
     wide = np.full(objective.d, 1e300)
     free = dataclasses.replace(objective, g_bound=1e300, box_lo=-wide, box_hi=wide)
-    return run_push_subgradient(ws, x0, free, schedule, record_products=False)
+    return run_push_subgradient(ws, x0, free, schedule)
 
 
 def injected_run(inject, seed, frac):
@@ -903,19 +979,17 @@ def injected_run(inject, seed, frac):
 def failing_step(exc):
     """The step whose per-step checks raise ``exc``: a weight underflow at
     t is found by step t - 1."""
-    if isinstance(exc, RunFailure):
-        return exc.t - 1 if exc.check == "weight-underflow" else exc.t
-    return None
+    return exc.t - 1 if exc.check == "weight-underflow" else exc.t
 
 
 def run_with_warnings(run):
-    """(the RunFailure or ValueError that ``run`` raised, or None, and
-    every warning it issued)."""
+    """(the RunFailure that ``run`` raised, or None, and every warning it
+    issued)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             run()
-        except (RunFailure, ValueError) as exc:
+        except RunFailure as exc:
             return exc, caught
     return None, caught
 
@@ -929,23 +1003,22 @@ def blocks_of(steps, n):
 @given(
     inject=st.sampled_from(["ceiling", "box", "underflow", "zero-row"]),
     place=st.sampled_from([-1, 0, 1]),
-    record=st.booleans(),
     beat=st.booleans(),
     seed=st.integers(0, 2 ** 16),
     frac=st.floats(0.0, 0.95),
 )
 # This run converges exactly: its last subgradients are all zero.
-@example(inject="ceiling", place=-1, record=False, beat=False, seed=5776, frac=0.0)
-def test_block_pass_raises_the_per_step_failure(inject, place, record, beat, seed, frac):
+@example(inject="ceiling", place=-1, beat=False, seed=5776, frac=0.0)
+def test_block_pass_raises_the_per_step_failure(inject, place, beat, seed, frac):
     # The injected failure sits just before (-1), at (0) or just after (1)
     # the first step of a weight block; ``beat`` also raises f* so that the
     # running average may beat it before or after that failure.
     ws, x0, objective, schedule = injected_run(inject, seed, frac)
-    alone, _ = run_with_warnings(lambda: reference_run_push_subgradient(ws, x0, objective, schedule, record))
+    alone, _ = run_with_warnings(lambda: reference_run_push_subgradient(ws, x0, objective, schedule))
     assert alone is not None
     t = failing_step(alone)
-    if t is None:  # the companion of the broken step cannot be built
-        t = int(frac * (INJECT_STEPS - 1))
+    if inject == "zero-row":  # nobody sends to agent 1, so its weight is 0 after the step
+        assert (alone.check, alone.agent, t) == ("weight-underflow", 1, int(frac * (INJECT_STEPS - 1)))
     m = t - place  # the first step of a block
     k = next((j for j in range(2, m + 1) if m % j == 0), 1) if m > 0 else 2
     if beat and objective.kind == "quadratic":
@@ -953,11 +1026,10 @@ def test_block_pass_raises_the_per_step_failure(inject, place, record, beat, see
         objective = dataclasses.replace(objective, f_star=objective.f_star + gap)
 
     want, want_warnings = run_with_warnings(
-        lambda: reference_run_push_subgradient(ws, x0, objective, schedule, record))
+        lambda: reference_run_push_subgradient(ws, x0, objective, schedule))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(k, ws.n))
-        got, got_warnings = run_with_warnings(
-            lambda: run_push_subgradient(ws, x0, objective, schedule, record_products=record))
+        got, got_warnings = run_with_warnings(lambda: run_push_subgradient(ws, x0, objective, schedule))
     assert type(got) is type(want) and str(got) == str(want)
     if isinstance(want, RunFailure):
         assert (got.check, got.agent, got.t) == (want.check, want.agent, want.t)
@@ -977,7 +1049,7 @@ def test_steps_past_a_failure_issue_no_warnings(monkeypatch, k):
             x / y[:, None]
     monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(k, 3))
     got, caught = run_with_warnings(
-        lambda: run_push_subgradient(ws, x0, zero_objective(3, 1), StepsizeSchedule.harmonic(), False))
+        lambda: run_push_subgradient(ws, x0, zero_objective(3, 1), StepsizeSchedule.harmonic()))
     assert (got.check, got.agent, got.t) == ("weight-underflow", 1, 11)
     assert caught == []
 
