@@ -8,7 +8,6 @@ from .graphs import (
     digraph,
     format_graph_sequence,
     generate_sequence,
-    is_strongly_connected,
     parse_graph_sequence,
     uniform_connectivity_window,
 )

@@ -24,7 +24,6 @@ __all__ = [
     "GraphSequence",
     "digraph",
     "generate_sequence",
-    "is_strongly_connected",
     "uniform_connectivity_window",
     "connectivity_windows",
     "format_graph_sequence",
@@ -283,11 +282,6 @@ def _all_strongly_connected(adj: np.ndarray) -> bool:
     exact."""
     a = adj.astype(np.float32)
     return bool(_reaches_all(a).all() and _reaches_all(a.transpose(0, 2, 1)).all())
-
-
-def is_strongly_connected(g: Digraph) -> bool:
-    """Every vertex reaches every other along directed arcs."""
-    return _all_strongly_connected(g._adj[None])
 
 
 def uniform_connectivity_window(seq: GraphSequence) -> int | None:

@@ -293,6 +293,9 @@ def _sanity(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[graph] arc_prob must be a number in [0, 1], got {g.arc_prob}")
     if g.inject_every < 1:
         raise ConfigError(f"[graph] inject_every must be at least 1, got {g.inject_every}")
+    for section, seed in (("graph", g.seed), ("init", init.seed)):
+        if seed < 0:
+            raise ConfigError(f"[{section}] seed must be a nonnegative integer, got {seed}")
     if cfg.weights.rule not in ("uniform-out-degree", "file"):
         raise ConfigError(f"[weights] rule: unknown value {cfg.weights.rule!r}")
     if cfg.weights.rule == "file" and not cfg.weights.file:
@@ -374,7 +377,8 @@ def apply_overrides(
     weights_file: str | None = None,
 ) -> ExperimentConfig:
     """CLI-level overrides: --seed replaces both graph and init seeds,
-    the file flags replace the corresponding sources."""
+    the file flags replace the corresponding sources.  The result passes
+    the same checks as a parsed config."""
     g, w, init = cfg.graph, cfg.weights, cfg.init
     if seed is not None:
         g = dataclasses.replace(g, seed=seed)
@@ -383,7 +387,9 @@ def apply_overrides(
         g = dataclasses.replace(g, kind="file", file=graph_file)
     if weights_file is not None:
         w = dataclasses.replace(w, rule="file", file=weights_file)
-    return dataclasses.replace(cfg, graph=g, weights=w, init=init)
+    cfg = dataclasses.replace(cfg, graph=g, weights=w, init=init)
+    _sanity(cfg)
+    return cfg
 
 
 # --------------------------------------------------------------------------
@@ -1200,10 +1206,10 @@ RECOMPUTE_TOL = 1e-12
 
 
 def _column_error(recomputed: np.ndarray, stored: np.ndarray) -> float:
-    """Largest deviation of a recomputed certificate column from the
-    stored one over their finite entries; inf unless the non-finite
-    entries (an overflowed certificate) sit at the same steps with the
-    same values."""
+    """Largest deviation of a recomputed column from the stored one over
+    their finite entries; inf unless the non-finite entries (an
+    overflowed certificate or consensus error) sit at the same steps with
+    the same values."""
     finite = np.isfinite(stored)
     if not (
         np.array_equal(finite, np.isfinite(recomputed))
@@ -1274,7 +1280,7 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     errors: dict[str, float] = {}
     zbar, cons = mean_and_consensus(loaded.zs)
     errors["recompute-zbar"] = float(np.abs(zbar - loaded.zbar).max())
-    errors["recompute-consensus"] = float(np.abs(cons - loaded.consensus).max())
+    errors["recompute-consensus"] = _column_error(cons, loaded.consensus)
     # Clipped, never raised: a beaten optimum shows as a failed check here,
     # and the report.json of the run stays as it is.
     gaps = np.maximum(running_average_gaps(objective, loaded.alphas, loaded.zbar), 0.0)

@@ -26,7 +26,6 @@ beaten.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -565,6 +564,7 @@ class RunTrace:
         )
 
 
+@np.errstate(all="ignore")
 def run_push_subgradient(
     ws: Sequence[WeightMatrix],
     x0: np.ndarray,
@@ -591,14 +591,14 @@ def run_push_subgradient(
     checks (:func:`_first_failure`), so a failing run stops at most one
     block late; the reported failure is the one a check after every step
     would raise first (per step: ceiling, box, then the weight floor),
-    and the rows past it are discarded.  Each block's warnings are held
-    back until its pass: those of the steps before a failure, or of the
-    whole passing block, are then issued again, and those of the
-    discarded steps never are.  The network mean, the Lyapunov average,
-    the consensus error, the running-average gap and the one-step
-    deviation are computed after the loop, one chunk of stored rows at a
-    time (:func:`_series_chunks`), so their temporaries take at most one
-    weight block; each row reduces on its own and equals, bitwise, what a
+    and the rows past it are discarded.  The run issues no floating-point
+    warning: a NaN fails the box, an inf the ceiling or the box, a weight
+    that reaches 0 the floor, and an overflow that passes them shows in
+    the derived series.  The network mean, the Lyapunov average, the
+    consensus error, the running-average gap and the one-step deviation
+    are computed after the loop, one chunk of stored rows at a time
+    (:func:`_series_chunks`), so their temporaries take at most one weight
+    block; each row reduces on its own and equals, bitwise, what a
     per-step evaluation gives.
     """
     steps = len(ws)
@@ -627,38 +627,27 @@ def run_push_subgradient(
     try:
         for block in ws.blocks():
             lo = t
-            # How many warnings each step had raised by its checks, and by
-            # the end of its weight update.
-            at_checks, at_update = [], []
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                for w in block:
-                    g = objective._subgradients(z)
-                    xs[t], ys[t], zs[t], gs[t] = x, y, z, g
-                    at_checks.append(len(caught))
-                    # alpha == 0 is exactly a pure mixing step: the subtraction is skipped.
-                    alpha = alphas[t]
-                    x = w @ (x if alpha == 0.0 else x - alpha * g)
-                    y = w @ y
-                    at_update.append(len(caught))
-                    z = x / y[:, None]
-                    t += 1
+            for w in block:
+                g = objective._subgradients(z)
+                xs[t], ys[t], zs[t], gs[t] = x, y, z, g
+                # alpha == 0 is exactly a pure mixing step: the subtraction is skipped.
+                alpha = alphas[t]
+                x = w @ (x if alpha == 0.0 else x - alpha * g)
+                y = w @ y
+                z = x / y[:, None]
+                t += 1
 
             # Rows lo..t-1 are the block's steps; the weights after them are
             # the later rows and, after the last one, y.
             after = np.concatenate([ys[lo + 1 : t], y[None]])
             failure = _first_failure(objective, gs[lo:t], zs[lo:t], after)
             if failure is None:
-                _reissue(caught)
                 # Free this block (w is a view of it) before the next is built.
                 del block, w
                 continue
             r, order = failure
             step = lo + r
             recorded = step if order < 2 else step + 1
-            # Issue the warnings a check after every step would have let
-            # through before raising the same failure.
-            _reissue(caught[: (at_update if order == 2 else at_checks)[r]])
             if order == 0:
                 raise _ceiling_failure(objective, gs[step], step)
             if order == 1:
@@ -699,13 +688,10 @@ def _first_failure(
     produced.  Order 0 is the subgradient ceiling, 1 box containment and
     2 the weight floor; a per-step check takes them in that order, so the
     smallest pair is the failure it raises first.  A square that
-    overflows makes its row's norm inf, so that row fails the ceiling; it
-    is recomputed, with its warning, when the failure is raised
-    (:func:`_ceiling_failure`).
+    overflows makes its row's norm inf, so that row fails the ceiling.
     """
     k, n, d = zs.shape
-    with np.errstate(over="ignore"):
-        over = (np.sqrt((gs ** 2).sum(axis=2)) > objective.g_bound + 1e-9).any(axis=1)
+    over = (np.sqrt((gs ** 2).sum(axis=2)) > objective.g_bound + 1e-9).any(axis=1)
     outside = ~objective.in_box(zs.reshape(k * n, d)).reshape(k, n).all(axis=1)
     low = (after <= Y_FLOOR).any(axis=1)
     checks = (over, outside, low)  # in order
@@ -730,17 +716,6 @@ def _box_failure(objective: ObjectiveSpec, z: np.ndarray, t: int) -> RunFailure:
         "box-containment", i + 1, t,
         f"agent {i + 1} left the declared box at t={t}: z={z[i]!r}",
     )
-
-
-def _reissue(caught: list[warnings.WarningMessage]) -> None:
-    """Issue held-back warnings again, through the filters in force; they
-    count as this module's for filtering and for showing once."""
-    registry = globals().setdefault("__warningregistry__", {})
-    for m in caught:
-        warnings.warn_explicit(
-            m.message, m.category, m.filename, m.lineno,
-            module=__name__, registry=registry, source=m.source,
-        )
 
 
 def _least_weight(ys: np.ndarray) -> float:
@@ -787,8 +762,10 @@ def _deviations(
 def _max_agent_norms(diffs: np.ndarray) -> np.ndarray:
     """max_i ||diffs[t, i]|| for every t of a fresh (k, n, d) array,
     which is squared in place; besides it, only the (k, n) sums of
-    squares are allocated."""
-    sums = np.square(diffs, out=diffs).sum(axis=2)
+    squares are allocated.  A norm past the float range is inf, without
+    a warning."""
+    with np.errstate(over="ignore"):
+        sums = np.square(diffs, out=diffs).sum(axis=2)
     return np.sqrt(sums, out=sums).max(axis=1)
 
 

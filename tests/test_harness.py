@@ -1571,6 +1571,21 @@ def test_cli_refuses_a_random_init_range_wider_than_a_float(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("init_seed, flags, section, seed", [
+    (3, ["--seed", "-1"], "graph", -1),  # --seed replaces the graph's seed first
+    (-3, [], "init", -3),
+], ids=["flag", "init"])
+def test_cli_refuses_a_negative_seed(tmp_path, capsys, init_seed, flags, section, seed):
+    # numpy's generators take nonnegative seeds only
+    cfgp = write_cfg(tmp_path, base_config(init=InitConfig(mode="random", seed=init_seed)))
+    for command in ("simulate", "verify", "sweep"):
+        assert main([command, "--config", cfgp, "--out", str(tmp_path / "out")] + flags) == 2
+        assert capsys.readouterr().err == (
+            f"config error: [{section}] seed must be a nonnegative integer, got {seed}\n"
+        )
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_whose_consensus_overflows_writes_every_artifact(tmp_path, capsys):
     # Ratios of +-1e308 overflow the consensus error and the one-step
     # deviation to inf, so no point of the consensus chart can be drawn:
@@ -1581,9 +1596,9 @@ def test_cli_run_whose_consensus_overflows_writes_every_artifact(tmp_path, capsy
         init=InitConfig(mode="explicit", values=((1e308,), (-1e308,), (1e308,))),
     )
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
-    assert "Traceback" not in capsys.readouterr().err
+    cfgp = write_cfg(tmp_path, cfg)
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
     assert sorted(p.name for p in out.iterdir()) == ARTIFACTS
     report = json.loads((out / "report.json").read_text())
     assert [c["name"] for c in report["checks"] if not c["passed"]] == ["lyapunov-recursion"]
@@ -1591,6 +1606,9 @@ def test_cli_run_whose_consensus_overflows_writes_every_artifact(tmp_path, capsy
     chart = (out / "consensus.svg").read_text()
     ET.fromstring(chart)
     assert "<polyline" not in chart and ">consensus error</text>" in chart
+    # The stored inf consensus errors are recomputed exactly.
+    assert main(["report", "--config", cfgp, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_overflowing_polynomial_exponent_fails_the_decay_check(tmp_path, capsys):

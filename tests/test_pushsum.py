@@ -378,8 +378,12 @@ def test_theory_constants_degenerate_cases():
 
 
 def test_consensus_error():
-    # one row per step: agents at distance 1 from their mean, then agreeing
-    zs = np.array([[[1.0, 0.0], [3.0, 0.0]], [[2.0, 5.0], [2.0, 5.0]]])
+    # one row per step: agents at distance 1 from their mean, then
+    # agreeing, then at +-1e308, whose squared distance overflows to inf
+    # without a warning
+    zs = np.array([
+        [[1.0, 0.0], [3.0, 0.0]], [[2.0, 5.0], [2.0, 5.0]], [[1e308, 0.0], [-1e308, 0.0]],
+    ])
     zbar, consensus = mean_and_consensus(zs)
-    assert zbar.tolist() == [[2.0, 0.0], [2.0, 5.0]]
-    assert consensus.tolist() == [1.0, 0.0]
+    assert zbar.tolist() == [[2.0, 0.0], [2.0, 5.0], [0.0, 0.0]]
+    assert consensus.tolist() == [1.0, 0.0, float("inf")]
