@@ -78,7 +78,6 @@ from .harness import (
     import_trace,
     load_config,
     parse_config,
-    render_config,
     report_from_dir,
     run_experiment,
     sweep_experiment,

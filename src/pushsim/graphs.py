@@ -33,9 +33,9 @@ __all__ = [
 
 GENERATOR_KINDS = ("static-cycle", "rotating-arc", "random-walkable")
 
-# Adjacency cells per block of window unions tested at once (1 MiB as
-# float32), and bytes of float draws per block of generated steps; a
-# failing window length usually stops in the first block.
+# Adjacency cells in the largest block of window unions tested at once
+# (1 MiB as float32), and bytes of float draws per block of generated
+# steps.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -274,14 +274,14 @@ def _reaches_all(adj: np.ndarray) -> np.ndarray:
         count = grown
 
 
-def _all_strongly_connected(adj: np.ndarray) -> bool:
-    """Every graph of the boolean stack ``adj[m, n, n]`` is strongly
-    connected: vertex 0 reaches all vertices and, in the reversed graph,
+def _strongly_connected(adj: np.ndarray) -> np.ndarray:
+    """Per graph of the boolean stack ``adj[m, n, n]``: is it strongly
+    connected?  Vertex 0 reaches all vertices and, in the reversed graph,
     again reaches all.  The products run in float32, which BLAS does
     several times faster than boolean matmul; sums of 0/1 entries stay
     exact."""
     a = adj.astype(np.float32)
-    return bool(_reaches_all(a).all() and _reaches_all(a.transpose(0, 2, 1)).all())
+    return _reaches_all(a) & _reaches_all(a.transpose(0, 2, 1))
 
 
 def uniform_connectivity_window(seq: GraphSequence) -> int | None:
@@ -289,10 +289,10 @@ def uniform_connectivity_window(seq: GraphSequence) -> int | None:
 
     Returns the smallest L such that for every start t with a full window
     inside the horizon, the union of graphs over [t, t+L-1] is strongly
-    connected.  Returns None if even the whole horizon fails.  This is a
+    connected, or None if even the whole horizon fails.  This is a
     finite-horizon certificate over the materialized sequence only; it
-    says nothing about steps beyond the horizon.  It is the one-horizon
-    case of :func:`connectivity_windows`.
+    says nothing about steps beyond the horizon.  It is
+    :func:`connectivity_windows` with the one horizon ``seq.horizon``.
     """
     return connectivity_windows(seq, [seq.horizon])[0]
 
@@ -300,108 +300,88 @@ def uniform_connectivity_window(seq: GraphSequence) -> int | None:
 def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[int | None]:
     """``uniform_connectivity_window(seq.prefix(T))`` for every T in
     ``horizons`` (in their order; each within ``1..seq.horizon``), from
-    one search over ``seq``.
+    one scan of the first ``max(horizons)`` steps.
 
     Let f(L) be the first start whose length-L window is not strongly
-    connected.  A longer window holds a shorter one, so f is
-    nondecreasing and f(L) + L increasing, and horizon T's window is the
-    smallest L with f(L) + L > T: every length-L window of the first T
-    steps is connected.  So a length that fails one horizon fails every
-    longer one, and the horizons are searched in ascending order, each by
-    doubling and then bisection from the previous one's window (or, if
-    it had none, from its length plus one).  A length is tested against
-    a horizon by extending the scan of its starts from where an earlier
-    horizon's test of it left off.
+    connected.  A window that holds a strongly connected window is itself
+    strongly connected, so f is nondecreasing, every start before f(L)
+    passes at every longer length, and horizon T's window is the smallest
+    L with f(L) + L > T, or None if that L exceeds T.  The scan climbs
+    this staircase: it tests the starts in order at a length that only
+    grows, and at the first failing start it records f(L), adds one to
+    the length and tests that start again.  So one scan answers every
+    horizon, and each start is tested about once.  The starts are tested
+    in blocks: one start after each failure, twice as many after each
+    passing block, up to ``_BLOCK_CELLS`` adjacency cells.
 
     ``level`` holds the packed unions of all windows of length ``a`` (a
-    power of two, only growing, always below the window); a window of
-    length L in [a, 2a] is the union of two overlapping ones, the OR of
-    their packed bytes.  Each scan tests the unions in blocks, stops at
-    the first failing block, and tests each distinct union once (only the
-    fresh ones are unpacked): periodic sequences such as ``static-cycle``
-    and ``rotating-arc`` repeat a few unions, each of whose searches can
-    take up to n rounds.  A scan keeps the hash of each union's bytes and
-    the first start that had it, not the bytes, and counts a union as seen
-    only if that start's union, recomputed, has the same bytes.  ``level``
-    starts as the sequence itself; its first growth makes one private copy
-    of the packed stack, and every growth ORs each union with the one
-    ``a`` starts later in place, in ascending blocks: a block reads only
-    rows that no earlier block has updated, and NumPy reads the rows a
-    block shares with its own output before writing.  Besides the
-    sequence, memory stays at one packed stack, a few blocks of
-    ``_BLOCK_CELLS`` cells and one hash entry per start.
+    power of two, only growing, below the length once it exceeds 1); a
+    window of length L in [a, 2a] is the union of two overlapping ones,
+    the OR of their packed bytes.  Periodic sequences such as
+    ``static-cycle`` and ``rotating-arc`` repeat a few unions, each of
+    whose searches can take up to n rounds, so only the unions not seen
+    before at the current length are unpacked and tested.  The scan keeps
+    the hash of each union's bytes and the first start that had it, not
+    the bytes, and counts a union as seen only if that start's union,
+    recomputed, has the same bytes.  A failure clears the hashes, since
+    every union seen at one length has passed, and so does their count
+    passing ``_BLOCK_CELLS >> 8`` (1,024 hashes, about 100 KiB of Python
+    objects): a sequence of period p has at most p distinct unions, so a
+    periodic sequence keeps all its hits while p is at most that count,
+    and other sequences rarely repeat a union.  ``level`` starts as the
+    sequence itself; its first growth makes one private copy of the
+    packed stack, and every growth ORs each union with the one ``a``
+    starts later in place, in ascending blocks: a block reads only rows
+    that no earlier block has updated, and NumPy reads the rows a block
+    shares with its own output before writing.  Besides the sequence,
+    memory stays at one packed stack, a few blocks of ``_BLOCK_CELLS``
+    cells and the hashes.
     """
     hs = list(horizons)
     if any(not 1 <= T <= seq.horizon for T in hs):
         raise ValueError(f"horizons must lie in [1, {seq.horizon}], got {hs}")
-    block = max(1, _BLOCK_CELLS // seq.n**2)
-    scanned: dict[int, int] = {}  # length -> count of starts whose windows are connected
-
-    def every_window_connected(length: int, horizon: int) -> bool:
-        starts = horizon - length + 1
-        connected: dict[int, int] = {}  # hash of a union's bytes -> first start with it
-        for lo in range(scanned.get(length, 0), starts, block):
-            hi = min(starts, lo + block)
-            unions = level[lo:hi] | level[lo + length - a : hi + length - a]
-            first = np.array([
-                connected.setdefault(hash(u.tobytes()), start)
-                for start, u in enumerate(unions, lo)
-            ])
-            # A hit counts once the first start's union, recomputed, has
-            # the same bytes; a hash collision is tested as a new union.
-            seen = first < np.arange(lo, hi)
-            seen[seen] = (
-                level[first[seen]] | level[first[seen] + length - a] == unions[seen]
-            ).all(axis=(1, 2))
-            fresh = np.flatnonzero(~seen)
-            if fresh.size and not _all_strongly_connected(unpack_adjacency(unions[fresh], seq.n)):
-                return False
-        scanned[length] = starts
-        return True
-
-    level, a = seq.bits, 1
-
-    def reach(length: int) -> None:
-        """Grow ``level`` until ``length`` is at most 2a; every length
-        below ``length`` must be known to fail."""
-        nonlocal level, a
+    h = max(hs, default=0)
+    most = max(1, _BLOCK_CELLS // seq.n**2)
+    level, a = seq.bits[:h], 1
+    length, lo, block = 1, 0, 1
+    ends: list[int] = []  # f(L) + L for L = 1, 2, ..., length - 1
+    connected: dict[int, int] = {}  # hash of a union's bytes -> first start with it
+    while lo <= h - length:
         while 2 * a < length:
-            if level is seq.bits:
-                level = np.array(seq.bits)
+            if a == 1:
+                level = np.array(level)
             m = len(level) - a
-            for lo in range(0, m, block):
-                hi = min(m, lo + block)
-                np.bitwise_or(level[lo:hi], level[lo + a : hi + a], out=level[lo:hi])
+            for s in range(0, m, most):
+                e = min(m, s + most)
+                np.bitwise_or(level[s:e], level[s + a : e + a], out=level[s:e])
             level = level[:m]
             a *= 2
-
-    windows: dict[int, int | None] = {}
-    least = 1  # every shorter length fails the next horizon
-
-    for T in sorted(set(hs)):
-        reach(least)
-        if every_window_connected(least, T):
-            windows[T] = least
-            continue
-        fail = least
-        while fail < T:
-            reach(fail + 1)
-            ok = min(2 * a, T)
-            if every_window_connected(ok, T):
-                break
-            fail = ok
-        else:  # even the whole horizon fails
-            windows[T], least = None, T + 1
-            continue
-        # Now length fail fails and length ok passes, both in [a, 2a].
-        while ok - fail > 1:
-            mid = (fail + ok) // 2
-            if every_window_connected(mid, T):
-                ok = mid
-            else:
-                fail = mid
-        windows[T] = least = ok
-    return [windows[T] for T in hs]
+        hi = min(h - length + 1, lo + block)
+        unions = level[lo:hi] | level[lo + length - a : hi + length - a]
+        if len(connected) > _BLOCK_CELLS >> 8:
+            connected.clear()
+        first = np.array([
+            connected.setdefault(hash(u.tobytes()), start)
+            for start, u in enumerate(unions, lo)
+        ])
+        # A hit counts once the first start's union, recomputed, has the
+        # same bytes; a hash collision is tested as a new union.
+        seen = first < np.arange(lo, hi)
+        seen[seen] = (
+            level[first[seen]] | level[first[seen] + length - a] == unions[seen]
+        ).all(axis=(1, 2))
+        fresh = np.flatnonzero(~seen)
+        failed = fresh[~_strongly_connected(unpack_adjacency(unions[fresh], seq.n))]
+        if failed.size:
+            lo += int(failed[0])
+            ends.append(lo + length)
+            length, block = length + 1, 1
+            connected.clear()
+        else:
+            lo, block = hi, min(2 * block, most)
+    ends.append(h + 1)
+    windows = np.searchsorted(ends, hs, side="right") + 1
+    return [int(L) if L <= T else None for L, T in zip(windows, hs)]
 
 
 def format_graph_sequence(seq: GraphSequence) -> str:

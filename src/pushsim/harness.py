@@ -76,7 +76,6 @@ __all__ = [
     "SummaryReport",
     "CheckResult",
     "parse_config",
-    "render_config",
     "load_config",
     "apply_overrides",
     "run_experiment",
@@ -207,41 +206,20 @@ def _boolean(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _float_text(x: float) -> str:
-    return repr(float(x))
-
-
-# Config text codecs keyed by the field annotation text (annotations are
+# Config text decoders keyed by the field annotation text (annotations are
 # strings under ``from __future__ import annotations``), with any "| None"
-# stripped: (what the error message expects, decode, encode).  Floats
-# round-trip through repr; every config number passes through here, so
-# this is where non-finite values are rejected.
-_CODECS: dict[str, tuple[str, Callable[[str], object], Callable[..., str]]] = {
-    "str": ("text", str, str),
-    "int": ("integer", int, str),
-    "float": ("finite number", _number, _float_text),
-    "bool": ("boolean", _boolean, lambda b: str(b).lower()),
-    "tuple[int, ...]": (
-        "integers", lambda raw: tuple(int(v) for v in raw.split()),
-        lambda v: " ".join(str(t) for t in v),
-    ),
-    "tuple[float, ...]": (
-        "finite numbers", _numbers, lambda v: " ".join(_float_text(x) for x in v),
-    ),
-    "tuple[tuple[float, ...], ...]": (
-        "rows of finite numbers", _rows,
-        lambda rows: " ; ".join(" ".join(_float_text(x) for x in r) for r in rows),
-    ),
+# stripped: (what the error message expects, decode).  Every config
+# number passes through here, so this is where non-finite values are
+# rejected.
+_CODECS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "str": ("text", str),
+    "int": ("integer", int),
+    "float": ("finite number", _number),
+    "bool": ("boolean", _boolean),
+    "tuple[int, ...]": ("integers", lambda raw: tuple(int(v) for v in raw.split())),
+    "tuple[float, ...]": ("finite numbers", _numbers),
+    "tuple[tuple[float, ...], ...]": ("rows of finite numbers", _rows),
 }
-
-
-def _sections() -> dict[str, type]:
-    """Section name -> section dataclass, in config order."""
-    return {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)}
-
-
-def _codec(f: dataclasses.Field) -> tuple[str, Callable[[str], object], Callable[..., str]]:
-    return _CODECS[f.type.removesuffix(" | None")]
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -252,7 +230,8 @@ def parse_config(text: str) -> ExperimentConfig:
         cp.read_string(text)
     except Exception as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
-    sections = _sections()
+    # section name -> its dataclass, in config order
+    sections = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)}
     for sec in cp.sections():
         if sec not in sections:
             raise ConfigError(f"unknown section [{sec}]")
@@ -270,7 +249,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raw = cp.get(sec, f.name, fallback="").strip()
             if not raw:
                 continue
-            what, decode, _ = _codec(f)
+            what, decode = _CODECS[f.type.removesuffix(" | None")]
             try:
                 values[f.name] = decode(raw)
             except ValueError as exc:
@@ -345,21 +324,6 @@ def _sanity(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"[init] values must be {g.n} rows of {o.d} numbers")
     if init.mode == "random" and not (init.lo < init.hi and math.isfinite(init.hi - init.lo)):
         raise ConfigError(f"[init] needs lo < hi and a finite hi - lo, got {init.lo!r}, {init.hi!r}")
-
-
-def render_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parsing it back yields an equal config and
-    re-rendering yields identical bytes."""
-    lines = []
-    for sec in _sections():
-        part = getattr(cfg, sec)
-        lines.append(f"[{sec}]")
-        for f in dataclasses.fields(part):
-            value = getattr(part, f.name)
-            text = "" if value is None else _codec(f)[2](value)
-            lines.append(f"{f.name} = {text}".rstrip())
-        lines.append("")
-    return "\n".join(lines[:-1]) + "\n"
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -983,7 +947,7 @@ def _sweep_horizons(
             _horizon_prefix(source, at_horizon(T).graph)  # a file too short for T is a config error
             if windows is None:  # one search for every horizon the source covers
                 reach = [h for h in hs if h <= source.horizon]
-                windows = dict(zip(reach, connectivity_windows(source.prefix(reach[-1]), reach)))
+                windows = dict(zip(reach, connectivity_windows(source, reach)))
             hypotheses = [_certified(_window_check(windows[T], T))]
             if ws is None:
                 ws, violations = _materialize_weights(

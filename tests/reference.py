@@ -1,13 +1,14 @@
 """Independent reference routines the tests check the package against."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from pushsim.graphs import _BLOCK_CELLS, GraphSequence, _all_strongly_connected, unpack_adjacency
+from pushsim.graphs import _BLOCK_CELLS, GraphSequence, _strongly_connected, unpack_adjacency
+from pushsim.harness import ExperimentConfig
 from pushsim.pushsum import (
     PRODUCT_SPAN,
     CompanionView,
@@ -367,7 +368,7 @@ def reference_connectivity_window(seq: GraphSequence) -> int | None:
             unions = level[lo:hi] | level[lo + length - a : hi + length - a]
             keys = [row.tobytes() for row in np.packbits(unions.reshape(hi - lo, -1), axis=1)]
             fresh = {key: k for k, key in enumerate(keys) if key not in connected}
-            if fresh and not _all_strongly_connected(unions[list(fresh.values())]):
+            if fresh and not _strongly_connected(unions[list(fresh.values())]).all():
                 return False
             connected.update(fresh)
         return True
@@ -393,3 +394,37 @@ def reference_connectivity_window(seq: GraphSequence) -> int | None:
             fail = mid
     return ok
 
+
+def _float_text(x: float) -> str:
+    return repr(float(x))
+
+
+# Config text encoders keyed like the parser's decoders, by the field
+# annotation text with any "| None" stripped.  Floats round-trip through
+# repr.
+_ENCODERS = {
+    "str": str,
+    "int": str,
+    "float": _float_text,
+    "bool": lambda b: str(b).lower(),
+    "tuple[int, ...]": lambda v: " ".join(str(t) for t in v),
+    "tuple[float, ...]": lambda v: " ".join(_float_text(x) for x in v),
+    "tuple[tuple[float, ...], ...]": lambda rows: " ; ".join(
+        " ".join(_float_text(x) for x in r) for r in rows
+    ),
+}
+
+
+def render_config(cfg: ExperimentConfig) -> str:
+    """Canonical text form; parsing it back yields an equal config and
+    re-rendering yields identical bytes."""
+    lines = []
+    for sec in fields(cfg):
+        part = getattr(cfg, sec.name)
+        lines.append(f"[{sec.name}]")
+        for f in fields(part):
+            value = getattr(part, f.name)
+            text = "" if value is None else _ENCODERS[f.type.removesuffix(" | None")](value)
+            lines.append(f"{f.name} = {text}".rstrip())
+        lines.append("")
+    return "\n".join(lines[:-1]) + "\n"

@@ -379,6 +379,19 @@ def test_window_search_keeps_a_hash_of_each_union_not_its_bytes(monkeypatch):
     assert peak <= bound, f"peak {peak} B above {bound} B"
 
 
+def test_window_search_hashes_do_not_grow_with_the_horizon(monkeypatch):
+    # Nearly every random union is distinct, and the scan forgets its
+    # hashes once there are more than _BLOCK_CELLS >> 8 of them: besides
+    # its private packed stack, its memory is the same at either horizon.
+    monkeypatch.setattr(pushsim.graphs, "_BLOCK_CELLS", 1 << 14)
+    seq = generate_sequence("random-walkable", 64, 4000, 1, arc_prob=0.05)
+    short, long = (
+        traced_peak(lambda: connectivity_windows(seq, [T]))[1] - seq.prefix(T).bits.nbytes
+        for T in (1000, 4000)
+    )
+    assert long <= short + (1 << 14), f"{long} B at T=4000 against {short} B at T=1000"
+
+
 def collision_sequences():
     """Sequences whose early unions are connected and whose later ones
     are not, so trusting a hash alone would pass a failing length."""
@@ -397,6 +410,54 @@ def test_window_search_tests_a_hash_collision_as_a_new_union(monkeypatch, seq):
     monkeypatch.setattr(pushsim.graphs, "hash", lambda key: 0, raising=False)
     for T in range(1, seq.horizon + 1):
         assert connectivity_windows(seq, [T]) == [reference_connectivity_window(seq.prefix(T))]
+
+
+def counted_unions(monkeypatch, seq, hs):
+    """(connectivity_windows(seq, hs), the count of unions passed to its
+    strong-connectivity test)."""
+    count = [0]
+    test = pushsim.graphs._strongly_connected
+
+    def counted(adj):
+        count[0] += len(adj)
+        return test(adj)
+
+    monkeypatch.setattr(pushsim.graphs, "_strongly_connected", counted)
+    windows = connectivity_windows(seq, hs)
+    return windows, count[0]
+
+
+@pytest.mark.parametrize("seq, bound", [
+    pytest.param(generate_sequence("rotating-arc", 12, 600), 600, id="rotating-arc-12-600"),
+    pytest.param(generate_sequence("static-cycle", 12, 600), 600, id="static-cycle-12-600"),
+    # The certify workload's inputs are the arc_prob=0.05 ones.
+    *(
+        pytest.param(
+            generate_sequence("random-walkable", 50, 2000, seed, arc_prob=p), 2100,
+            id=f"random-walkable-50-2000-p{p}-seed{seed}",
+        )
+        for p in (0.05, 0.25) for seed in (0, 1, 7)
+    ),
+])
+def test_window_scan_tests_each_start_about_once(monkeypatch, seq, bound):
+    # A start is tested once at the length it passes, and once more per
+    # failure.  The starts after a block's first failure were tested too
+    # and are tested again at the next length; on the random inputs they
+    # add up to 5% (the doubling-and-bisection search tested 6,504 unions
+    # on the certify inputs at seed 1).  The periodic ones fail only at
+    # start 0, alone in its block.
+    windows, count = counted_unions(monkeypatch, seq, [seq.horizon])
+    assert windows == [reference_connectivity_window(seq)]
+    assert count <= bound
+
+
+def test_window_scan_serves_every_horizon_from_the_longest_scan(monkeypatch):
+    # The sweep workload's inputs: the shorter horizons cost no test.
+    seq = generate_sequence("random-walkable", 20, 6400, 1, arc_prob=0.1)
+    hs = [400, 800, 1600, 3200, 6400]
+    windows, count = counted_unions(monkeypatch, seq, hs)
+    assert windows == [reference_connectivity_window(seq.prefix(T)) for T in hs]
+    assert (windows[-1:], count) == counted_unions(monkeypatch, seq, [6400])
 
 
 def traced_peak(build):

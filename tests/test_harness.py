@@ -38,7 +38,6 @@ from pushsim.harness import (
     import_trace,
     load_config,
     parse_config,
-    render_config,
     report_from_dir,
     run_experiment,
     sweep_experiment,
@@ -60,6 +59,7 @@ from reference import (
     reference_file_violations,
     reference_run_push_subgradient,
     reference_weight_stack,
+    render_config,
 )
 from test_acceptance import CERTIFIED
 
