@@ -317,25 +317,21 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
     ``level`` holds the packed unions of all windows of length ``a`` (a
     power of two, only growing, below the length once it exceeds 1); a
     window of length L in [a, 2a] is the union of two overlapping ones,
-    the OR of their packed bytes.  Periodic sequences such as
-    ``static-cycle`` and ``rotating-arc`` repeat a few unions, each of
-    whose searches can take up to n rounds, so only the unions not seen
-    before at the current length are unpacked and tested.  The scan keeps
-    the hash of each union's bytes and the first start that had it, not
-    the bytes, and counts a union as seen only if that start's union,
-    recomputed, has the same bytes.  A failure clears the hashes, since
-    every union seen at one length has passed, and so does their count
-    passing ``_BLOCK_CELLS >> 8`` (1,024 hashes, about 100 KiB of Python
-    objects): a sequence of period p has at most p distinct unions, so a
-    periodic sequence keeps all its hits while p is at most that count,
-    and other sequences rarely repeat a union.  ``level`` starts as the
-    sequence itself; its first growth makes one private copy of the
-    packed stack, and every growth ORs each union with the one ``a``
-    starts later in place, in ascending blocks: a block reads only rows
-    that no earlier block has updated, and NumPy reads the rows a block
-    shares with its own output before writing.  Besides the sequence,
-    memory stays at one packed stack, a few blocks of ``_BLOCK_CELLS``
-    cells and the hashes.
+    the OR of their packed bytes.  ``level`` starts as the sequence
+    itself; its first growth makes one private copy of the packed stack,
+    and every growth ORs each union with the one ``a`` starts later in
+    place, in ascending blocks: a block reads only rows that no earlier
+    block has updated, and NumPy reads the rows a block shares with its
+    own output before writing.  Besides the sequence, memory stays at one
+    packed stack and a few blocks of ``_BLOCK_CELLS`` cells.
+
+    A test can take n rounds, so only the unions whose bytes differ from
+    ``known``, the last union that passed, are unpacked and tested: a
+    graph byte-equal to a strongly connected one is strongly connected.
+    ``known`` starts as zeros, which no union equals (each has its
+    self-arcs).  A periodic sequence has one union once the window spans
+    its period; windows that repeat with period p >= 2 at a length below
+    p (a graph file alternating two strongly connected graphs) save nothing.
     """
     hs = list(horizons)
     if any(not 1 <= T <= seq.horizon for T in hs):
@@ -345,7 +341,7 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
     level, a = seq.bits[:h], 1
     length, lo, block = 1, 0, 1
     ends: list[int] = []  # f(L) + L for L = 1, 2, ..., length - 1
-    connected: dict[int, int] = {}  # hash of a union's bytes -> first start with it
+    known = np.zeros_like(seq.bits[0])  # the last union that passed
     while lo <= h - length:
         while 2 * a < length:
             if a == 1:
@@ -358,25 +354,15 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
             a *= 2
         hi = min(h - length + 1, lo + block)
         unions = level[lo:hi] | level[lo + length - a : hi + length - a]
-        if len(connected) > _BLOCK_CELLS >> 8:
-            connected.clear()
-        first = np.array([
-            connected.setdefault(hash(u.tobytes()), start)
-            for start, u in enumerate(unions, lo)
-        ])
-        # A hit counts once the first start's union, recomputed, has the
-        # same bytes; a hash collision is tested as a new union.
-        seen = first < np.arange(lo, hi)
-        seen[seen] = (
-            level[first[seen]] | level[first[seen] + length - a] == unions[seen]
-        ).all(axis=(1, 2))
-        fresh = np.flatnonzero(~seen)
-        failed = fresh[~_strongly_connected(unpack_adjacency(unions[fresh], seq.n))]
+        fresh = np.flatnonzero((unions != known).any(axis=(1, 2)))
+        passed = _strongly_connected(unpack_adjacency(unions[fresh], seq.n))
+        if passed.any():
+            known[...] = unions[fresh[passed][-1]]
+        failed = fresh[~passed]
         if failed.size:
             lo += int(failed[0])
             ends.append(lo + length)
             length, block = length + 1, 1
-            connected.clear()
         else:
             lo, block = hi, min(2 * block, most)
     ends.append(h + 1)

@@ -1188,7 +1188,7 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
 
     Loads ``trace.csv`` and ``report.json`` from ``out_dir``, re-derives
     the agent mean, consensus errors, running-average gaps and (when
-    present) the certificate series and fixed-horizon margins from the
+    present) the certificate series and every fixed-horizon margin from the
     recorded constants, and checks everything against the stored columns
     and margins at 1e-12.  Quantities that need the raw weight history
     (the empirical constants themselves) are treated as recorded inputs,
@@ -1210,14 +1210,17 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         # constants the report recorded, for each constant set the run
         # evaluated: a decaying run's shows in its trace columns (an
         # all-NaN worst-case column means none was evaluated), a fixed
-        # run's in a finite margin.
+        # run's in a stored margin, an overflowed (inf) one included.
         fixed = schedule.kind == "fixed"
         if fixed:
             margins = stored["bound_margins"]
             if not isinstance(margins, dict):
                 raise TypeError(f"bound_margins is not an object: {margins!r}")
+            network = {k: m for k, m in margins.items() if "-network-" in k}
+            if any(type(m) not in (int, float) for m in network.values()):
+                raise TypeError(f"a network margin is not a number: {network!r}")
             evaluated = {
-                label: math.isfinite(margins.get(f"gap-fixed-network-{label}", math.nan))
+                label: f"gap-fixed-network-{label}" in network
                 for label in ("empirical", "worst-case")
             }
         else:
@@ -1253,7 +1256,8 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     for rep in certificates:
         wc = "-wc" if rep.label.endswith("-worst-case") else ""
         if fixed:
-            errors["recompute-bound-fixed" + wc] = abs(rep.min_margin - margins[rep.label])
+            pair = np.array([[rep.min_margin], [network[rep.label]]])
+            errors["recompute-bound-fixed" + wc] = _column_error(*pair)
         elif wc:
             errors["recompute-bound-rhs-wc"] = _column_error(rep.rhs, loaded.bound_rhs_wc)
         else:

@@ -367,22 +367,22 @@ def test_window_search_holds_one_private_stack(monkeypatch, kind):
     assert peak <= bound, f"peak {peak} B above {bound} B"
 
 
-def test_window_search_keeps_a_hash_of_each_union_not_its_bytes(monkeypatch):
+def test_window_search_holds_nothing_per_start(monkeypatch):
     # Nearly every random union is distinct.  At n=64 a packed union is
-    # 512 B; the search keeps a hash and a start for each (a dict entry of
-    # about 100 B), next to its one private stack and a few blocks.
+    # 512 B; the search remembers one of them, next to its one private
+    # stack and a few blocks, and keeps nothing for each start.
     monkeypatch.setattr(pushsim.graphs, "_BLOCK_CELLS", 1 << 14)
     seq = generate_sequence("random-walkable", 64, 2000, 1, arc_prob=0.05)
     windows, peak = traced_peak(lambda: connectivity_windows(seq, [2000]))
     assert windows == [reference_connectivity_window(seq)]
-    bound = seq.bits.nbytes + 16 * pushsim.graphs._BLOCK_CELLS + 128 * seq.horizon
+    bound = seq.bits.nbytes + 16 * pushsim.graphs._BLOCK_CELLS
     assert peak <= bound, f"peak {peak} B above {bound} B"
 
 
 def test_window_search_hashes_do_not_grow_with_the_horizon(monkeypatch):
-    # Nearly every random union is distinct, and the scan forgets its
-    # hashes once there are more than _BLOCK_CELLS >> 8 of them: besides
-    # its private packed stack, its memory is the same at either horizon.
+    # Nearly every random union is distinct, and the scan remembers only
+    # the last one that passed: besides its private packed stack, its
+    # memory is the same at either horizon.
     monkeypatch.setattr(pushsim.graphs, "_BLOCK_CELLS", 1 << 14)
     seq = generate_sequence("random-walkable", 64, 4000, 1, arc_prob=0.05)
     short, long = (
@@ -392,9 +392,10 @@ def test_window_search_hashes_do_not_grow_with_the_horizon(monkeypatch):
     assert long <= short + (1 << 14), f"{long} B at T=4000 against {short} B at T=1000"
 
 
-def collision_sequences():
+def connected_then_failing_sequences():
     """Sequences whose early unions are connected and whose later ones
-    are not, so trusting a hash alone would pass a failing length."""
+    are not, so a scan that took a union for connected without its bytes
+    matching the remembered one would pass a failing length."""
     ring = frozenset({(i, i) for i in range(4)} | {(j, (j + 1) % 4) for j in range(4)})
     alone = frozenset((i, i) for i in range(4))
     for steps in ([ring] * 3 + [alone] * 2 + [ring] * 2, [ring] * 5 + [alone] + [ring] * 6 + [alone] * 3):
@@ -403,11 +404,8 @@ def collision_sequences():
     yield pytest.param(generate_sequence("random-walkable", 9, 60, 4, arc_prob=0.1), id="random-walkable-9-60")
 
 
-@pytest.mark.parametrize("seq", list(collision_sequences()))
-def test_window_search_tests_a_hash_collision_as_a_new_union(monkeypatch, seq):
-    # every union hashes alike: a union counts as seen only when its bytes
-    # equal those of the earlier union it collides with
-    monkeypatch.setattr(pushsim.graphs, "hash", lambda key: 0, raising=False)
+@pytest.mark.parametrize("seq", list(connected_then_failing_sequences()))
+def test_window_search_tests_every_union_unlike_the_last_that_passed(seq):
     for T in range(1, seq.horizon + 1):
         assert connectivity_windows(seq, [T]) == [reference_connectivity_window(seq.prefix(T))]
 
@@ -458,6 +456,67 @@ def test_window_scan_serves_every_horizon_from_the_longest_scan(monkeypatch):
     windows, count = counted_unions(monkeypatch, seq, hs)
     assert windows == [reference_connectivity_window(seq.prefix(T)) for T in hs]
     assert (windows[-1:], count) == counted_unions(monkeypatch, seq, [6400])
+
+
+@pytest.mark.parametrize("seq, hs, unions", [
+    pytest.param(generate_sequence("rotating-arc", 12, 600), [600], 12, id="rotating-arc-12-600"),
+    # The certify, sweep and verify workloads' inputs at seed 1.
+    pytest.param(
+        generate_sequence("random-walkable", 50, 2000, 1, arc_prob=0.05), [2000], 2020,
+        id="random-walkable-50-2000",
+    ),
+    pytest.param(
+        generate_sequence("random-walkable", 20, 6400, 1, arc_prob=0.1),
+        [400, 800, 1600, 3200, 6400], 6401, id="random-walkable-20-6400",
+    ),
+    pytest.param(
+        generate_sequence("random-walkable", 100, 64, 1, arc_prob=0.03), [64], 66,
+        id="random-walkable-100-64",
+    ),
+])
+def test_window_scan_tests_a_known_number_of_unions(monkeypatch, seq, hs, unions):
+    # The rotating arc fails at start 0 below n, and at n every union is
+    # the ring: it tests n unions.  Random unions are nearly all distinct.
+    windows, count = counted_unions(monkeypatch, seq, hs)
+    assert windows == [reference_connectivity_window(seq.prefix(T)) for T in hs]
+    assert count == unions
+
+
+@pytest.mark.parametrize("n", [12, 50])
+def test_static_cycle_scan_tests_one_union_at_every_horizon(n):
+    # Every union is the ring: only the first is tested.
+    seq = generate_sequence("static-cycle", n, 300)
+    for T in range(1, seq.horizon + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            assert counted_unions(mp, seq, [T]) == ([1], 1)
+
+
+def alternating_sequences():
+    """Graph files that repeat a few graphs in turn, each with its test
+    id: the ring and the reversed ring (window 1), the ring and self-arcs
+    alone (window 2), and all three (window 2).  Below the period, the
+    connected unions that follow each other differ."""
+    n = 6
+    alone = [(i, i) for i in range(n)]
+    ring = frozenset(alone + [(j, (j + 1) % n) for j in range(n)])
+    reversed_ring = frozenset(alone + [((j + 1) % n, j) for j in range(n)])
+    for name, cycle in (
+        ("ring-reversed", [ring, reversed_ring]),
+        ("ring-alone", [ring, frozenset(alone)]),
+        ("ring-reversed-alone", [ring, reversed_ring, frozenset(alone)]),
+    ):
+        steps = cycle * (60 // len(cycle))
+        seq = parse_graph_sequence(format_graph_sequence(GraphSequence(n, bits_of(n, steps))))
+        yield pytest.param(seq, id=name)
+
+
+@pytest.mark.parametrize("seq", list(alternating_sequences()))
+def test_alternating_file_windows_match_the_reference(monkeypatch, seq):
+    # Such a file saves no test, and costs at most one per start.
+    hs = list(range(1, seq.horizon + 1))
+    windows, count = counted_unions(monkeypatch, seq, hs)
+    assert windows == [reference_connectivity_window(seq.prefix(T)) for T in hs]
+    assert count <= seq.horizon
 
 
 def traced_peak(build):

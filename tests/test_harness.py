@@ -660,6 +660,43 @@ def test_report_from_dir_checks_fixed_horizon_margins(tmp_path):
     assert bad == {"recompute-bound-fixed"}
 
 
+def test_cli_report_checks_an_overflowed_fixed_horizon_margin(tmp_path, capsys):
+    # On the rotating arc on 12 agents (window 12) the worst-case constants
+    # overflow the fixed-horizon certificate: the stored margin is inf, and
+    # report checks it as it checks a finite one.
+    targets = (1, -2, 3, 0.5, 4, -1, 2, -3, 0, 1.5, -0.5, 2.5)
+    cfgp = write_cfg(tmp_path, base_config(
+        graph=GraphConfig(kind="rotating-arc", n=12, horizon=400),
+        objective=ObjectiveConfig(kind="l1", d=1, targets=tuple((float(v),) for v in targets)),
+        schedule=ScheduleConfig(kind="fixed", t_fixed=400),
+    ))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+    stored = json.loads((out / "report.json").read_text())
+    assert stored["bound_margins"]["gap-fixed-network-worst-case"] == math.inf
+    assert math.isfinite(stored["bound_margins"]["gap-fixed-network-empirical"])
+    capsys.readouterr()
+    assert main(["report", "--config", cfgp, "--out", str(out)]) == 0
+    assert "check recompute-bound-fixed-wc: PASS value=0 " in capsys.readouterr().out
+    # a finite margin made inf, or the inf one made finite, fails its check
+    for label, margin, check in (
+        ("empirical", math.inf, "recompute-bound-fixed"),
+        ("worst-case", 1.0, "recompute-bound-fixed-wc"),
+    ):
+        margins = {**stored["bound_margins"], f"gap-fixed-network-{label}": margin}
+        (out / "report.json").write_text(json.dumps({**stored, "bound_margins": margins}))
+        assert main(["report", "--config", cfgp, "--out", str(out)]) == 1, label
+        shown = capsys.readouterr().out
+        assert f"check {check}: FAIL value=inf " in shown and "overall: FAIL" in shown
+    # a margin that is not a number refuses the report
+    for margin in ("x", "0.0", None):
+        margins = {**stored["bound_margins"], "gap-fixed-network-worst-case": margin}
+        (out / "report.json").write_text(json.dumps({**stored, "bound_margins": margins}))
+        assert main(["report", "--config", cfgp, "--out", str(out)]) == 2, margin
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {out / 'report.json'}: a network margin is not a number")
+
+
 def test_init_outside_declared_box_fails_loud(tmp_path):
     cfg = base_config(
         objective=ObjectiveConfig(
