@@ -1101,7 +1101,9 @@ def import_trace(path: str | Path) -> LoadedTrace:
     layout = _trace_layout(n, d, "bound_lhs" in header)
     if header != [col for _, _, cols in layout for col in cols]:
         raise ValueError("unexpected trace header")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    if "" in lines:  # np.loadtxt would skip it
+        raise ValueError(f"line {lines.index('') + 1} is blank")
+    data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     steps = data.shape[0]
     blocks = np.split(data, np.cumsum([len(cols) for _, _, cols in layout])[:-1], axis=1)
     fields = {name: b.reshape(steps, *shape) for (name, shape, _), b in zip(layout, blocks)}
@@ -1183,6 +1185,13 @@ def _column_error(recomputed: np.ndarray, stored: np.ndarray) -> float:
     return float(np.abs(recomputed[finite] - stored[finite]).max(initial=0.0))
 
 
+def _stored_number(value: object, name: str) -> float:
+    """A JSON int or float of report.json; float() would also take "0.5" or True."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} is not a number: {value!r}")
+    return float(value)
+
+
 def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport:
     """Recompute a run's derived numbers from its persisted trace.
 
@@ -1195,8 +1204,9 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     not re-derived.  The charts are left as ``simulate`` drew them: they
     hold series (the one-step deviation, the contraction envelope) that
     the trace does not persist.  An artifact that does not parse, lacks an
-    entry this reads, or records constants that no certificate of the
-    configured schedule can take, is a ConfigError naming its file.
+    entry this reads, stores one of its numbers as anything but a JSON
+    number, or records constants that no certificate of the configured
+    schedule can take, is a ConfigError naming its file.
     """
     schedule, objective = _materialize_spec(cfg)
     out = Path(out_dir)
@@ -1205,37 +1215,32 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         loaded = import_trace(path)
         path = out / "report.json"
         stored = json.loads(path.read_text(encoding="utf-8"))
-        stored_gap = float(stored["final_gap"])
+        stored_gap = _stored_number(stored["final_gap"], "final_gap")
         # The network certificates are rebuilt from the trace and the
         # constants the report recorded, for each constant set the run
         # evaluated: a decaying run's shows in its trace columns (an
         # all-NaN worst-case column means none was evaluated), a fixed
         # run's in a stored margin, an overflowed (inf) one included.
+        recorded = {
+            "empirical": ("eta_emp", "mu_emp", None),
+            "worst-case": ("eta_theory", "mu_theory", "log_mu_theory"),
+        }
         fixed = schedule.kind == "fixed"
         if fixed:
             margins = stored["bound_margins"]
             if not isinstance(margins, dict):
                 raise TypeError(f"bound_margins is not an object: {margins!r}")
-            network = {k: m for k, m in margins.items() if "-network-" in k}
-            if any(type(m) not in (int, float) for m in network.values()):
-                raise TypeError(f"a network margin is not a number: {network!r}")
-            evaluated = {
-                label: f"gap-fixed-network-{label}" in network
-                for label in ("empirical", "worst-case")
+            network = {
+                k: _stored_number(m, "a network margin") for k, m in margins.items() if "-network-" in k
             }
+            evaluated = {label: f"gap-fixed-network-{label}" in network for label in recorded}
+        elif loaded.bound_lhs is None:
+            evaluated = dict.fromkeys(recorded, False)
         else:
-            wc_column = loaded.bound_rhs_wc
-            evaluated = {
-                "empirical": loaded.bound_lhs is not None and stored.get("mu_emp") is not None,
-                "worst-case": wc_column is not None and not np.isnan(wc_column).all(),
-            }
-        recorded = {
-            "empirical": (stored.get("eta_emp"), stored.get("mu_emp"), None),
-            "worst-case": tuple(stored.get(k) for k in ("eta_theory", "mu_theory", "log_mu_theory")),
-        }
+            evaluated = {"empirical": True, "worst-case": not np.isnan(loaded.bound_rhs_wc).all()}
         constants = {
-            label: (float(eta), float(mu), log_mu)
-            for label, (eta, mu, log_mu) in recorded.items() if evaluated[label]
+            label: tuple(None if k is None else _stored_number(stored[k], k) for k in keys)
+            for label, keys in recorded.items() if evaluated[label]
         }
         # recorded constants the certificates cannot take refuse the report
         certificates = list(_certificates(loaded, objective, schedule, constants, False, False))

@@ -271,10 +271,9 @@ class _Scratch:
         return self.buf
 
 
-def product_identity_residuals(ws: WeightStack | np.ndarray, ys: np.ndarray) -> np.ndarray:
+def product_identity_residuals(ws: WeightStack, ys: np.ndarray) -> np.ndarray:
     """Worst exchange-identity residual for each start tau of a T-step
-    run, from W(0..T-1) ``ws`` (a WeightStack, or a (T, n, n) array) and
-    y(0..T) ``ys`` (T+1, n).
+    run, from the stack W(0..T-1) ``ws`` and y(0..T) ``ys`` (T+1, n).
 
     P_S = S(t-1)...S(tau) and P_W = W(t-1)...W(tau) satisfy
     P_S[i, j] * y_i(t) = P_W[i, j] * y_j(tau) in exact arithmetic; entry
@@ -282,24 +281,20 @@ def product_identity_residuals(ws: WeightStack | np.ndarray, ys: np.ndarray) -> 
     tau + PRODUCT_SPAN), NaN if any is NaN.  Each S(k) is built once, and
     both products grow by one dense left multiplication per t.
 
-    A stack is read one step at a time (a step costs far less than its
+    The stack is read one step at a time (a step costs far less than its
     PRODUCT_SPAN products), so no block of weights outlives its step.
     Each W(k) and S(k) is kept by its entries with a nonzero bit pattern,
-    or dense when that takes fewer bytes (a step of an array input as a
-    view), and written into one of two n-by-n buffers for each product,
-    so memory is O(T * nonzeros + n^2) and every residual is bitwise the
-    dense one's.
+    or dense when that takes fewer bytes, and written into one of two
+    n-by-n buffers for each product, so memory is O(T * nonzeros + n^2)
+    and every residual is bitwise the dense one's.
     """
-    steps = len(ws)
-    stack = isinstance(ws, WeightStack)
-    n = ws.n if stack else ws.shape[1]
+    steps, n = len(ws), ws.n
     if ys.shape != (steps + 1, n):
         raise ValueError(f"need {steps + 1} weight vectors of length {n}, got {ys.shape}")
     kept_w, kept_s = [], []
-    for t in range(steps):
-        w = ws[t].entries if stack else ws[t]
-        kept_w.append(_compact(w))
-        kept_s.append(_compact(build_s_matrix(w, ys[t]).entries))
+    for w, y in zip(ws, ys):
+        kept_w.append(_compact(w.entries))
+        kept_s.append(_compact(build_s_matrix(w, y).entries))
     w_buf, s_buf = _Scratch(n), _Scratch(n)
     out = np.empty(steps)
     for tau in range(steps):

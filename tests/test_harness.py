@@ -421,7 +421,7 @@ def test_line_chart_skips_non_finite_points(tmp_path):
     assert "<polyline" not in text and "<circle" not in text and ">c</text>" in text and ">d</text>" in text
 
 
-def test_trace_round_trip_is_bitwise(finished):
+def test_trace_round_trip_is_bitwise(tmp_path, finished):
     _, result, out = finished
     loaded = import_trace(out / "trace.csv")
     tr = result.trace
@@ -434,6 +434,11 @@ def test_trace_round_trip_is_bitwise(finished):
     assert np.array_equal(loaded.running_gap, tr.running_gap)
     assert loaded.bound_lhs is not None
     assert np.array_equal(loaded.bound_terms.sum(axis=1) > 0, np.ones(tr.steps, bool))
+    # nan, inf, -inf and -0 cells come back with the same bits
+    zs = tr.zs.copy()
+    zs[1:5, 0, 0] = [np.nan, np.inf, -np.inf, -0.0]
+    export_trace(dataclasses.replace(tr, zs=zs), tmp_path / "trace.csv")
+    assert import_trace(tmp_path / "trace.csv").zs.tobytes() == zs.tobytes()
 
 
 def reference_export_trace(trace, path, bound_emp=None, bound_wc=None):
@@ -859,9 +864,9 @@ def test_verify_fails_product_identity_on_a_nan_residual(monkeypatch):
     residuals = pushsim.harness.product_identity_residuals
 
     def with_nan(ws, ys):
-        ws = ws.block(0, len(ws)).copy()
-        ws[40, 0, 0] = np.nan
-        return residuals(ws, ys)
+        w = ws.block(0, len(ws)).copy()
+        w[40, 0, 0] = np.nan
+        return residuals(WeightStack(w, np.ones(w.shape[:2]), ws.betas), ys)
 
     monkeypatch.setattr(pushsim.harness, "product_identity_residuals", with_nan)
     summary = verify_experiment(base_config())
@@ -1348,11 +1353,11 @@ def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
     cases = [
         ("trace.csv", "T" + trace[1:], "unexpected trace header"),
         ("trace.csv", lines[0] + "x" + lines[1][lines[1].index(","):] + "".join(lines[2:]),
-         "could not convert string to float"),
+         "could not convert string 'x' to float64"),
         ("trace.csv", lines[0], "no data rows"),
         ("report.json", report[: len(report) // 2], "Unterminated string"),
         ("report.json", json.dumps(no_gap), "no 'final_gap' entry"),
-        ("report.json", json.dumps({**stored, "eta_emp": None}), "not 'NoneType'"),
+        ("report.json", json.dumps({**stored, "eta_emp": None}), "eta_emp is not a number: None"),
         # recorded constants no certificate can take
         ("report.json", json.dumps({**stored, "mu_emp": 1.5}), "log(mu) must be negative"),
         ("report.json", json.dumps({**stored, "mu_emp": -0.5}), "math domain error"),
@@ -1387,6 +1392,71 @@ def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
             stored["bound_margins"] = margins
         (out / "report.json").write_text(json.dumps(stored))
         refused(cfgp, "report.json", message)
+
+
+def test_cli_report_refuses_a_trace_line_or_cell_it_cannot_read(tmp_path, capsys):
+    # np.loadtxt skips a blank line, and float() read the t cell "1_0" as
+    # 10: each is a config error naming trace.csv, as the others are
+    cfgp = write_cfg(tmp_path, base_config())
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+    lines = (out / "trace.csv").read_text().splitlines()
+    header, row = lines[0].split(","), lines[11].split(",")
+    assert row[header.index("t")] == "10"
+
+    def cell(value):
+        return lines[:11] + [",".join([value, *row[1:]])] + lines[12:]
+
+    cases = {
+        "blank line": lines[:11] + [""] + lines[11:],
+        "ragged row": lines[:11] + [",".join(row[:-1])] + lines[12:],
+        "empty cell": cell(""),
+        "# cell": cell("#"),
+        "1_0 cell": cell("1_0"),
+    }
+    for case, rows in cases.items():
+        (out / "trace.csv").write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--config", cfgp, "--out", str(out)]) == 2, case
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {out / 'trace.csv'}: "), (case, err)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, (case, err)
+
+
+FIXED_WORST_CASE = base_config(
+    graph=GraphConfig(kind="rotating-arc", n=12, horizon=400),
+    objective=ObjectiveConfig(kind="l1", d=1, targets=tuple(
+        (float(v),) for v in (1, -2, 3, 0.5, 4, -1, 2, -3, 0, 1.5, -0.5, 2.5)
+    )),
+    schedule=ScheduleConfig(kind="fixed", t_fixed=400),
+)
+
+
+@pytest.mark.parametrize("cfg", [FIXED_WORST_CASE, base_config()], ids=["fixed-wc", "decaying"])
+def test_cli_report_reads_each_stored_number_as_a_json_number(tmp_path, capsys, cfg):
+    # float() took the string "0.5" and read True as 1.0; a string, a bool
+    # and a null in place of a number report reads are config errors
+    cfgp = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+    stored = json.loads((out / "report.json").read_text())
+    assert main(["report", "--config", cfgp, "--out", str(out)]) == 0
+    edits = [
+        {"eta_emp": "0.5", "mu_emp": str(stored["mu_emp"])},
+        {"final_gap": str(stored["final_gap"])},
+        {"mu_emp": str(stored["mu_emp"])},
+        {"eta_emp": True},
+        {"eta_emp": None},
+        {"mu_emp": None},
+        {"log_mu_theory": str(stored["log_mu_theory"])},
+    ]
+    for edit in edits:
+        (out / "report.json").write_text(json.dumps({**stored, **edit}))
+        capsys.readouterr()
+        assert main(["report", "--config", cfgp, "--out", str(out)]) == 2, edit
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {out / 'report.json'}: "), (edit, err)
+        assert "is not a number" in err and len(err.splitlines()) == 1, (edit, err)
 
 
 def test_cli_unusable_files_and_horizons_exit_2_with_one_line(tmp_path, capsys):

@@ -144,9 +144,15 @@ def test_transition_products_basics():
         transition_product_w(ws, 5, 3)
 
 
+def as_stack(w):
+    """The (T, n, n) array ``w`` as a WeightStack; each step is divided by
+    1.0, which leaves every bit as it is."""
+    return WeightStack(w, np.ones(w.shape[:2]), np.full(len(w), 0.1))
+
+
 def stacked(ws, ys):
-    """The (T, n, n) weights and (T+1, n) weight history of a run_history."""
-    return np.stack([w.entries for w in ws]), np.array(ys)
+    """The weight stack and (T+1, n) weight history of a run_history."""
+    return as_stack(np.stack([w.entries for w in ws])), np.array(ys)
 
 
 def test_product_identity_single_step_is_exact_to_rounding():
@@ -192,9 +198,9 @@ def test_a_nan_weight_gives_a_nan_residual():
     # reach the bad step reports NaN, the others stay finite
     ws, ss, ys, _ = run_history("random-walkable", 5, 20, seed=2, x0=np.zeros((5, 1)))
     w, y = stacked(ws, ys)
-    w = w.copy()
+    w = w.num.copy()
     w[7, 2, 2] = np.nan
-    res = product_identity_residuals(w, y)
+    res = product_identity_residuals(as_stack(w), y)
     assert np.isnan(res[:8]).all() and (res[8:] <= 1e-9).all()
     assert np.isnan(res.max())
 
@@ -216,14 +222,14 @@ def assert_bitwise(got, want):
 @pytest.mark.parametrize("n", [5, 13, 40])
 @pytest.mark.parametrize("kind", ["static-cycle", "rotating-arc", "random-walkable"])
 def test_identity_residuals_are_bitwise_the_dense_reference(kind, n, steps):
-    # a WeightStack (read one step at a time) and its (T, n, n) array give
-    # the dense routine's residuals bit for bit
+    # a WeightStack (read one step at a time) and one holding its
+    # (T, n, n) floats give the dense routine's residuals bit for bit
     ws = build_weight_stack(generate_sequence(kind, n, steps, seed=n + steps))
     ys = weight_history(ws)
     dense = ws.block(0, steps)
     want = reference_product_identity_residuals(dense, ys)
     assert_bitwise(product_identity_residuals(ws, ys), want)
-    assert_bitwise(product_identity_residuals(dense, ys), want)
+    assert_bitwise(product_identity_residuals(as_stack(dense), ys), want)
 
 
 def dense_file_weights(n, steps, seed):
@@ -242,13 +248,13 @@ def test_identity_residuals_of_dense_file_weights_are_bitwise_the_dense_referenc
     ys = weight_history(ws)
     want = reference_product_identity_residuals(ws.block(0, steps), ys)
     assert_bitwise(product_identity_residuals(ws, ys), want)
-    assert_bitwise(product_identity_residuals(ws.block(0, steps), ys), want)
+    assert_bitwise(product_identity_residuals(as_stack(ws.block(0, steps)), ys), want)
 
 
 @pytest.mark.parametrize("kind", ["static-cycle", "random-walkable"])
 def test_identity_residuals_keep_nan_and_negative_zero_weights_bitwise(kind):
     # NaN and -0.0 have a nonzero bit pattern, so they are kept, on the
-    # support and off it, in both input forms
+    # support and off it, in a stack of floats and in a stack of matrices
     steps, n = PRODUCT_SPAN + 13, 13
     ws = build_weight_stack(generate_sequence(kind, n, steps, seed=4))
     ys = weight_history(ws)
@@ -259,7 +265,7 @@ def test_identity_residuals_keep_nan_and_negative_zero_weights_bitwise(kind):
     w[40, 4, 4] = np.nan
     want = reference_product_identity_residuals(w, ys)
     assert np.isnan(want[:41]).all() and not np.isnan(want[41:]).any()
-    assert_bitwise(product_identity_residuals(w, ys), want)
+    assert_bitwise(product_identity_residuals(as_stack(w), ys), want)
     stack = WeightStack.of([WeightMatrix(m, 0.1) for m in w])
     assert_bitwise(product_identity_residuals(stack, ys), want)
 
@@ -292,8 +298,7 @@ def traced_peak(call):
 def test_identity_residuals_hold_no_stack_of_weights_or_companions():
     # the weights and companions are kept by their nonzero entries: below
     # one T*n*n float stack on a lazy stack, where the dense routine holds
-    # the weights and every companion (more than two stacks), and no
-    # second stack next to an array input
+    # the weights and every companion (more than two stacks)
     n = steps = 64
     ws = build_weight_stack(generate_sequence("random-walkable", n, steps, seed=3))
     ys = weight_history(ws)
@@ -302,10 +307,6 @@ def test_identity_residuals_hold_no_stack_of_weights_or_companions():
     assert peak < stack_bytes, f"peak {peak} B not below one stack of {stack_bytes} B"
     want, ref_peak = traced_peak(lambda: reference_product_identity_residuals(ws.block(0, steps), ys))
     assert ref_peak > 2 * stack_bytes
-    assert_bitwise(got, want)
-    dense = ws.block(0, steps)
-    got, peak = traced_peak(lambda: product_identity_residuals(dense, ys))
-    assert peak < stack_bytes, f"peak {peak} B not below one stack of {stack_bytes} B"
     assert_bitwise(got, want)
 
 
