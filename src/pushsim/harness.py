@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 from itertools import chain
@@ -508,32 +509,6 @@ class ExperimentResult:
 # materialization helpers
 # --------------------------------------------------------------------------
 
-def _graph_source(gcfg: GraphConfig) -> GraphSequence:
-    """The configured graph sequence before its horizon is checked: a
-    file's whole sequence, or ``gcfg.horizon`` generated steps.  A graph
-    file that does not parse is a config error."""
-    if gcfg.kind == "file":
-        try:
-            return parse_graph_sequence(Path(gcfg.file).read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigError(f"[graph] file {gcfg.file}: {exc}") from exc
-    return generate_sequence(
-        gcfg.kind, gcfg.n, gcfg.horizon, gcfg.seed,
-        arc_prob=gcfg.arc_prob, inject_every=gcfg.inject_every,
-    )
-
-
-def _horizon_prefix(seq: GraphSequence, gcfg: GraphConfig) -> GraphSequence:
-    """The first ``gcfg.horizon`` steps of ``seq``; a graph file with
-    another n or too few steps is a config error."""
-    if seq.n != gcfg.n or seq.horizon < gcfg.horizon:
-        raise ConfigError(
-            f"graph file has n={seq.n}, horizon={seq.horizon}; "
-            f"config wants n={gcfg.n}, horizon>={gcfg.horizon}"
-        )
-    return seq.prefix(gcfg.horizon)
-
-
 def _materialize_weights(
     seq: GraphSequence, wcfg: WeightConfig
 ) -> tuple[WeightStack, list[tuple[int, str]]]:
@@ -603,11 +578,36 @@ def _materialize_spec(cfg: ExperimentConfig) -> tuple[StepsizeSchedule, Objectiv
     return schedule, objective
 
 
-def _materialize_init(icfg: InitConfig, n: int, d: int) -> np.ndarray:
-    if icfg.mode == "explicit":
-        return np.array(icfg.values, dtype=float).reshape(n, d)
-    rng = np.random.default_rng(icfg.seed)
-    return rng.uniform(icfg.lo, icfg.hi, size=(n, d))
+def _inputs(cfg: ExperimentConfig, horizon: int) -> tuple[
+    StepsizeSchedule, ObjectiveSpec, GraphSequence, WeightStack, list[tuple[int, str]], np.ndarray
+]:
+    """The schedule and objective, the first ``horizon`` graphs, the
+    weights with their file violations, and x(0) of ``cfg``: every input
+    each command reads before it certifies or runs anything.  A graph
+    file with another n or fewer than ``horizon`` steps is a config error."""
+    schedule, objective = _materialize_spec(cfg)
+    g, init = cfg.graph, cfg.init
+    if g.kind == "file":
+        try:
+            seq = parse_graph_sequence(Path(g.file).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"[graph] file {g.file}: {exc}") from exc
+        if seq.n != g.n or seq.horizon < horizon:
+            raise ConfigError(
+                f"graph file has n={seq.n}, horizon={seq.horizon}; "
+                f"config wants n={g.n}, horizon>={horizon}"
+            )
+        seq = seq.prefix(horizon)
+    else:
+        seq = generate_sequence(
+            g.kind, g.n, horizon, g.seed, arc_prob=g.arc_prob, inject_every=g.inject_every,
+        )
+    ws, violations = _materialize_weights(seq, cfg.weights)
+    if init.mode == "explicit":
+        x0 = np.array(init.values, dtype=float).reshape(g.n, objective.d)
+    else:
+        x0 = np.random.default_rng(init.seed).uniform(init.lo, init.hi, size=(g.n, objective.d))
+    return schedule, objective, seq, ws, violations, x0
 
 
 # --------------------------------------------------------------------------
@@ -680,14 +680,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     negative, residuals above tolerance) become failed checks in the
     summary instead.
     """
-    schedule, objective = _materialize_spec(cfg)
-    seq = _horizon_prefix(_graph_source(cfg.graph), cfg.graph)
-    hypotheses = [_certified(_window_check(uniform_connectivity_window(seq), seq.horizon))]
-    ws, violations = _materialize_weights(seq, cfg.weights)
-    hypotheses.append(_certified(_weights_check(ws, violations, seq.horizon)))
+    schedule, objective, seq, ws, violations, x0 = _inputs(cfg, cfg.graph.horizon)
+    hypotheses = [
+        _certified(_window_check(uniform_connectivity_window(seq), seq.horizon)),
+        _certified(_weights_check(ws, violations, seq.horizon)),
+    ]
     window, beta = (c.value for c in hypotheses)
     sched_report = validate_schedule(schedule)
-    x0 = _materialize_init(cfg.init, seq.n, objective.d)
     _check_init(objective, x0)
 
     trace = run_push_subgradient(ws, x0, objective, schedule)
@@ -832,20 +831,16 @@ def verify_experiment(cfg: ExperimentConfig) -> SummaryReport:
     checked in isolation.  If the weight matrices fail validation, the
     downstream checks are skipped rather than reported against garbage.
     """
-    schedule, _ = _materialize_spec(cfg)  # the objective only has to be valid
-    horizon = min(cfg.graph.horizon, VERIFY_HORIZON)
-    gcfg = dataclasses.replace(cfg.graph, horizon=horizon)
-    seq = _horizon_prefix(_graph_source(gcfg), gcfg)
+    # the configured objective only has to be valid
+    schedule, _, seq, ws, violations, x0 = _inputs(cfg, min(cfg.graph.horizon, VERIFY_HORIZON))
     window_check = _window_check(uniform_connectivity_window(seq), seq.horizon)
-    ws, violations = _materialize_weights(seq, cfg.weights)
     weights_check = _weights_check(ws, violations, seq.horizon)
     checks = [window_check, weights_check]
-    fields = dict(steps=horizon, connectivity_window=window_check.value, beta=weights_check.value)
+    fields = dict(steps=seq.horizon, connectivity_window=window_check.value, beta=weights_check.value)
     if not weights_check.passed:
         checks.append(CheckResult("downstream", True, note="skipped: weight validation failed"))
     if window_check.passed and weights_check.passed:
         objective = zero_objective(seq.n, cfg.objective.d)
-        x0 = _materialize_init(cfg.init, seq.n, cfg.objective.d)
         trace = run_push_subgradient(ws, x0, objective, schedule)
         companions = companion_series(ws, trace.ys, trace.final_state.y)
         tc = theory_constants(seq.n, window_check.value)
@@ -878,7 +873,10 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
     stepsize 1/sqrt(T) does depend on it, so a fixed schedule runs once
     per horizon on the shared inputs.
 
-    Failures are those a run per horizon in ascending order would raise:
+    Every input is read first, at the longest horizon, so an unusable
+    config, graph file or weights file, or a graph file too short for the
+    longest horizon, raises before any horizon is certified or run.  Other
+    failures are those a run per horizon in ascending order would raise:
     the first failing horizon's, with a run failure at step t raised for
     the smallest horizon past t as ``T=<horizon>:<check>``.  Nonpositive
     final gaps are excluded from the log-log fit; if nothing positive
@@ -922,41 +920,22 @@ def _sweep_horizons(
 ) -> tuple[list[tuple[int, float]], list[CheckResult]]:
     """The sweep's (T, final gap) points and its checks, named per
     horizon, for the ascending horizons ``hs``.  The graphs, the weights
-    and the run are freed on return, before the fit and the artifacts."""
-
-    def at_horizon(T: int) -> ExperimentConfig:
-        return dataclasses.replace(
-            cfg,
-            graph=dataclasses.replace(cfg.graph, horizon=T),
-            schedule=(
-                dataclasses.replace(cfg.schedule, t_fixed=T)
-                if cfg.schedule.kind == "fixed" else cfg.schedule
-            ),
-        )
-
-    schedule, objective = _materialize_spec(at_horizon(hs[0]))
+    and the run are freed on return, before the fit and the artifacts.
+    Every input is read before any horizon is certified; only a
+    certification failure waits for the horizons before it to run."""
+    schedule, objective, seq, ws, violations, x0 = _inputs(cfg, hs[-1])
     sched_report = validate_schedule(schedule)  # a fixed schedule's does not depend on T
-    source = _graph_source(at_horizon(hs[-1]).graph)
-    x0 = _materialize_init(cfg.init, cfg.graph.n, objective.d)
-    ws: WeightStack | None = None
-    windows: dict[int, int | None] | None = None
     certified: list[tuple[int, list[CheckResult]]] = []  # (T, its hypothesis checks)
-    deferred: Exception | None = None  # the first certification failure
+    deferred: ValidationFailure | None = None  # the first certification failure
     try:
-        for T in hs:
-            _horizon_prefix(source, at_horizon(T).graph)  # a file too short for T is a config error
-            if windows is None:  # one search for every horizon the source covers
-                reach = [h for h in hs if h <= source.horizon]
-                windows = dict(zip(reach, connectivity_windows(source, reach)))
-            hypotheses = [_certified(_window_check(windows[T], T))]
-            if ws is None:
-                ws, violations = _materialize_weights(
-                    source.prefix(min(hs[-1], source.horizon)), cfg.weights,
-                )
-            hypotheses.append(_certified(_weights_check(ws, violations, T)))
+        for T, window in zip(hs, connectivity_windows(seq, hs)):
+            hypotheses = [
+                _certified(_window_check(window, T)),
+                _certified(_weights_check(ws, violations, T)),
+            ]
             _check_init(objective, x0)
             certified.append((T, hypotheses))
-    except (ValueError, ValidationFailure, OSError) as exc:
+    except ValidationFailure as exc:
         # raised once the horizons before this one have run
         deferred = exc
 
@@ -970,7 +949,7 @@ def _sweep_horizons(
             trace = longest.prefix(T)
         else:
             trace = _sweep_run(ws, x0, objective, dataclasses.replace(schedule, T=T), [T])
-        tc = theory_constants(source.n, hypotheses[0].value)
+        tc = theory_constants(seq.n, hypotheses[0].value)
         checks = hypotheses + _invariant_checks(trace, tc, objective, sched_report)
         points.append((T, float(trace.running_gap[-1])))
         all_checks += [dataclasses.replace(c, name=f"T={T}:{c.name}") for c in checks]
@@ -1101,9 +1080,14 @@ def import_trace(path: str | Path) -> LoadedTrace:
     layout = _trace_layout(n, d, "bound_lhs" in header)
     if header != [col for _, _, cols in layout for col in cols]:
         raise ValueError("unexpected trace header")
-    if "" in lines:  # np.loadtxt would skip it
-        raise ValueError(f"line {lines.index('') + 1} is blank")
-    data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    for i, line in enumerate(lines[1:], 2):  # np.loadtxt would skip a blank line
+        cells = line.count(",") + 1 if line else 0
+        if cells != len(header):
+            raise ValueError(f"line {i} has {cells} cells, but the header has {len(header)}")
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:  # numpy counts the rows from 0 below the header
+        raise ValueError(re.sub(r"at row (\d+)", lambda m: f"on line {int(m[1]) + 2}", str(exc)))
     steps = data.shape[0]
     blocks = np.split(data, np.cumsum([len(cols) for _, _, cols in layout])[:-1], axis=1)
     fields = {name: b.reshape(steps, *shape) for (name, shape, _), b in zip(layout, blocks)}
@@ -1216,6 +1200,10 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         path = out / "report.json"
         stored = json.loads(path.read_text(encoding="utf-8"))
         stored_gap = _stored_number(stored["final_gap"], "final_gap")
+        window, beta = stored["connectivity_window"], stored["beta"]
+        if type(window) is not int:  # echoed in the header as simulate wrote it
+            raise TypeError(f"connectivity_window is not an integer: {window!r}")
+        _stored_number(beta, "beta")
         # The network certificates are rebuilt from the trace and the
         # constants the report recorded, for each constant set the run
         # evaluated: a decaying run's shows in its trace columns (an
@@ -1276,8 +1264,7 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         kind="report", n=loaded.n, d=loaded.d, steps=loaded.steps,
         graph_kind=str(stored.get("graph_kind", "")),
         schedule_kind=str(stored.get("schedule_kind", "")),
-        connectivity_window=stored.get("connectivity_window"),
-        beta=stored.get("beta"),
+        connectivity_window=window, beta=beta,
         final_gap=float(loaded.running_gap[-1]),
         final_consensus=float(loaded.consensus[-1]),
         checks=checks,

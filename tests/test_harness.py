@@ -918,7 +918,9 @@ def test_sweep_needs_three_horizons():
 # --------------------------------------------------------------------------
 
 def reference_sweep(cfg, out):
-    """One full ``run_experiment`` per horizon, in ascending order."""
+    """One full ``run_experiment`` per horizon, in ascending order, after
+    the longest horizon's inputs are read."""
+    pushsim.harness._inputs(cfg, max(cfg.sweep.horizons))
     points, all_checks = [], []
     for T in sorted(cfg.sweep.horizons):
         sub = dataclasses.replace(
@@ -1015,13 +1017,13 @@ SWEEP_CASES = {
         graph=GraphConfig(kind="file", n=4, horizon=200, file=graph_file(
             tmp, generate_sequence("random-walkable", 4, 200, 5, arc_prob=0.3).graphs)),
         sweep=SweepConfig(horizons=(250, 100, 40, 100))), (ConfigError, "horizon>=250")),
-    # horizon 40 has no window, and that is raised before horizon 100 is
-    # found too long for the file
+    # horizon 40 has no window, but the file is read for horizon 100
+    # first, and is too short for it
     "no-window-then-too-short": (lambda tmp: base_config(
         graph=GraphConfig(kind="file", n=3, horizon=80, file=graph_file(
             tmp, [digraph(3)] * 60 + [digraph(3, RING3)] * 20)),
         objective=ObjectiveConfig(kind="l1", d=1, targets=((0.0,), (1.0,), (2.0,))),
-        sweep=SweepConfig(horizons=(100, 70, 40))), (ValidationFailure, "40-step horizon")),
+        sweep=SweepConfig(horizons=(100, 70, 40))), (ConfigError, "horizon>=100")),
     "no-window-in-prefix": (lambda tmp: base_config(
         graph=GraphConfig(kind="file", n=3, horizon=300, file=graph_file(
             tmp, [digraph(3)] * 60 + [digraph(3, RING3)] * 240)),
@@ -1396,7 +1398,8 @@ def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
 
 def test_cli_report_refuses_a_trace_line_or_cell_it_cannot_read(tmp_path, capsys):
     # np.loadtxt skips a blank line, and float() read the t cell "1_0" as
-    # 10: each is a config error naming trace.csv, as the others are
+    # 10: each is a config error naming trace.csv and its line at fault,
+    # counted from the header as line 1, as the others are
     cfgp = write_cfg(tmp_path, base_config())
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
@@ -1404,23 +1407,32 @@ def test_cli_report_refuses_a_trace_line_or_cell_it_cannot_read(tmp_path, capsys
     header, row = lines[0].split(","), lines[11].split(",")
     assert row[header.index("t")] == "10"
 
-    def cell(value):
-        return lines[:11] + [",".join([value, *row[1:]])] + lines[12:]
+    def cell(value, line=12):
+        """The trace with ``value`` as the t cell of ``line``, and its message."""
+        cells = lines[line - 1].split(",")
+        rows = lines[: line - 1] + [",".join([value, *cells[1:]])] + lines[line:]
+        return rows, f"could not convert string {value!r} to float64 on line {line}, column 1."
 
+    width = len(header)
+    # (the trace's lines, the message naming the line at fault; the header is line 1)
     cases = {
-        "blank line": lines[:11] + [""] + lines[11:],
-        "ragged row": lines[:11] + [",".join(row[:-1])] + lines[12:],
+        "blank line": (lines[:11] + [""] + lines[11:],
+                       f"line 12 has 0 cells, but the header has {width}"),
+        "ragged row": (lines[:11] + [",".join(row[:-1])] + lines[12:],
+                       f"line 12 has {width - 1} cells, but the header has {width}"),
+        "ragged first row": (lines[:1] + [lines[1] + ",0"] + lines[2:],
+                             f"line 2 has {width + 1} cells, but the header has {width}"),
         "empty cell": cell(""),
         "# cell": cell("#"),
         "1_0 cell": cell("1_0"),
+        "x in the first row": cell("x", line=2),
     }
-    for case, rows in cases.items():
+    for case, (rows, message) in cases.items():
         (out / "trace.csv").write_text("\n".join(rows) + "\n")
         capsys.readouterr()
         assert main(["report", "--config", cfgp, "--out", str(out)]) == 2, case
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {out / 'trace.csv'}: "), (case, err)
-        assert len(err.splitlines()) == 1 and "Traceback" not in err, (case, err)
+        assert err == f"config error: {out / 'trace.csv'}: {message}\n", (case, err)
 
 
 FIXED_WORST_CASE = base_config(
@@ -1435,7 +1447,8 @@ FIXED_WORST_CASE = base_config(
 @pytest.mark.parametrize("cfg", [FIXED_WORST_CASE, base_config()], ids=["fixed-wc", "decaying"])
 def test_cli_report_reads_each_stored_number_as_a_json_number(tmp_path, capsys, cfg):
     # float() took the string "0.5" and read True as 1.0; a string, a bool
-    # and a null in place of a number report reads are config errors
+    # and a null in place of a number report reads are config errors, and
+    # the window it echoes must be a JSON integer
     cfgp = write_cfg(tmp_path, cfg)
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
@@ -1449,22 +1462,40 @@ def test_cli_report_reads_each_stored_number_as_a_json_number(tmp_path, capsys, 
         {"eta_emp": None},
         {"mu_emp": None},
         {"log_mu_theory": str(stored["log_mu_theory"])},
+        {"connectivity_window": "twelve", "beta": "x"},
+        {"connectivity_window": str(stored["connectivity_window"])},
+        {"connectivity_window": True},
+        {"connectivity_window": None},
+        {"connectivity_window": float(stored["connectivity_window"])},
+        {"beta": str(stored["beta"])},
+        {"beta": False},
+        {"beta": None},
     ]
     for edit in edits:
         (out / "report.json").write_text(json.dumps({**stored, **edit}))
         capsys.readouterr()
         assert main(["report", "--config", cfgp, "--out", str(out)]) == 2, edit
         err = capsys.readouterr().err
+        what = "an integer" if "connectivity_window" in edit else "a number"
         assert err.startswith(f"config error: {out / 'report.json'}: "), (edit, err)
-        assert "is not a number" in err and len(err.splitlines()) == 1, (edit, err)
+        assert f"is not {what}: " in err and len(err.splitlines()) == 1, (edit, err)
 
 
-def test_cli_unusable_files_and_horizons_exit_2_with_one_line(tmp_path, capsys):
+def test_cli_unusable_files_and_horizons_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
     cfgp = write_cfg(tmp_path, base_config(sweep=SweepConfig(horizons=(40, 80, 150))))
     w = tmp_path / "w.txt"
     w.write_text(format_matrix(np.eye(3)))
+    # A graph with no cross arcs has no connectivity window: the weights
+    # file is read, and refused, before that is certified.
+    no_window = graph_file(tmp_path, [digraph(4)] * 150)
+    ragged, missing = tmp_path / "r.txt", tmp_path / "none.txt"
+    ragged.write_text("1 0\n0.5\n")
     cases = [
         (["--weights-file", str(w)], "config error: weights file is 3x3, but the graph has n=4"),
+        (["--graph-file", no_window, "--weights-file", str(ragged)],
+         f"config error: [weights] file {ragged}: matrix is not square: 2 rows, row lengths [1, 2]"),
+        (["--graph-file", no_window, "--weights-file", str(missing)],
+         f"file error: [Errno 2] No such file or directory: '{missing}'"),
     ]
     for text, message in (
         ("four 150\n", "bad header 'four 150'"),
@@ -1487,6 +1518,26 @@ def test_cli_unusable_files_and_horizons_exit_2_with_one_line(tmp_path, capsys):
     assert main(["sweep", "--config", nonpositive, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "config error: sweep horizons must be positive\n"
     assert not (tmp_path / "o").exists()
+    # A graph file too short for the longest horizon is found before the
+    # shortest horizon runs, here a run that fails at once.
+    short = graph_file(tmp_path, generate_sequence("random-walkable", 4, 100, 7).graphs)
+    failing = write_cfg(tmp_path, base_config(
+        graph=GraphConfig(kind="random-walkable", n=4, horizon=40, seed=7),
+        objective=dataclasses.replace(base_config().objective, g_bound=0.5),
+        sweep=SweepConfig(horizons=(40, 80, 150)),
+    ))
+    argv = ["--config", failing, "--out", str(tmp_path / "o"), "--graph-file", short]
+    assert main(["simulate", *argv]) == 1
+    assert capsys.readouterr().err.startswith("run failed: ")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(pushsim.harness, "run_push_subgradient", no_run)
+    assert main(["sweep", *argv]) == 2
+    assert capsys.readouterr().err == (
+        "config error: graph file has n=4, horizon=100; config wants n=4, horizon>=150\n"
+    )
 
 
 def test_summary_passes_exactly_when_its_checks_pass(tmp_path):
