@@ -848,7 +848,7 @@ def verify_experiment(cfg: ExperimentConfig) -> SummaryReport:
 
         # The exchange identity over every window tau < t <= tau + PRODUCT_SPAN.
         ys = np.vstack([trace.ys, trace.final_state.y[None, :]])
-        worst = float(product_identity_residuals(ws[: trace.steps], ys).max())
+        worst = float(product_identity_residuals(ws, ys).max())
         checks.append(_residual_check("product-identity", worst, PRODUCT_IDENTITY_TOL))
         fields.update(
             eta_emp=trace.min_y, min_y=trace.min_y, final_consensus=float(trace.consensus[-1]),
@@ -1189,14 +1189,20 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
     hold series (the one-step deviation, the contraction envelope) that
     the trace does not persist.  An artifact that does not parse, lacks an
     entry this reads, stores one of its numbers as anything but a JSON
-    number, or records constants that no certificate of the configured
-    schedule can take, is a ConfigError naming its file.
+    number, records constants that no certificate of the configured
+    schedule can take, or describes a run with another n, d, graph kind
+    or schedule kind than the config's, is a ConfigError naming its file.
     """
     schedule, objective = _materialize_spec(cfg)
     out = Path(out_dir)
     path = out / "trace.csv"
     try:
         loaded = import_trace(path)
+        if (loaded.n, loaded.d) != (cfg.graph.n, cfg.objective.d):
+            raise ValueError(
+                f"the trace has n={loaded.n}, d={loaded.d}, but the config has "
+                f"n={cfg.graph.n}, d={cfg.objective.d}"
+            )
         path = out / "report.json"
         stored = json.loads(path.read_text(encoding="utf-8"))
         stored_gap = _stored_number(stored["final_gap"], "final_gap")
@@ -1232,6 +1238,9 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         }
         # recorded constants the certificates cannot take refuse the report
         certificates = list(_certificates(loaded, objective, schedule, constants, False, False))
+        for key, kind in (("graph_kind", cfg.graph.kind), ("schedule_kind", cfg.schedule.kind)):
+            if stored[key] != kind:
+                raise ValueError(f"{key} is {stored[key]!r}, but the config's is {kind!r}")
     except KeyError as exc:
         raise ConfigError(f"{path}: no {exc} entry") from exc
     except (ValueError, TypeError) as exc:
@@ -1260,12 +1269,8 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
             )
 
     checks = [_residual_check(name, err, RECOMPUTE_TOL) for name, err in errors.items()]
-    return SummaryReport(
-        kind="report", n=loaded.n, d=loaded.d, steps=loaded.steps,
-        graph_kind=str(stored.get("graph_kind", "")),
-        schedule_kind=str(stored.get("schedule_kind", "")),
-        connectivity_window=window, beta=beta,
+    return _summary(
+        cfg, "report", checks, steps=loaded.steps, connectivity_window=window, beta=beta,
         final_gap=float(loaded.running_gap[-1]),
         final_consensus=float(loaded.consensus[-1]),
-        checks=checks,
     )

@@ -239,38 +239,6 @@ def companion_series(
     return gap, recursion, float(max(mass.max(), max(0.0, float(-least.min()))))
 
 
-def _compact(m: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """The n-by-n float matrix ``m`` as the flat indices and values of its
-    entries with a nonzero bit pattern (NaN and -0.0 included), or ``m``
-    itself when that takes no more bytes."""
-    idx = np.flatnonzero(m.view(np.uint64))
-    idx = idx.astype(np.min_scalar_type(m.size - 1))
-    if idx.size * (idx.itemsize + m.itemsize) >= m.nbytes:
-        return m
-    return idx, np.take(m, idx)
-
-
-class _Scratch:
-    """An n-by-n buffer that shows one matrix kept by :func:`_compact` at
-    a time.  A dense matrix is returned as it is; a sparse one is written
-    over the entries the previous one set, so a load touches its nonzero
-    entries and not all n^2."""
-
-    def __init__(self, n: int) -> None:
-        self.buf = np.zeros((n, n))
-        self.flat, self.idx = self.buf.ravel(), None
-
-    def load(self, kept: np.ndarray | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        if isinstance(kept, np.ndarray):
-            return kept
-        if self.idx is not None:
-            self.flat[self.idx] = 0.0
-        # intp indices scatter about twice as fast as the narrow kept ones
-        self.idx = kept[0].astype(np.intp)
-        self.flat[self.idx] = kept[1]
-        return self.buf
-
-
 def product_identity_residuals(ws: WeightStack, ys: np.ndarray) -> np.ndarray:
     """Worst exchange-identity residual for each start tau of a T-step
     run, from the stack W(0..T-1) ``ws`` and y(0..T) ``ys`` (T+1, n).
@@ -283,24 +251,34 @@ def product_identity_residuals(ws: WeightStack, ys: np.ndarray) -> np.ndarray:
 
     The stack is read one step at a time (a step costs far less than its
     PRODUCT_SPAN products), so no block of weights outlives its step.
-    Each W(k) and S(k) is kept by its entries with a nonzero bit pattern,
-    or dense when that takes fewer bytes, and written into one of two
-    n-by-n buffers for each product, so memory is O(T * nonzeros + n^2)
-    and every residual is bitwise the dense one's.
+    Step k is kept as one index, the flat positions where W(k) or S(k)
+    has a nonzero bit pattern (NaN and -0.0 included; S(k) is nonzero off
+    W(k)'s support when y(k) holds a NaN), in the narrowest unsigned type,
+    with W(k)'s and S(k)'s values at it: 16 B plus the index's itemsize
+    per kept entry.  Dense weights keep every entry, at worst 9/8 of two
+    T*n*n float stacks (5/4 once n > 256 needs a 4-byte index).  Each load
+    clears the previous step's entries in one pair of n-by-n buffers and
+    writes this step's, so memory is O(T * nonzeros + n^2) and every
+    residual is bitwise the dense one's.
     """
     steps, n = len(ws), ws.n
     if ys.shape != (steps + 1, n):
         raise ValueError(f"need {steps + 1} weight vectors of length {n}, got {ys.shape}")
-    kept_w, kept_s = [], []
-    for w, y in zip(ws, ys):
-        kept_w.append(_compact(w.entries))
-        kept_s.append(_compact(build_s_matrix(w, y).entries))
-    w_buf, s_buf = _Scratch(n), _Scratch(n)
+    kept = []
+    for step, y in zip(ws, ys):
+        w, s = step.entries, build_s_matrix(step, y).entries
+        idx = np.flatnonzero(w.view(np.uint64) | s.view(np.uint64))
+        kept.append((idx.astype(np.min_scalar_type(n * n - 1)), np.take(w, idx), np.take(s, idx)))
+    w, s, idx = np.zeros((n, n)), np.zeros((n, n)), np.empty(0, dtype=np.intp)
+    w_flat, s_flat = w.ravel(), s.ravel()
     out = np.empty(steps)
     for tau in range(steps):
         worst = 0.0
         for k in range(tau, min(steps, tau + PRODUCT_SPAN)):
-            s, w = s_buf.load(kept_s[k]), w_buf.load(kept_w[k])
+            w_flat[idx] = s_flat[idx] = 0.0  # the previous step's entries
+            # intp indices scatter about twice as fast as the narrow kept ones
+            idx = kept[k][0].astype(np.intp)
+            w_flat[idx], s_flat[idx] = kept[k][1:]
             ps = s.copy() if k == tau else s @ ps
             pw = w.copy() if k == tau else w @ pw
             # np.maximum, unlike max(), keeps a NaN

@@ -1351,19 +1351,34 @@ def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
     trace, report = (out / "trace.csv").read_text(), (out / "report.json").read_text()
     lines = trace.splitlines(keepends=True)
     stored = json.loads(report)
-    no_gap = {k: v for k, v in stored.items() if k != "final_gap"}
+
+    def without(key):
+        return json.dumps({k: v for k, v in stored.items() if k != key})
+
     cases = [
         ("trace.csv", "T" + trace[1:], "unexpected trace header"),
         ("trace.csv", lines[0] + "x" + lines[1][lines[1].index(","):] + "".join(lines[2:]),
          "could not convert string 'x' to float64"),
         ("trace.csv", lines[0], "no data rows"),
         ("report.json", report[: len(report) // 2], "Unterminated string"),
-        ("report.json", json.dumps(no_gap), "no 'final_gap' entry"),
+        ("report.json", without("final_gap"), "no 'final_gap' entry"),
         ("report.json", json.dumps({**stored, "eta_emp": None}), "eta_emp is not a number: None"),
         # recorded constants no certificate can take
         ("report.json", json.dumps({**stored, "mu_emp": 1.5}), "log(mu) must be negative"),
         ("report.json", json.dumps({**stored, "mu_emp": -0.5}), "math domain error"),
         ("report.json", json.dumps({**stored, "eta_emp": -1}), "eta must lie in (0, n]"),
+        # the kinds of another run, or none: report echoed them as str() of
+        # anything, "" when missing
+        ("report.json", json.dumps({**stored, "graph_kind": ["x"]}),
+         "graph_kind is ['x'], but the config's is 'random-walkable'"),
+        ("report.json", json.dumps({**stored, "graph_kind": "static-cycle"}),
+         "graph_kind is 'static-cycle', but the config's is 'random-walkable'"),
+        ("report.json", without("graph_kind"), "no 'graph_kind' entry"),
+        ("report.json", json.dumps({**stored, "schedule_kind": 1}),
+         "schedule_kind is 1, but the config's is 'harmonic'"),
+        ("report.json", json.dumps({**stored, "schedule_kind": "fixed"}),
+         "schedule_kind is 'fixed', but the config's is 'harmonic'"),
+        ("report.json", without("schedule_kind"), "no 'schedule_kind' entry"),
     ]
 
     def refused(cfgp, name, message):
@@ -1378,8 +1393,18 @@ def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
         (out / "report.json").write_text(report)
         (out / name).write_text(text)
         refused(cfgp, name, message)
-    # a schedule without the decay conditions has no certificate for a decaying run's columns
     (out / "report.json").write_text(report)
+    # a trace of another n or d than the config's, which report recomputed
+    # against the config's objective as it was
+    n5 = base_config(
+        graph=GraphConfig(kind="random-walkable", n=5, horizon=150, seed=7),
+        objective=ObjectiveConfig(kind="l1", d=1, targets=((0.0,), (1.0,), (2.0,), (5.0,), (3.0,))),
+    )
+    for other in (n5, base_config(objective=QUAD2D)):
+        n, d = other.graph.n, other.objective.d
+        message = f"the trace has n=4, d=1, but the config has n={n}, d={d}"
+        refused(write_cfg(tmp_path, other), "trace.csv", message)
+    # a schedule without the decay conditions has no certificate for a decaying run's columns
     p_half = base_config(schedule=ScheduleConfig(kind="polynomial", p=0.5))
     refused(write_cfg(tmp_path, p_half), "report.json", "needs a stepsize satisfying the decay")
     # a fixed-schedule run's report is read for its margins

@@ -12,8 +12,6 @@ from pushsim.pushsum import (
     PRODUCT_SPAN,
     AbsProbSeq,
     RunFailure,
-    _Scratch,
-    _compact,
     absolute_probability,
     build_s_matrix,
     initial_state,
@@ -195,14 +193,21 @@ def test_incremental_identity_residuals_match_scratch_products():
 
 def test_a_nan_weight_gives_a_nan_residual():
     # max() would drop a NaN that is not first; every start whose products
-    # reach the bad step reports NaN, the others stay finite
+    # reach the bad step reports NaN, the others stay finite.  A NaN in
+    # W(7) or in the push-sum weights y(7) does it, and a NaN y_j(7) makes
+    # column j of S(7) NaN also where W(7) is zero.
     ws, ss, ys, _ = run_history("random-walkable", 5, 20, seed=2, x0=np.zeros((5, 1)))
     w, y = stacked(ws, ys)
-    w = w.num.copy()
-    w[7, 2, 2] = np.nan
-    res = product_identity_residuals(as_stack(w), y)
-    assert np.isnan(res[:8]).all() and (res[8:] <= 1e-9).all()
-    assert np.isnan(res.max())
+    w = w.num
+    assert (w[7, :, 2] == 0).any()
+    bad_w, bad_y = w.copy(), y.copy()
+    bad_w[7, 2, 2] = np.nan
+    bad_y[7, 2] = np.nan
+    for weights, history in ((bad_w, y), (w, bad_y)):
+        res = product_identity_residuals(as_stack(weights), history)
+        assert np.isnan(res[:8]).all() and (res[8:] <= 1e-9).all()
+        assert np.isnan(res.max())
+        assert_bitwise(res, reference_product_identity_residuals(weights, history))
 
 
 def weight_history(ws):
@@ -244,7 +249,6 @@ def dense_file_weights(n, steps, seed):
 def test_identity_residuals_of_dense_file_weights_are_bitwise_the_dense_reference(n):
     steps = PRODUCT_SPAN + 13
     ws = dense_file_weights(n, steps, seed=n)
-    assert isinstance(_compact(ws.block(0, 1)[0]), np.ndarray)  # kept dense
     ys = weight_history(ws)
     want = reference_product_identity_residuals(ws.block(0, steps), ys)
     assert_bitwise(product_identity_residuals(ws, ys), want)
@@ -270,20 +274,16 @@ def test_identity_residuals_keep_nan_and_negative_zero_weights_bitwise(kind):
     assert_bitwise(product_identity_residuals(stack, ys), want)
 
 
-def test_compact_keeps_every_nonzero_bit_pattern():
-    m = np.zeros((9, 9))
-    m[0, 0], m[3, 4], m[8, 8], m[2, 7] = -0.0, np.nan, 0.25, -np.inf
-    kept = _compact(m)
-    assert isinstance(kept, tuple) and kept[0].dtype == np.uint8 and kept[0].tolist() == [0, 25, 31, 80]
-    full = np.arange(1.0, 82.0).reshape(9, 9)
-    assert _compact(full) is full
-    # each sparse load clears what the one before it set
-    scratch = _Scratch(9)
-    other = np.zeros((9, 9))
-    other[1, 1], other[8, 8] = 0.5, -0.0
-    for want in (m, other, full, m, m, other):
-        got = scratch.load(_compact(want))
-        assert got.tobytes() == want.tobytes()
+def test_identity_residuals_of_a_mixed_stack_are_bitwise_the_dense_reference():
+    # dense and sparse steps alternate, so each load must clear every
+    # entry the one before it set
+    steps, n = PRODUCT_SPAN + 13, 13
+    sparse = build_weight_stack(generate_sequence("random-walkable", n, steps, seed=6))
+    dense = dense_file_weights(n, steps, seed=6)
+    ws = WeightStack.of([(dense if t % 2 else sparse)[t] for t in range(steps)])
+    ys = weight_history(ws)
+    want = reference_product_identity_residuals(ws.block(0, steps), ys)
+    assert_bitwise(product_identity_residuals(ws, ys), want)
 
 
 def traced_peak(call):
