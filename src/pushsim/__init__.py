@@ -6,7 +6,6 @@ from .graphs import (
     GraphSequence,
     connectivity_windows,
     digraph,
-    format_graph_sequence,
     generate_sequence,
     parse_graph_sequence,
     uniform_connectivity_window,

@@ -26,7 +26,6 @@ __all__ = [
     "generate_sequence",
     "uniform_connectivity_window",
     "connectivity_windows",
-    "format_graph_sequence",
     "parse_graph_sequence",
     "unpack_adjacency",
 ]
@@ -370,21 +369,9 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
     return [int(L) if L <= T else None for L, T in zip(windows, hs)]
 
 
-def format_graph_sequence(seq: GraphSequence) -> str:
-    """Render the 1-indexed text form: header ``n horizon``, then one
-    ``t: j>i j>i ...`` line per step with self-arcs omitted.  The steps
-    are unpacked one at a time."""
-    cross = ~np.eye(seq.n, dtype=bool)
-    lines = [f"{seq.n} {seq.horizon}"]
-    for t in range(seq.horizon):
-        senders, receivers = np.nonzero(unpack_adjacency(seq.bits[t], seq.n) & cross)
-        body = " ".join(f"{j + 1}>{i + 1}" for j, i in zip(senders.tolist(), receivers.tolist()))
-        lines.append(f"{t}: {body}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def parse_graph_sequence(text: str) -> GraphSequence:
-    """Parse the text form produced by :func:`format_graph_sequence`.
+    """Parse the 1-indexed text form: header ``n horizon``, then one
+    ``t: j>i j>i ...`` line per step.
 
     Self-arcs are implied and added on every vertex; listing one
     explicitly is tolerated.  Steps must appear in order 0..horizon-1.

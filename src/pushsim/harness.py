@@ -9,7 +9,9 @@ empirical contraction constants, evaluates every applicable finite-time
 certificate with both empirical and worst-case constants, and writes a
 deterministic set of artifacts: ``trace.csv``, ``report.json``,
 ``report.txt`` and three SVG charts.  Identical configs produce identical
-bytes; nothing time- or host-dependent enters the outputs.
+bytes for one numpy build and one BLAS kernel: no clock, path or unseeded
+state enters the outputs, but another BLAS kernel can round the matrix
+products and ``np.polyfit`` differently (ROADMAP item 9).
 """
 
 from __future__ import annotations
@@ -1074,11 +1076,13 @@ def import_trace(path: str | Path) -> LoadedTrace:
     if len(lines) < 2:
         raise ValueError("no data rows")
     header = lines[0].split(",")
-    z_cols = [c for c in header if c.startswith("z") and "_" in c and c[1].isdigit()]
-    n = max(int(c[1 : c.index("_")]) for c in z_cols)
-    d = max(int(c.split("_")[1]) for c in z_cols)
-    layout = _trace_layout(n, d, "bound_lhs" in header)
-    if header != [col for _, _, cols in layout for col in cols]:
+    agents = [m for m in map(re.compile(r"z([0-9]+)_([0-9]+)").fullmatch, header) if m]
+    n, d = (max((int(m[k]) for m in agents), default=0) for k in (1, 2))
+    # the header holds all n d agent columns: a larger index is refused
+    # before a layout of its size is built
+    fits = 0 < n * d <= len(header)
+    layout = _trace_layout(n, d, "bound_lhs" in header) if fits else []
+    if not fits or header != [col for _, _, cols in layout for col in cols]:
         raise ValueError("unexpected trace header")
     for i, line in enumerate(lines[1:], 2):  # np.loadtxt would skip a blank line
         cells = line.count(",") + 1 if line else 0

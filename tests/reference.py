@@ -76,6 +76,19 @@ def format_matrix(entries: np.ndarray) -> str:
     return "\n".join(" ".join(f"{v:.17g}" for v in row) for row in w) + "\n"
 
 
+def format_graph_sequence(seq: GraphSequence) -> str:
+    """Graph-file text: header ``n horizon``, then one 1-indexed
+    ``t: j>i j>i ...`` line per step with self-arcs omitted.  The steps
+    are unpacked one at a time."""
+    cross = ~np.eye(seq.n, dtype=bool)
+    lines = [f"{seq.n} {seq.horizon}"]
+    for t in range(seq.horizon):
+        senders, receivers = np.nonzero(unpack_adjacency(seq.bits[t], seq.n) & cross)
+        body = " ".join(f"{j + 1}>{i + 1}" for j, i in zip(senders.tolist(), receivers.tolist()))
+        lines.append(f"{t}: {body}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
 def reference_adjacency(kind, n, horizon, seed=0, arc_prob=0.25, inject_every=5) -> np.ndarray:
     """The boolean stack ``adj[t, j, i]`` of a generated sequence, filled
     in place for every step at once: the dense generator that the packed,

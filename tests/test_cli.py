@@ -1,0 +1,114 @@
+"""Console cases: whole `pushsim` calls on INI configs, run in-process
+through ``pushsim.cli.main``.  Each call is checked for its exit code, for
+its stderr (empty, or one ``config error:`` line, so no traceback), for no
+warning, and for the ``passed`` of the ``report.json`` it writes."""
+
+import json
+import warnings
+
+import pytest
+
+from pushsim.cli import main
+from pushsim.subgradient import _series_chunks
+
+# id: (files written next to the config, the config, the calls as
+# (command, exit code, start of the stderr line or None for none), and a
+# test of every report.json the calls write)
+CASES = {
+    # Dense file weights: every entry 1/3 on the complete graph K3, so the
+    # exchange-identity check keeps every entry of each step.
+    "k3-dense-file-weights": (
+        {
+            "k3.graph": "3 10\n" + "".join(f"{t}: 1>2 1>3 2>1 2>3 3>1 3>2\n" for t in range(10)),
+            "k3.weights": "0.3333333333333333 0.3333333333333333 0.3333333333333333\n" * 3,
+        },
+        "[graph]\nkind = file\nn = 3\nhorizon = 10\nfile = {dir}/k3.graph\n\n"
+        "[weights]\nrule = file\nfile = {dir}/k3.weights\n\n[objective]\nkind = zero\n",
+        [("verify", 0, None)],
+        lambda r: any(c["name"] == "product-identity" and c["passed"] for c in r["checks"]),
+    ),
+    # A fixed 1/sqrt(T) schedule builds the network's and every agent's
+    # certificate at the horizon; report recomputes them.
+    "fixed-schedule-agent-certificates": (
+        {},
+        "[graph]\nkind = random-walkable\nn = 5\nhorizon = 40\nseed = 7\n\n"
+        "[objective]\nkind = l1\ntargets = 1 ; -2 ; 3 ; 0.5 ; 4\n\n"
+        "[schedule]\nkind = fixed\nt_fixed = 40\n\n[bounds]\nagents = true\n",
+        [("simulate", 0, None), ("report", 0, None)],
+        lambda r: "gap-fixed-agent5-empirical" in r["bound_margins"],
+    ),
+    # The static cycle: every union after the first equals the last one
+    # that passed, so the window scan tests one union.
+    "static-cycle-window-1": (
+        {},
+        "[graph]\nkind = static-cycle\nn = 50\nhorizon = 4000\n\n[objective]\nkind = zero\n",
+        [("simulate", 0, None)],
+        lambda r: r["connectivity_window"] == 1,
+    ),
+    # A sweep whose longest run (8000 steps of 5 agents in the plane)
+    # derives its series in three chunks of rows.
+    "sweep-in-three-chunks": (
+        {},
+        "[graph]\nkind = random-walkable\nn = 5\nhorizon = 2000\nseed = 7\n\n"
+        "[objective]\nkind = l1\nd = 2\ntargets = 1 0 ; -2 1 ; 3 -1 ; 0.5 2 ; 4 -3\n\n"
+        "[sweep]\nhorizons = 2000 4000 8000\n",
+        [("sweep", 0, None)],
+        lambda r: r["steps"] == 8000 and len(list(_series_chunks(8000, 5, 2))) == 3,
+    ),
+    # The rotating arc on 12 agents fails every window length below 12 at
+    # its first step, so the window scan takes its failure path at each
+    # length before it certifies 12, in simulate and at every sweep horizon.
+    "rotating-arc-window-12": (
+        {},
+        "[graph]\nkind = rotating-arc\nn = 12\nhorizon = 120\n\n[objective]\nkind = zero\n\n"
+        "[sweep]\nhorizons = 30 60 120\n",
+        [("simulate", 0, None), ("sweep", 0, None)],
+        lambda r: {c["value"] for c in r["checks"] if c["name"].endswith("connectivity-window")} == {12},
+    ),
+    # Every command reads the graph and weights files its config names
+    # before it certifies or runs anything: a graph with no cross arcs (so
+    # no connectivity window) and a non-square weights file exit 2 alike.
+    "files-in-config-no-window-ragged-weights": (
+        {"nowindow.graph": "3 20\n" + "".join(f"{t}:\n" for t in range(20)),
+         "ragged.weights": "1 0\n0.5\n"},
+        "[graph]\nkind = file\nn = 3\nhorizon = 20\nfile = {dir}/nowindow.graph\n\n"
+        "[weights]\nrule = file\nfile = {dir}/ragged.weights\n\n[objective]\nkind = zero\n\n"
+        "[sweep]\nhorizons = 5 10 20\n",
+        [
+            (command, 2, "config error: [weights] file {dir}/ragged.weights: matrix is not square")
+            for command in ("simulate", "verify", "sweep")
+        ],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_console_case(tmp_path, capsys, case):
+    files, config, calls, holds = CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    cfgp = tmp_path / "case.ini"
+    cfgp.write_text(config.replace("{dir}", str(tmp_path)))
+    for command, code, err_start in calls:
+        # report reads what simulate wrote
+        out = tmp_path / ("simulate" if command == "report" else command)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(cfgp), "--out", str(out)]) == code, command
+        shown = capsys.readouterr()
+        assert not caught, [str(w.message) for w in caught]
+        if err_start is None:
+            assert shown.err == "", shown.err
+        else:
+            assert len(shown.err.splitlines()) == 1, shown.err
+            assert shown.err.startswith(err_start.replace("{dir}", str(tmp_path))), shown.err
+        if code == 0:
+            assert shown.out.endswith("overall: PASS\n"), shown.out
+        if code == 2:
+            assert not out.exists()
+        elif command != "report":
+            report = json.loads((out / "report.json").read_text())
+            assert report["passed"] is (code == 0)
+            assert holds(report), report

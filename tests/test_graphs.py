@@ -11,14 +11,13 @@ from pushsim.graphs import (
     GraphSequence,
     connectivity_windows,
     digraph,
-    format_graph_sequence,
     generate_sequence,
     parse_graph_sequence,
     uniform_connectivity_window,
     unpack_adjacency,
 )
 from pushsim.weights import build_weight_stack
-from reference import reference_adjacency, reference_connectivity_window
+from reference import format_graph_sequence, reference_adjacency, reference_connectivity_window
 
 
 def test_digraph_requires_self_arcs():

@@ -18,7 +18,7 @@ import pushsim.harness
 import pushsim.weights
 from pushsim.bounds import fit_rate
 from pushsim.cli import main
-from pushsim.graphs import GraphSequence, digraph, format_graph_sequence, generate_sequence
+from pushsim.graphs import GraphSequence, digraph, generate_sequence
 from pushsim.harness import (
     BoundsConfig,
     CheckResult,
@@ -55,6 +55,7 @@ from pushsim.subgradient import (
 from pushsim.svgplot import Series, line_chart
 from pushsim.weights import WeightMatrix, WeightStack, build_weights
 from reference import (
+    format_graph_sequence,
     format_matrix,
     reference_file_violations,
     reference_run_push_subgradient,
@@ -566,10 +567,18 @@ def test_run_experiment_folds_the_agent_certificates(monkeypatch):
 def test_import_trace_checks_the_header(tmp_path, finished):
     _, _, out = finished
     rows = (out / "trace.csv").read_text().splitlines()
-    rows[0] = rows[0].replace("zlyap_1", "zlyap_x")
-    (tmp_path / "trace.csv").write_text("\n".join(rows) + "\n")
-    with pytest.raises(ValueError, match="unexpected trace header"):
-        import_trace(tmp_path / "trace.csv")
+    # an agent index beyond the header's width is refused before its
+    # layout is built
+    for old, new in (("zlyap_1", "zlyap_x"), ("z4_1,", "z1000000_1,")):
+        (tmp_path / "trace.csv").write_text("\n".join([rows[0].replace(old, new), *rows[1:]]) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="unexpected trace header"):
+                import_trace(tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, (new, peak)  # the million-agent layout is 75 MB
 
 
 def test_two_runs_are_byte_identical(tmp_path, finished):
@@ -1357,6 +1366,10 @@ def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
 
     cases = [
         ("trace.csv", "T" + trace[1:], "unexpected trace header"),
+        # no agent column, and one whose agent index is not a number
+        ("trace.csv", lines[0].replace("z", "w") + "".join(lines[1:]), "unexpected trace header"),
+        ("trace.csv", lines[0].replace("z1_1,", "z1x_1,") + "".join(lines[1:]),
+         "unexpected trace header"),
         ("trace.csv", lines[0] + "x" + lines[1][lines[1].index(","):] + "".join(lines[2:]),
          "could not convert string 'x' to float64"),
         ("trace.csv", lines[0], "no data rows"),
@@ -1481,6 +1494,7 @@ def test_cli_report_reads_each_stored_number_as_a_json_number(tmp_path, capsys, 
     assert main(["report", "--config", cfgp, "--out", str(out)]) == 0
     edits = [
         {"eta_emp": "0.5", "mu_emp": str(stored["mu_emp"])},
+        {"eta_emp": "0.5"},
         {"final_gap": str(stored["final_gap"])},
         {"mu_emp": str(stored["mu_emp"])},
         {"eta_emp": True},
