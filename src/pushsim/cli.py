@@ -105,11 +105,9 @@ def _command(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValidationFailure as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return 1
-    except RunFailure as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except (ValidationFailure, RunFailure) as exc:
+        stage = "certification" if isinstance(exc, ValidationFailure) else "run"
+        print(f"{stage} failed: {exc}", file=sys.stderr)
         if args.out is not None:
             write_report(failure_summary(cfg, args.command, exc), args.out)
         return 1

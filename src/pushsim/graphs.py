@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,10 +32,17 @@ __all__ = [
 
 GENERATOR_KINDS = ("static-cycle", "rotating-arc", "random-walkable")
 
-# Adjacency cells in the largest block of window unions tested at once
-# (1 MiB as float32), and bytes of float draws per block of generated
-# steps.
-_BLOCK_CELLS = 1 << 18
+# Bytes of temporaries in one block of every blocked pass (row_blocks).
+BLOCK_BYTES = 2 ** 19
+
+
+def row_blocks(rows: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of ``rows`` rows whose temporaries take
+    ``row_bytes`` bytes each: ``max(1, BLOCK_BYTES // row_bytes)`` rows a
+    slice (the last may be shorter), with the budget read at each call."""
+    k = max(1, BLOCK_BYTES // row_bytes)
+    for lo in range(0, rows, k):
+        yield slice(lo, min(lo + k, rows))
 
 
 def unpack_adjacency(bits: np.ndarray, n: int) -> np.ndarray:
@@ -210,10 +217,10 @@ def generate_sequence(
         Vertex count, number of steps, and generator seed.  The same
         arguments always reproduce the same sequence.
 
-    The steps are built a block at a time, as booleans copied into rows
-    padded to whole bytes, and each block is packed at once as flat
-    bytes; besides the packed stack, only one block (its float draws at
-    most ``_BLOCK_CELLS`` bytes, unless one step's alone are more) is held.
+    The steps are built in :func:`row_blocks` of ``BLOCK_BYTES`` (a step
+    takes its float draws, its booleans and its rows padded to whole
+    bytes), each packed at once as flat bytes; besides the packed stack,
+    only one block is held.
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
@@ -234,10 +241,8 @@ def generate_sequence(
         rng = np.random.default_rng(seed)
     nb = (n + 7) // 8
     bits = np.empty((horizon, n, nb), dtype=np.uint8)
-    k = max(1, _BLOCK_CELLS // (8 * n * n))  # steps whose float draws fill _BLOCK_CELLS bytes
-    padded = np.zeros((min(k, horizon), n, 8 * nb), dtype=bool)  # the padding stays clear
-    for lo in range(0, horizon, k):
-        m = min(k, horizon - lo)
+    for rows in row_blocks(horizon, 9 * n * n + 8 * n * nb):
+        lo, m = rows.start, rows.stop - rows.start
         if kind == "rotating-arc":
             t = np.arange(lo, lo + m)
             adj = np.zeros((m, n, n), dtype=bool)
@@ -249,8 +254,9 @@ def generate_sequence(
             adj = rng.random((m, n, n)) < arc_prob
             adj[-lo % inject_every :: inject_every] |= ring
         adj |= eye
-        padded[:m, :, :n] = adj
-        bits[lo : lo + m] = np.packbits(padded[:m]).reshape(m, n, nb)
+        padded = np.zeros((m, n, 8 * nb), dtype=bool)  # the padding stays clear
+        padded[..., :n] = adj
+        bits[rows] = np.packbits(padded).reshape(m, n, nb)
     bits.setflags(write=False)
     return GraphSequence(n, bits)
 
@@ -311,7 +317,8 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
     the length and tests that start again.  So one scan answers every
     horizon, and each start is tested about once.  The starts are tested
     in blocks: one start after each failure, twice as many after each
-    passing block, up to ``_BLOCK_CELLS`` adjacency cells.
+    passing block, up to one :func:`row_blocks` block of ``BLOCK_BYTES``
+    (a union unpacked to booleans and to float32).
 
     ``level`` holds the packed unions of all windows of length ``a`` (a
     power of two, only growing, below the length once it exceeds 1); a
@@ -322,7 +329,7 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
     place, in ascending blocks: a block reads only rows that no earlier
     block has updated, and NumPy reads the rows a block shares with its
     own output before writing.  Besides the sequence, memory stays at one
-    packed stack and a few blocks of ``_BLOCK_CELLS`` cells.
+    packed stack and a few blocks.
 
     A test can take n rounds, so only the unions whose bytes differ from
     ``known``, the last union that passed, are unpacked and tested: a
@@ -335,8 +342,11 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
     hs = list(horizons)
     if any(not 1 <= T <= seq.horizon for T in hs):
         raise ValueError(f"horizons must lie in [1, {seq.horizon}], got {hs}")
-    h = max(hs, default=0)
-    most = max(1, _BLOCK_CELLS // seq.n**2)
+    if not hs:
+        return []
+    h, n = max(hs), seq.n
+    row_bytes = 8 * n * ((n + 7) // 8) + 4 * n * n
+    most = next(row_blocks(h, row_bytes)).stop  # the starts in one block
     level, a = seq.bits[:h], 1
     length, lo, block = 1, 0, 1
     ends: list[int] = []  # f(L) + L for L = 1, 2, ..., length - 1
@@ -346,15 +356,14 @@ def connectivity_windows(seq: GraphSequence, horizons: Iterable[int]) -> list[in
             if a == 1:
                 level = np.array(level)
             m = len(level) - a
-            for s in range(0, m, most):
-                e = min(m, s + most)
-                np.bitwise_or(level[s:e], level[s + a : e + a], out=level[s:e])
+            for rows in row_blocks(m, row_bytes):
+                np.bitwise_or(level[rows], level[rows.start + a : rows.stop + a], out=level[rows])
             level = level[:m]
             a *= 2
         hi = min(h - length + 1, lo + block)
         unions = level[lo:hi] | level[lo + length - a : hi + length - a]
         fresh = np.flatnonzero((unions != known).any(axis=(1, 2)))
-        passed = _strongly_connected(unpack_adjacency(unions[fresh], seq.n))
+        passed = _strongly_connected(unpack_adjacency(unions[fresh], n))
         if passed.any():
             known[...] = unions[fresh[passed][-1]]
         failed = fresh[~passed]

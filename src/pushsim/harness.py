@@ -43,6 +43,7 @@ from .graphs import (
     connectivity_windows,
     generate_sequence,
     parse_graph_sequence,
+    row_blocks,
     uniform_connectivity_window,
 )
 from .pushsum import RunFailure, companion_series, product_identity_residuals, theory_constants
@@ -63,7 +64,6 @@ from .subgradient import (
 )
 from .svgplot import Series, line_chart
 from .weights import (
-    BLOCK_FLOATS,
     WeightMatrix,
     WeightStack,
     build_weight_stack,
@@ -106,7 +106,11 @@ class ConfigError(ValueError):
 
 
 class ValidationFailure(RuntimeError):
-    """A standing hypothesis failed certification for this run."""
+    """A standing hypothesis failed certification: ``check``, with its note."""
+
+    def __init__(self, check: CheckResult) -> None:
+        super().__init__(check.note)
+        self.check = check
 
 
 # --------------------------------------------------------------------------
@@ -483,9 +487,14 @@ def _summary(
     )
 
 
-def failure_summary(cfg: ExperimentConfig, kind: str, failure: RunFailure) -> SummaryReport:
-    """Summary of a run stopped by a failed in-run check: one failed
-    check that names the check, the agent and the step."""
+def failure_summary(
+    cfg: ExperimentConfig, kind: str, failure: RunFailure | ValidationFailure
+) -> SummaryReport:
+    """Summary of a run stopped by a failure: its one failed check, the
+    failed certification's, or for a failed in-run check one that names
+    the check, the agent and the step."""
+    if isinstance(failure, ValidationFailure):
+        return _summary(cfg, kind, [failure.check])
     where = f"t={failure.t}" if failure.agent is None else f"agent {failure.agent}, t={failure.t}"
     return _summary(cfg, kind, [CheckResult(failure.check, False, note=f"{where}: {failure}")])
 
@@ -655,18 +664,18 @@ def _weights_check(
 
 
 def _certified(check: CheckResult) -> CheckResult:
-    """``check`` if it passed; a failed one raises ValidationFailure with its note."""
+    """``check`` if it passed; a failed one raises ValidationFailure."""
     if not check.passed:
-        raise ValidationFailure(check.note)
+        raise ValidationFailure(check)
     return check
 
 
 def _check_init(objective: ObjectiveSpec, x0: np.ndarray) -> None:
     outside = np.flatnonzero(~objective.in_box(x0))
     if outside.size:
-        raise ValidationFailure(
+        raise ValidationFailure(CheckResult("init-in-box", False, note=(
             f"initial value of agent {outside[0] + 1} lies outside the objective box"
-        )
+        )))
 
 
 # --------------------------------------------------------------------------
@@ -906,14 +915,14 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
         rows += [f"{T},{g:.17g}" for (T, g) in points]
         (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
         write_report(summary, out)
-        pos = [(T, g) for (T, g) in points if g > 0]
-        if pos:
-            line_chart(
-                out / "sweep.svg",
-                [Series([T for T, _ in pos], [g for _, g in pos], "final gap")],
-                title="optimality gap vs horizon",
-                xlabel="T", ylabel="gap",
-            )
+        # the positive gaps on a log axis, or else the zero gaps on a linear one
+        drawn = [(T, g) for (T, g) in points if g > 0] or points
+        line_chart(
+            out / "sweep.svg",
+            [Series([T for T, _ in drawn], [g for _, g in drawn], "final gap")],
+            title="optimality gap vs horizon",
+            xlabel="T", ylabel="gap",
+        )
     return summary
 
 
@@ -938,8 +947,8 @@ def _sweep_horizons(
             _check_init(objective, x0)
             certified.append((T, hypotheses))
     except ValidationFailure as exc:
-        # raised once the horizons before this one have run
-        deferred = exc
+        # raised once the horizons before this one have run, named for its horizon
+        deferred = ValidationFailure(dataclasses.replace(exc.check, name=f"T={T}:{exc.check.name}"))
 
     points: list[tuple[int, float]] = []
     all_checks: list[CheckResult] = []
@@ -1018,7 +1027,8 @@ def export_trace(
 
     When per-step certificate series are supplied (decaying-stepsize runs)
     seven extra columns carry the lhs, both rhs variants, and the four
-    empirical-constant summands.
+    empirical-constant summands.  The rows go out in ``row_blocks`` of
+    ``BLOCK_BYTES`` (about 64 bytes of Python floats and text a cell).
     """
     steps = trace.steps
     columns = {
@@ -1036,18 +1046,12 @@ def export_trace(
     # A whole-number float formats under .17g as the integer itself, so t
     # needs no column of its own type.
     row = ",".join(["{:.17g}"] * len(header)) + "\n"
-    # The rows go out in chunks of an eighth of a weight block's floats:
-    # at about 70 bytes each as Python floats and text, a chunk takes about
-    # a block's bytes, and the whole trace's text is never held.
-    chunk = max(1, BLOCK_FLOATS // (8 * len(header)))
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for lo in range(0, steps, chunk):
-            hi = min(steps, lo + chunk)
-            data = np.column_stack([
-                np.reshape(columns[name][lo:hi], (hi - lo, -1)) for name, _, _ in layout
-            ])
-            f.write((row * (hi - lo)).format(*data.ravel().tolist()))
+        for rows in row_blocks(steps, 64 * len(header)):
+            m = rows.stop - rows.start
+            data = np.column_stack([np.reshape(columns[name][rows], (m, -1)) for name, _, _ in layout])
+            f.write((row * m).format(*data.ravel().tolist()))
 
 
 @dataclass

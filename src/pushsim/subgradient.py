@@ -31,6 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .graphs import row_blocks
 from .pushsum import (
     Y_FLOOR,
     CompanionView,
@@ -38,7 +39,7 @@ from .pushsum import (
     RunFailure,
     check_weight_floor,
 )
-from .weights import WeightMatrix, WeightStack, row_blocks
+from .weights import WeightMatrix, WeightStack
 
 __all__ = [
     "ObjectiveSpec",
@@ -193,9 +194,9 @@ class ObjectiveSpec:
 
 def _series_chunks(rows: int, n: int, d: int) -> Iterator[slice]:
     """Consecutive row slices for the series derived from (rows, n, d)
-    arrays: a chunk holds at most two temporaries of n d floats a row, so
-    together they take at most one weight block (``row_blocks``)."""
-    return row_blocks(rows, 2 * n * d)
+    arrays, in ``row_blocks`` of ``BLOCK_BYTES``: a chunk holds at most
+    two temporaries of n d floats a row."""
+    return row_blocks(rows, 16 * n * d)
 
 
 def _add_columns(total: np.ndarray, columns: np.ndarray) -> None:
@@ -597,9 +598,9 @@ def run_push_subgradient(
     the derived series.  The network mean, the Lyapunov average, the
     consensus error, the running-average gap and the one-step deviation
     are computed after the loop, one chunk of stored rows at a time
-    (:func:`_series_chunks`), so their temporaries take at most one weight
-    block; each row reduces on its own and equals, bitwise, what a
-    per-step evaluation gives.
+    (:func:`_series_chunks`), so their temporaries take at most
+    ``BLOCK_BYTES``; each row reduces on its own and equals, bitwise, what
+    a per-step evaluation gives.
     """
     steps = len(ws)
     if steps == 0:

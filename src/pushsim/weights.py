@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Digraph, GraphSequence, unpack_adjacency
+from .graphs import Digraph, GraphSequence, row_blocks, unpack_adjacency
 
 __all__ = [
     "WeightMatrix",
@@ -28,9 +28,6 @@ __all__ = [
 COLUMN_SUM_TOL = 1e-12
 # Set bits of every byte value: out-degrees from packed adjacency rows.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-# Floats in one block of weights that a run builds at once (512 KiB); the
-# run frees each block before the next is built.
-BLOCK_FLOATS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -170,19 +167,9 @@ class WeightStack(Sequence[WeightMatrix]):
 
     def blocks(self) -> Iterator[np.ndarray]:
         """``W[lo:lo + k]`` for ``lo = 0, k, 2k, ...``: every step in
-        order, in the blocks of :func:`row_blocks` (n**2 floats a step)."""
-        for rows in row_blocks(len(self), self.n ** 2):
+        order, in ``row_blocks`` of ``BLOCK_BYTES`` (8 n**2 bytes a step)."""
+        for rows in row_blocks(len(self), 8 * self.n ** 2):
             yield self.block(rows.start, rows.stop)
-
-
-def row_blocks(rows: int, row_floats: int) -> Iterator[slice]:
-    """``slice(lo, lo + k)`` for ``lo = 0, k, 2k, ...`` below ``rows``,
-    with ``k = max(1, BLOCK_FLOATS // row_floats)``: consecutive rows of
-    ``row_floats`` floats each, about one weight block at a time (the last
-    slice may be shorter, and its stop may pass ``rows``)."""
-    k = max(1, BLOCK_FLOATS // row_floats)
-    for lo in range(0, rows, k):
-        yield slice(lo, lo + k)
 
 
 def validate_column_stochastic(

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from pushsim.graphs import _BLOCK_CELLS, GraphSequence, _strongly_connected, unpack_adjacency
+from pushsim.graphs import GraphSequence, _strongly_connected, unpack_adjacency
 from pushsim.harness import ExperimentConfig
 from pushsim.pushsum import (
     PRODUCT_SPAN,
@@ -371,7 +371,7 @@ def reference_connectivity_window(seq: GraphSequence) -> int | None:
     the boolean unions of one sequence: smallest L whose every full window
     is strongly connected, None if even the whole horizon fails."""
     h = seq.horizon
-    block = max(1, _BLOCK_CELLS // seq.n**2)
+    block = max(1, 2**18 // seq.n**2)  # starts tested at once: 1 MiB of float32 cells
 
     def every_window_connected(length: int, level: np.ndarray, a: int) -> bool:
         starts = h - length + 1

@@ -1,7 +1,8 @@
 """Console cases: whole `pushsim` calls on INI configs, run in-process
 through ``pushsim.cli.main``.  Each call is checked for its exit code, for
-its stderr (empty, or one ``config error:`` line, so no traceback), for no
-warning, and for the ``passed`` of the ``report.json`` it writes."""
+its stderr (empty, or one ``config error:`` or ``certification failed:``
+line, so no traceback), for no warning, and for the ``passed`` of the
+``report.json`` it writes."""
 
 import json
 import warnings
@@ -79,6 +80,20 @@ CASES = {
             for command in ("simulate", "verify", "sweep")
         ],
         None,
+    ),
+    # An explicit initial value outside the objective box fails
+    # certification: simulate and sweep exit 1 and write a report naming
+    # the failed check.
+    "init-outside-box": (
+        {},
+        "[graph]\nkind = random-walkable\nn = 3\nhorizon = 20\nseed = 7\n\n"
+        "[objective]\nkind = l1\ntargets = 0 ; 1 ; 2\nbox_lo = -1\nbox_hi = 3\n\n"
+        "[init]\nmode = explicit\nvalues = 40 ; 0 ; 0\n\n[sweep]\nhorizons = 5 10 20\n",
+        [
+            (command, 1, "certification failed: initial value of agent 1 lies outside the objective box")
+            for command in ("simulate", "sweep")
+        ],
+        lambda r: [c["name"] for c in r["checks"]] in (["init-in-box"], ["T=5:init-in-box"]),
     ),
 }
 

@@ -295,12 +295,13 @@ def test_every_horizon_window_matches_the_one_horizon_search(
 ):
     seq = generate_sequence(kind, n, horizon, seed, arc_prob=arc_prob, inject_every=inject_every)
     hs = data.draw(horizon_lists(horizon))
-    # Blocks of a few steps make the in-place growth of the unions run over
-    # many blocks, some of which overlap the rows they read.
-    steps = data.draw(st.sampled_from([None, 1, 2, 3, 5]))
-    cells = pushsim.graphs._BLOCK_CELLS if steps is None else steps * n * n
+    # Budgets of one row and of a few rows a block make the in-place
+    # growth of the unions run over many blocks, some of which overlap the
+    # rows they read.
+    budget = data.draw(st.sampled_from([None, 1, 100, 1000, 10000]))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pushsim.graphs, "_BLOCK_CELLS", cells)
+        if budget is not None:
+            mp.setattr(pushsim.graphs, "BLOCK_BYTES", budget)
         got = connectivity_windows(seq, hs)
     assert got == [reference_connectivity_window(seq.prefix(T)) for T in hs]
 
@@ -349,10 +350,10 @@ def test_every_pair_of_horizons_matches_the_one_horizon_search(seq):
 @pytest.mark.parametrize("kind", ["static-cycle", "rotating-arc"])
 def test_window_search_holds_one_private_stack(monkeypatch, kind):
     # The unions grow in place in one copy of the packed stack: the search
-    # holds that copy and O(_BLOCK_CELLS) cells, never a second stack.
-    # The rotating arc's window 8 grows the unions twice; the static
-    # cycle's window 1 never does, and makes no copy.
-    monkeypatch.setattr(pushsim.graphs, "_BLOCK_CELLS", 1 << 12)
+    # holds that copy and a few blocks of BLOCK_BYTES, never a second
+    # stack.  The rotating arc's window 8 grows the unions twice; the
+    # static cycle's window 1 never does, and makes no copy.
+    monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", 1 << 14)
     seq = generate_sequence(kind, 8, 20000)
     tracemalloc.start()
     try:
@@ -362,7 +363,7 @@ def test_window_search_holds_one_private_stack(monkeypatch, kind):
         tracemalloc.stop()
     assert windows == [8 if kind == "rotating-arc" else 1]
     copies = 1 if kind == "rotating-arc" else 0
-    bound = copies * seq.bits.nbytes + 16 * pushsim.graphs._BLOCK_CELLS
+    bound = copies * seq.bits.nbytes + 4 * pushsim.graphs.BLOCK_BYTES
     assert peak <= bound, f"peak {peak} B above {bound} B"
 
 
@@ -370,11 +371,11 @@ def test_window_search_holds_nothing_per_start(monkeypatch):
     # Nearly every random union is distinct.  At n=64 a packed union is
     # 512 B; the search remembers one of them, next to its one private
     # stack and a few blocks, and keeps nothing for each start.
-    monkeypatch.setattr(pushsim.graphs, "_BLOCK_CELLS", 1 << 14)
+    monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", 1 << 16)
     seq = generate_sequence("random-walkable", 64, 2000, 1, arc_prob=0.05)
     windows, peak = traced_peak(lambda: connectivity_windows(seq, [2000]))
     assert windows == [reference_connectivity_window(seq)]
-    bound = seq.bits.nbytes + 16 * pushsim.graphs._BLOCK_CELLS
+    bound = seq.bits.nbytes + 4 * pushsim.graphs.BLOCK_BYTES
     assert peak <= bound, f"peak {peak} B above {bound} B"
 
 
@@ -382,7 +383,7 @@ def test_window_search_hashes_do_not_grow_with_the_horizon(monkeypatch):
     # Nearly every random union is distinct, and the scan remembers only
     # the last one that passed: besides its private packed stack, its
     # memory is the same at either horizon.
-    monkeypatch.setattr(pushsim.graphs, "_BLOCK_CELLS", 1 << 14)
+    monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", 1 << 16)
     seq = generate_sequence("random-walkable", 64, 4000, 1, arc_prob=0.05)
     short, long = (
         traced_peak(lambda: connectivity_windows(seq, [T]))[1] - seq.prefix(T).bits.nbytes
@@ -461,7 +462,7 @@ def test_window_scan_serves_every_horizon_from_the_longest_scan(monkeypatch):
     pytest.param(generate_sequence("rotating-arc", 12, 600), [600], 12, id="rotating-arc-12-600"),
     # The certify, sweep and verify workloads' inputs at seed 1.
     pytest.param(
-        generate_sequence("random-walkable", 50, 2000, 1, arc_prob=0.05), [2000], 2020,
+        generate_sequence("random-walkable", 50, 2000, 1, arc_prob=0.05), [2000], 2012,
         id="random-walkable-50-2000",
     ),
     pytest.param(
@@ -530,11 +531,11 @@ def traced_peak(build):
 @pytest.mark.parametrize("kind", ["static-cycle", "rotating-arc", "random-walkable"])
 def test_building_a_sequence_or_its_weights_holds_the_packed_stack_and_one_block(kind):
     # Generation, parsing and the weight stack hold the packed stack (one
-    # bit per arc slot) and one block of _BLOCK_CELLS float32 cells, never
-    # a T*n*n boolean stack (at n=100, T=4000: 5.2 MB packed, 40 MB not).
+    # bit per arc slot) and at most two blocks of BLOCK_BYTES, never a
+    # T*n*n boolean stack (at n=100, T=4000: 5.2 MB packed, 40 MB not).
     n, horizon = 100, 4000
     packed = horizon * n * ((n + 7) // 8)
-    bound = packed + 4 * pushsim.graphs._BLOCK_CELLS
+    bound = packed + 2 * pushsim.graphs.BLOCK_BYTES
     # The generator's and the parser's first calls import and cache.
     parse_graph_sequence(format_graph_sequence(generate_sequence(kind, 9, 3, 1)))
     seq, peak = traced_peak(lambda: generate_sequence(kind, n, horizon, 1, arc_prob=0.02))
@@ -557,16 +558,16 @@ def test_building_a_sequence_or_its_weights_holds_the_packed_stack_and_one_block
     seed=st.integers(0, 2**32 - 1),
     arc_prob=st.floats(0.0, 1.0),
     inject_every=st.integers(1, 9),
-    cells=st.sampled_from([None, 1, 50, 300]),
+    budget=st.sampled_from([None, 1, 400, 2500]),
 )
 def test_packed_generation_is_the_dense_generator_packed(
-    kind, n, horizon, seed, arc_prob, inject_every, cells
+    kind, n, horizon, seed, arc_prob, inject_every, budget
 ):
     # Blocks of a few steps split the draws, the injections and the
     # rotating arcs across block boundaries.
     with pytest.MonkeyPatch.context() as mp:
-        if cells is not None:
-            mp.setattr(pushsim.graphs, "_BLOCK_CELLS", cells)
+        if budget is not None:
+            mp.setattr(pushsim.graphs, "BLOCK_BYTES", budget)
         seq = generate_sequence(kind, n, horizon, seed, arc_prob=arc_prob, inject_every=inject_every)
     dense = reference_adjacency(kind, n, horizon, seed, arc_prob, inject_every)
     assert seq.bits.dtype == np.uint8 and seq.bits.shape == (horizon, n, (n + 7) // 8)

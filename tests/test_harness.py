@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import pushsim.cli
+import pushsim.graphs
 import pushsim.harness
-import pushsim.weights
 from pushsim.bounds import fit_rate
 from pushsim.cli import main
 from pushsim.graphs import GraphSequence, digraph, generate_sequence
@@ -483,11 +483,11 @@ def test_export_trace_matches_the_row_writer(tmp_path, monkeypatch, objective, b
     if bounds == "infinite-worst-case":
         wc = dataclasses.replace(wc, rhs=np.where(np.arange(trace.steps) % 3 == 1, np.inf, wc.rhs))
     reference_export_trace(trace, tmp_path / "want.csv", emp, wc)
-    # One chunk of all 150 rows, chunks of one row, and of 6 to 9 rows
-    for floats in (pushsim.harness.BLOCK_FLOATS, 1, 1000):
-        monkeypatch.setattr(pushsim.harness, "BLOCK_FLOATS", floats)
+    # One block of all 150 rows, blocks of one row, and of 6 to 9 rows
+    for budget in (pushsim.graphs.BLOCK_BYTES, 1, 8000):
+        monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", budget)
         export_trace(trace, tmp_path / "got.csv", emp, wc)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), floats
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), budget
     loaded = import_trace(tmp_path / "got.csv")
     assert np.array_equal(loaded.zs, trace.zs) and np.array_equal(loaded.zbar, trace.zbar)
     assert np.array_equal(loaded.ts, np.arange(trace.steps))
@@ -589,6 +589,31 @@ def test_two_runs_are_byte_identical(tmp_path, finished):
     h2 = hashlib.sha256((again / "trace.csv").read_bytes()).hexdigest()
     assert h1 == h2
     assert (out / "report.json").read_bytes() == (again / "report.json").read_bytes()
+
+
+def test_no_artifact_depends_on_the_block_budget(tmp_path, monkeypatch, capsys):
+    # Every blocked pass is row-independent: the default budget (one block
+    # a pass at this size), one row a block in every pass, and blocks of a
+    # few rows write the same bytes and print the same summaries.
+    cfg = base_config(
+        graph=GraphConfig(kind="random-walkable", n=5, horizon=60, seed=3, arc_prob=0.3),
+        objective=ObjectiveConfig(kind="l1", d=1, targets=((1.0,), (-2.0,), (3.0,), (0.5,), (4.0,))),
+        sweep=SweepConfig(horizons=(15, 30, 60)),
+    )
+    cfgp = write_cfg(tmp_path, cfg)
+    seen = []
+    for budget in (pushsim.graphs.BLOCK_BYTES, 1, 2 ** 12):
+        monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", budget)
+        out = tmp_path / str(budget)
+        shown = []
+        for command in ("simulate", "report", "sweep", "verify"):
+            target = out / ("simulate" if command == "report" else command)
+            assert main([command, "--config", cfgp, "--out", str(target)]) == 0, (budget, command)
+            shown.append(capsys.readouterr().out)
+        files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        seen.append((files, shown))
+    assert len(seen[0][0]) == 12  # simulate writes 6 files, sweep 4 and verify 2
+    assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 def test_report_from_dir_recomputes_and_passes(finished):
@@ -907,13 +932,19 @@ def test_sweep_fits_decay_rate(tmp_path):
 
 
 def test_sweep_zero_objective_reports_exact(tmp_path):
-    cfg = base_config(
-        objective=ObjectiveConfig(kind="zero", d=1),
-        sweep=SweepConfig(horizons=(40, 80, 160)),
-    )
+    # Into the directory of an earlier sweep with positive gaps: the zero
+    # gaps are drawn on linear axes, over the earlier log-axis chart.
+    horizons = SweepConfig(horizons=(40, 80, 160))
+    sweep_experiment(base_config(sweep=horizons), out_dir=tmp_path)
+    earlier = (tmp_path / "sweep.svg").read_text()
+    cfg = base_config(objective=ObjectiveConfig(kind="zero", d=1), sweep=horizons)
     summary = sweep_experiment(cfg, out_dir=tmp_path)
     assert summary.sweep_exact
     assert summary.passed
+    text = (tmp_path / "sweep.svg").read_text()
+    ET.fromstring(text)
+    assert ">1e" in earlier and ">1e" not in text
+    assert text.count("<polyline") == 1 and ">final gap</text>" in text
 
 
 def test_sweep_needs_three_horizons():
@@ -1110,7 +1141,7 @@ def test_sweep_names_a_weight_underflow_for_its_horizon(tmp_path, monkeypatch, b
     # after the block; blocks of 5 begin with it.
     cfg = underflow_sweep_config(tmp_path)
     if block is not None:
-        monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", block * 3 * 3)
+        monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", 8 * block * 3 * 3)
     got = sweep_outcome(lambda c, out: sweep_experiment(c, out_dir=out), cfg, tmp_path / "got")
     per_step_check_loop(monkeypatch)
     want = sweep_outcome(lambda c, out: sweep_experiment(c, out_dir=out), cfg, tmp_path / "want")

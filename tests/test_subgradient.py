@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-import pushsim.weights
+import pushsim.graphs
 
 from pushsim.graphs import digraph, generate_sequence
 from pushsim.pushsum import (
@@ -658,7 +658,7 @@ def test_array_loop_matches_per_agent_reference(kind, n, d, sched, steps, seed, 
     }[sched]
     ws = build_weight_stack(generate_sequence("random-walkable", n, steps, seed, arc_prob=0.3))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(block or steps, n))
+        mp.setattr(pushsim.graphs, "BLOCK_BYTES", blocks_of(block or steps, n))
         assert_matches_reference(ws, x0, objective, schedule, companions=True)
 
 
@@ -761,7 +761,7 @@ def test_companion_pass_is_bitwise_the_gate_across_blocks(monkeypatch, k):
     # later rows of y, and one at the last step reaches y after the run
     # alone (a run stops at the box on a NaN ratio, so the inner case is
     # the weights mixed on their own).
-    monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(k, PIN_WS.n))
+    monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", blocks_of(k, PIN_WS.n))
     trace = run_push_subgradient(PIN_WS, PIN_X0, pin_objective("hinge"), PIN_SCHEDULE)
     assert_companions_match_the_gate(PIN_WS, trace)
     for broken in (61, 119):
@@ -799,7 +799,7 @@ def test_chunked_series_are_bitwise_the_whole_horizon_reference(kind):
     schedule = StepsizeSchedule.harmonic(0.5)
     want = reference_run_push_subgradient(ws, x0, objective, schedule)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pushsim.weights, "BLOCK_FLOATS", 4 * 2 * n * d)
+        mp.setattr(pushsim.graphs, "BLOCK_BYTES", 4 * 16 * n * d)
         chunks = [len(range(steps)[rows]) for rows in SUBGRADIENT._series_chunks(steps, n, d)]
         got = run_push_subgradient(ws, x0, objective, schedule)
     assert chunks == [4, 4, 4, 4, 2]
@@ -820,7 +820,7 @@ def test_network_mean_is_bitwise_the_chunked_mean(monkeypatch, d):
     # time; agents of very different sizes make the order of addition show.
     n, steps = 9, 23
     zs = np.random.default_rng(d).standard_normal((steps, n, d)) * 10.0 ** np.arange(n)[:, None]
-    monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", 5 * 2 * n * d)
+    monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", 5 * 16 * n * d)
     zbar = mean_and_consensus(zs)[0]
     assert_same_bits(SUBGRADIENT._network_mean(zs), zbar)
     assert_same_bits(reference_mean(zs), zbar)
@@ -844,18 +844,18 @@ def test_run_with_companions_holds_no_step_by_n_squared_array():
     assert recursion.max() <= 1e-10 and stochastic <= 1e-12
 
 
-@pytest.mark.parametrize("floats", [None, 2 ** 19], ids=["default", "4MiB"])
+@pytest.mark.parametrize("budget", [None, 2 ** 22], ids=["default", "4MiB"])
 @pytest.mark.parametrize("companions", [False, True])
-def test_run_holds_its_trace_and_one_weight_block(monkeypatch, companions, floats):
+def test_run_holds_its_trace_and_one_weight_block(monkeypatch, companions, budget):
     # Besides the arrays it returns, a run holds one block of weights at a
     # time (the previous block is freed before the next is built) and,
     # after its loop, one (steps, n, d) scratch for its derived series and
     # the (steps, n) sums of its squares.  The companion pass after it
     # holds its series and, again, one block.  A default block is at most
     # 512 KiB.
-    assert 8 * pushsim.weights.BLOCK_FLOATS <= 2 ** 19
-    if floats is not None:
-        monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", floats)
+    assert pushsim.graphs.BLOCK_BYTES <= 2 ** 19
+    if budget is not None:
+        monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", budget)
     n, steps = 50, 2000
     seq = generate_sequence("random-walkable", n, steps, 3, arc_prob=0.05)
     ws = build_weight_stack(seq)
@@ -870,7 +870,7 @@ def test_run_holds_its_trace_and_one_weight_block(monkeypatch, companions, float
         tracemalloc.stop()
     arrays = [v for v in vars(trace).values() if isinstance(v, np.ndarray)] + list(series)
     held = sum(a.nbytes for a in arrays) + trace.final_state.x.nbytes + trace.final_state.y.nbytes
-    block = 8 * pushsim.weights.BLOCK_FLOATS
+    block = pushsim.graphs.BLOCK_BYTES
     scratch = trace.zs.nbytes + trace.ys.nbytes
     assert peak <= held + block + scratch, f"peak {peak / 2 ** 20:.2f} MiB"
 
@@ -898,7 +898,7 @@ def test_thin_step_stops_at_the_first_failing_step(monkeypatch, case, check, t, 
     if case == "ceiling":
         changes["g_bound"] = 10.0
     if small_blocks:
-        monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(7, PIN_WS.n))
+        monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", blocks_of(7, PIN_WS.n))
     failure = assert_matches_reference(
         PIN_WS, PIN_X0, dataclasses.replace(objective, **changes), PIN_SCHEDULE,
     )
@@ -995,8 +995,8 @@ def run_with_warnings(run):
 
 
 def blocks_of(steps, n):
-    """BLOCK_FLOATS for WeightStack blocks of ``steps`` steps of n x n weights."""
-    return steps * n * n
+    """BLOCK_BYTES for WeightStack blocks of ``steps`` steps of n x n weights."""
+    return 8 * steps * n * n
 
 
 @settings(max_examples=80, deadline=None)
@@ -1027,7 +1027,7 @@ def test_block_pass_raises_the_per_step_failure(inject, place, beat, seed, frac)
 
     want, _ = run_with_warnings(lambda: reference_run_push_subgradient(ws, x0, objective, schedule))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(k, ws.n))
+        mp.setattr(pushsim.graphs, "BLOCK_BYTES", blocks_of(k, ws.n))
         got, got_warnings = run_with_warnings(lambda: run_push_subgradient(ws, x0, objective, schedule))
     assert type(got) is type(want) and str(got) == str(want)
     if isinstance(want, RunFailure):
@@ -1045,7 +1045,7 @@ def test_steps_past_a_failure_issue_no_warnings(monkeypatch, k):
         for w in ws:
             x, y = w.entries @ x, w.entries @ y
             x / y[:, None]
-    monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(k, 3))
+    monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", blocks_of(k, 3))
     got, caught = run_with_warnings(
         lambda: run_push_subgradient(ws, x0, zero_objective(3, 1), StepsizeSchedule.harmonic()))
     assert (got.check, got.agent, got.t) == ("weight-underflow", 1, 11)
@@ -1062,7 +1062,7 @@ def test_a_nan_from_the_first_step_fails_the_box_without_a_warning(monkeypatch, 
     with np.errstate(all="ignore"), pytest.raises(RunFailure) as failure:
         reference_run_push_subgradient(*run)
     want = failure.value
-    monkeypatch.setattr(pushsim.weights, "BLOCK_FLOATS", blocks_of(k, 3))
+    monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", blocks_of(k, 3))
     got, caught = run_with_warnings(lambda: run_push_subgradient(*run))
     assert (got.check, got.agent, got.t, str(got)) == (want.check, want.agent, want.t, str(want))
     assert want.check == "box-containment" and want.t == 1

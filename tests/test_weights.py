@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushsim.graphs import GraphSequence, digraph, generate_sequence, unpack_adjacency
+from pushsim.graphs import BLOCK_BYTES, GraphSequence, digraph, generate_sequence, unpack_adjacency
 from pushsim.weights import (
-    BLOCK_FLOATS,
     WeightMatrix,
     build_weight_stack,
     build_weights,
@@ -174,7 +173,7 @@ def custom_sequence(n, horizon, seed):
 def test_weight_blocks_and_steps_are_bitwise_the_whole_stack(kind, n, full, rest, cut, seed):
     # `full` whole blocks and then part of one; most n are not a multiple
     # of 8, so the packed rows end in padding.
-    k = max(1, BLOCK_FLOATS // n ** 2)
+    k = max(1, BLOCK_BYTES // (8 * n ** 2))
     horizon = full * k + 1 + int(rest * (k - 1))
     if kind == "custom":
         seq = custom_sequence(n, horizon, seed)
