@@ -320,16 +320,22 @@ class BoundReport:
 # --------------------------------------------------------------------------
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Slope and r^2 of the least-squares line; constant targets count as perfect."""
-    coeffs = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coeffs, x)
+    """Slope and r^2 of the least-squares line through points whose x are
+    not all equal, in closed form (no LAPACK call); constant targets count
+    as perfect."""
+    if y.min() == y.max():  # exactly, which their rounded mean need not show
+        return 0.0, 1.0
+    dx = x - x.mean()
+    y_mean = y.mean()
+    slope = float((dx * (y - y_mean)).sum() / (dx * dx).sum())
+    resid = y - (y_mean + slope * dx)
     ss_res = float((resid ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
+    ss_tot = float(((y - y_mean) ** 2).sum())
     if ss_tot <= 1e-300:
         r2 = 1.0 if ss_res <= 1e-300 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return float(coeffs[0]), r2
+    return slope, r2
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Subcommands: ``simulate`` (run + artifacts), ``verify`` (invariant suite
 on a short prefix), ``sweep`` (rate fit over several horizons),
 ``report`` (recompute a summary from persisted artifacts).  Exit code 0
 means all checks passed, 1 means a check or certification failed or a run
-stopped at a failed in-run check (then ``--out`` gets a report naming it),
+stopped at a failed in-run check (then ``--out`` holds a report naming it
+and none of the command's other artifacts),
 2 means the invocation, the config or a file it names was unusable.
 """
 
@@ -14,6 +15,7 @@ import argparse
 import errno
 import os
 import sys
+from pathlib import Path
 
 from .harness import (
     ConfigError,
@@ -30,6 +32,12 @@ from .harness import (
 from .pushsum import RunFailure
 
 __all__ = ["main"]
+
+# What each command writes to --out besides report.json and report.txt.
+_ARTIFACTS = {
+    "simulate": ("trace.csv", "gap.svg", "consensus.svg", "bounds.svg"),
+    "sweep": ("sweep.csv", "sweep.svg"),
+}
 
 
 def _add_common(p: argparse.ArgumentParser, need_out: bool) -> None:
@@ -109,6 +117,9 @@ def _command(args: argparse.Namespace) -> int:
         stage = "certification" if isinstance(exc, ValidationFailure) else "run"
         print(f"{stage} failed: {exc}", file=sys.stderr)
         if args.out is not None:
+            # an earlier run's artifacts would sit beside a report that says this one failed
+            for name in _ARTIFACTS.get(args.command, ()):
+                Path(args.out, name).unlink(missing_ok=True)
             write_report(failure_summary(cfg, args.command, exc), args.out)
         return 1
     sys.stdout.write(summary.format_text())

@@ -11,7 +11,7 @@ deterministic set of artifacts: ``trace.csv``, ``report.json``,
 ``report.txt`` and three SVG charts.  Identical configs produce identical
 bytes for one numpy build and one BLAS kernel: no clock, path or unseeded
 state enters the outputs, but another BLAS kernel can round the matrix
-products and ``np.polyfit`` differently (ROADMAP item 9).
+products differently (ROADMAP item 9).
 """
 
 from __future__ import annotations
@@ -898,6 +898,8 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
         raise ConfigError(f"sweep needs at least 3 horizons, got {hs}")
     if any(h < 1 for h in hs):
         raise ConfigError("sweep horizons must be positive")
+    if len(set(hs)) < 2:  # equal horizons leave the log-log fit no slope
+        raise ConfigError(f"sweep needs at least 2 distinct horizons, got {hs}")
     hs.sort()
     points, all_checks = _sweep_horizons(cfg, hs)
     fit = fit_rate(points)
@@ -1123,29 +1125,29 @@ def _persist(result: ExperimentResult, out: Path) -> None:
     export_trace(trace, out / "trace.csv", bound_emp=emp, bound_wc=wc)
     write_report(result.summary, out)
 
-    ts = list(range(trace.steps))
+    ts = range(trace.steps)
     line_chart(
         out / "gap.svg",
-        [Series(ts, list(trace.running_gap), "running-average gap")],
+        [Series(ts, trace.running_gap, "running-average gap")],
         title="optimality gap of the weighted running average",
         xlabel="t", ylabel="f - f*",
     )
 
-    cons = [Series(ts, list(trace.consensus), "consensus error")]
-    cons.append(Series(ts, list(trace.deviation), "one-step deviation"))
+    cons = [Series(ts, trace.consensus, "consensus error")]
+    cons.append(Series(ts, trace.deviation, "one-step deviation"))
     env = reports.get("envelope-refined-empirical", reports.get("envelope-geometric-empirical"))
     if env is not None:
-        cons.append(Series(ts, list(env.rhs), "contraction envelope"))
+        cons.append(Series(ts, env.rhs, "contraction envelope"))
     line_chart(
         out / "consensus.svg", cons,
         title="agent disagreement", xlabel="t", ylabel="max deviation",
     )
 
-    bnd = [Series(ts, list(trace.running_gap), "gap (lhs)")]
+    bnd = [Series(ts, trace.running_gap, "gap (lhs)")]
     if emp is not None:
-        bnd.append(Series(ts, list(emp.rhs), "bound, empirical constants"))
+        bnd.append(Series(ts, emp.rhs, "bound, empirical constants"))
     if wc is not None:
-        bnd.append(Series(ts, list(wc.rhs), "bound, worst-case constants"))
+        bnd.append(Series(ts, wc.rhs, "bound, worst-case constants"))
     for rep in result.gap_reports:
         if rep.label.startswith("gap-fixed-network-"):
             bnd.append(Series([trace.steps - 1], [rep.rhs[0]], "bound at horizon"))

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 from pushsim.bounds import (
     BoundInputs,
     BoundSeries,
+    _linear_fit,
     _mu_powers,
     agent_series,
     bound_fixed,
@@ -375,6 +377,46 @@ def test_fit_rate_guards():
         fit_rate([(10, 1.0), (20, 0.5)])
     exact = fit_rate([(10, 0.0), (20, 0.0), (40, 0.0)])
     assert exact.exact and exact.n_used == 0 and math.isnan(exact.slope)
+
+
+def polyfit_reference(x, y):
+    """Slope and r^2 as LAPACK's least squares (``np.polyfit``) give them."""
+    coeffs = np.polyfit(x, y, 1)
+    resid = y - np.polyval(coeffs, x)
+    return float(coeffs[0]), 1.0 - float((resid ** 2).sum()) / float(((y - y.mean()) ** 2).sum())
+
+
+def exact_slope(x, y):
+    """The least-squares slope of the float data in rational arithmetic, rounded once."""
+    xs, ys = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys))
+    return float(sxy / sum((a - x_mean) ** 2 for a in xs))
+
+
+def test_linear_fit_matches_the_polyfit_reference():
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        m = int(rng.integers(3, 200))
+        x = np.sort(rng.uniform(0.0, 10.0, m))
+        slope = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        y = rng.uniform(-5.0, 5.0) + slope * x + rng.uniform(0.0, 1.0) * rng.standard_normal(m)
+        got, r2 = _linear_fit(x, y)
+        ref, ref_r2 = polyfit_reference(x, y)
+        # LAPACK's slope is itself up to some tens of ulps off the exact one
+        assert abs(got - ref) <= 64 * eps * abs(ref), (got, ref)
+        assert abs(got - exact_slope(x, y)) <= 8 * np.spacing(abs(got)), got
+        assert r2 == pytest.approx(ref_r2, rel=0, abs=16 * eps)
+    # an exact line, and a line of slope 0
+    x = np.arange(12, dtype=float)
+    for slope in (2.5, -0.5, 0.0):
+        got, r2 = _linear_fit(x, 1.0 + slope * x)
+        assert got == pytest.approx(slope, rel=4 * eps, abs=4 * eps) and r2 == pytest.approx(1.0, abs=4 * eps)
+    # constant targets count as perfect, also where their mean rounds
+    for value in (0.0, 5.0, 0.1, 0.7, math.log(0.57), -2.3):
+        for m in (2, 3, 7, 10, 100):
+            assert _linear_fit(np.arange(m, dtype=float), np.full(m, value)) == (0.0, 1.0)
 
 
 def test_fit_geometric_rate_recovers_rho():

@@ -1,8 +1,9 @@
 """Console cases: whole `pushsim` calls on INI configs, run in-process
 through ``pushsim.cli.main``.  Each call is checked for its exit code, for
 its stderr (empty, or one ``config error:`` or ``certification failed:``
-line, so no traceback), for no warning, and for the ``passed`` of the
-``report.json`` it writes."""
+line, so no traceback), for no warning, for the ``passed`` of the
+``report.json`` it writes and, when it stops at a failed certification or
+run, for leaving that report alone in ``--out``."""
 
 import json
 import warnings
@@ -12,9 +13,17 @@ import pytest
 from pushsim.cli import main
 from pushsim.subgradient import _series_chunks
 
+# The CI smoke config: an l1 objective, so it has certificates and a fit.
+SMOKE_CONFIG = (
+    "[graph]\nkind = random-walkable\nn = 5\nhorizon = 40\nseed = 7\n\n"
+    "[objective]\nkind = l1\ntargets = -2 ; 0 ; 1 ; 3 ; 6\n\n[sweep]\nhorizons = 10 20 40\n"
+)
+# 40 steps of 5 agents and no arc between them, so no connectivity window.
+NO_WINDOW_GRAPH = "5 40\n" + "".join(f"{t}:\n" for t in range(40))
+
 # id: (files written next to the config, the config, the calls as
-# (command, exit code, start of the stderr line or None for none), and a
-# test of every report.json the calls write)
+# (command and its flags, exit code, start of the stderr line or None for
+# none), and a test of every report.json the calls write)
 CASES = {
     # Dense file weights: every entry 1/3 on the complete graph K3, so the
     # exchange-identity check keeps every entry of each step.
@@ -95,6 +104,29 @@ CASES = {
         ],
         lambda r: [c["name"] for c in r["checks"]] in (["init-in-box"], ["T=5:init-in-box"]),
     ),
+    # A failed certification into a directory that holds a passing run
+    # leaves its report alone there: the run's trace and charts go.
+    "failed-simulate-clears-the-earlier-run": (
+        {"nowindow.graph": NO_WINDOW_GRAPH},
+        SMOKE_CONFIG,
+        [
+            ("simulate", 0, None),
+            ("simulate --graph-file {dir}/nowindow.graph", 1,
+             "certification failed: no window length certifies joint strong connectivity over the 40-step horizon"),
+        ],
+        lambda r: r["passed"] or [c["name"] for c in r["checks"]] == ["connectivity-window"],
+    ),
+    # The same for a sweep: its sweep.csv and sweep.svg go.
+    "failed-sweep-clears-the-earlier-sweep": (
+        {"nowindow.graph": NO_WINDOW_GRAPH},
+        SMOKE_CONFIG,
+        [
+            ("sweep", 0, None),
+            ("sweep --graph-file {dir}/nowindow.graph", 1,
+             "certification failed: no window length certifies joint strong connectivity over the 10-step horizon"),
+        ],
+        lambda r: r["passed"] or [c["name"] for c in r["checks"]] == ["T=10:connectivity-window"],
+    ),
 }
 
 
@@ -105,13 +137,14 @@ def test_console_case(tmp_path, capsys, case):
         (tmp_path / name).write_text(text)
     cfgp = tmp_path / "case.ini"
     cfgp.write_text(config.replace("{dir}", str(tmp_path)))
-    for command, code, err_start in calls:
+    for call, code, err_start in calls:
+        command, *flags = call.replace("{dir}", str(tmp_path)).split()
         # report reads what simulate wrote
         out = tmp_path / ("simulate" if command == "report" else command)
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main([command, "--config", str(cfgp), "--out", str(out)]) == code, command
+            assert main([command, "--config", str(cfgp), "--out", str(out), *flags]) == code, call
         shown = capsys.readouterr()
         assert not caught, [str(w.message) for w in caught]
         if err_start is None:
@@ -127,3 +160,5 @@ def test_console_case(tmp_path, capsys, case):
             report = json.loads((out / "report.json").read_text())
             assert report["passed"] is (code == 0)
             assert holds(report), report
+        if code == 1 and err_start is not None:  # a failed certification or run
+            assert sorted(p.name for p in out.iterdir()) == ["report.json", "report.txt"]

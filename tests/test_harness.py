@@ -422,6 +422,22 @@ def test_line_chart_skips_non_finite_points(tmp_path):
     assert "<polyline" not in text and "<circle" not in text and ">c</text>" in text and ">d</text>" in text
 
 
+def test_line_chart_memory_per_point(tmp_path):
+    # The axis ranges come from one pass over the series, with no list of
+    # points: what the chart holds is about its text, not a copy per point.
+    rng = np.random.default_rng(3)
+    steps = 20_000
+    ts = np.arange(steps)
+    series = [Series(ts, rng.random(steps) + k, f"s{k}") for k in range(3)]
+    tracemalloc.start()
+    try:
+        line_chart(tmp_path / "big.svg", series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * 3 * steps, peak / (3 * steps)
+
+
 def test_trace_round_trip_is_bitwise(tmp_path, finished):
     _, result, out = finished
     loaded = import_trace(out / "trace.csv")
@@ -1205,6 +1221,22 @@ ROTATING_ARC_L1 = ExperimentConfig(
 )
 
 
+def test_cli_rate_fits_make_no_lapack_call(tmp_path, capsys, monkeypatch):
+    # mu_emp's geometric fit and the sweep's log-log fit are closed form.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK least-squares call")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    cfgp = write_cfg(tmp_path, base_config(sweep=SweepConfig(horizons=(40, 80, 150))))
+    for command in ("simulate", "sweep"):
+        assert main([command, "--config", cfgp, "--out", str(tmp_path / command)]) == 0
+        assert capsys.readouterr().out.endswith("overall: PASS\n")
+    report = json.loads((tmp_path / "sweep" / "report.json").read_text())
+    assert report["sweep_slope"] < 0 and not report["sweep_exact"]
+    assert json.loads((tmp_path / "simulate" / "report.json").read_text())["mu_emp"] > 0
+
+
 def test_cli_infinite_worst_case_bound_still_charts(tmp_path, capsys):
     cfgp = write_cfg(tmp_path, ROTATING_ARC_L1)
     out = tmp_path / "out"
@@ -1587,6 +1619,11 @@ def test_cli_unusable_files_and_horizons_exit_2_with_one_line(tmp_path, capsys, 
     nonpositive = write_cfg(tmp_path, base_config(sweep=SweepConfig(horizons=(0, 40, 80))))
     assert main(["sweep", "--config", nonpositive, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "config error: sweep horizons must be positive\n"
+    assert not (tmp_path / "o").exists()
+    # Equal horizons leave the log-log fit no slope to find.
+    repeated = write_cfg(tmp_path, base_config(sweep=SweepConfig(horizons=(80, 80, 80))))
+    assert main(["sweep", "--config", repeated, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: sweep needs at least 2 distinct horizons, got [80, 80, 80]\n"
     assert not (tmp_path / "o").exists()
     # A graph file too short for the longest horizon is found before the
     # shortest horizon runs, here a run that fails at once.
