@@ -478,12 +478,13 @@ def _summary(
     cfg: ExperimentConfig, kind: str, checks: list[CheckResult], **fields
 ) -> SummaryReport:
     """The ``kind`` summary of a run of ``cfg`` with its final ``checks``:
-    n, d and the graph and schedule kinds come from the config, and so do
-    the steps (its horizon) unless ``fields`` gives them."""
-    fields.setdefault("steps", cfg.graph.horizon)
+    n, d, the graph and schedule kinds and, unless ``fields`` gives them,
+    the steps the command runs (a sweep's longest horizon, verify's prefix)."""
+    h = cfg.graph.horizon
+    steps = {"sweep": max(cfg.sweep.horizons, default=h), "verify": min(h, VERIFY_HORIZON)}
     return SummaryReport(
         kind=kind, n=cfg.graph.n, d=cfg.objective.d, graph_kind=cfg.graph.kind,
-        schedule_kind=cfg.schedule.kind, checks=checks, **fields,
+        schedule_kind=cfg.schedule.kind, checks=checks, **{"steps": steps.get(kind, h), **fields},
     )
 
 
@@ -839,18 +840,19 @@ def verify_experiment(cfg: ExperimentConfig) -> SummaryReport:
     """Run the invariant suite on a short prefix of the configured setup.
 
     Uses a pure mixing run (zero objective) so every identity can be
-    checked in isolation.  If the weight matrices fail validation, the
-    downstream checks are skipped rather than reported against garbage.
+    checked in isolation.  If a hypothesis fails, the downstream checks are
+    skipped rather than reported against garbage, naming what failed.
     """
     # the configured objective only has to be valid
     schedule, _, seq, ws, violations, x0 = _inputs(cfg, min(cfg.graph.horizon, VERIFY_HORIZON))
     window_check = _window_check(uniform_connectivity_window(seq), seq.horizon)
     weights_check = _weights_check(ws, violations, seq.horizon)
     checks = [window_check, weights_check]
-    fields = dict(steps=seq.horizon, connectivity_window=window_check.value, beta=weights_check.value)
-    if not weights_check.passed:
-        checks.append(CheckResult("downstream", True, note="skipped: weight validation failed"))
-    if window_check.passed and weights_check.passed:
+    fields = dict(connectivity_window=window_check.value, beta=weights_check.value)
+    failed = [c.name for c in checks if not c.passed]
+    if failed:
+        checks.append(CheckResult("downstream", True, note=f"skipped: {' and '.join(failed)} failed"))
+    else:
         objective = zero_objective(seq.n, cfg.objective.d)
         trace = run_push_subgradient(ws, x0, objective, schedule)
         companions = companion_series(ws, trace.ys, trace.final_state.y)
@@ -904,7 +906,7 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
     points, all_checks = _sweep_horizons(cfg, hs)
     fit = fit_rate(points)
     summary = _summary(
-        cfg, "sweep", all_checks, steps=hs[-1],
+        cfg, "sweep", all_checks,
         sweep_points=points,
         sweep_slope=None if fit.exact else fit.slope,
         sweep_r2=None if fit.exact else fit.r2,
@@ -1165,11 +1167,12 @@ def _persist(result: ExperimentResult, out: Path) -> None:
 RECOMPUTE_TOL = 1e-12
 
 
-def _column_error(recomputed: np.ndarray, stored: np.ndarray) -> float:
-    """Largest deviation of a recomputed column from the stored one over
-    their finite entries; inf unless the non-finite entries (an
-    overflowed certificate or consensus error) sit at the same steps with
-    the same values."""
+def _column_error(recomputed, stored) -> float:
+    """Largest deviation of a recomputed column (or number) from the
+    stored one over their finite entries; inf unless the non-finite
+    entries (an overflowed mean, certificate or consensus error) sit at
+    the same steps with the same values."""
+    recomputed, stored = np.atleast_1d(recomputed, stored)
     finite = np.isfinite(stored)
     if not (
         np.array_equal(finite, np.isfinite(recomputed))
@@ -1189,19 +1192,19 @@ def _stored_number(value: object, name: str) -> float:
 def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport:
     """Recompute a run's derived numbers from its persisted trace.
 
-    Loads ``trace.csv`` and ``report.json`` from ``out_dir``, re-derives
-    the agent mean, consensus errors, running-average gaps and (when
-    present) the certificate series and every fixed-horizon margin from the
-    recorded constants, and checks everything against the stored columns
-    and margins at 1e-12.  Quantities that need the raw weight history
-    (the empirical constants themselves) are treated as recorded inputs,
-    not re-derived.  The charts are left as ``simulate`` drew them: they
-    hold series (the one-step deviation, the contraction envelope) that
-    the trace does not persist.  An artifact that does not parse, lacks an
+    Loads ``trace.csv`` and ``report.json`` from ``out_dir``, re-derives the
+    agent mean, consensus errors and running-average gaps, both finals,
+    every network margin ``bound_margins`` records (either schedule kind)
+    and a decaying run's certificate columns, and checks each against its
+    stored value at 1e-12.  ``eta_emp``, ``mu_emp``, the window, beta and
+    the worst-case constants are recorded inputs (they need the raw weight
+    history); agent margins, ``bound_argmin`` and the charts are not
+    re-derived.  An artifact that does not parse, lacks an
     entry this reads, stores one of its numbers as anything but a JSON
     number, records constants that no certificate of the configured
-    schedule can take, or describes a run with another n, d, graph kind
-    or schedule kind than the config's, is a ConfigError naming its file.
+    schedule can take or network margins its certificate columns do not
+    match, or describes a run with another n, d, graph kind or schedule
+    kind than the config's, is a ConfigError naming its file.
     """
     schedule, objective = _materialize_spec(cfg)
     out = Path(out_dir)
@@ -1215,36 +1218,34 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
             )
         path = out / "report.json"
         stored = json.loads(path.read_text(encoding="utf-8"))
-        stored_gap = _stored_number(stored["final_gap"], "final_gap")
-        window, beta = stored["connectivity_window"], stored["beta"]
+        final_gap, final_cons = (_stored_number(stored[k], k) for k in ("final_gap", "final_consensus"))
+        window, beta, margins = stored["connectivity_window"], stored["beta"], stored["bound_margins"]
         if type(window) is not int:  # echoed in the header as simulate wrote it
             raise TypeError(f"connectivity_window is not an integer: {window!r}")
         _stored_number(beta, "beta")
-        # The network certificates are rebuilt from the trace and the
-        # constants the report recorded, for each constant set the run
-        # evaluated: a decaying run's shows in its trace columns (an
-        # all-NaN worst-case column means none was evaluated), a fixed
-        # run's in a stored margin, an overflowed (inf) one included.
+        if not isinstance(margins, dict):
+            raise TypeError(f"bound_margins is not an object: {margins!r}")
+        # The network certificate of each constant set whose margin the
+        # report recorded (an overflowed, inf, one included) is rebuilt
+        # from the trace and the recorded constants.
+        form = "fixed" if schedule.kind == "fixed" else "decaying"
         recorded = {
             "empirical": ("eta_emp", "mu_emp", None),
             "worst-case": ("eta_theory", "mu_theory", "log_mu_theory"),
         }
-        fixed = schedule.kind == "fixed"
-        if fixed:
-            margins = stored["bound_margins"]
-            if not isinstance(margins, dict):
-                raise TypeError(f"bound_margins is not an object: {margins!r}")
-            network = {
-                k: _stored_number(m, "a network margin") for k, m in margins.items() if "-network-" in k
-            }
-            evaluated = {label: f"gap-fixed-network-{label}" in network for label in recorded}
-        elif loaded.bound_lhs is None:
-            evaluated = dict.fromkeys(recorded, False)
-        else:
-            evaluated = {"empirical": True, "worst-case": not np.isnan(loaded.bound_rhs_wc).all()}
+        network = {
+            label: _stored_number(margins[key], "a network margin")
+            for label in recorded if (key := f"gap-{form}-network-{label}") in margins
+        }
+        # a decaying run's trace holds the empirical set's columns, and an
+        # all-NaN worst-case column unless that set was evaluated too
+        columns = loaded.bound_lhs is not None
+        wc_column = columns and not np.isnan(loaded.bound_rhs_wc).all()
+        if form == "decaying" and (columns, wc_column) != ("empirical" in network, "worst-case" in network):
+            raise ValueError("bound_margins does not match the certificate columns of trace.csv")
         constants = {
             label: tuple(None if k is None else _stored_number(stored[k], k) for k in keys)
-            for label, keys in recorded.items() if evaluated[label]
+            for label, keys in recorded.items() if label in network
         }
         # recorded constants the certificates cannot take refuse the report
         certificates = list(_certificates(loaded, objective, schedule, constants, False, False))
@@ -1255,32 +1256,31 @@ def report_from_dir(cfg: ExperimentConfig, out_dir: str | Path) -> SummaryReport
         raise ConfigError(f"{path}: no {exc} entry") from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    # check name -> largest deviation between recomputed and stored values
-    errors: dict[str, float] = {}
-    zbar, cons = mean_and_consensus(loaded.zs)
-    errors["recompute-zbar"] = float(np.abs(zbar - loaded.zbar).max())
-    errors["recompute-consensus"] = _column_error(cons, loaded.consensus)
-    # Clipped, never raised: a beaten optimum shows as a failed check here,
-    # and the report.json of the run stays as it is.
-    gaps = np.maximum(running_average_gaps(objective, loaded.alphas, loaded.zbar), 0.0)
-    errors["recompute-gap"] = float(np.abs(gaps - loaded.running_gap).max())
-    errors["recompute-final-gap"] = abs(float(loaded.running_gap[-1]) - stored_gap)
-    for rep in certificates:
-        wc = "-wc" if rep.label.endswith("-worst-case") else ""
-        if fixed:
-            pair = np.array([[rep.min_margin], [network[rep.label]]])
-            errors["recompute-bound-fixed" + wc] = _column_error(*pair)
-        elif wc:
-            errors["recompute-bound-rhs-wc"] = _column_error(rep.rhs, loaded.bound_rhs_wc)
-        else:
-            errors["recompute-bound-rhs"] = _column_error(rep.rhs, loaded.bound_rhs_emp)
-            errors["bound-terms-sum"] = float(
-                np.abs(loaded.bound_terms.sum(axis=1) - loaded.bound_rhs_emp).max()
-            )
-
-    checks = [_residual_check(name, err, RECOMPUTE_TOL) for name, err in errors.items()]
+    # an overflowed number is recomputed and compared as any other, without a warning
+    with np.errstate(all="ignore"):
+        zbar, cons = mean_and_consensus(loaded.zs)
+        # Clipped, never raised: a beaten optimum shows as a failed check
+        # here, and the report.json of the run stays as it is.
+        gaps = np.maximum(running_average_gaps(objective, loaded.alphas, loaded.zbar), 0.0)
+        # (check name, recomputed, stored)
+        pairs = [
+            ("recompute-zbar", zbar, loaded.zbar),
+            ("recompute-consensus", cons, loaded.consensus),
+            ("recompute-gap", gaps, loaded.running_gap),
+            ("recompute-final-gap", loaded.running_gap[-1], final_gap),
+            ("recompute-final-consensus", loaded.consensus[-1], final_cons),
+        ]
+        for rep in certificates:
+            label = rep.label.split("-network-")[1]
+            wc = "-wc" if label == "worst-case" else ""
+            pairs.append((f"recompute-bound-{form}{wc}", rep.min_margin, network[label]))
+            if form == "decaying":
+                column = loaded.bound_rhs_wc if wc else loaded.bound_rhs_emp
+                pairs.append((f"recompute-bound-rhs{wc}", rep.rhs, column))
+        if columns:
+            pairs.append(("bound-terms-sum", loaded.bound_terms.sum(axis=1), loaded.bound_rhs_emp))
+        checks = [_residual_check(name, _column_error(a, b), RECOMPUTE_TOL) for name, a, b in pairs]
     return _summary(
         cfg, "report", checks, steps=loaded.steps, connectivity_window=window, beta=beta,
-        final_gap=float(loaded.running_gap[-1]),
-        final_consensus=float(loaded.consensus[-1]),
+        final_gap=float(loaded.running_gap[-1]), final_consensus=float(loaded.consensus[-1]),
     )

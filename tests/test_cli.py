@@ -2,10 +2,13 @@
 through ``pushsim.cli.main``.  Each call is checked for its exit code, for
 its stderr (empty, or one ``config error:`` or ``certification failed:``
 line, so no traceback), for no warning, for the ``passed`` of the
-``report.json`` it writes and, when it stops at a failed certification or
-run, for leaving that report alone in ``--out``."""
+``report.json`` it writes or, for ``report``, for the checks it fails and,
+when it stops at a failed certification or run, for leaving that report
+alone in ``--out``."""
 
 import json
+import math
+import re
 import warnings
 
 import pytest
@@ -20,10 +23,29 @@ SMOKE_CONFIG = (
 )
 # 40 steps of 5 agents and no arc between them, so no connectivity window.
 NO_WINDOW_GRAPH = "5 40\n" + "".join(f"{t}:\n" for t in range(40))
+# An l1 objective on 4 agents, whose worst-case constants stay above
+# underflow: a decaying run evaluates both constant sets.
+N4_CONFIG = (
+    "[graph]\nkind = random-walkable\nn = 4\nhorizon = 150\nseed = 7\n\n"
+    "[objective]\nkind = l1\ntargets = 0 ; 1 ; 2 ; 5\n\n[init]\nmode = random\nseed = 3\n"
+)
+
+
+def edit_report(change):
+    """A step between calls: ``change`` applied to the dict of the
+    report.json that simulate wrote, which is written back."""
+    def step(tmp_path):
+        path = tmp_path / "simulate" / "report.json"
+        stored = json.loads(path.read_text())
+        change(stored)
+        path.write_text(json.dumps(stored))
+    return step
+
 
 # id: (files written next to the config, the config, the calls as
 # (command and its flags, exit code, start of the stderr line or None for
-# none), and a test of every report.json the calls write)
+# none[, for report, the checks it fails]) and the edits between them, and
+# a test of every report.json the calls write)
 CASES = {
     # Dense file weights: every entry 1/3 on the complete graph K3, so the
     # exchange-identity check keeps every entry of each step.
@@ -127,7 +149,72 @@ CASES = {
         ],
         lambda r: r["passed"] or [c["name"] for c in r["checks"]] == ["T=10:connectivity-window"],
     ),
+    # A stopped command's report names the steps the command runs: the
+    # sweep's longest horizon, not [graph] horizon, and simulate's horizon.
+    "stopped-commands-name-their-steps": (
+        {},
+        "[graph]\nkind = random-walkable\nn = 5\nhorizon = 150\nseed = 7\n\n"
+        "[objective]\nkind = l1\ntargets = -2 ; 0 ; 1 ; 3 ; 6\n\n"
+        "[init]\nmode = explicit\nvalues = 100 ; 0 ; 1 ; 3 ; 6\n\n[sweep]\nhorizons = 20 40 80\n",
+        [
+            (command, 1, "certification failed: initial value of agent 1 lies outside the objective box")
+            for command in ("sweep", "simulate")
+        ],
+        lambda r: r["steps"] == {"sweep": 80, "simulate": 150}[r["kind"]],
+    ),
+    # Any failed hypothesis skips verify's downstream checks and names
+    # itself: here the window of 4 steps of 3 agents and no cross arc.
+    "verify-without-a-window-skips-downstream": (
+        {"nowindow.graph": "3 4\n" + "".join(f"{t}:\n" for t in range(4))},
+        "[graph]\nkind = file\nn = 3\nhorizon = 4\nfile = {dir}/nowindow.graph\n\n"
+        "[objective]\nkind = zero\n",
+        [("verify", 1, None)],
+        lambda r: [(c["name"], c["passed"], c["note"]) for c in r["checks"]][1:] == [
+            ("weight-validation", True, ""),
+            ("downstream", True, "skipped: connectivity-window failed"),
+        ],
+    ),
+    # Three agents that agree at 1e308: the mean overflows to inf, and
+    # report recomputes and compares it as simulate stored it.
+    "overflowing-mean": (
+        {},
+        "[graph]\nkind = static-cycle\nn = 3\nhorizon = 20\n\n[objective]\nkind = zero\n\n"
+        "[init]\nmode = explicit\nvalues = 1e308 ; 1e308 ; 1e308\n",
+        [("simulate", 0, None), ("report", 0, None)],
+        lambda r: r["final_consensus"] == math.inf,
+    ),
 }
+
+# report re-derives both decaying network margins of the n=4 config and
+# its final consensus: each edit fails its own check.  Margins that do not
+# match the trace's certificate columns refuse the report.
+EDITS = {
+    "edited-decaying-network-margin": (
+        lambda r: r["bound_margins"].update({"gap-decaying-network-empirical": -123}),
+        ("report", 1, None, ["recompute-bound-decaying"]),
+    ),
+    "edited-decaying-worst-case-network-margin": (
+        lambda r: r["bound_margins"].update({"gap-decaying-network-worst-case": -123}),
+        ("report", 1, None, ["recompute-bound-decaying-wc"]),
+    ),
+    "edited-final-consensus": (
+        lambda r: r.update(final_consensus=999),
+        ("report", 1, None, ["recompute-final-consensus"]),
+    ),
+    "margins-without-the-decaying-keys": (
+        lambda r: r.update(bound_margins={
+            k: m for k, m in r["bound_margins"].items() if "-decaying-network-" not in k
+        }),
+        ("report", 2, "config error: {dir}/simulate/report.json: bound_margins does not match"),
+    ),
+}
+CASES.update({
+    case: (
+        {}, N4_CONFIG, [("simulate", 0, None), edit_report(change), call],
+        lambda r: "gap-decaying-network-worst-case" in r["bound_margins"],
+    )
+    for case, (change, call) in EDITS.items()
+})
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -137,7 +224,11 @@ def test_console_case(tmp_path, capsys, case):
         (tmp_path / name).write_text(text)
     cfgp = tmp_path / "case.ini"
     cfgp.write_text(config.replace("{dir}", str(tmp_path)))
-    for call, code, err_start in calls:
+    for call in calls:
+        if callable(call):
+            call(tmp_path)
+            continue
+        call, code, err_start, *fails = call
         command, *flags = call.replace("{dir}", str(tmp_path)).split()
         # report reads what simulate wrote
         out = tmp_path / ("simulate" if command == "report" else command)
@@ -154,9 +245,13 @@ def test_console_case(tmp_path, capsys, case):
             assert shown.err.startswith(err_start.replace("{dir}", str(tmp_path))), shown.err
         if code == 0:
             assert shown.out.endswith("overall: PASS\n"), shown.out
+        if fails:
+            assert re.findall(r"^check (\S+): FAIL", shown.out, re.M) == fails[0], shown.out
+        if command == "report":  # it writes nothing
+            continue
         if code == 2:
             assert not out.exists()
-        elif command != "report":
+        else:
             report = json.loads((out / "report.json").read_text())
             assert report["passed"] is (code == 0)
             assert holds(report), report

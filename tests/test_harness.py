@@ -640,7 +640,8 @@ def test_report_from_dir_recomputes_and_passes(finished):
     recompute = {c.name: c for c in summary.checks if c.name.startswith("recompute")}
     # n=4 keeps the worst-case constants above underflow, so that column is checked too
     assert {"recompute-zbar", "recompute-consensus", "recompute-gap",
-            "recompute-final-gap", "recompute-bound-rhs",
+            "recompute-final-gap", "recompute-final-consensus", "recompute-bound-decaying",
+            "recompute-bound-decaying-wc", "recompute-bound-rhs",
             "recompute-bound-rhs-wc"} <= set(recompute)
     for c in recompute.values():
         assert c.passed and c.value <= 1e-12
@@ -823,7 +824,7 @@ def test_verify_skips_downstream_on_bad_weights(tmp_path):
     assert by_name["weight-validation"].note.startswith(
         "weight matrix fails column-stochastic/support validation: step 0: columns [1]"
     )
-    assert "skipped" in by_name["downstream"].note
+    assert by_name["downstream"].note == "skipped: weight-validation failed"
     assert "product-identity" not in by_name
 
 
@@ -1438,6 +1439,13 @@ def test_cli_report_on_a_broken_artifact_exits_2(tmp_path, capsys):
         ("trace.csv", lines[0], "no data rows"),
         ("report.json", report[: len(report) // 2], "Unterminated string"),
         ("report.json", without("final_gap"), "no 'final_gap' entry"),
+        ("report.json", without("final_consensus"), "no 'final_consensus' entry"),
+        ("report.json", json.dumps({**stored, "final_consensus": "0.5"}),
+         "final_consensus is not a number: '0.5'"),
+        # a worst-case column that holds numbers, but no worst-case margin
+        ("report.json", json.dumps({**stored, "bound_margins": {
+            k: m for k, m in stored["bound_margins"].items() if k != "gap-decaying-network-worst-case"
+        }}), "bound_margins does not match the certificate columns of trace.csv"),
         ("report.json", json.dumps({**stored, "eta_emp": None}), "eta_emp is not a number: None"),
         # recorded constants no certificate can take
         ("report.json", json.dumps({**stored, "mu_emp": 1.5}), "log(mu) must be negative"),
