@@ -758,7 +758,7 @@ def _invariant_checks(
     # np.maximum, unlike max(), keeps a NaN from either part.
     mass = np.maximum(np.abs(trace.ys.sum(axis=1) - n).max(), np.abs(trace.final_state.y.sum() - n))
     zl = np.vstack([trace.zlyap, trace.final_zlyap[None, :]])
-    predicted = zl[:-1] - (trace.alphas[:, None] / n) * trace.gs.sum(axis=1)
+    predicted = zl[:-1] - (trace.alphas[:, None] / n) * trace.gsum
     checks = [
         _residual_check("weight-mass", float(mass), MASS_TOL),
         CheckResult(

@@ -172,16 +172,19 @@ class ObjectiveSpec:
         return self._subgradients(zs)
 
     def _subgradients(self, zs: np.ndarray) -> np.ndarray:
-        """:meth:`agent_subgradients` on a float array already of shape (n, d)."""
+        """:meth:`agent_subgradients` on floats of shape (..., n, d), as a
+        fresh array; each (n, d) row is bitwise its own call's."""
         if self.kind == "quadratic":
-            return 2.0 * (zs - self.targets)
+            g = zs - self.targets
+            return np.multiply(g, 2.0, out=g)
         if self.kind == "l1":
             # np.sign maps a kink to 0, a valid subgradient.
-            return np.sign(zs - self.targets)
+            g = zs - self.targets
+            return np.sign(g, out=g)
         if self.kind == "hinge":
             active = self._margins(zs) > 0.0
-            return np.where(active[:, None], -self.labels[:, None] * self.normals, 0.0)
-        return np.zeros((self.n, self.d))
+            return np.where(active[..., None], -self.labels[:, None] * self.normals, 0.0)
+        return np.zeros(zs.shape)
 
     def in_box(self, zs: np.ndarray, slack: float = 1e-9) -> np.ndarray:
         """Per-row box membership of zs, shape (m, d) -> bool (m,)."""
@@ -515,11 +518,14 @@ class RunTrace:
 
     Row t (0 <= t < steps) describes the state *before* step t is applied
     together with the stepsize used by that step; the post-run state is
-    kept separately in ``final_state``.  ``deviation[t]`` is the largest
+    kept separately in ``final_state``.  It stores the x, y and z rows
+    and (steps, d) or (steps,) series.  ``deviation[t]`` is the largest
     distance of any next-step ratio from the network mean of the descended
     values h_j(t) = x_j(t) - alpha(t) g_j(t), i.e. the one-step consensus
-    deviation the contraction envelope is meant to dominate.
-    ``smatrices`` rebuilds each companion S(t) on read.
+    deviation the contraction envelope is meant to dominate, and
+    ``gsum[t]`` is sum_i g_i(t); the run's post-loop chunks compute both.
+    ``gs`` rebuilds every g(t) from ``zs`` on each read (steps n d floats,
+    for tests and the acceptance gate), and ``smatrices`` each S(t).
     """
 
     n: int
@@ -529,16 +535,21 @@ class RunTrace:
     xs: np.ndarray
     ys: np.ndarray
     zs: np.ndarray
-    gs: np.ndarray
     zbar: np.ndarray
     zlyap: np.ndarray
     consensus: np.ndarray
     running_gap: np.ndarray
     deviation: np.ndarray
+    gsum: np.ndarray
     final_state: NetworkState
     final_zlyap: np.ndarray
     min_y: float
     smatrices: CompanionView
+    objective: ObjectiveSpec
+
+    @property
+    def gs(self) -> np.ndarray:
+        return self.objective._subgradients(self.zs)
 
     def prefix(self, steps: int) -> RunTrace:
         """The trace of this run's first ``steps`` steps, as views of its rows.
@@ -556,12 +567,13 @@ class RunTrace:
         cut = slice(steps)
         return RunTrace(
             n=self.n, d=self.d, steps=steps, alphas=self.alphas[cut],
-            xs=self.xs[cut], ys=self.ys[cut], zs=self.zs[cut], gs=self.gs[cut],
+            xs=self.xs[cut], ys=self.ys[cut], zs=self.zs[cut],
             zbar=self.zbar[cut], zlyap=self.zlyap[cut], consensus=self.consensus[cut],
-            running_gap=self.running_gap[cut], deviation=self.deviation[cut],
+            running_gap=self.running_gap[cut], deviation=self.deviation[cut], gsum=self.gsum[cut],
             final_state=NetworkState(t=steps, x=self.xs[steps], y=self.ys[steps]),
             final_zlyap=self.zlyap[steps],
             min_y=_least_weight(self.ys[1 : steps + 1]), smatrices=self.smatrices[cut],
+            objective=self.objective,
         )
 
 
@@ -587,20 +599,22 @@ def run_push_subgradient(
     The run enforces the declared subgradient ceiling, box containment,
     the weight floor and the certified optimum; a failure raises
     RunFailure naming the check, the agent and the step.  The step loop
-    only steps: the subgradients, the stored rows, x, y and the ratios.
-    When a weight block ends, one pass over its stored rows makes the
-    checks (:func:`_first_failure`), so a failing run stops at most one
-    block late; the reported failure is the one a check after every step
-    would raise first (per step: ceiling, box, then the weight floor),
-    and the rows past it are discarded.  The run issues no floating-point
+    only steps: the stored x, y and z rows, the subgradients, x, y and the
+    ratios.  No subgradient is stored; each later pass (``RunTrace.gs``
+    too) rebuilds them, bitwise, from the stored ratios.  When a weight
+    block ends, one pass over its stored rows makes the checks
+    (:func:`_first_failure`), so a failing run stops at most one block
+    late; the reported failure is the one a check after every step would
+    raise first (per step: ceiling, box, then the weight floor), and the
+    rows past it are discarded.  The run issues no floating-point
     warning: a NaN fails the box, an inf the ceiling or the box, a weight
     that reaches 0 the floor, and an overflow that passes them shows in
-    the derived series.  The network mean, the Lyapunov average, the
-    consensus error, the running-average gap and the one-step deviation
-    are computed after the loop, one chunk of stored rows at a time
-    (:func:`_series_chunks`), so their temporaries take at most
-    ``BLOCK_BYTES``; each row reduces on its own and equals, bitwise, what
-    a per-step evaluation gives.
+    the derived series.  The network mean, the
+    Lyapunov average, the consensus error, the running-average gap, the
+    one-step deviation and sum_i g_i(t) are computed after the loop, one
+    chunk of stored rows at a time (:func:`_series_chunks`), so their
+    temporaries take at most ``BLOCK_BYTES``; each row reduces on its own
+    and equals, bitwise, what a per-step evaluation gives.
     """
     steps = len(ws)
     if steps == 0:
@@ -621,7 +635,6 @@ def run_push_subgradient(
     xs = np.empty((steps, n, d))
     ys = np.empty((steps, n))
     zs = np.empty((steps, n, d))
-    gs = np.empty((steps, n, d))
 
     z = x / y[:, None]
     t = recorded = 0
@@ -629,11 +642,10 @@ def run_push_subgradient(
         for block in ws.blocks():
             lo = t
             for w in block:
-                g = objective._subgradients(z)
-                xs[t], ys[t], zs[t], gs[t] = x, y, z, g
+                xs[t], ys[t], zs[t] = x, y, z
                 # alpha == 0 is exactly a pure mixing step: the subtraction is skipped.
                 alpha = alphas[t]
-                x = w @ (x if alpha == 0.0 else x - alpha * g)
+                x = w @ (x if alpha == 0.0 else x - alpha * objective._subgradients(z))
                 y = w @ y
                 z = x / y[:, None]
                 t += 1
@@ -641,7 +653,7 @@ def run_push_subgradient(
             # Rows lo..t-1 are the block's steps; the weights after them are
             # the later rows and, after the last one, y.
             after = np.concatenate([ys[lo + 1 : t], y[None]])
-            failure = _first_failure(objective, gs[lo:t], zs[lo:t], after)
+            failure = _first_failure(objective, zs[lo:t], after)
             if failure is None:
                 # Free this block (w is a view of it) before the next is built.
                 del block, w
@@ -650,7 +662,7 @@ def run_push_subgradient(
             step = lo + r
             recorded = step if order < 2 else step + 1
             if order == 0:
-                raise _ceiling_failure(objective, gs[step], step)
+                raise _ceiling_failure(objective, zs[step], step)
             if order == 1:
                 raise _box_failure(objective, zs[step], step)
             check_weight_floor(step + 1, after[r])
@@ -663,36 +675,39 @@ def run_push_subgradient(
     running_gap = certified_gaps(objective, alphas, zbar)
     zlyap = np.empty((steps, d))
     deviation = np.empty(steps)
+    gsum = np.empty((steps, d))
     for rows in _series_chunks(steps, n, d):
         zlyap[rows] = ((ys[rows] / n)[:, None, :] @ zs[rows])[:, 0, :]
-        deviation[rows] = _deviations(
-            xs[rows], gs[rows], alphas[rows], zs[rows.start + 1 : rows.stop + 1], z,
+        gsum[rows], deviation[rows] = _subgradient_series(
+            objective, xs[rows], zs[rows], alphas[rows], zs[rows.start + 1 : rows.stop + 1], z,
         )
 
     return RunTrace(
         n=n, d=d, steps=steps, alphas=alphas,
-        xs=xs, ys=ys, zs=zs, gs=gs, zbar=zbar, zlyap=zlyap,
-        consensus=consensus, running_gap=running_gap, deviation=deviation,
+        xs=xs, ys=ys, zs=zs, zbar=zbar, zlyap=zlyap,
+        consensus=consensus, running_gap=running_gap, deviation=deviation, gsum=gsum,
         final_state=NetworkState(t=steps, x=x, y=y), final_zlyap=(y / n) @ z,
         min_y=min(_least_weight(ys[1:]), float(y.min())), smatrices=CompanionView(ws, ys),
+        objective=objective,
     )
 
 
 def _first_failure(
-    objective: ObjectiveSpec, gs: np.ndarray, zs: np.ndarray, after: np.ndarray
+    objective: ObjectiveSpec, zs: np.ndarray, after: np.ndarray
 ) -> tuple[int, int] | None:
     """The first failing in-step check over consecutive stored rows, as
     (row, order), or None.
 
-    ``gs`` and ``zs`` are the rows' subgradients and ratios, shape
-    (k, n, d), and ``after[r]`` the weights W(t) y(t) that row r's step
-    produced.  Order 0 is the subgradient ceiling, 1 box containment and
-    2 the weight floor; a per-step check takes them in that order, so the
-    smallest pair is the failure it raises first.  A square that
-    overflows makes its row's norm inf, so that row fails the ceiling.
+    ``zs`` are the rows' ratios, shape (k, n, d), and ``after[r]`` the
+    weights W(t) y(t) that row r's step produced.  Order 0 is the
+    subgradient ceiling, 1 box containment and 2 the weight floor; a
+    per-step check takes them in that order, so the smallest pair is the
+    failure it raises first.  A square that overflows makes its row's
+    norm inf, so that row fails the ceiling.
     """
     k, n, d = zs.shape
-    over = (np.sqrt((gs ** 2).sum(axis=2)) > objective.g_bound + 1e-9).any(axis=1)
+    norms = np.sqrt((objective._subgradients(zs) ** 2).sum(axis=2))
+    over = (norms > objective.g_bound + 1e-9).any(axis=1)
     outside = ~objective.in_box(zs.reshape(k * n, d)).reshape(k, n).all(axis=1)
     low = (after <= Y_FLOOR).any(axis=1)
     checks = (over, outside, low)  # in order
@@ -700,8 +715,8 @@ def _first_failure(
     return min(firsts, default=None)
 
 
-def _ceiling_failure(objective: ObjectiveSpec, g: np.ndarray, t: int) -> RunFailure:
-    norms = np.sqrt((g ** 2).sum(axis=1))
+def _ceiling_failure(objective: ObjectiveSpec, z: np.ndarray, t: int) -> RunFailure:
+    norms = np.sqrt((objective._subgradients(z) ** 2).sum(axis=1))
     k = int(norms.argmax())
     return RunFailure(
         "subgradient-ceiling", k + 1, t,
@@ -744,20 +759,23 @@ def _network_mean(zs: np.ndarray) -> np.ndarray:
     return zs.sum(axis=1) / zs.shape[1]
 
 
-def _deviations(
-    xs: np.ndarray, gs: np.ndarray, alphas: np.ndarray, after: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """The one-step deviation of consecutive rows: how far the next
-    ratios (the stored rows ``after``, then ``z`` past the last one) lie
-    from the mean of the mixing inputs x - alpha g."""
-    # One scratch, updated in place: the mixing inputs, then each next
-    # ratio's deviation from their mean.
-    scratch = alphas[:, None, None] * gs
+def _subgradient_series(
+    objective: ObjectiveSpec, xs: np.ndarray, zs: np.ndarray, alphas: np.ndarray, after: np.ndarray,
+    z: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i g_i(t) and the one-step deviation of consecutive rows: how
+    far the next ratios (the stored rows ``after``, then ``z`` past the
+    last one) lie from the mean of the mixing inputs x - alpha g."""
+    # One scratch, updated in place: g, alpha g, the mixing inputs, then
+    # each next ratio's deviation from their mean.
+    scratch = objective._subgradients(zs)
+    gsum = scratch.sum(axis=1)
+    np.multiply(alphas[:, None, None], scratch, out=scratch)
     h_mean = np.subtract(xs, scratch, out=scratch).sum(axis=1) / xs.shape[1]
     scratch[: len(after)] = after
     scratch[len(after) :] = z
     scratch -= h_mean[:, None, :]
-    return _max_agent_norms(scratch)
+    return gsum, _max_agent_norms(scratch)
 
 
 def _max_agent_norms(diffs: np.ndarray) -> np.ndarray:

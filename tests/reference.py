@@ -290,6 +290,17 @@ def reference_run_push_subgradient(
     weight floor on the weights it produced.
     ``pushsim.subgradient.run_push_subgradient`` must record the same bits
     and stop with the same failure."""
+    return reference_run_and_subgradients(ws, x0, objective, schedule)[0]
+
+
+def reference_run_and_subgradients(
+    ws: Sequence[WeightMatrix],
+    x0: np.ndarray,
+    objective: ObjectiveSpec,
+    schedule: StepsizeSchedule,
+) -> tuple[RunTrace, np.ndarray]:
+    """:func:`reference_run_push_subgradient`'s trace and the (steps, n, d)
+    subgradients its steps used, each stored as the step computed it."""
     steps = len(ws)
     if steps == 0:
         raise ValueError("need at least one mixing step")
@@ -358,12 +369,12 @@ def reference_run_push_subgradient(
 
     return RunTrace(
         n=n, d=d, steps=steps, alphas=alphas,
-        xs=xs, ys=ys, zs=zs, gs=gs, zbar=zbar, zlyap=zlyap,
-        consensus=consensus, running_gap=running_gap, deviation=deviation,
+        xs=xs, ys=ys, zs=zs, zbar=zbar, zlyap=zlyap,
+        consensus=consensus, running_gap=running_gap, deviation=deviation, gsum=gs.sum(axis=1),
         final_state=NetworkState(t=steps, x=x, y=y), final_zlyap=(y / n) @ z,
         min_y=min(1.0, *ys[1:].min(axis=1).tolist(), float(y.min())),
-        smatrices=CompanionView(ws, ys),
-    )
+        smatrices=CompanionView(ws, ys), objective=objective,
+    ), gs
 
 
 def reference_connectivity_window(seq: GraphSequence) -> int | None:

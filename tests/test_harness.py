@@ -2019,6 +2019,41 @@ def bench_sweep_config(seed):
     return parse_config(workloads["WORKLOADS"]["sweep"].config(seed, False))
 
 
+# Six hinge agents in the plane: the one objective whose subgradient is
+# not elementwise.  The CI console smoke runs every command on it.
+HINGE_PLANE = """
+[graph]
+kind = rotating-arc
+n = 6
+horizon = 300
+seed = 3
+
+[objective]
+kind = hinge
+d = 2
+normals = 1 0 ; 0 1 ; 1 1 ; -1 0 ; 0 -1 ; 1 -1
+labels = 1 -1 1 -1 1 -1
+box_lo = -5 -5
+box_hi = 5 5
+
+[sweep]
+horizons = 50 100 200
+"""
+
+
+@pytest.mark.parametrize("name,residual", [
+    ("hinge-plane", 2.220446049250313e-16),
+    ("bench-sweep-seed-1", 1.6653345369377348e-16),
+])
+def test_sweep_pins_the_lyapunov_recursion_at_every_horizon(name, residual):
+    # The check reads the run's stored sum of the subgradients; these are
+    # the residuals it gave when the run stored every subgradient row.
+    cfg = parse_config(HINGE_PLANE) if name == "hinge-plane" else bench_sweep_config(1)
+    summary = sweep_experiment(cfg)
+    got = {c.name: (c.value, c.passed) for c in summary.checks if c.name.endswith(":lyapunov-recursion")}
+    assert got == {f"T={h}:lyapunov-recursion": (residual, True) for h in cfg.sweep.horizons}
+
+
 def test_artifacts_match_the_per_step_check_loop(tmp_path, monkeypatch):
     # Every file of the certified acceptance runs, of their sweeps and of
     # the benchmark's seed-1 sweep, with the block-end check pass and then

@@ -54,6 +54,7 @@ from reference import (
     QuadraticRef,
     ZeroRef,
     reference_mean,
+    reference_run_and_subgradients,
     reference_run_push_subgradient,
     reference_terms,
 )
@@ -557,7 +558,7 @@ def reference_run(ws, x0, objective, schedule):
     n, d = state.n, state.d
     alphas = stepsize_array(schedule, steps)
     out = {name: np.empty((steps,) + shape) for name, shape in (
-        ("xs", (n, d)), ("ys", (n,)), ("zs", (n, d)), ("gs", (n, d)), ("zbar", (d,)),
+        ("xs", (n, d)), ("ys", (n,)), ("zs", (n, d)), ("gs", (n, d)), ("gsum", (d,)), ("zbar", (d,)),
         ("zlyap", (d,)), ("consensus", ()), ("running_gap", ()), ("deviation", ()),
     )}
     out["alphas"] = alphas
@@ -579,6 +580,7 @@ def reference_run(ws, x0, objective, schedule):
             if not contains(z[i]):
                 raise RuntimeError(f"agent {i + 1} left the declared box at t={t}: z={z[i]!r}")
         out["xs"][t], out["ys"][t], out["zs"][t], out["gs"][t] = state.x, state.y, z, g
+        out["gsum"][t] = g.sum(axis=0)
         out["zbar"][t] = z.mean(axis=0)
         out["zlyap"][t] = (state.y / n) @ z
         out["consensus"][t] = np.sqrt(((z - z.mean(axis=0)) ** 2).sum(axis=1)).max()
@@ -847,32 +849,44 @@ def test_run_with_companions_holds_no_step_by_n_squared_array():
 @pytest.mark.parametrize("budget", [None, 2 ** 22], ids=["default", "4MiB"])
 @pytest.mark.parametrize("companions", [False, True])
 def test_run_holds_its_trace_and_one_weight_block(monkeypatch, companions, budget):
-    # Besides the arrays it returns, a run holds one block of weights at a
-    # time (the previous block is freed before the next is built) and,
-    # after its loop, one (steps, n, d) scratch for its derived series and
-    # the (steps, n) sums of its squares.  The companion pass after it
-    # holds its series and, again, one block.  A default block is at most
-    # 512 KiB.
+    # A run keeps the rows of x, y and z and series of at most d floats a
+    # step; it stores no subgradient.  Besides them it holds one block of
+    # weights at a time (the previous block is freed before the next is
+    # built) with either its unpacked adjacency or the block-end checks'
+    # temporaries, each under a quarter of a block at these sizes, and,
+    # after its loop, one chunk of rows whose temporaries take at most one
+    # block; 64 KiB covers small objects.  One more stack of n d floats a
+    # step, 800,000 B at the certify workload's shape and 1,024,000 B at
+    # the sweep's, would not fit.  The companion pass after it holds its
+    # series, one block and, per block, copies of y's and pi's rows.  A
+    # default block is at most 512 KiB.
     assert pushsim.graphs.BLOCK_BYTES <= 2 ** 19
     if budget is not None:
         monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", budget)
-    n, steps = 50, 2000
-    seq = generate_sequence("random-walkable", n, steps, 3, arc_prob=0.05)
-    ws = build_weight_stack(seq)
-    objective = l1_objective(np.linspace(-5.0, 5.0, n)[:, None])
-    x0 = np.linspace(5.0, -5.0, n)[:, None]
-    tracemalloc.start()
-    try:
-        trace = run_push_subgradient(ws, x0, objective, StepsizeSchedule.harmonic())
-        series = companion_series(ws, trace.ys, trace.final_state.y)[:2] if companions else ()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    arrays = [v for v in vars(trace).values() if isinstance(v, np.ndarray)] + list(series)
-    held = sum(a.nbytes for a in arrays) + trace.final_state.x.nbytes + trace.final_state.y.nbytes
     block = pushsim.graphs.BLOCK_BYTES
-    scratch = trace.zs.nbytes + trace.ys.nbytes
-    assert peak <= held + block + scratch, f"peak {peak / 2 ** 20:.2f} MiB"
+    scratch = block // 4 + 2 ** 16
+    for n, steps in ((50, 2000), (20, 6400)):
+        seq = generate_sequence("random-walkable", n, steps, 3, arc_prob=0.05)
+        ws = build_weight_stack(seq)
+        objective = l1_objective(np.linspace(-5.0, 5.0, n)[:, None])
+        x0 = np.linspace(5.0, -5.0, n)[:, None]
+        tracemalloc.start()
+        try:
+            trace = run_push_subgradient(ws, x0, objective, StepsizeSchedule.harmonic())
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            series = companion_series(ws, trace.ys, trace.final_state.y)[:2] if companions else ()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+        stacks = trace.xs.nbytes + trace.ys.nbytes + trace.zs.nbytes
+        small = sum(a.nbytes for a in arrays if a.nbytes <= 8 * steps * trace.d)
+        held = stacks + small + trace.final_state.x.nbytes + trace.final_state.y.nbytes
+        assert run_peak <= held + block + scratch, f"n={n}: run peak {run_peak / 2 ** 20:.2f} MiB"
+        if companions:
+            held += sum(a.nbytes for a in series)
+            assert peak <= held + block + scratch + trace.ys.nbytes, f"n={n}: peak {peak / 2 ** 20:.2f} MiB"
 
 
 @pytest.mark.parametrize("case,check,t", [
@@ -1026,13 +1040,106 @@ def test_block_pass_raises_the_per_step_failure(inject, place, beat, seed, frac)
         objective = dataclasses.replace(objective, f_star=objective.f_star + gap)
 
     want, _ = run_with_warnings(lambda: reference_run_push_subgradient(ws, x0, objective, schedule))
+    # Blocks of k steps, of one step (the failing step sits in a later
+    # block whenever t > 0), and of the default budget; each block-end
+    # pass rebuilds the block's subgradients from its stored ratios.
+    for block in (k, 1, None):
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(pushsim.graphs, "BLOCK_BYTES", blocks_of(block, ws.n))
+            got, got_warnings = run_with_warnings(lambda: run_push_subgradient(ws, x0, objective, schedule))
+        assert type(got) is type(want) and str(got) == str(want), block
+        if isinstance(want, RunFailure):
+            assert (got.check, got.agent, got.t) == (want.check, want.agent, want.t), block
+        assert got_warnings == [], block
+
+
+def recorded_subgradients(mp):
+    """Patch ObjectiveSpec._subgradients through ``mp`` to record every
+    call on stacked (k, n, d) rows: (the rows, a copy of their g)."""
+    calls = []
+    rebuild = ObjectiveSpec._subgradients
+
+    def recording(self, zs):
+        g = rebuild(self, zs)
+        if zs.ndim == 3:
+            calls.append((zs, g.copy()))
+        return g
+
+    mp.setattr(ObjectiveSpec, "_subgradients", recording)
+    return calls
+
+
+def first_row(rows, stack):
+    """The row of ``stack`` at which the slice of its rows ``rows`` starts."""
+    assert np.shares_memory(rows, stack)
+    offset = rows.__array_interface__["data"][0] - stack.__array_interface__["data"][0]
+    return offset // stack[0].nbytes
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "l1", "hinge", "zero"]),
+    n=st.integers(1, 12),
+    d=st.integers(1, 2),
+    steps=st.integers(1, 30),
+    seed=st.integers(0, 2 ** 16),
+    one_step=st.booleans(),
+    cut=st.floats(0.0, 1.0),
+)
+def test_rebuilt_subgradients_are_the_ones_each_step_used(kind, n, d, steps, seed, one_step, cut):
+    # The run stores no subgradient: each block-end check pass, each
+    # post-loop chunk and RunTrace.gs (of the run or of a prefix) rebuild
+    # g(t) from the stored ratios, and each must be bitwise the g that the
+    # reference's per-step loop computed and stepped with.  Blocks of one
+    # step (chunks of max(1, n // 2d) rows) or the default budget (one
+    # block and one chunk).
+    rng = np.random.default_rng(seed)
+    objective, x0 = random_objective(kind, n, d, rng, None)
+    ws = build_weight_stack(generate_sequence("random-walkable", n, steps, seed, arc_prob=0.3))
+    schedule = StepsizeSchedule.harmonic(0.5)
+    want, want_exc = outcome(lambda: reference_run_and_subgradients(ws, x0, objective, schedule))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pushsim.graphs, "BLOCK_BYTES", blocks_of(k, ws.n))
-        got, got_warnings = run_with_warnings(lambda: run_push_subgradient(ws, x0, objective, schedule))
-    assert type(got) is type(want) and str(got) == str(want)
-    if isinstance(want, RunFailure):
-        assert (got.check, got.agent, got.t) == (want.check, want.agent, want.t)
-    assert got_warnings == []
+        if one_step:
+            mp.setattr(pushsim.graphs, "BLOCK_BYTES", blocks_of(1, n))
+        calls = recorded_subgradients(mp)
+        trace, got_exc = outcome(lambda: run_push_subgradient(ws, x0, objective, schedule))
+    if want_exc is not None:
+        assert str(got_exc) == str(want_exc)
+        return
+    want_trace, want_gs = want
+    assert_same_bits(trace.gs, want_gs, "RunTrace.gs")
+    assert_same_bits(trace.gsum, want_gs.sum(axis=1), "gsum")
+    assert_same_bits(trace.gsum, want_trace.gsum, "gsum")
+    covered = np.zeros(steps, dtype=int)
+    for rows, g in calls:
+        lo = first_row(rows, trace.zs)
+        assert_same_bits(g, want_gs[lo : lo + len(g)], f"rows from {lo}")
+        covered[lo : lo + len(g)] += 1
+    # once by the block-end checks, once by the post-loop chunks
+    assert covered.tolist() == [2] * steps
+    m = 1 + int(cut * (steps - 1))
+    assert_same_bits(trace.prefix(m).gs, want_gs[:m], "prefix gs")
+    assert_same_bits(trace.prefix(m).gsum, want_gs[:m].sum(axis=1), "prefix gsum")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_agent_sum_of_subgradients_is_bitwise_the_whole_stack_sum(monkeypatch, d):
+    # The stored sum_i g_i(t), one chunk of 5 rows at a time, against
+    # gs.sum(axis=1) over every row at once.  From x(0) = 0 the first
+    # subgradients are 1e16, 1, 1 and nine zeros, whose sum depends on the
+    # order of addition: numpy adds a contiguous (n, 1) column pairwise
+    # and wider rows in agent order.
+    n, steps = 12, 23
+    targets = np.zeros((n, d))
+    targets[:3] = [[-5e15], [-0.5], [-0.5]]
+    objective = quadratic_objective(targets)
+    ws = build_weight_stack(generate_sequence("random-walkable", n, steps, d, arc_prob=0.3))
+    monkeypatch.setattr(pushsim.graphs, "BLOCK_BYTES", 5 * 16 * n * d)
+    trace = run_push_subgradient(ws, np.zeros((n, d)), objective, StepsizeSchedule.harmonic(0.01))
+    gs = trace.gs
+    assert in_order_sum(gs[0, :, 0]) != in_order_sum(gs[0, ::-1, 0])
+    assert_same_bits(trace.gsum, gs.sum(axis=1))
 
 
 @pytest.mark.parametrize("k", [1, 3, INJECT_STEPS])
